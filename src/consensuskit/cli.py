@@ -2,7 +2,8 @@
 
     consensuskit synthesize scenario.json
     consensuskit simulate scenario.json --out run.csv [--svg run.svg]
-    consensuskit simulate-switching scenario.json --out run.csv
+    consensuskit simulate-switching scenario.json --out run.csv \
+        [--allow-a4-violation]
     consensuskit montecarlo scenario.json --runs 200 --out ms.csv
     consensuskit analyze scenario.json [--window T0:T1]
 
@@ -12,6 +13,11 @@ hitting its floor, solver breakdowns).  Errors are emitted as a single JSON
 object on stderr; command results go to stdout as JSON, trajectories to CSV
 files.  All numeric CSV fields use repr-faithful %.17g formatting so reruns
 are byte-identical.
+
+`simulate`, `simulate-switching` and `analyze` share one dispatch: a
+switching scenario runs under its Markov schedule, a fixed one with observer
+feedback when it has an observer section.  `simulate-switching` differs from
+`simulate` only in taking --allow-a4-violation.
 """
 
 import argparse
@@ -72,6 +78,7 @@ def _apply_overrides(scen, args):
 
 
 def _output_cfg(scen, args):
+    """Output settings from the scenario and the flags; needs a CSV path."""
     cfg = dict(scen.output or {})
     if getattr(args, "out", None):
         cfg["csv"] = args.out
@@ -80,6 +87,10 @@ def _output_cfg(scen, args):
     if getattr(args, "full_state", False):
         cfg["full_state"] = True
     cfg.setdefault("full_state", False)
+    if "csv" not in cfg:
+        raise ValidationError(
+            "no CSV output path; pass --out or set output.csv",
+            field="output.csv")
     return cfg
 
 
@@ -225,12 +236,18 @@ def _cmd_synthesize(args):
     return 0
 
 
-def _run_and_write(scen, traj, args):
+def _simulate(scen, allow_a4_violation=False):
+    if isinstance(scen.topology, MarkovTopology):
+        return simulate_switching(scen, allow_a4_violation=allow_a4_violation)
+    if scen.observer is not None:
+        return simulate_with_observer(scen)
+    return simulate_fixed(scen)
+
+
+def _cmd_simulate(args):
+    scen = _apply_overrides(load_scenario(args.scenario), args)
     cfg = _output_cfg(scen, args)
-    if "csv" not in cfg:
-        raise ValidationError(
-            "no CSV output path; pass --out or set output.csv",
-            field="output.csv")
+    traj = _simulate(scen, getattr(args, "allow_a4_violation", False))
     _write_trajectory_csv(cfg["csv"], traj, cfg["full_state"])
     summary = {
         "csv": cfg["csv"],
@@ -244,30 +261,10 @@ def _run_and_write(scen, traj, args):
     return 0
 
 
-def _cmd_simulate(args):
-    scen = _apply_overrides(load_scenario(args.scenario), args)
-    if scen.observer is not None:
-        traj = simulate_with_observer(scen)
-    else:
-        traj = simulate_fixed(scen)
-    return _run_and_write(scen, traj, args)
-
-
-def _cmd_simulate_switching(args):
-    scen = _apply_overrides(load_scenario(args.scenario), args)
-    traj = simulate_switching(scen,
-                              allow_a4_violation=args.allow_a4_violation)
-    return _run_and_write(scen, traj, args)
-
-
 def _cmd_montecarlo(args):
     scen = _apply_overrides(load_scenario(args.scenario), args)
-    result = monte_carlo_ms(scen, args.runs)
     cfg = _output_cfg(scen, args)
-    if "csv" not in cfg:
-        raise ValidationError(
-            "no CSV output path; pass --out or set output.csv",
-            field="output.csv")
+    result = monte_carlo_ms(scen, args.runs)
     _write_mc_csv(cfg["csv"], result)
     if "svg" in cfg:
         _write_svg(cfg["svg"], result.times,
@@ -296,15 +293,9 @@ def _cmd_analyze(args):
     scen = _apply_overrides(load_scenario(args.scenario), args)
     window = _parse_window(args.window) if args.window else None
     switching = isinstance(scen.topology, MarkovTopology)
-    if switching:
-        traj = simulate_switching(scen)
-        lap = laplacian(union(scen.topology.graphs))
-    else:
-        if scen.observer is not None:
-            traj = simulate_with_observer(scen)
-        else:
-            traj = simulate_fixed(scen)
-        lap = laplacian(scen.topology)
+    traj = _simulate(scen)
+    lap = laplacian(union(scen.topology.graphs) if switching
+                    else scen.topology)
     d = disagreement(traj)
     fit = empirical_rate(traj.times, d, window)
     theoretical = None
@@ -339,10 +330,10 @@ def _build_parser():
     p.add_argument("scenario")
     p.set_defaults(func=_cmd_synthesize)
 
-    for name, func, switching in (
-            ("simulate", _cmd_simulate, False),
-            ("simulate-switching", _cmd_simulate_switching, True)):
-        p = sub.add_parser(name, help=f"run a {'switching' if switching else 'fixed-topology'} simulation")
+    for name, switching in (("simulate", False),
+                            ("simulate-switching", True)):
+        p = sub.add_parser(name, help="run a simulation" + (
+            ", optionally past a failed A4 check" if switching else ""))
         p.add_argument("scenario")
         p.add_argument("--out", help="trajectory CSV path")
         p.add_argument("--svg", help="output plot path")
@@ -353,7 +344,7 @@ def _build_parser():
             p.add_argument("--allow-a4-violation", action="store_true",
                            help="simulate even if the union graph fails "
                                 "the connectivity/balance assumption")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("montecarlo",
                        help="mean-square disagreement over repeated runs")

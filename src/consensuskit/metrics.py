@@ -23,6 +23,7 @@ from .errors import (
     NotRankOneError,
 )
 from .graph import DiGraph, has_spanning_tree, lambda_min_nonzero
+from .settings import settings
 from .switching import speed_bound
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "theoretical_speed_fixed", "theoretical_speed_switching",
     "SpeedConventionWarning",
 ]
-
-_RATE_FLOOR = 1e-15
 
 
 class SpeedConventionWarning(UserWarning):
@@ -55,9 +54,9 @@ def empirical_rate(times, values, window=None):
     """Least-squares exponential rate of a positive decaying series.
 
     Fits log(values) = intercept - rate * t over the window (defaults to
-    the last 60 percent of the horizon).  Values are floored at 1e-15
-    before taking logs; a window whose values are all at or below zero is
-    rejected since no decay rate is identifiable.
+    the last 60 percent of the horizon).  Values are floored at
+    ``settings.rate_floor`` before taking logs; a window whose values are
+    all at or below zero is rejected since no decay rate is identifiable.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -77,7 +76,7 @@ def empirical_rate(times, values, window=None):
     if not np.any(vw > 0):
         raise NonPositiveSeriesError(
             "no positive values inside the fit window")
-    logv = np.log(np.maximum(vw, _RATE_FLOOR))
+    logv = np.log(np.maximum(vw, settings.rate_floor))
     slope, intercept = np.polyfit(tw, logv, 1)
     pred = slope * tw + intercept
     ss_res = float(np.sum((logv - pred) ** 2))
@@ -101,7 +100,9 @@ def theoretical_speed_fixed(cs, gain, lap):
     The rate is the slower of the network term
     mu * sqrt(q1 * r_hat) * (B' nu) * Re(lambda_min_nonzero(L)) and the
     slowest open-loop target pole, read as the smallest nonzero real part
-    of the spectrum of -A.
+    of the spectrum of -A.  A SpeedConventionWarning is raised when the
+    alternative reading of the pole term, the largest real part, would
+    change the returned rate.
     """
     if gain.rank != "one":
         raise NotRankOneError("the guaranteed-rate formula needs a rank-one gain")
@@ -113,14 +114,16 @@ def theoretical_speed_fixed(cs, gain, lap):
                 * float(lambda_min_nonzero(np.asarray(lap)).real))
     if cs.r == 1:
         return float(coupling)
-    pole_term = float(lambda_min_nonzero(-cs.A).real)
-    if np.allclose(cs.b, [2.0, 3.0]):
+    pole_re = -cs.stable_poles.real
+    rate = float(min(coupling, pole_re.min()))
+    alternative = float(min(coupling, pole_re.max()))
+    if alternative != rate:
         warnings.warn(
-            "for target coefficients b = [2, 3] the plant-pole term is "
-            "read as the smallest nonzero real part (1); the alternative "
-            "largest-magnitude reading would give 2",
-            SpeedConventionWarning)
-    return float(min(coupling, pole_term))
+            f"the plant-pole term is read as the smallest nonzero real part "
+            f"({pole_re.min():g}), giving rate {rate:g}; the alternative "
+            f"largest-magnitude reading ({pole_re.max():g}) would give "
+            f"{alternative:g}", SpeedConventionWarning)
+    return rate
 
 
 def theoretical_speed_switching(mt, gain, cs):

@@ -1,17 +1,34 @@
 """Closed-loop simulation.
 
-Fixed-step classical fourth-order Runge-Kutta over the stacked multi-agent
-state.  Per agent the flat state vector holds
+With its local controller, every agent's chain xi and controller state phi
+stack into one r-vector xihat_i that is exactly linear,
 
-* the plant block: [xi; eta] for normal-form agents, the raw x vector for
-  agents carried in native coordinates, or [xi; eta; u] for input-augmented
-  agents (u' = w is integrated alongside),
-* the local controller block phi (empty for full-degree agents),
-* optionally the observer block (the estimate of the stacked chain xihat).
+    xihat_i' = M_i xihat_i + Bv_i v_i,
 
-The cooperative input v is recomputed inside every Runge-Kutta stage.
-Under switching, the active graph is frozen over each step: a sampled jump
-takes effect at the first step boundary at or after the jump time.
+where (M_i, Bv_i) = assemble_stacked(target, controller_i), which equals
+the target's (A, B) when the controller is correct.  The integrator states
+this once: the stacked matrices of all agents form one (N, r, r) array,
+one product gives the chain and controller derivatives of every agent, and
+the new chain input u_hat_i is entry r_i of agent i's row.  Only the
+nonlinear parts stay per agent: the internal dynamics eta' = theta(xi,
+eta), agents carried in native coordinates, the integrated physical input
+of augmented agents (u' = w), and the beta guard.
+
+Fixed-step classical fourth-order Runge-Kutta runs over one flat state:
+
+* the linear block: per agent xi (unless carried natively), then phi;
+* the nonlinear block: per agent eta and, for an augmented agent, u, or
+  the raw x vector of an agent carried in native coordinates;
+* with an observer, the N x r block of estimates xcheck of xihat, advanced
+  for all agents at once as xcheck' = A xcheck + B v + M_o C (xihat -
+  xcheck), M_o being the observer's injection gain.
+
+The cooperative input v = -(L feedback) K, fed back from xihat or from the
+observer estimates, is recomputed inside every stage.  Every run follows a
+mode schedule: a fixed graph is the one-mode schedule [L] with mode 0
+throughout; under switching each sample looks its mode up in the sampled
+path, so a jump takes effect at the first step boundary at or after the
+jump time and the graph is frozen over each step.
 
 Two runtime guards: |beta| is checked against the configured floor at every
 recorded state (BetaNearZero), and any state leaving the max-norm ball of
@@ -25,7 +42,7 @@ corresponding fixed-topology run.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -41,6 +58,7 @@ from .synthesis import (
     ConsensusGain,
     LocalController,
     ObserverGain,
+    assemble_stacked,
     local_controller,
 )
 
@@ -128,58 +146,72 @@ class MonteCarloResult:
 
 
 class _AgentRuntime:
-    """Precomputed per-agent bookkeeping for the integrator loop."""
+    """Where one agent's parts sit in the flat state."""
 
-    __slots__ = ("agent", "ctl", "r_i", "n_eta", "n_phi", "augmented",
-                 "native", "sl_plant", "sl_ctrl", "sl_obs", "xi", "u_cmd")
+    __slots__ = ("i", "agent", "r_i", "augmented", "native", "sl_xi",
+                 "sl_eta", "i_u", "sl_x")
 
-    def __init__(self, agent, ctl):
+    def __init__(self, i, agent):
+        self.i = i
         self.agent = agent
-        self.ctl = ctl
         self.r_i = agent.r
-        self.n_eta = agent.n_eta
-        self.n_phi = ctl.n_phi
         self.augmented = agent.kind == AUGMENTED_GENERAL
         self.native = agent.native
-        self.xi = None
-        self.u_cmd = 0.0
-
-    def plant_dim(self):
-        if self.native is not None:
-            return self.native.dim
-        return self.r_i + self.n_eta + (1 if self.augmented else 0)
 
 
 class _System:
     def __init__(self, scen, use_observer):
         self.scen = scen
-        self.rts = []
-        pos = 0
-        for ag, ctl in zip(scen.agents, scen.controllers):
-            rt = _AgentRuntime(ag, ctl)
-            d = rt.plant_dim()
-            rt.sl_plant = slice(pos, pos + d)
-            pos += d
-            rt.sl_ctrl = slice(pos, pos + rt.n_phi)
-            pos += rt.n_phi
-            if use_observer:
-                rt.sl_obs = slice(pos, pos + scen.cs.r)
-                pos += scen.cs.r
-            else:
-                rt.sl_obs = None
-            self.rts.append(rt)
-        self.dim = pos
-        self.n_agents = len(self.rts)
-        self.r = scen.cs.r
+        n, r = len(scen.agents), scen.cs.r
+        self.rts = [_AgentRuntime(i, ag) for i, ag in enumerate(scen.agents)]
+        stacked = [assemble_stacked(scen.cs, ctl) for ctl in scen.controllers]
+        self.M = np.array([m for m, _ in stacked])
+        self.Bv = np.array([b for _, b in stacked])
         self.K = scen.gain.K
-        self.A = scen.cs.A
-        self.B = scen.cs.B
+        # the linear block holds xihat, less the chains of native agents
+        # (computed from x); lin_dst maps it into the flattened xihat
+        lin_dst = []
+        for rt in self.rts:
+            first = rt.i * r
+            if rt.native is None:
+                rt.sl_xi = slice(len(lin_dst), len(lin_dst) + rt.r_i)
+            else:
+                first += rt.r_i
+            lin_dst.extend(range(first, (rt.i + 1) * r))
+        self.lin_dst = np.array(lin_dst)
+        self.n_lin = pos = len(lin_dst)
+        for rt in self.rts:
+            if rt.native is not None:
+                rt.sl_x = slice(pos, pos + rt.native.dim)
+                pos += rt.native.dim
+            else:
+                rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
+                pos += rt.agent.n_eta
+                if rt.augmented:
+                    rt.i_u = pos
+                    pos += 1
+        self.natives = [rt for rt in self.rts if rt.native is not None]
+        self.nonlinear = [rt for rt in self.rts
+                          if rt.native is not None or rt.augmented
+                          or rt.agent.n_eta]
+        self.u_idx = np.array([rt.i * r + rt.r_i - 1 for rt in self.rts])
         self.use_observer = use_observer
         if use_observer:
-            self.C = scen.observer.C
-            self.M = scen.observer.M
-        self.xhat = np.zeros((self.n_agents, self.r))
-        self.xchk = np.zeros((self.n_agents, self.r)) if use_observer else None
+            self.sl_obs = slice(pos, pos + n * r)
+            pos += n * r
+            self.A, self.B = scen.cs.A, scen.cs.B
+            self.C, self.M_obs = scen.observer.C, scen.observer.M
+        self.dim = pos
+        self.xhat = np.zeros((n, r))
+        self.u_hat = None
+
+    def _gather(self, state):
+        """Fill xhat from the state and return it."""
+        xhat = self.xhat
+        xhat.flat[self.lin_dst] = state[:self.n_lin]
+        for rt in self.natives:
+            xhat[rt.i, :rt.r_i] = rt.native.xi_of(state[rt.sl_x])
+        return xhat
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -188,121 +220,89 @@ class _System:
         state = np.zeros(self.dim)
         for rt in self.rts:
             ag = rt.agent
-            block = state[rt.sl_plant]
             if rt.native is not None:
-                block[:] = (rng.uniform(-1.0, 1.0, rt.native.dim)
-                            if rng is not None else rt.native.x0)
+                state[rt.sl_x] = (rng.uniform(-1.0, 1.0, rt.native.dim)
+                                  if rng is not None else rt.native.x0)
+                continue
+            if rng is not None:
+                state[rt.sl_xi] = rng.uniform(-1.0, 1.0, ag.r)
+                if ag.n_eta:
+                    state[rt.sl_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
             else:
-                if rng is not None:
-                    block[:ag.r] = rng.uniform(-1.0, 1.0, ag.r)
-                    if ag.n_eta:
-                        block[ag.r:ag.r + ag.n_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
-                else:
-                    block[:ag.r] = ag.xi0
-                    if ag.n_eta:
-                        block[ag.r:ag.r + ag.n_eta] = ag.eta0
-                if rt.augmented:
-                    block[-1] = ag.u0
+                state[rt.sl_xi] = ag.xi0
+                state[rt.sl_eta] = ag.eta0
+            if rt.augmented:
+                state[rt.i_u] = ag.u0
         if self.use_observer and scen.observer_init == "match":
-            for rt in self.rts:
-                obs = state[rt.sl_obs]
-                ps = state[rt.sl_plant]
-                if rt.native is not None:
-                    obs[:rt.r_i] = rt.native.xi_of(ps)
-                else:
-                    obs[:rt.r_i] = ps[:rt.r_i]
-                # controller states start at zero, so the tail is already zero
+            # controller states start at zero, so xihat is the true chain
+            state[self.sl_obs] = self._gather(state).ravel()
         return state
 
     def deriv(self, state, lap, out):
-        """Stacked derivative; caches per-agent xi and commanded input."""
-        rts = self.rts
-        xhat = self.xhat
-        for i, rt in enumerate(rts):
-            ps = state[rt.sl_plant]
-            if rt.native is not None:
-                xi = rt.native.xi_of(ps)
-            else:
-                xi = ps[:rt.r_i]
-            rt.xi = xi
-            xhat[i, :rt.r_i] = xi
-            if rt.n_phi:
-                xhat[i, rt.r_i:] = state[rt.sl_ctrl]
+        """Stacked derivative into `out`; leaves xhat and u_hat behind."""
+        xhat = self._gather(state)
         if self.use_observer:
-            feedback = self.xchk
-            for i, rt in enumerate(rts):
-                feedback[i] = state[rt.sl_obs]
+            feedback = state[self.sl_obs].reshape(xhat.shape)
         else:
             feedback = xhat
-        v_all = -(lap @ feedback) @ self.K
-        for i, rt in enumerate(rts):
-            v = v_all[i]
-            if rt.n_phi:
-                phi = state[rt.sl_ctrl]
-                u_hat = phi[0]
-                dphi = rt.ctl.D @ rt.xi + rt.ctl.E @ phi
-                dphi[-1] += v
-                out[rt.sl_ctrl] = dphi
-            else:
-                u_hat = float(rt.ctl.static_row @ xhat[i]) + v
-                rt.u_cmd = u_hat
-            ps = state[rt.sl_plant]
+        v = -(lap @ feedback) @ self.K
+        dx = np.einsum("nij,nj->ni", self.M, xhat) + self.Bv * v[:, None]
+        out[:self.n_lin] = dx.take(self.lin_dst)
+        self.u_hat = u_hat = dx.take(self.u_idx)
+        for rt in self.nonlinear:
             if rt.native is not None:
-                u = (u_hat - rt.native.alpha_of(ps)) / rt.native.beta_of(ps)
-                out[rt.sl_plant] = rt.native.deriv(ps, u)
-                rt.u_cmd = u
-            else:
-                dp = out[rt.sl_plant]
-                r_i = rt.r_i
-                dp[:r_i - 1] = ps[1:r_i]
-                dp[r_i - 1] = u_hat
-                if rt.n_eta:
-                    eta = ps[r_i:r_i + rt.n_eta]
-                    dp[r_i:r_i + rt.n_eta] = rt.agent.theta(rt.xi, eta)
-                if rt.augmented:
-                    eta = ps[r_i:r_i + rt.n_eta]
-                    w = ((u_hat - rt.agent.alpha(rt.xi, eta))
-                         / rt.agent.beta(rt.xi, eta))
-                    dp[-1] = w
-                    rt.u_cmd = w
-            if self.use_observer:
-                chk = state[rt.sl_obs]
-                innov = float(self.C @ xhat[i]) - float(self.C @ chk)
-                out[rt.sl_obs] = self.A @ chk + self.B * v + self.M * innov
+                x, plant = state[rt.sl_x], rt.native
+                u = (u_hat[rt.i] - plant.alpha_of(x)) / plant.beta_of(x)
+                out[rt.sl_x] = plant.deriv(x, u)
+                continue
+            xi, eta = xhat[rt.i, :rt.r_i], state[rt.sl_eta]
+            if rt.agent.n_eta:
+                out[rt.sl_eta] = rt.agent.theta(xi, eta)
+            if rt.augmented:
+                out[rt.i_u] = ((u_hat[rt.i] - rt.agent.alpha(xi, eta))
+                               / rt.agent.beta(xi, eta))
+        if self.use_observer:
+            innov = xhat @ self.C - feedback @ self.C
+            out[self.sl_obs] = (feedback @ self.A.T + np.outer(v, self.B)
+                                + np.outer(innov, self.M_obs)).ravel()
+
 
 class _Record:
-    def __init__(self, sys, n_samples, with_mode):
-        n_ag = sys.n_agents
+    def __init__(self, sys, n_samples):
+        n_ag, r = sys.xhat.shape
         self.y = np.zeros((n_samples, n_ag))
-        self.xi_hat = np.zeros((n_samples, n_ag, sys.r))
-        self.eta = [np.zeros((n_samples, rt.n_eta)) for rt in sys.rts]
+        self.xi_hat = np.zeros((n_samples, n_ag, r))
+        self.eta = [np.zeros((n_samples, rt.agent.n_eta)) for rt in sys.rts]
         self.u = np.zeros((n_samples, n_ag))
-        self.err = (np.zeros((n_samples, n_ag, sys.r))
+        self.err = (np.zeros((n_samples, n_ag, r))
                     if sys.use_observer else None)
-        self.mode = np.zeros(n_samples, dtype=int) if with_mode else None
 
-    def to_trajectory(self, times, upto, mode_path, diverged):
+    def to_trajectory(self, times, upto, modes, mode_path, diverged):
         sl = slice(0, upto)
         return Trajectory(
             times=times[sl], y=self.y[sl], xi_hat=self.xi_hat[sl],
             eta=[e[sl] for e in self.eta], u=self.u[sl],
             err=self.err[sl] if self.err is not None else None,
-            mode=self.mode[sl] if self.mode is not None else None,
+            mode=modes[sl].copy() if mode_path is not None else None,
             mode_path=mode_path, diverged=diverged)
 
 
-def _integrate(scen, laps, mode_per_sample, mode_path, run_index,
-               use_observer):
+def _grid(scen):
+    return np.arange(int(round(scen.t_end / scen.dt)) + 1) * scen.dt
+
+
+def _integrate(scen, laps, modes, mode_path=None, run_index=0,
+               use_observer=False):
+    """RK4 over the mode schedule: sample k and the step after it use
+    ``laps[modes[k]]``.  ``modes`` is one index per sample, or 0 for the
+    one-mode schedule of a fixed graph; the modes are reported only with a
+    ``mode_path``."""
     sys = _System(scen, use_observer)
-    n_steps = int(round(scen.t_end / scen.dt))
-    if n_steps < 1:
-        raise ValidationError("horizon shorter than one step")
     dt = scen.dt
-    times = np.arange(n_steps + 1) * dt
-    n_samples = n_steps + 1
-    rec = _Record(sys, n_samples, mode_per_sample is not None)
-    if mode_per_sample is not None:
-        rec.mode[:] = mode_per_sample
+    times = _grid(scen)
+    modes = np.broadcast_to(modes, times.shape)
+    n_steps = times.shape[0] - 1
+    rec = _Record(sys, n_steps + 1)
 
     state = sys.initial_state(run_index)
     k1 = np.zeros(sys.dim)
@@ -311,8 +311,8 @@ def _integrate(scen, laps, mode_per_sample, mode_path, run_index,
     k4 = np.zeros(sys.dim)
 
     guard = settings.finite_escape_norm
-    for k in range(n_samples):
-        lap = laps[mode_per_sample[k]] if mode_per_sample is not None else laps
+    for k in range(n_steps + 1):
+        lap = laps[modes[k]]
         sys.deriv(state, lap, k1)
         _record_row(sys, rec, k, state)
         if k == n_steps:
@@ -323,36 +323,36 @@ def _integrate(scen, laps, mode_per_sample, mode_path, run_index,
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         peak = float(np.abs(state).max())
         if not np.isfinite(peak) or peak > guard:
-            traj = rec.to_trajectory(times, k + 1, mode_path, True)
+            traj = rec.to_trajectory(times, k + 1, modes, mode_path, True)
             raise FiniteEscape(
                 f"state norm {peak:.3e} left the guard ball at t = "
                 f"{times[k + 1]:.6g}", trajectory=traj, t=float(times[k + 1]))
-    return rec.to_trajectory(times, n_samples, mode_path, False)
+    return rec.to_trajectory(times, n_steps + 1, modes, mode_path, False)
 
 
 def _record_row(sys, rec, k, state):
     """Record one sample; deriv() has just been evaluated at `state`."""
-    for i, rt in enumerate(sys.rts):
-        ps = state[rt.sl_plant]
-        rec.y[k, i] = rt.xi[0]
-        rec.xi_hat[k, i] = sys.xhat[i]
-        if rt.n_eta:
-            rec.eta[i][k] = ps[rt.r_i:rt.r_i + rt.n_eta]
+    xhat = sys.xhat
+    rec.y[k] = xhat[:, 0]
+    rec.xi_hat[k] = xhat
+    if sys.use_observer:
+        rec.err[k] = xhat - state[sys.sl_obs].reshape(xhat.shape)
+    for rt in sys.rts:
         if rt.native is not None:
-            beta = rt.native.beta_of(ps)
+            x = state[rt.sl_x]
+            beta = rt.native.beta_of(x)
             _guard_beta(beta, rt, state)
-            rec.u[k, i] = rt.u_cmd
+            alpha = rt.native.alpha_of(x)
         else:
-            eta = ps[rt.r_i:rt.r_i + rt.n_eta]
-            beta = rt.agent.beta(rt.xi, eta)
+            xi, eta = xhat[rt.i, :rt.r_i], state[rt.sl_eta]
+            rec.eta[rt.i][k] = eta
+            beta = rt.agent.beta(xi, eta)
             _guard_beta(beta, rt, state)
             if rt.augmented:
-                rec.u[k, i] = ps[-1]
-            else:
-                u_hat = state[rt.sl_ctrl][0] if rt.n_phi else rt.u_cmd
-                rec.u[k, i] = (u_hat - rt.agent.alpha(rt.xi, eta)) / beta
-        if sys.use_observer:
-            rec.err[k, i] = sys.xhat[i] - state[rt.sl_obs]
+                rec.u[k, rt.i] = state[rt.i_u]
+                continue
+            alpha = rt.agent.alpha(xi, eta)
+        rec.u[k, rt.i] = (sys.u_hat[rt.i] - alpha) / beta
 
 
 def _guard_beta(beta, rt, state):
@@ -372,32 +372,22 @@ def simulate_fixed(scen):
     """Simulate on the fixed graph with full-information feedback."""
     scen.validate()
     _require_fixed(scen)
-    lap = laplacian(scen.topology)
-    return _integrate(scen, lap, None, None, 0, use_observer=False)
+    return _integrate(scen, [laplacian(scen.topology)], 0)
 
 
-def simulate_with_observer(scen, observer_init=None):
+def simulate_with_observer(scen):
     """Simulate on the fixed graph with observer-based feedback.
 
     The cooperative input of every agent is computed from its observer
     estimate; the measurement theta = C xihat is taken from the true state.
-    ``observer_init`` overrides the scenario's choice ("zero" starts every
-    estimate at the origin, "match" at the true initial state).
+    The scenario's ``observer_init`` picks the start of the estimates:
+    "zero" at the origin, "match" at the true initial state.
     """
     scen.validate()
     _require_fixed(scen)
     if scen.observer is None:
         raise ValidationError("scenario has no observer section")
-    if observer_init is not None:
-        if observer_init not in ("zero", "match"):
-            raise ValidationError(f"unknown observer init {observer_init!r}")
-        scen = _with_observer_init(scen, observer_init)
-    lap = laplacian(scen.topology)
-    return _integrate(scen, lap, None, None, 0, use_observer=True)
-
-
-def _with_observer_init(scen, observer_init):
-    return replace(scen, observer_init=observer_init)
+    return _integrate(scen, [laplacian(scen.topology)], 0, use_observer=True)
 
 
 def simulate_switching(scen, allow_a4_violation=False, run_index=0):
@@ -419,16 +409,12 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
             "union graph fails the spanning-tree/balance assumption "
             "(pass allow_a4_violation=True to simulate anyway)")
     path = sample_path(mt, scen.t_end, scen.seed, run_index)
-    laps = [laplacian(g) for g in mt.graphs]
-    n_steps = int(round(scen.t_end / scen.dt))
-    modes = np.zeros(n_steps + 1, dtype=int)
-    idx = 0
-    for k in range(n_steps + 1):
-        t = k * scen.dt
-        while idx < len(path) - 1 and t >= path[idx][2]:
-            idx += 1
-        modes[k] = path[idx][0]
-    return _integrate(scen, laps, modes, path, run_index, use_observer=False)
+    # sample k runs in the interval holding t_k: count the ends at or before it
+    ends = [t1 for _, _, t1 in path[:-1]]
+    modes = np.array([m for m, _, _ in path])[
+        np.searchsorted(ends, _grid(scen), side="right")]
+    return _integrate(scen, [laplacian(g) for g in mt.graphs], modes, path,
+                      run_index)
 
 
 def _max_pairwise_sq(xi_hat):

@@ -24,6 +24,7 @@ this leg.
 
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def observer_run(target, agents, cycle):
     obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = build_scenario(agents, target, gain, cycle, observer=obs,
                           t_end=30.0, dt=0.002, init="random", seed=42)
-    return simulate_with_observer(scen, observer_init="zero")
+    return simulate_with_observer(replace(scen, observer_init="zero"))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from consensuskit.metrics import (
     SpeedConventionWarning, disagreement, empirical_rate,
     theoretical_speed_fixed, theoretical_speed_switching,
 )
+from consensuskit.settings import settings
 from consensuskit.sim import Trajectory
 from consensuskit.switching import MarkovTopology, default_switching_pair, speed_bound
 
@@ -72,11 +75,23 @@ def test_empirical_rate_floors_tiny_values():
     assert np.isfinite(fit.rate)
 
 
+def test_empirical_rate_floor_follows_settings(monkeypatch):
+    times = np.array([0.0, 1.0])
+    values = np.array([1.0, 0.0])
+    fit = empirical_rate(times, values, window=(0.0, 1.0))
+    assert fit.rate == pytest.approx(-np.log(1e-15), rel=1e-12)
+    monkeypatch.setattr(settings, "rate_floor", 1e-6)
+    fit = empirical_rate(times, values, window=(0.0, 1.0))
+    assert fit.rate == pytest.approx(-np.log(1e-6), rel=1e-12)
+
+
 def test_theoretical_speed_fixed_default_design(target, unit_gain, five_cycle):
     lap = laplacian(five_cycle)
-    with pytest.warns(SpeedConventionWarning):
+    # coupling term 1 - cos(2 pi / 5) is below both readings of the pole
+    # term (1 and 2), so the reading does not matter and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpeedConventionWarning)
         speed = theoretical_speed_fixed(target, unit_gain, lap)
-    # coupling term 1 - cos(2 pi / 5) is below the plant-pole term 1
     assert speed == pytest.approx(1.0 - np.cos(2.0 * np.pi / 5.0), abs=1e-12)
 
 
@@ -91,8 +106,6 @@ def test_theoretical_speed_fixed_pole_limited(target, five_cycle):
 
 
 def test_theoretical_speed_fixed_no_warning_off_design(five_cycle):
-    import warnings
-
     cs = ck.design_companion([-4.0, -5.0])
     gain = ck.rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
     with warnings.catch_warnings():
@@ -100,6 +113,27 @@ def test_theoretical_speed_fixed_no_warning_off_design(five_cycle):
         speed = theoretical_speed_fixed(cs, gain, laplacian(five_cycle))
     coupling = float(cs.B @ cs.nu) * (1.0 - np.cos(2.0 * np.pi / 5.0))
     assert speed == pytest.approx(min(coupling, 4.0), abs=1e-12)
+
+
+def test_theoretical_speed_fixed_warns_when_reading_matters(five_cycle):
+    cs = ck.design_companion([-3.0, -5.0])
+    gain = ck.rank_one_gain(cs, mu=10.0, q1=1.0, r_hat=1.0)
+    # coupling 10 * (1 - cos 72 deg) = 6.9 lies above both pole readings,
+    # so the smallest real part gives 3 and the largest would give 5
+    with pytest.warns(SpeedConventionWarning):
+        speed = theoretical_speed_fixed(cs, gain, laplacian(five_cycle))
+    assert speed == pytest.approx(3.0, abs=1e-12)
+
+
+def test_theoretical_speed_fixed_fourth_order_target(five_cycle):
+    cs = ck.design_companion([-1.0, -2.0, -3.0])
+    gain = ck.rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpeedConventionWarning)
+        speed = theoretical_speed_fixed(cs, gain, laplacian(five_cycle))
+    coupling = float(cs.B @ cs.nu) * (1.0 - np.cos(2.0 * np.pi / 5.0))
+    assert isinstance(speed, float)
+    assert speed == pytest.approx(min(coupling, 1.0), abs=1e-12)
 
 
 def test_theoretical_speed_fixed_requires_rank_one(target, five_cycle):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from consensuskit.scenario import load_scenario, parse_scenario, scenario_to_dic
 from consensuskit.switching import MarkovTopology
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_doc():
@@ -504,6 +506,24 @@ def test_cli_simulate_switching_a4_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_simulate_runs_switching_scenarios_behind_the_a4_gate(tmp_path,
+                                                                  capsys):
+    scen = _write(tmp_path, switching_doc())
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", scen, "--out", str(a)]) == 0
+    assert main(["simulate-switching", scen, "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert _read_csv(str(a))[0] == ["t", "y1", "y2", "y3", "mode"]
+    assert a.read_bytes() == b.read_bytes()
+    doc = switching_doc()
+    doc["switching"]["graphs"] = [{"n": 3, "edges": [[1, 2, 1.0]]},
+                                  {"n": 3, "edges": [[2, 3, 1.0]]}]
+    rc = main(["simulate", _write(tmp_path, doc, "bad.json"),
+               "--out", str(tmp_path / "bad.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
 def test_cli_montecarlo(tmp_path, capsys):
     scen = _write(tmp_path, switching_doc())
     out_csv = str(tmp_path / "ms.csv")
@@ -594,3 +614,13 @@ def test_cli_simulate_requires_out_path(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "output.csv"
+
+
+def test_readme_scenario_examples_parse():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    kinds = set()
+    for block in blocks:
+        scen = parse_scenario(json.loads(block))
+        kinds.add(type(scen.topology).__name__)
+    assert kinds == {"DiGraph", "MarkovTopology"}
