@@ -32,6 +32,7 @@ through an integrator, u' = w: :func:`augment` wraps the resulting normal
 form (one degree higher) so the rest of the toolkit treats it uniformly.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -140,23 +141,35 @@ def _no_internal(xi, eta):
     return _EMPTY
 
 
+# The builtin maps run once per agent in every RK4 stage, so they unpack
+# their arguments into Python floats: numpy scalar arithmetic costs several
+# times as much per operation.  A Python float power raises OverflowError
+# where numpy returns inf, so squares are products and theta's odd power
+# falls back to a signed inf: a diverging run must still reach the
+# finite-escape guard.
+
 def _damped_internal(a, p):
     def theta(xi, eta):
-        e = eta[0]
-        return np.array([-a * e - e ** p + xi[0]])
+        e = eta.item(0)
+        try:
+            ep = e ** p
+        except OverflowError:
+            ep = math.copysign(math.inf, e)
+        return np.array([-a * e - ep + xi.item(0)])
     return theta
 
 
 def _agent3_alpha_x(x):
-    x1, x2, x3 = x
+    x1, x2, x3 = x.tolist()
+    s = x2 * x2 + x3
     return (x1 * (x2 + x3)
-            + (6.0 * x2 ** 2 + 3.0 * x3) * (x2 ** 2 + x3)
+            + (6.0 * (x2 * x2) + 3.0 * x3) * s
             + 3.0 * x2 * (x1 + x2 * x3))
 
 
 def _agent3_xi_of(x):
-    x1, x2, x3 = x
-    s = x2 ** 2 + x3
+    x1, x2, x3 = x.tolist()
+    s = x2 * x2 + x3
     return np.array([x2, s, 2.0 * x2 * s + x1 + x2 * x3])
 
 
@@ -173,8 +186,8 @@ def _agent3_alpha_xi(xi, eta):
 
 
 def _agent3_deriv(x, u):
-    x1, x2, x3 = x
-    return np.array([x1 * x2 + x1 * x3 + u, x2 ** 2 + x3, x1 + x2 * x3])
+    x1, x2, x3 = x.tolist()
+    return np.array([x1 * x2 + x1 * x3 + u, x2 * x2 + x3, x1 + x2 * x3])
 
 
 _DAMPING = {"agent1": (1.0, 5), "agent2": (1.0, 3),

@@ -21,7 +21,6 @@ feedback when it has an observer section.  `simulate-switching` differs from
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -52,10 +51,6 @@ from .switching import MarkovTopology, check_A4
 from .synthesis import closed_loop_spectrum
 
 __all__ = ["main"]
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _cpairs(values):
@@ -94,46 +89,52 @@ def _output_cfg(scen, args):
     return cfg
 
 
-def _write_trajectory_csv(path, traj, full_state):
-    n_samples, n_agents = traj.y.shape
-    header = ["t"] + [f"y{i + 1}" for i in range(n_agents)]
-    err_norm = None
-    if traj.err is not None:
-        err_norm = np.linalg.norm(traj.err, axis=2)
-        header += [f"e{i + 1}" for i in range(n_agents)]
-    if traj.mode is not None:
-        header += ["mode"]
-    if full_state:
-        r = traj.xi_hat.shape[2]
-        for i in range(n_agents):
-            header += [f"xi{i + 1}_{k + 1}" for k in range(r)]
-            header += [f"eta{i + 1}_{k + 1}"
-                       for k in range(traj.eta[i].shape[1])]
-            header += [f"u{i + 1}"]
+_CHUNK_ROWS = 256  # rows formatted at once: keeps the text and float lists small
+
+
+def _write_rows(path, header, blocks):
+    """CSV lines as csv.writer writes them for these fields.
+
+    ``blocks`` are 2-D arrays with one row per sample, written side by side:
+    integer blocks as integers, float blocks with "%.17g" (the digits of
+    format(x, ".17g")).  A chunk of rows at a time goes through one format
+    string, so no Python call is made per value.
+    """
+    formats = []
+    for b in blocks:
+        formats += ["%d" if b.dtype.kind in "iu" else "%.17g"] * b.shape[1]
+    line = ",".join(formats) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(n_samples):
-            row = [_fmt(traj.times[k])]
-            row += [_fmt(v) for v in traj.y[k]]
-            if err_norm is not None:
-                row += [_fmt(v) for v in err_norm[k]]
-            if traj.mode is not None:
-                row += [str(int(traj.mode[k]) + 1)]
-            if full_state:
-                for i in range(n_agents):
-                    row += [_fmt(v) for v in traj.xi_hat[k, i]]
-                    row += [_fmt(v) for v in traj.eta[i][k]]
-                    row += [_fmt(traj.u[k, i])]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, blocks[0].shape[0], _CHUNK_ROWS):
+            rows = np.hstack([b[lo:lo + _CHUNK_ROWS] for b in blocks])
+            fh.writelines([line % tuple(row) for row in rows.tolist()])
+
+
+def _write_trajectory_csv(path, traj, full_state):
+    n_agents = traj.y.shape[1]
+    agents = range(1, n_agents + 1)
+    header = ["t"] + [f"y{i}" for i in agents]
+    blocks = [traj.times[:, None], traj.y]
+    if traj.err is not None:
+        header += [f"e{i}" for i in agents]
+        blocks.append(np.linalg.norm(traj.err, axis=2))
+    if traj.mode is not None:
+        header.append("mode")
+        blocks.append(traj.mode[:, None] + 1)
+    if full_state:
+        for i in agents:
+            xi, eta = traj.xi_hat[:, i - 1], traj.eta[i - 1]
+            header += [f"xi{i}_{k + 1}" for k in range(xi.shape[1])]
+            header += [f"eta{i}_{k + 1}" for k in range(eta.shape[1])]
+            header.append(f"u{i}")
+            blocks += [xi, eta, traj.u[:, i - 1:i]]
+    _write_rows(path, header, blocks)
 
 
 def _write_mc_csv(path, result):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_square"])
-        for t, v in zip(result.times, result.mean_square):
-            writer.writerow([_fmt(t), _fmt(v)])
+    _write_rows(path, ["t", "mean_square"],
+                [result.times[:, None], result.mean_square[:, None]])
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",

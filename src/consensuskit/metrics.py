@@ -8,7 +8,8 @@ which the synthesis drives to zero exponentially.  `empirical_rate` fits
 log d(t) over a window by least squares and reports the decay rate as a
 positive number.  `theoretical_speed_fixed` evaluates the guaranteed rate of
 the rank-one design on a fixed graph; `theoretical_speed_switching` defers
-to the stationary-average bound of the switching module.
+to the switching module's stationary-average rate, the fast-switching
+limit (not a bound at finite switching rates).
 """
 
 import warnings
@@ -127,5 +128,6 @@ def theoretical_speed_fixed(cs, gain, lap):
 
 
 def theoretical_speed_switching(mt, gain, cs):
-    """Stationary-average guaranteed rate under Markov switching."""
+    """Stationary-average rate under Markov switching: the fast-switching
+    limit, not a bound at a finite switching rate (see speed_bound)."""
     return speed_bound(mt, gain, cs)

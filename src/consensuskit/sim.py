@@ -3,32 +3,38 @@
 With its local controller, every agent's chain xi and controller state phi
 stack into one r-vector xihat_i that is exactly linear,
 
-    xihat_i' = M_i xihat_i + Bv_i v_i,
+    xihat_i' = M_i xihat_i + Bv_i v_i,   v = -(L feedback) K,
 
 where (M_i, Bv_i) = assemble_stacked(target, controller_i), which equals
-the target's (A, B) when the controller is correct.  The integrator states
-this once: the stacked matrices of all agents form one (N, r, r) array,
-one product gives the chain and controller derivatives of every agent, and
-the new chain input u_hat_i is entry r_i of agent i's row.  Only the
-nonlinear parts stay per agent: the internal dynamics eta' = theta(xi,
-eta), agents carried in native coordinates, the integrated physical input
-of augmented agents (u' = w), and the beta guard.
+the target's (A, B) when the controller is correct, and the feedback is
+xihat itself or the observer estimates xcheck of it,
 
-Fixed-step classical fourth-order Runge-Kutta runs over one flat state:
+    xcheck_i' = A xcheck_i + B v_i + M_o C (xihat_i - xcheck_i),
+
+M_o being the observer's injection gain.  So for each graph mode m the
+vector z = [xihat; xcheck] (agent-major, N r entries each; xcheck only
+with an observer) moves by one fixed matrix, z' = Phi[m] z, built once at
+set-up from the assemble_stacked blocks, the mode's Laplacian, K and the
+observer gain (see _mode_matrices).  Each RK4 stage gathers z from the
+state, makes the one product Phi[mode] @ z and reads everything linear off
+it: the chain, controller and observer derivatives, and the new chain
+input of agent i, u_hat_i = entry i r + r_i - 1.
+
+What stays per agent is what is not linear: the internal dynamics eta' =
+theta(xi, eta), agents carried in native coordinates (their chain part
+of z comes from xi_of(x), and x is integrated with u = (u_hat - alpha) /
+beta), the integrated physical input of augmented agents (u' = w), and
+the beta guard.  The flat state is
 
 * the linear block: per agent xi (unless carried natively), then phi;
+  then, with an observer, the N x r block xcheck;
 * the nonlinear block: per agent eta and, for an augmented agent, u, or
-  the raw x vector of an agent carried in native coordinates;
-* with an observer, the N x r block of estimates xcheck of xihat, advanced
-  for all agents at once as xcheck' = A xcheck + B v + M_o C (xihat -
-  xcheck), M_o being the observer's injection gain.
+  the raw x vector of an agent carried in native coordinates.
 
-The cooperative input v = -(L feedback) K, fed back from xihat or from the
-observer estimates, is recomputed inside every stage.  Every run follows a
-mode schedule: a fixed graph is the one-mode schedule [L] with mode 0
-throughout; under switching each sample looks its mode up in the sampled
-path, so a jump takes effect at the first step boundary at or after the
-jump time and the graph is frozen over each step.
+Every run follows a mode schedule: a fixed graph is the one-mode schedule
+[L] with mode 0 throughout; under switching each sample looks its mode up
+in the sampled path, so a jump takes effect at the first step boundary at
+or after the jump time and the graph is frozen over each step.
 
 Two runtime guards: |beta| is checked against the configured floor at every
 recorded state (BetaNearZero), and any state leaving the max-norm ball of
@@ -149,7 +155,7 @@ class _AgentRuntime:
     """Where one agent's parts sit in the flat state."""
 
     __slots__ = ("i", "agent", "r_i", "augmented", "native", "sl_xi",
-                 "sl_eta", "i_u", "sl_x")
+                 "sl_eta", "i_u", "sl_x", "xi")
 
     def __init__(self, i, agent):
         self.i = i
@@ -159,17 +165,48 @@ class _AgentRuntime:
         self.native = agent.native
 
 
+def _mode_matrices(scen, laps, use_observer):
+    """One matrix Phi[m] per mode with z' = Phi[m] z on the linear block.
+
+    Full information: Phi = blockdiag(M_i) - C with C[(i, a), (j, c)] =
+    Bv_i[a] L[i, j] K[c], the cooperative input v = -(L xihat) K entering
+    agent i through Bv_i.  With an observer, z = [xihat; xcheck], v is fed
+    back from xcheck and
+
+        Phi = [[blockdiag(M_i), -C],
+               [I (x) M_o C,    I (x) (A - M_o C) - L (x) B K]].
+    """
+    cs, n, r = scen.cs, len(scen.agents), scen.cs.r
+    stacked = [assemble_stacked(cs, ctl) for ctl in scen.controllers]
+    bv = np.array([b for _, b in stacked])
+    diag = np.zeros((n, r, n, r))  # block (i, i) is M_i
+    diag[np.arange(n), :, np.arange(n), :] = [m for m, _ in stacked]
+    diag = diag.reshape(n * r, n * r)
+    K = scen.gain.K
+    if use_observer:
+        inj = np.outer(scen.observer.M, scen.observer.C)
+        eye = np.eye(n)
+    phis = []
+    for lap in laps:
+        coupling = np.einsum("ia,ij,c->iajc", bv, lap, K).reshape(n * r, n * r)
+        if not use_observer:
+            phis.append(diag - coupling)
+            continue
+        phis.append(np.block([
+            [diag, -coupling],
+            [np.kron(eye, inj),
+             np.kron(eye, cs.A - inj) - np.kron(lap, np.outer(cs.B, K))]]))
+    return np.array(phis)
+
+
 class _System:
-    def __init__(self, scen, use_observer):
+    def __init__(self, scen, laps, use_observer):
         self.scen = scen
         n, r = len(scen.agents), scen.cs.r
         self.rts = [_AgentRuntime(i, ag) for i, ag in enumerate(scen.agents)]
-        stacked = [assemble_stacked(scen.cs, ctl) for ctl in scen.controllers]
-        self.M = np.array([m for m, _ in stacked])
-        self.Bv = np.array([b for _, b in stacked])
-        self.K = scen.gain.K
-        # the linear block holds xihat, less the chains of native agents
-        # (computed from x); lin_dst maps it into the flattened xihat
+        self.Phi = _mode_matrices(scen, laps, use_observer)
+        # the linear block holds z less the chains of native agents
+        # (computed from x); lin_dst maps it into z
         lin_dst = []
         for rt in self.rts:
             first = rt.i * r
@@ -178,6 +215,10 @@ class _System:
             else:
                 first += rt.r_i
             lin_dst.extend(range(first, (rt.i + 1) * r))
+        self.use_observer = use_observer
+        if use_observer:
+            self.sl_obs = slice(len(lin_dst), len(lin_dst) + n * r)
+            lin_dst.extend(range(n * r, 2 * n * r))
         self.lin_dst = np.array(lin_dst)
         self.n_lin = pos = len(lin_dst)
         for rt in self.rts:
@@ -190,28 +231,26 @@ class _System:
                 if rt.augmented:
                     rt.i_u = pos
                     pos += 1
+        self.dim = pos
         self.natives = [rt for rt in self.rts if rt.native is not None]
         self.nonlinear = [rt for rt in self.rts
                           if rt.native is not None or rt.augmented
                           or rt.agent.n_eta]
         self.u_idx = np.array([rt.i * r + rt.r_i - 1 for rt in self.rts])
-        self.use_observer = use_observer
-        if use_observer:
-            self.sl_obs = slice(pos, pos + n * r)
-            pos += n * r
-            self.A, self.B = scen.cs.A, scen.cs.B
-            self.C, self.M_obs = scen.observer.C, scen.observer.M
-        self.dim = pos
-        self.xhat = np.zeros((n, r))
+        self.z = np.zeros(self.Phi.shape[1])
+        self.xhat = self.z[:n * r].reshape(n, r)
+        self.xcheck = self.z[n * r:].reshape(n, r) if use_observer else None
+        for rt in self.rts:
+            rt.xi = self.xhat[rt.i, :rt.r_i]  # the agent's chain, a view of z
         self.u_hat = None
 
     def _gather(self, state):
-        """Fill xhat from the state and return it."""
-        xhat = self.xhat
-        xhat.flat[self.lin_dst] = state[:self.n_lin]
+        """Fill z from the state and return it."""
+        z = self.z
+        z[self.lin_dst] = state[:self.n_lin]
         for rt in self.natives:
-            xhat[rt.i, :rt.r_i] = rt.native.xi_of(state[rt.sl_x])
-        return xhat
+            rt.xi[:] = rt.native.xi_of(state[rt.sl_x])
+        return z
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -235,36 +274,27 @@ class _System:
                 state[rt.i_u] = ag.u0
         if self.use_observer and scen.observer_init == "match":
             # controller states start at zero, so xihat is the true chain
-            state[self.sl_obs] = self._gather(state).ravel()
+            self._gather(state)
+            state[self.sl_obs] = self.xhat.ravel()
         return state
 
-    def deriv(self, state, lap, out):
-        """Stacked derivative into `out`; leaves xhat and u_hat behind."""
-        xhat = self._gather(state)
-        if self.use_observer:
-            feedback = state[self.sl_obs].reshape(xhat.shape)
-        else:
-            feedback = xhat
-        v = -(lap @ feedback) @ self.K
-        dx = np.einsum("nij,nj->ni", self.M, xhat) + self.Bv * v[:, None]
-        out[:self.n_lin] = dx.take(self.lin_dst)
-        self.u_hat = u_hat = dx.take(self.u_idx)
+    def deriv(self, state, mode, out):
+        """Stacked derivative into `out`; leaves z and u_hat behind."""
+        dz = self.Phi[mode] @ self._gather(state)
+        out[:self.n_lin] = dz.take(self.lin_dst)
+        self.u_hat = u_hat = dz.take(self.u_idx)
         for rt in self.nonlinear:
             if rt.native is not None:
                 x, plant = state[rt.sl_x], rt.native
                 u = (u_hat[rt.i] - plant.alpha_of(x)) / plant.beta_of(x)
                 out[rt.sl_x] = plant.deriv(x, u)
                 continue
-            xi, eta = xhat[rt.i, :rt.r_i], state[rt.sl_eta]
+            xi, eta = rt.xi, state[rt.sl_eta]
             if rt.agent.n_eta:
                 out[rt.sl_eta] = rt.agent.theta(xi, eta)
             if rt.augmented:
                 out[rt.i_u] = ((u_hat[rt.i] - rt.agent.alpha(xi, eta))
                                / rt.agent.beta(xi, eta))
-        if self.use_observer:
-            innov = xhat @ self.C - feedback @ self.C
-            out[self.sl_obs] = (feedback @ self.A.T + np.outer(v, self.B)
-                                + np.outer(innov, self.M_obs)).ravel()
 
 
 class _Record:
@@ -293,11 +323,11 @@ def _grid(scen):
 
 def _integrate(scen, laps, modes, mode_path=None, run_index=0,
                use_observer=False):
-    """RK4 over the mode schedule: sample k and the step after it use
-    ``laps[modes[k]]``.  ``modes`` is one index per sample, or 0 for the
-    one-mode schedule of a fixed graph; the modes are reported only with a
-    ``mode_path``."""
-    sys = _System(scen, use_observer)
+    """RK4 over the mode schedule: sample k and the step after it use the
+    graph ``laps[modes[k]]``.  ``modes`` is one index per sample, or 0 for
+    the one-mode schedule of a fixed graph; the modes are reported only
+    with a ``mode_path``."""
+    sys = _System(scen, laps, use_observer)
     dt = scen.dt
     times = _grid(scen)
     modes = np.broadcast_to(modes, times.shape)
@@ -312,14 +342,14 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
 
     guard = settings.finite_escape_norm
     for k in range(n_steps + 1):
-        lap = laps[modes[k]]
-        sys.deriv(state, lap, k1)
+        mode = modes[k]
+        sys.deriv(state, mode, k1)
         _record_row(sys, rec, k, state)
         if k == n_steps:
             break
-        sys.deriv(state + (0.5 * dt) * k1, lap, k2)
-        sys.deriv(state + (0.5 * dt) * k2, lap, k3)
-        sys.deriv(state + dt * k3, lap, k4)
+        sys.deriv(state + (0.5 * dt) * k1, mode, k2)
+        sys.deriv(state + (0.5 * dt) * k2, mode, k3)
+        sys.deriv(state + dt * k3, mode, k4)
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         peak = float(np.abs(state).max())
         if not np.isfinite(peak) or peak > guard:
@@ -336,7 +366,7 @@ def _record_row(sys, rec, k, state):
     rec.y[k] = xhat[:, 0]
     rec.xi_hat[k] = xhat
     if sys.use_observer:
-        rec.err[k] = xhat - state[sys.sl_obs].reshape(xhat.shape)
+        rec.err[k] = xhat - sys.xcheck
     for rt in sys.rts:
         if rt.native is not None:
             x = state[rt.sl_x]
@@ -344,7 +374,7 @@ def _record_row(sys, rec, k, state):
             _guard_beta(beta, rt, state)
             alpha = rt.native.alpha_of(x)
         else:
-            xi, eta = xhat[rt.i, :rt.r_i], state[rt.sl_eta]
+            xi, eta = rt.xi, state[rt.sl_eta]
             rec.eta[rt.i][k] = eta
             beta = rt.agent.beta(xi, eta)
             _guard_beta(beta, rt, state)

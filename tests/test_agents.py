@@ -27,6 +27,10 @@ def test_builtin_internal_damping_parameters():
         assert deta[0] == pytest.approx(want, abs=1e-14)
         assert np.array_equal(dxi, [0.5, 0.0])
         assert u == 0.0
+        # far out the power overflows to an infinite derivative, not to an
+        # exception, so a diverging run still reaches the finite-escape guard
+        with np.errstate(over="ignore"):
+            assert ag.theta(np.zeros(2), np.array([-1e200]))[0] == np.inf
 
 
 def test_builtin_chain_shift_and_input_slot():
@@ -78,6 +82,10 @@ def test_agent3_chain_property_numerically():
         xi = native.xi_of(x)
         dxi_expect = np.array([xi[1], xi[2], native.alpha_of(x) + u])
         assert np.allclose(dxi_num, dxi_expect, atol=1e-6)
+    far = np.full(3, 1e200)
+    assert np.all(np.isinf(native.deriv(far, 0.0)))
+    assert np.all(np.isinf(native.xi_of(far)[1:]))
+    assert np.isinf(native.alpha_of(far))
 
 
 def test_linearizing_input_beta_floor():

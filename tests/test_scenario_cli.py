@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -455,6 +456,49 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path, capsys):
     assert main(["simulate", scen, "--out", str(c), "--seed", "99"]) == 0
     capsys.readouterr()
     assert c.read_bytes() != a.read_bytes()
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    # the writers format whole blocks with "%.17g"; the lines must be the
+    # ones csv.writer gives for format(float(x), ".17g") of every value
+    from consensuskit.cli import _write_mc_csv, _write_trajectory_csv
+    from consensuskit.sim import MonteCarloResult, Trajectory
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    times = np.array([0.0, 0.1, 1.0 / 3.0])
+    y = np.array([[-0.0, 5e-324], [1e-300, 1.0 / 3.0], [0.1, -2.5e17]])
+    traj = Trajectory(
+        times=times, y=y, xi_hat=np.stack([y, -y, y / 7.0], axis=2),
+        eta=[np.full((3, 1), 5e-324), np.empty((3, 0))],
+        u=np.array([[1e-300, -0.0], [1.0 / 3.0, 7.0], [-1.0, 2.0 ** 60]]),
+        err=np.stack([y, 3.0 * y, -y], axis=2), mode=np.array([0, 1, 1]))
+    path = tmp_path / "traj.csv"
+    _write_trajectory_csv(path, traj, full_state=True)
+    err_norm = np.linalg.norm(traj.err, axis=2)
+    want = [["t", "y1", "y2", "e1", "e2", "mode", "xi1_1", "xi1_2", "xi1_3",
+             "eta1_1", "u1", "xi2_1", "xi2_2", "xi2_3", "u2"]]
+    for k in range(3):
+        row = [fmt(times[k])] + [fmt(v) for v in traj.y[k]]
+        row += [fmt(v) for v in err_norm[k]] + [str(traj.mode[k] + 1)]
+        for i in range(2):
+            row += [fmt(v) for v in traj.xi_hat[k, i]]
+            row += [fmt(v) for v in traj.eta[i][k]] + [fmt(traj.u[k, i])]
+        want.append(row)
+    assert "-0" in want[1] and "4.9406564584124654e-324" in want[1]
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(want)
+    assert path.read_bytes() == buf.getvalue().encode()
+
+    path = tmp_path / "ms.csv"
+    _write_mc_csv(path, MonteCarloResult(times=times, mean_square=y[:, 1],
+                                         runs_used=1, runs_diverged=0))
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(
+        [["t", "mean_square"]]
+        + [[fmt(t), fmt(v)] for t, v in zip(times, y[:, 1])])
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_cli_simulate_full_state_and_observer(tmp_path, capsys):

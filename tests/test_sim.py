@@ -148,21 +148,68 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
     # 0 states; with them the stacked (xi, phi) of every agent is exactly
     # linear, xihat' = (I (x) A - L (x) B K) xihat, so the recorded chain
     # must follow the matrix exponential up to the RK4 error (measured
-    # 3.3e-13 at dt = 1e-3 over t in [0, 4], 5.2e-12 at dt = 2e-3)
+    # 3.3e-13 at dt = 1e-3 over t in [0, 4], 5.2e-12 at dt = 2e-3).  Two
+    # more cases on the same chains, with the matrices built here from the
+    # target's (A, B) and not from the simulator's:
+    # * observer feedback from zero estimates: [xihat; xcheck] follows
+    #   [[I (x) A, -L (x) B K], [I (x) M C, I (x) (A - M C) - L (x) B K]];
+    #   the injection gain M = (9, 18, -12) makes the start stiffer, so
+    #   the RK4 error is larger (measured 3.6e-11 on xihat and 2.2e-11 on
+    #   err, both near t = 0.16; 5.8e-10 at dt = 2e-3 and 2.2e-12 at
+    #   dt = 5e-4, the fourth-order ratio 16);
+    # * a two-mode schedule: the exponential of each mode's matrix over the
+    #   step-aligned intervals in which the recorded mode is constant
+    #   (measured 2.4e-13 over 11 switches).
     agents = [_chain_agent(1, 1, [0.9]), _chain_agent(2, 2, [-0.6, 0.3]),
               _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     cycle = directed_cycle(3)
     scen = build_scenario(agents, target, unit_gain, cycle, t_end=4.0, dt=1e-3)
     assert [ctl.n_phi for ctl in scen.controllers] == [2, 1, 0]
     traj = simulate_fixed(scen)
-    closed = (np.kron(np.eye(3), target.A)
-              - np.kron(ck.laplacian(cycle), np.outer(target.B, unit_gain.K)))
+    eye = np.eye(3)
+    bk = np.outer(target.B, unit_gain.K)
+
+    def closed(lap):
+        return np.kron(eye, target.A) - np.kron(lap, bk)
+
+    lap = ck.laplacian(cycle)
     x0 = np.array([[0.9, 0.0, 0.0], [-0.6, 0.3, 0.0], [0.1, 0.8, -0.5]])
     assert np.array_equal(traj.xi_hat[0], x0)
     for k in range(0, traj.times.shape[0], 40):
-        exact = scipy.linalg.expm(traj.times[k] * closed) @ x0.ravel()
+        exact = scipy.linalg.expm(traj.times[k] * closed(lap)) @ x0.ravel()
         assert np.allclose(traj.xi_hat[k].ravel(), exact, rtol=0.0, atol=1e-11)
     assert np.abs(traj.xi_hat[-1] - traj.xi_hat[0]).max() > 0.1
+
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    traj = simulate_with_observer(replace(scen, observer=obs))
+    inj = np.outer(obs.M, obs.C)
+    joint = np.block([[np.kron(eye, target.A), -np.kron(lap, bk)],
+                      [np.kron(eye, inj),
+                       np.kron(eye, target.A - inj) - np.kron(lap, bk)]])
+    z0 = np.concatenate([x0.ravel(), np.zeros(9)])
+    for k in range(0, traj.times.shape[0], 40):
+        z = scipy.linalg.expm(traj.times[k] * joint) @ z0
+        assert np.allclose(traj.xi_hat[k].ravel(), z[:9], rtol=0.0, atol=1e-10)
+        assert np.allclose(traj.err[k].ravel(), z[:9] - z[9:], rtol=0.0,
+                           atol=1e-10)
+    assert np.abs(traj.err[0]).max() > 0.1
+
+    g1, g2 = default_switching_pair(3)
+    mt = MarkovTopology(graphs=[g1, g2], generator=2.0 * FLIP_FLOP)
+    traj = simulate_switching(build_scenario(agents, target, unit_gain, mt,
+                                             t_end=4.0, dt=1e-3, seed=6))
+    # sample k and the step after it run under mode[k]
+    starts = np.flatnonzero(np.diff(traj.mode)) + 1
+    assert len(starts) >= 2
+    laps = [ck.laplacian(g) for g in (g1, g2)]
+    x = x0.ravel()
+    for a, b in zip([0, *starts], [*starts, traj.times.shape[0] - 1]):
+        phi = closed(laps[traj.mode[a]])
+        for k in [*range(a, b, 40), b]:
+            exact = scipy.linalg.expm((traj.times[k] - traj.times[a]) * phi) @ x
+            assert np.allclose(traj.xi_hat[k].ravel(), exact, rtol=0.0,
+                               atol=1e-11)
+        x = exact
 
 
 def test_observer_match_init_reproduces_full_information(target, unit_gain,
@@ -306,6 +353,39 @@ def test_monte_carlo_on_identical_explicit_states_is_zero(target, unit_gain,
     assert mc.mean_square.max() <= 1e-12
     with pytest.raises(ck.ValidationError):
         monte_carlo_ms(scen, runs=0)
+
+
+def test_benchmark_reaches_the_package_through_these_names(
+        target, unit_gain, five_agents, monkeypatch):
+    """The calls the benchmark in ``bench/`` depends on.
+
+    ``bench/tracing.py`` wraps ``sim.simulate_switching`` by its module
+    name and counts Monte Carlo runs and RK4 steps from those spans;
+    ``bench/run.py`` divides the traced time by that step count, so a
+    ``monte_carlo_ms`` that stopped calling ``simulate_switching`` once
+    per run would make the traced switching workload fail with
+    ZeroDivisionError.  ``bench/workloads.agent_timings`` calls agent 3's
+    native maps on length-3 arrays.
+    """
+    calls = []
+    real = ck.sim.simulate_switching
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("run_index"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ck.sim, "simulate_switching", counting)
+    scen = _switching_scenario(target, unit_gain, five_agents,
+                               t_end=0.5, dt=0.01, init="random", seed=4)
+    assert monte_carlo_ms(scen, runs=3).runs_used == 3
+    assert calls == [0, 1, 2]
+
+    native = builtin("agent3").native
+    x = np.array([0.3, -0.2, 0.5])
+    assert native.deriv(x, 0.1).shape == (3,)
+    assert native.xi_of(x).shape == (3,)
+    assert np.isfinite(native.alpha_of(x))
+    assert np.isfinite(native.beta_of(x))
 
 
 def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):
