@@ -41,7 +41,6 @@ from .errors import (
     NotRankOneError,
     NotStabilizableError,
     PlacementFailure,
-    RankDeficientError,
     ReducibleChainError,
     ScenarioParseError,
     SingularSystemError,
@@ -53,7 +52,7 @@ from .errors import (
 )
 from .settings import NumericSettings, settings
 from .rng import STREAM_INIT, STREAM_MODE_PATH, rng_for
-from .linalg import eig, right_pinv, solve_care, solve_lyapunov
+from .linalg import eig, solve_care, solve_lyapunov
 from .graph import (
     DiGraph,
     directed_cycle,
@@ -69,12 +68,10 @@ from .graph import (
 from .agents import (
     AFFINE,
     AUGMENTED_GENERAL,
-    MimoAgentSlice,
     NativePlant,
     NormalFormAgent,
     augment,
     builtin,
-    decoupling_input,
     eval_dynamics,
     linearizing_input,
 )
@@ -89,7 +86,6 @@ from .synthesis import (
     companion_from_coefficients,
     design_companion,
     full_gain,
-    linear_consensus_gain,
     local_controller,
     observer_gain,
     rank_one_gain,

@@ -22,10 +22,12 @@ internal state obeying  eta' = -a*eta - eta**p + xi_1  for
 Agent 3 has full relative degree 3 and no internal state.  Its normal form
 is reached through the coordinate map
 
-    xi_1 = x_2,  xi_2 = x_2**2 + x_3,  xi_3 = 2 x_2 (x_2**2 + x_3) + x_1 + x_2 x_3,
+    xi_1 = x_2,  xi_2 = x_2**2 + x_3,  xi_3 = 2 x_2 (x_2**2 + x_3) + x_1 + x_2 x_3.
 
-and the simulator integrates it in the original x coordinates (the map is
-only ever evaluated forward; see NativePlant).
+Under its linearizing input it is an exact chain, so the simulator
+integrates it in xi like every other agent.  Its model in the original x
+coordinates (NativePlant) is the reference the tests check the chain
+against, and maps a scenario's x0 into xi0.
 
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
@@ -43,13 +45,11 @@ from .errors import (
     InvalidDimensionError,
     UnknownAgentError,
 )
-from .linalg import right_pinv
 from .settings import settings
 
 __all__ = [
-    "NormalFormAgent", "NativePlant", "MimoAgentSlice",
-    "builtin", "augment", "linearizing_input", "eval_dynamics",
-    "decoupling_input", "AFFINE", "AUGMENTED_GENERAL",
+    "NormalFormAgent", "NativePlant", "builtin", "augment",
+    "linearizing_input", "eval_dynamics", "AFFINE", "AUGMENTED_GENERAL",
 ]
 
 AFFINE = "affine"
@@ -60,7 +60,7 @@ _EMPTY = np.empty(0)
 
 @dataclass(frozen=True)
 class NativePlant:
-    """Original-coordinate carrier for agents not stored in normal form.
+    """Original-coordinate model of an agent stated natively.
 
     ``deriv(x, u)`` is the full state derivative, ``xi_of(x)`` the forward
     coordinate map into the chain variables, and ``alpha_of`` / ``beta_of``
@@ -174,11 +174,10 @@ def _agent3_xi_of(x):
 
 
 def _agent3_x_of_xi(xi):
-    # exact inverse of the map above; used only by the (xi, eta) interface
-    x2 = xi[0]
-    x3 = xi[1] - x2 ** 2
-    x1 = xi[2] - 3.0 * x2 * xi[1] + x2 ** 3
-    return np.array([x1, x2, x3])
+    # exact inverse of the map above; evaluates alpha on the chain, once
+    # per recorded sample
+    x2, xi2, xi3 = xi.tolist()
+    return np.array([xi3 - 3.0 * x2 * xi2 + x2 * x2 * x2, x2, xi2 - x2 * x2])
 
 
 def _agent3_alpha_xi(xi, eta):
@@ -269,49 +268,3 @@ def eval_dynamics(agent, xi, eta, u_hat):
         raise InvalidDimensionError(
             f"theta returned {deta.shape[0]} values, expected {agent.n_eta}")
     return dxi, deta, u
-
-
-@dataclass(frozen=True)
-class MimoAgentSlice:
-    """Decoupling data for a square or wide multi-input agent.
-
-    ``pi_fn(state)`` returns the p-by-m input coupling matrix and
-    ``alpha_check_fn(state)`` the drift of the p output channels, each
-    differentiated down to its own relative degree.
-    """
-
-    p: int
-    m: int
-    rdeg: tuple
-    pi_fn: Callable[[np.ndarray], np.ndarray]
-    alpha_check_fn: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.p > self.m:
-            raise InvalidDimensionError(
-                f"need at least as many inputs as output channels, got p={self.p}, m={self.m}")
-        if len(self.rdeg) != self.p:
-            raise InvalidDimensionError(
-                f"rdeg has {len(self.rdeg)} entries, expected p = {self.p}")
-
-
-def decoupling_input(mimo, state, u_check):
-    """Input that decouples the channels: u = pinv(Pi) (u_check - alpha_check).
-
-    With this input, channel k becomes an integrator chain of length
-    rdeg[k] driven by u_check[k] alone.
-    """
-    state = np.asarray(state, dtype=float)
-    pi = np.asarray(mimo.pi_fn(state), dtype=float)
-    if pi.shape != (mimo.p, mimo.m):
-        raise InvalidDimensionError(
-            f"pi_fn returned shape {pi.shape}, expected {(mimo.p, mimo.m)}")
-    alpha = np.asarray(mimo.alpha_check_fn(state), dtype=float).reshape(-1)
-    if alpha.shape[0] != mimo.p:
-        raise InvalidDimensionError(
-            f"alpha_check_fn returned {alpha.shape[0]} values, expected {mimo.p}")
-    u_check = np.asarray(u_check, dtype=float).reshape(-1)
-    if u_check.shape[0] != mimo.p:
-        raise InvalidDimensionError(
-            f"u_check has {u_check.shape[0]} entries, expected {mimo.p}")
-    return right_pinv(pi) @ (u_check - alpha)

@@ -33,10 +33,6 @@ class NotStabilizableError(ConsensusKitError):
     """No stabilizing gain could be produced for the given pair."""
 
 
-class RankDeficientError(ConsensusKitError):
-    """A full-rank matrix was required."""
-
-
 # ---------------------------------------------------------------------------
 # graphs
 

@@ -5,8 +5,6 @@ Conventions used by every solver here:
 * Lyapunov:  a' P + P a + q = 0, with `a` strictly stable.
 * Riccati:   a' P + P a + q - P b inv(r) b' P = 0, stabilizing P,
   solved by Newton iteration on the associated Lyapunov equations.
-* right_pinv(pi) = pi' inv(pi pi'), the right inverse of a full-row-rank
-  matrix.
 
 Matrices are plain float64 ndarrays; spectra are complex128 vectors sorted
 by (real, imag).  Sizes here are small (a few dozen states), so the
@@ -20,13 +18,12 @@ from .errors import (
     ConvergenceFailure,
     NonSquareError,
     NotStabilizableError,
-    RankDeficientError,
     SingularSystemError,
     UnstableMatrixError,
 )
 from .settings import settings
 
-__all__ = ["eig", "solve_lyapunov", "solve_care", "right_pinv"]
+__all__ = ["eig", "solve_lyapunov", "solve_care"]
 
 
 def _as_matrix(m, name="matrix"):
@@ -187,19 +184,3 @@ def solve_care(a, b, q, r):
         raise ConvergenceFailure(
             f"returned solution is not stabilizing (max Re = {closed_re.max():.3e})")
     return 0.5 * (p + p.T)
-
-
-def right_pinv(pi):
-    """Right pseudo-inverse pi' inv(pi pi') of a full-row-rank p-by-m matrix."""
-    pi = _as_matrix(pi, "pi")
-    p, m = pi.shape
-    if p > m:
-        raise RankDeficientError(
-            f"need at least as many columns as rows for a right inverse, got {pi.shape}")
-    svals = np.linalg.svd(pi, compute_uv=False)
-    fro2 = float(np.sum(pi * pi))
-    if svals[-1] ** 2 <= settings.pinv_rank_tol * max(1.0, fro2):
-        raise RankDeficientError(
-            f"pi pi' is numerically singular (sigma_min = {svals[-1]:.3e})")
-    gram = pi @ pi.T
-    return np.linalg.solve(gram, pi).T

@@ -16,7 +16,6 @@ class NumericSettings:
     lyapunov_residual_tol: float = 1e-10
     care_residual_tol: float = 1e-8
     care_max_iterations: int = 200
-    pinv_rank_tol: float = 1e-12
     hurwitz_tol: float = 1e-12
 
     # graphs

@@ -15,21 +15,23 @@ M_o being the observer's injection gain.  So for each graph mode m the
 vector z = [xihat; xcheck] (agent-major, N r entries each; xcheck only
 with an observer) moves by one fixed matrix, z' = Phi[m] z, built once at
 set-up from the assemble_stacked blocks, the mode's Laplacian, K and the
-observer gain (see _mode_matrices).  Each RK4 stage gathers z from the
-state, makes the one product Phi[mode] @ z and reads everything linear off
-it: the chain, controller and observer derivatives, and the new chain
-input of agent i, u_hat_i = entry i r + r_i - 1.
+observer gain (see _mode_matrices).  Each RK4 stage makes the one product
+Phi[mode] @ z and reads everything linear off it: the chain, controller
+and observer derivatives, and the new chain input of agent i, u_hat_i =
+entry i r + r_i - 1.
 
-What stays per agent is what is not linear: the internal dynamics eta' =
-theta(xi, eta), agents carried in native coordinates (their chain part
-of z comes from xi_of(x), and x is integrated with u = (u_hat - alpha) /
-beta), the integrated physical input of augmented agents (u' = w), and
-the beta guard.  The flat state is
+Every agent, agent 3 included, is carried as its chain xi: under the
+linearizing input u = (u_hat - alpha) / beta the chain is exact, so no
+agent is integrated in its original coordinates.  An agent stated in them
+(builtin agent 3) enters through its map xi_of: a random start draws x and
+maps it, and an explicit x0 is mapped by with_initial.  Its u is evaluated
+from alpha and beta in chain form, only to record it.  What stays per
+agent is what is not linear: the internal dynamics eta' = theta(xi, eta),
+the integrated physical input of augmented agents (u' = w), and the beta
+guard.  The flat state is [z | nonlinear block]:
 
-* the linear block: per agent xi (unless carried natively), then phi;
-  then, with an observer, the N x r block xcheck;
-* the nonlinear block: per agent eta and, for an augmented agent, u, or
-  the raw x vector of an agent carried in native coordinates.
+* z itself, so the linear block is state[:len(z)];
+* the nonlinear block: per agent eta and, for an augmented agent, u.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -154,15 +156,13 @@ class MonteCarloResult:
 class _AgentRuntime:
     """Where one agent's parts sit in the flat state."""
 
-    __slots__ = ("i", "agent", "r_i", "augmented", "native", "sl_xi",
-                 "sl_eta", "i_u", "sl_x", "xi")
+    __slots__ = ("i", "agent", "augmented", "sl_xi", "sl_eta", "i_u")
 
-    def __init__(self, i, agent):
+    def __init__(self, i, agent, r):
         self.i = i
         self.agent = agent
-        self.r_i = agent.r
         self.augmented = agent.kind == AUGMENTED_GENERAL
-        self.native = agent.native
+        self.sl_xi = slice(i * r, i * r + agent.r)  # the chain, inside z
 
 
 def _mode_matrices(scen, laps, use_observer):
@@ -202,55 +202,23 @@ def _mode_matrices(scen, laps, use_observer):
 class _System:
     def __init__(self, scen, laps, use_observer):
         self.scen = scen
-        n, r = len(scen.agents), scen.cs.r
-        self.rts = [_AgentRuntime(i, ag) for i, ag in enumerate(scen.agents)]
+        r = scen.cs.r
+        self.shape = (len(scen.agents), r)
+        self.rts = [_AgentRuntime(i, ag, r) for i, ag in enumerate(scen.agents)]
         self.Phi = _mode_matrices(scen, laps, use_observer)
-        # the linear block holds z less the chains of native agents
-        # (computed from x); lin_dst maps it into z
-        lin_dst = []
-        for rt in self.rts:
-            first = rt.i * r
-            if rt.native is None:
-                rt.sl_xi = slice(len(lin_dst), len(lin_dst) + rt.r_i)
-            else:
-                first += rt.r_i
-            lin_dst.extend(range(first, (rt.i + 1) * r))
         self.use_observer = use_observer
-        if use_observer:
-            self.sl_obs = slice(len(lin_dst), len(lin_dst) + n * r)
-            lin_dst.extend(range(n * r, 2 * n * r))
-        self.lin_dst = np.array(lin_dst)
-        self.n_lin = pos = len(lin_dst)
+        self.nz = pos = self.Phi.shape[1]
         for rt in self.rts:
-            if rt.native is not None:
-                rt.sl_x = slice(pos, pos + rt.native.dim)
-                pos += rt.native.dim
-            else:
-                rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
-                pos += rt.agent.n_eta
-                if rt.augmented:
-                    rt.i_u = pos
-                    pos += 1
+            rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
+            pos += rt.agent.n_eta
+            if rt.augmented:
+                rt.i_u = pos
+                pos += 1
         self.dim = pos
-        self.natives = [rt for rt in self.rts if rt.native is not None]
         self.nonlinear = [rt for rt in self.rts
-                          if rt.native is not None or rt.augmented
-                          or rt.agent.n_eta]
-        self.u_idx = np.array([rt.i * r + rt.r_i - 1 for rt in self.rts])
-        self.z = np.zeros(self.Phi.shape[1])
-        self.xhat = self.z[:n * r].reshape(n, r)
-        self.xcheck = self.z[n * r:].reshape(n, r) if use_observer else None
-        for rt in self.rts:
-            rt.xi = self.xhat[rt.i, :rt.r_i]  # the agent's chain, a view of z
+                          if rt.augmented or rt.agent.n_eta]
+        self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
         self.u_hat = None
-
-    def _gather(self, state):
-        """Fill z from the state and return it."""
-        z = self.z
-        z[self.lin_dst] = state[:self.n_lin]
-        for rt in self.natives:
-            rt.xi[:] = rt.native.xi_of(state[rt.sl_x])
-        return z
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -259,47 +227,42 @@ class _System:
         state = np.zeros(self.dim)
         for rt in self.rts:
             ag = rt.agent
-            if rt.native is not None:
-                state[rt.sl_x] = (rng.uniform(-1.0, 1.0, rt.native.dim)
-                                  if rng is not None else rt.native.x0)
-                continue
-            if rng is not None:
+            if rng is None:
+                state[rt.sl_xi] = ag.xi0
+                state[rt.sl_eta] = ag.eta0
+            elif ag.native is not None:
+                # drawn in the coordinates the agent is stated in
+                state[rt.sl_xi] = ag.native.xi_of(
+                    rng.uniform(-1.0, 1.0, ag.native.dim))
+            else:
                 state[rt.sl_xi] = rng.uniform(-1.0, 1.0, ag.r)
                 if ag.n_eta:
                     state[rt.sl_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
-            else:
-                state[rt.sl_xi] = ag.xi0
-                state[rt.sl_eta] = ag.eta0
             if rt.augmented:
                 state[rt.i_u] = ag.u0
         if self.use_observer and scen.observer_init == "match":
             # controller states start at zero, so xihat is the true chain
-            self._gather(state)
-            state[self.sl_obs] = self.xhat.ravel()
+            n_r = self.nz // 2
+            state[n_r:self.nz] = state[:n_r]
         return state
 
     def deriv(self, state, mode, out):
-        """Stacked derivative into `out`; leaves z and u_hat behind."""
-        dz = self.Phi[mode] @ self._gather(state)
-        out[:self.n_lin] = dz.take(self.lin_dst)
+        """Stacked derivative into `out`; leaves u_hat behind."""
+        dz = np.matmul(self.Phi[mode], state[:self.nz], out=out[:self.nz])
         self.u_hat = u_hat = dz.take(self.u_idx)
         for rt in self.nonlinear:
-            if rt.native is not None:
-                x, plant = state[rt.sl_x], rt.native
-                u = (u_hat[rt.i] - plant.alpha_of(x)) / plant.beta_of(x)
-                out[rt.sl_x] = plant.deriv(x, u)
-                continue
-            xi, eta = rt.xi, state[rt.sl_eta]
-            if rt.agent.n_eta:
-                out[rt.sl_eta] = rt.agent.theta(xi, eta)
+            ag = rt.agent
+            xi, eta = state[rt.sl_xi], state[rt.sl_eta]
+            if ag.n_eta:
+                out[rt.sl_eta] = ag.theta(xi, eta)
             if rt.augmented:
-                out[rt.i_u] = ((u_hat[rt.i] - rt.agent.alpha(xi, eta))
-                               / rt.agent.beta(xi, eta))
+                out[rt.i_u] = ((u_hat[rt.i] - ag.alpha(xi, eta))
+                               / ag.beta(xi, eta))
 
 
 class _Record:
     def __init__(self, sys, n_samples):
-        n_ag, r = sys.xhat.shape
+        n_ag, r = sys.shape
         self.y = np.zeros((n_samples, n_ag))
         self.xi_hat = np.zeros((n_samples, n_ag, r))
         self.eta = [np.zeros((n_samples, rt.agent.n_eta)) for rt in sys.rts]
@@ -362,27 +325,22 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
 
 def _record_row(sys, rec, k, state):
     """Record one sample; deriv() has just been evaluated at `state`."""
-    xhat = sys.xhat
+    n_ag, r = sys.shape
+    xhat = state[:n_ag * r].reshape(n_ag, r)
     rec.y[k] = xhat[:, 0]
     rec.xi_hat[k] = xhat
     if sys.use_observer:
-        rec.err[k] = xhat - sys.xcheck
+        rec.err[k] = xhat - state[n_ag * r:sys.nz].reshape(n_ag, r)
     for rt in sys.rts:
-        if rt.native is not None:
-            x = state[rt.sl_x]
-            beta = rt.native.beta_of(x)
-            _guard_beta(beta, rt, state)
-            alpha = rt.native.alpha_of(x)
+        ag = rt.agent
+        xi, eta = state[rt.sl_xi], state[rt.sl_eta]
+        rec.eta[rt.i][k] = eta
+        beta = ag.beta(xi, eta)
+        _guard_beta(beta, rt, state)
+        if rt.augmented:
+            rec.u[k, rt.i] = state[rt.i_u]
         else:
-            xi, eta = rt.xi, state[rt.sl_eta]
-            rec.eta[rt.i][k] = eta
-            beta = rt.agent.beta(xi, eta)
-            _guard_beta(beta, rt, state)
-            if rt.augmented:
-                rec.u[k, rt.i] = state[rt.i_u]
-                continue
-            alpha = rt.agent.alpha(xi, eta)
-        rec.u[k, rt.i] = (sys.u_hat[rt.i] - alpha) / beta
+            rec.u[k, rt.i] = (sys.u_hat[rt.i] - ag.alpha(xi, eta)) / beta
 
 
 def _guard_beta(beta, rt, state):

@@ -3,8 +3,8 @@ import pytest
 
 import consensuskit as ck
 from consensuskit.agents import (
-    AUGMENTED_GENERAL, MimoAgentSlice, NormalFormAgent, augment, builtin,
-    decoupling_input, eval_dynamics, linearizing_input,
+    AUGMENTED_GENERAL, NormalFormAgent, augment, builtin, eval_dynamics,
+    linearizing_input,
 )
 
 
@@ -166,47 +166,3 @@ def test_augment_wraps_general_input():
         augment(r=2, alpha_tilde=lambda xi, eta: 0.0,
                 beta_tilde=lambda xi, eta: 1.0, theta_tilde=None,
                 xi0=[1.0, 0.0])
-
-
-def test_decoupling_input_oracle():
-    mimo = MimoAgentSlice(
-        p=1, m=2, rdeg=(2,),
-        pi_fn=lambda state: np.array([[1.0, 1.0]]),
-        alpha_check_fn=lambda state: np.array([3.0]))
-    u = decoupling_input(mimo, np.zeros(3), np.array([5.0]))
-    assert np.allclose(u, [1.0, 1.0], atol=1e-12)
-
-
-def test_decoupling_input_rank_deficient():
-    mimo = MimoAgentSlice(
-        p=1, m=2, rdeg=(2,),
-        pi_fn=lambda state: np.zeros((1, 2)),
-        alpha_check_fn=lambda state: np.zeros(1))
-    with pytest.raises(ck.RankDeficientError):
-        decoupling_input(mimo, np.zeros(3), np.array([1.0]))
-
-
-def test_decoupling_input_shape_checks():
-    mimo = MimoAgentSlice(
-        p=2, m=2, rdeg=(1, 1),
-        pi_fn=lambda state: np.eye(2),
-        alpha_check_fn=lambda state: np.zeros(2))
-    with pytest.raises(ck.InvalidDimensionError):
-        decoupling_input(mimo, np.zeros(2), np.array([1.0]))
-    bad_pi = MimoAgentSlice(
-        p=2, m=2, rdeg=(1, 1),
-        pi_fn=lambda state: np.eye(3),
-        alpha_check_fn=lambda state: np.zeros(2))
-    with pytest.raises(ck.InvalidDimensionError):
-        decoupling_input(bad_pi, np.zeros(2), np.array([1.0, 1.0]))
-
-
-def test_mimo_slice_validation():
-    with pytest.raises(ck.InvalidDimensionError):
-        MimoAgentSlice(p=3, m=2, rdeg=(1, 1, 1),
-                       pi_fn=lambda s: np.zeros((3, 2)),
-                       alpha_check_fn=lambda s: np.zeros(3))
-    with pytest.raises(ck.InvalidDimensionError):
-        MimoAgentSlice(p=2, m=3, rdeg=(1,),
-                       pi_fn=lambda s: np.zeros((2, 3)),
-                       alpha_check_fn=lambda s: np.zeros(2))

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import consensuskit as ck
-from consensuskit.linalg import eig, right_pinv, solve_care, solve_lyapunov
+from consensuskit.linalg import eig, solve_care, solve_lyapunov
 
 from conftest import rand_stable_matrix, rand_spd
 
@@ -121,21 +121,3 @@ def test_care_rejects_indefinite_r():
     with pytest.raises(ValueError):
         solve_care(np.array([[-1.0]]), np.array([[1.0]]),
                    np.array([[1.0]]), np.array([[-1.0]]))
-
-
-def test_right_pinv_is_right_inverse():
-    rng = ck.rng_for(105)
-    for _ in range(20):
-        p = int(rng.integers(1, 4))
-        m = int(rng.integers(p, p + 3))
-        pi = rng.standard_normal((p, m))
-        inv = right_pinv(pi)
-        assert inv.shape == (m, p)
-        assert np.allclose(pi @ inv, np.eye(p), atol=1e-10)
-
-
-def test_right_pinv_rejects_tall_and_rank_deficient():
-    with pytest.raises(ck.RankDeficientError):
-        right_pinv(np.ones((3, 2)))
-    with pytest.raises(ck.RankDeficientError):
-        right_pinv(np.array([[1.0, 1.0], [1.0, 1.0]]))

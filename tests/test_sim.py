@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 import consensuskit as ck
@@ -212,6 +213,51 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
         x = exact
 
 
+def test_agent3_chain_matches_its_native_model(target, unit_gain, five_agents,
+                                               five_cycle):
+    # agent 3 is simulated as its chain; its model in the original
+    # coordinates, driven by the same u_hat = (Phi expm(t Phi) z0) entry
+    # through u = (u_hat - alpha(x)) / beta(x) and integrated by DOP853,
+    # must map back onto the recorded chain and input (measured at dt =
+    # 2e-3: 3.0e-12 on the chain, 8.9e-12 on u; 1.8e-9 and 2.7e-9 at dt =
+    # 1e-2, the RK4 error)
+    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
+                                t_end=10.0, dt=2e-3, init="random", seed=42)
+    traj = simulate_fixed(scen)
+    # the draws of the random start, in the simulator's order: a chain and
+    # eta per agent, agent 3's three values in its native coordinates
+    rng = ck.rng_for(42, 0, ck.STREAM_INIT)
+    z0 = np.zeros((5, 3))
+    for i, ag in enumerate(five_agents):
+        if ag.native is not None:
+            x0 = rng.uniform(-1.0, 1.0, ag.native.dim)
+            z0[i] = ag.native.xi_of(x0)
+        else:
+            z0[i, :ag.r] = rng.uniform(-1.0, 1.0, ag.r)
+            rng.uniform(-1.0, 1.0, ag.n_eta)
+    native = five_agents[2].native
+    assert np.array_equal(traj.xi_hat[0, 2], native.xi_of(x0))
+    assert np.array_equal(traj.xi_hat[0], z0)
+
+    phi = (np.kron(np.eye(5), target.A)
+           - np.kron(ck.laplacian(five_cycle), np.outer(target.B, unit_gain.K)))
+
+    def u_of(t, x):
+        u_hat = (phi @ scipy.linalg.expm(t * phi) @ z0.ravel())[2 * 3 + 2]
+        return (u_hat - native.alpha_of(x)) / native.beta_of(x)
+
+    idx = np.arange(0, traj.times.shape[0], 50)
+    sol = scipy.integrate.solve_ivp(
+        lambda t, x: native.deriv(x, u_of(t, x)), (0.0, 10.0), x0,
+        method="DOP853", rtol=1e-12, atol=1e-14, t_eval=traj.times[idx])
+    assert sol.success
+    xi = np.array([native.xi_of(x) for x in sol.y.T])
+    u = np.array([u_of(t, x) for t, x in zip(sol.t, sol.y.T)])
+    assert np.allclose(xi, traj.xi_hat[idx, 2], rtol=0.0, atol=1e-11)
+    assert np.allclose(u, traj.u[idx, 2], rtol=0.0, atol=3e-11)
+    assert np.abs(xi).max() > 1.0
+
+
 def test_observer_match_init_reproduces_full_information(target, unit_gain,
                                                          five_agents, five_cycle):
     obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
@@ -365,7 +411,11 @@ def test_benchmark_reaches_the_package_through_these_names(
     ``monte_carlo_ms`` that stopped calling ``simulate_switching`` once
     per run would make the traced switching workload fail with
     ZeroDivisionError.  ``bench/workloads.agent_timings`` calls agent 3's
-    native maps on length-3 arrays.
+    native maps on length-3 arrays and reports them as
+    ``agents.native_deriv_us``: the simulator carries agent 3 as its chain,
+    so outside that timing these maps serve only to map a scenario's x0
+    and as the reference model of
+    ``test_agent3_chain_matches_its_native_model``.
     """
     calls = []
     real = ck.sim.simulate_switching

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +8,9 @@ import scipy.linalg
 import consensuskit as ck
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, companion_from_coefficients,
-    design_companion, full_gain, linear_consensus_gain, local_controller,
-    observer_gain, rank_one_gain,
+    design_companion, full_gain, local_controller, observer_gain,
+    rank_one_gain,
 )
-
-SQRT3 = 1.7320508075688772
 
 
 def _random_target(rng, r):
@@ -237,9 +236,35 @@ def test_closed_loop_spectrum_full_rank_unchecked(target, five_cycle):
         assert np.abs(check.values - z).min() <= 1e-7
 
 
-def test_linear_consensus_gain_double_integrator():
-    k = linear_consensus_gain(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                              np.array([0.0, 1.0]),
-                              np.eye(2), np.array([[1.0]]))
-    assert k.shape == (1, 2)
-    assert np.allclose(k, [[1.0, SQRT3]], atol=1e-9)
+def test_closed_loop_spectrum_accepts_close_repeated_poles():
+    # a ten-agent r = 6 rank-one design from the benchmark's design sweep:
+    # the ten-fold target poles -1.36368 and -1.35739 lie 0.0063 apart, and
+    # one coupling eigenvalue sits 1.3e-4 from the first; the direct
+    # eigenvalues of the two clusters have means off by 1.7e-6 and 1.9e-6
+    # (tolerance 3.7e-7), their joint mean by 4.8e-9
+    cs = design_companion([-1.594601937634916, -1.363681328637382,
+                           -2.191370784080726, -1.3573906605668014,
+                           -0.8919084088195437])
+    gain = rank_one_gain(cs, mu=0.5327097631757879, q1=1.9046398493596408,
+                         r_hat=1.7341254659140648)
+    edges = [[8, 7, 1.8089278804428917], [7, 3, 0.9501117797464883],
+             [3, 2, 0.8487060664629772], [2, 1, 1.0120347628984732],
+             [1, 9, 1.0033641266362157], [9, 4, 1.1902988366906815],
+             [4, 10, 1.502585495695583], [10, 5, 1.4084274880485101],
+             [5, 6, 1.9578446682613952], [9, 2, 0.8989710526028543],
+             [7, 3, 1.4228611116720375], [7, 6, 1.6802160794059477],
+             [2, 8, 1.953125921814065], [8, 3, 1.0679268164335194]]
+    lap = ck.laplacian(ck.graph_from_dict({"n": 10, "edges": edges}))
+    check = closed_loop_spectrum(cs, gain, lap)
+    assert check.analytic_consistent is True
+    assert check.values.shape == (60,)
+
+
+def test_closed_loop_spectrum_rejects_a_wrong_gain(target, unit_gain,
+                                                   five_cycle):
+    # the analytic spectrum comes from mu, q1 and r_hat, the direct one
+    # from K: a gain 1% off its closed form must not pass the check
+    lap = ck.laplacian(five_cycle)
+    with pytest.raises(ck.InconsistentSpectraError):
+        closed_loop_spectrum(target, replace(unit_gain, K=1.01 * unit_gain.K),
+                             lap)
