@@ -38,10 +38,13 @@ Every run follows a mode schedule: a fixed graph is the one-mode schedule
 in the sampled path, so a jump takes effect at the first step boundary at
 or after the jump time and the graph is frozen over each step.
 
-Two runtime guards: |beta| is checked against the configured floor at every
-recorded state (BetaNearZero), and any state leaving the max-norm ball of
-radius ``settings.finite_escape_norm`` aborts the run with FiniteEscape,
-which carries the trajectory recorded up to the abort time.
+Each sample is recorded as one row of a state matrix, and the Trajectory
+is built from those rows once, after the loop (_trajectory).  Two runtime
+guards: |beta| is checked against the configured floor after the run over
+all recorded states, before a FiniteEscape is raised (BetaNearZero), and
+any state leaving the max-norm ball of radius ``settings.finite_escape_norm``
+aborts the run with FiniteEscape, which carries the trajectory recorded up
+to the abort time.
 
 Reproducibility: trajectories are a pure function of (scenario, seed, run
 index).  Random initial conditions and switching paths are drawn from
@@ -114,8 +117,8 @@ class SimScenario:
             raise ValidationError("observer row dimension does not match")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if not (self.t_end >= self.dt):
-            raise ValidationError("t_end must be at least one step")
+        if not (self.t_end >= self.dt and np.isfinite(self.t_end)):
+            raise ValidationError("t_end must be finite and at least one step")
         if self.init not in ("explicit", "random"):
             raise ValidationError(f"unknown init mode {self.init!r}")
         if self.observer_init not in ("zero", "match"):
@@ -218,7 +221,6 @@ class _System:
         self.nonlinear = [rt for rt in self.rts
                           if rt.augmented or rt.agent.n_eta]
         self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
-        self.u_hat = None
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -247,37 +249,16 @@ class _System:
         return state
 
     def deriv(self, state, mode, out):
-        """Stacked derivative into `out`; leaves u_hat behind."""
+        """Stacked derivative of `state` under graph mode `mode`, into `out`."""
         dz = np.matmul(self.Phi[mode], state[:self.nz], out=out[:self.nz])
-        self.u_hat = u_hat = dz.take(self.u_idx)
         for rt in self.nonlinear:
             ag = rt.agent
             xi, eta = state[rt.sl_xi], state[rt.sl_eta]
             if ag.n_eta:
                 out[rt.sl_eta] = ag.theta(xi, eta)
             if rt.augmented:
-                out[rt.i_u] = ((u_hat[rt.i] - ag.alpha(xi, eta))
+                out[rt.i_u] = ((dz[rt.sl_xi.stop - 1] - ag.alpha(xi, eta))
                                / ag.beta(xi, eta))
-
-
-class _Record:
-    def __init__(self, sys, n_samples):
-        n_ag, r = sys.shape
-        self.y = np.zeros((n_samples, n_ag))
-        self.xi_hat = np.zeros((n_samples, n_ag, r))
-        self.eta = [np.zeros((n_samples, rt.agent.n_eta)) for rt in sys.rts]
-        self.u = np.zeros((n_samples, n_ag))
-        self.err = (np.zeros((n_samples, n_ag, r))
-                    if sys.use_observer else None)
-
-    def to_trajectory(self, times, upto, modes, mode_path, diverged):
-        sl = slice(0, upto)
-        return Trajectory(
-            times=times[sl], y=self.y[sl], xi_hat=self.xi_hat[sl],
-            eta=[e[sl] for e in self.eta], u=self.u[sl],
-            err=self.err[sl] if self.err is not None else None,
-            mode=modes[sl].copy() if mode_path is not None else None,
-            mode_path=mode_path, diverged=diverged)
 
 
 def _grid(scen):
@@ -294,8 +275,7 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
     dt = scen.dt
     times = _grid(scen)
     modes = np.broadcast_to(modes, times.shape)
-    n_steps = times.shape[0] - 1
-    rec = _Record(sys, n_steps + 1)
+    rows = np.empty((times.shape[0], sys.dim))  # the state at times[k]
 
     state = sys.initial_state(run_index)
     k1 = np.zeros(sys.dim)
@@ -304,51 +284,65 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
     k4 = np.zeros(sys.dim)
 
     guard = settings.finite_escape_norm
-    for k in range(n_steps + 1):
+    for k in range(times.shape[0] - 1):
+        rows[k] = state
         mode = modes[k]
         sys.deriv(state, mode, k1)
-        _record_row(sys, rec, k, state)
-        if k == n_steps:
-            break
         sys.deriv(state + (0.5 * dt) * k1, mode, k2)
         sys.deriv(state + (0.5 * dt) * k2, mode, k3)
         sys.deriv(state + dt * k3, mode, k4)
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         peak = float(np.abs(state).max())
         if not np.isfinite(peak) or peak > guard:
-            traj = rec.to_trajectory(times, k + 1, modes, mode_path, True)
+            traj = _trajectory(sys, rows[:k + 1], times, modes, mode_path)
             raise FiniteEscape(
                 f"state norm {peak:.3e} left the guard ball at t = "
                 f"{times[k + 1]:.6g}", trajectory=traj, t=float(times[k + 1]))
-    return rec.to_trajectory(times, n_steps + 1, modes, mode_path, False)
+    rows[-1] = state
+    return _trajectory(sys, rows, times, modes, mode_path)
 
 
-def _record_row(sys, rec, k, state):
-    """Record one sample; deriv() has just been evaluated at `state`."""
+def _per_row(fn, rows, rt):
+    """fn(xi, eta) of agent `rt` at every recorded state."""
+    return np.fromiter((fn(xi, eta) for xi, eta
+                        in zip(rows[:, rt.sl_xi], rows[:, rt.sl_eta])),
+                       float, count=rows.shape[0])
+
+
+def _trajectory(sys, rows, times, modes, mode_path):
+    """The Trajectory of the recorded states rows[k] (at times[k]), cut
+    short of the grid when the run diverged.  Raises BetaNearZero at the
+    earliest sample, and there at the lowest agent index, with |beta|
+    below the floor."""
+    n = rows.shape[0]
     n_ag, r = sys.shape
-    xhat = state[:n_ag * r].reshape(n_ag, r)
-    rec.y[k] = xhat[:, 0]
-    rec.xi_hat[k] = xhat
-    if sys.use_observer:
-        rec.err[k] = xhat - state[n_ag * r:sys.nz].reshape(n_ag, r)
-    for rt in sys.rts:
-        ag = rt.agent
-        xi, eta = state[rt.sl_xi], state[rt.sl_eta]
-        rec.eta[rt.i][k] = eta
-        beta = ag.beta(xi, eta)
-        _guard_beta(beta, rt, state)
-        if rt.augmented:
-            rec.u[k, rt.i] = state[rt.i_u]
-        else:
-            rec.u[k, rt.i] = (sys.u_hat[rt.i] - ag.alpha(xi, eta)) / beta
-
-
-def _guard_beta(beta, rt, state):
-    if abs(beta) < settings.beta_floor:
+    betas = np.array([_per_row(rt.agent.beta, rows, rt) for rt in sys.rts])
+    low = np.abs(betas) < settings.beta_floor
+    if low.any():
+        k = int(low.any(axis=0).argmax())
+        rt = sys.rts[int(low[:, k].argmax())]
         raise BetaNearZero(
-            f"beta = {beta:.3e} below floor {settings.beta_floor:.1e} "
-            f"for agent {rt.agent.agent_id}",
-            agent_id=rt.agent.agent_id, state=state.copy())
+            f"beta = {betas[rt.i, k]:.3e} below floor "
+            f"{settings.beta_floor:.1e} for agent {rt.agent.agent_id}",
+            agent_id=rt.agent.agent_id, state=rows[k].copy())
+    z = rows[:, :sys.nz]
+    xi_hat = z[:, :n_ag * r].reshape(n, n_ag, r)
+    # u starts as u_hat, entry u_idx[i] of Phi[mode] z (every mode at once)
+    u = np.matmul(z, sys.Phi[:, sys.u_idx].transpose(0, 2, 1))[
+        modes[:n], np.arange(n)]
+    for rt in sys.rts:
+        if rt.augmented:
+            u[:, rt.i] = rows[:, rt.i_u]
+        else:
+            u[:, rt.i] -= _per_row(rt.agent.alpha, rows, rt)
+            u[:, rt.i] /= betas[rt.i]
+    return Trajectory(
+        times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
+        eta=[rows[:, rt.sl_eta] for rt in sys.rts], u=u,
+        err=(xi_hat - z[:, n_ag * r:].reshape(n, n_ag, r)
+             if sys.use_observer else None),
+        mode=modes[:n].copy() if mode_path is not None else None,
+        mode_path=mode_path, diverged=n < times.shape[0])
 
 
 def _require_fixed(scen):

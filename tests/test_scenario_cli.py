@@ -597,6 +597,19 @@ def test_cli_analyze(tmp_path, capsys):
     assert out["spectrum"]["analytic_consistent"] is True
 
 
+def test_cli_analyze_switching_names_the_fast_switching_limit(capsys):
+    path = SCENARIO_DIR / "five_agents_switching.json"
+    rc = main(["analyze", str(path)])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    # one sampled run is not compared with the fast-switching limit
+    assert out["theoretical_rate"] is None
+    scen = load_scenario(path)
+    assert out["fast_switching_limit"] == pytest.approx(
+        ck.speed_bound(scen.topology, scen.gain, scen.cs))
+    assert out["empirical_rate"] > 0.0
+
+
 def test_cli_analyze_bad_window(tmp_path, capsys):
     scen = _write(tmp_path, base_doc())
     rc = main(["analyze", scen, "--window", "nonsense"])
@@ -668,3 +681,12 @@ def test_readme_scenario_examples_parse():
         scen = parse_scenario(json.loads(block))
         kinds.add(type(scen.topology).__name__)
     assert kinds == {"DiGraph", "MarkovTopology"}
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert np.isfinite(namespace["d"][-1])
+    assert namespace["fit"].rate > 0.0

@@ -357,6 +357,30 @@ def test_beta_floor_aborts_run(target, unit_gain):
     assert exc.value.state is not None
 
 
+def test_beta_floor_is_reported_before_the_escape_it_causes(target,
+                                                             unit_gain):
+    # beta = xi_1 = 0 at t = 0 for the agents at indices 1 and 2.  Index 1
+    # is augmented, so its u' = (u_hat - alpha) / beta is infinite and the
+    # first step leaves the guard ball; the beta floor at sample 0 must
+    # still win, and at that sample the lower agent index.
+    zero_beta = augment(r=2, alpha_tilde=lambda xi, eta: 0.0,
+                        beta_tilde=lambda xi, eta: xi[0], theta_tilde=None,
+                        xi0=[0.0, 0.5, -0.2], agent_id=11)
+    plain = NormalFormAgent(
+        agent_id=12, r=2, n_eta=0,
+        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: xi[0],
+        theta=lambda xi, eta: np.empty(0),
+        xi0=np.array([0.0, 1.0]), eta0=np.empty(0))
+    agents = [builtin("agent3"), zero_beta, plain]
+    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
+                          t_end=1.0, dt=0.01)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ck.BetaNearZero) as exc:
+            simulate_fixed(scen)
+    assert exc.value.agent_id == 11
+    assert exc.value.state.shape == (10,)
+
+
 def test_monte_carlo_single_run_matches_direct(target, unit_gain, five_agents):
     scen = _switching_scenario(target, unit_gain, five_agents,
                                t_end=2.0, dt=0.01, init="random", seed=31)
@@ -480,3 +504,6 @@ def test_scenario_validation_messages(target, unit_gain, five_agents):
                        init="sampled")
     with pytest.raises(ck.ValidationError):
         build_scenario([], target, unit_gain, directed_cycle(5))
+    with pytest.raises(ck.ValidationError):
+        build_scenario(five_agents, target, unit_gain, directed_cycle(5),
+                       t_end=float("inf"))
