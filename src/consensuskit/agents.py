@@ -29,12 +29,16 @@ integrates it in xi like every other agent.  Its model in the original x
 coordinates (NativePlant) is the reference the tests check the chain
 against, and maps a scenario's x0 into xi0.
 
+Every builtin map, and every map of a custom scenario agent, is a
+polynomial held as a :class:`TermTable`, so the simulator can stack the
+maps of all agents and evaluate them as one expression.  Any other
+callable fn(xi, eta) also works, on a slower per-agent path.
+
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
 form (one degree higher) so the rest of the toolkit treats it uniformly.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -54,8 +58,6 @@ __all__ = [
 
 AFFINE = "affine"
 AUGMENTED_GENERAL = "augmented-general"
-
-_EMPTY = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -133,30 +135,94 @@ class NormalFormAgent:
         return out
 
 
-def _const(value):
-    return lambda xi, eta: value
+class TermTable:
+    """A polynomial map over z = (xi_1..xi_r, eta_1..eta_k), held as data.
+
+    ``rows`` has one entry per output row, each a list of terms (c, e): c a
+    coefficient, e the exponents of z_1, z_2, ... (trailing zeros may be
+    left out); row k is the sum over its terms of c * prod_j z_j ** e_j,
+    and a row without terms is zero.
+    Called as fn(xi, eta) it returns a float when ``scalar`` (alpha, beta)
+    and an array with one entry per row otherwise (theta).  :meth:`at`
+    evaluates it on many states at once, and :meth:`stack` joins the tables
+    of several agents into one over a longer state vector.
+    """
+
+    def __init__(self, rows, scalar=False):
+        terms = [(k, float(c), [(j, int(p)) for j, p in enumerate(e) if p])
+                 for k, row in enumerate(rows) for c, e in row]
+        self._build(len(rows), terms, scalar)
+
+    @classmethod
+    def stack(cls, tables, places):
+        """The rows of every table in turn, as one table over a vector that
+        holds variable j of tables[i] at entry places[i][j]."""
+        terms, n = [], 0
+        for table, place in zip(tables, places):
+            terms += [(n + k, c, [(place[j], p) for j, p in factors])
+                      for k, c, factors in table._terms]
+            n += table.n_rows
+        out = cls.__new__(cls)
+        out._build(n, terms, False)
+        return out
+
+    def _build(self, n_rows, terms, scalar):
+        # terms: (row, c, [(variable, power > 0), ...]); the arrays that
+        # evaluate them are made on first use, as loading a scenario to
+        # synthesize it never evaluates a map
+        self.n_rows, self._terms, self.scalar = n_rows, terms, scalar
+        self._w = None
+        # the value of a scalar map without variables, else None
+        self.constant = (None if any(f for _, _, f in terms) or not scalar
+                         else sum((c for _, c, _ in terms), 0.0))
+
+    def _compile(self):
+        # a term without factors reads z_0 ** 0 = 1
+        factors = [f or [(0, 0)] for _, _, f in self._terms]
+        self._var = np.array([j for f in factors for j, _ in f], dtype=np.intp)
+        self._pow = np.array([p for f in factors for _, p in f], dtype=float)
+        self._term_at = np.cumsum([0] + [len(f) for f in factors[:-1]])
+        self._single = all(len(f) == 1 for f in factors)
+        # monomial t enters row k with weight w[t, k]
+        w = np.zeros((len(factors), self.n_rows))
+        for t, (k, c, _) in enumerate(self._terms):
+            w[t, k] = c
+        self._w = w
+
+    def at(self, z, out=None):
+        """The rows of the map at one state z (z_j = z[j]), or at every row
+        of a matrix z (z_j = z[:, j]) as its columns."""
+        if self._w is None:
+            self._compile()
+        # an infinite monomial makes the rows with zero weight on it NaN;
+        # the state is not finite either way, so the escape guard fires
+        m = (z[self._var] if z.ndim == 1 else z[:, self._var]) ** self._pow
+        if not self._single:
+            m = np.multiply.reduceat(m, self._term_at, axis=-1)
+        return np.matmul(m, self._w, out=out)
+
+    def __call__(self, xi, eta):
+        value = self.at(np.concatenate((xi, eta)))
+        return float(value[0]) if self.scalar else value
 
 
-def _no_internal(xi, eta):
-    return _EMPTY
+_ZERO = TermTable([[(0.0, ())]], scalar=True)
+_ONE = TermTable([[(1.0, ())]], scalar=True)
+_NO_INTERNAL = TermTable([])
 
+# eta' = -a*eta - eta**p + xi_1 over (xi_1, xi_2, eta)
+_DAMPED_THETA = {
+    name: TermTable([[(-a, (0, 0, 1)), (-1.0, (0, 0, p)), (1.0, (1,))]])
+    for name, (a, p) in {"agent1": (1.0, 5), "agent2": (1.0, 3),
+                         "agent4": (4.0, 3), "agent5": (2.0, 5)}.items()}
 
-# The builtin maps run once per agent in every RK4 stage, so they unpack
-# their arguments into Python floats: numpy scalar arithmetic costs several
-# times as much per operation.  A Python float power raises OverflowError
-# where numpy returns inf, so squares are products and theta's odd power
-# falls back to a signed inf: a diverging run must still reach the
-# finite-escape guard.
-
-def _damped_internal(a, p):
-    def theta(xi, eta):
-        e = eta.item(0)
-        try:
-            ep = e ** p
-        except OverflowError:
-            ep = math.copysign(math.inf, e)
-        return np.array([-a * e - ep + xi.item(0)])
-    return theta
+# agent 3's alpha in chain coordinates: _agent3_alpha_x composed with the
+# inverse map x = (xi_3 - 3 xi_1 xi_2 + xi_1**3, xi_1, xi_2 - xi_1**2),
+# expanded
+_AGENT3_ALPHA = TermTable([[
+    (-1.0, (5, 0, 0)), (1.0, (4, 0, 0)), (4.0, (3, 1, 0)), (-6.0, (2, 1, 0)),
+    (-1.0, (2, 0, 1)), (-3.0, (1, 2, 0)), (4.0, (1, 0, 1)), (3.0, (0, 2, 0)),
+    (1.0, (0, 1, 1))]], scalar=True)
 
 
 def _agent3_alpha_x(x):
@@ -173,33 +239,17 @@ def _agent3_xi_of(x):
     return np.array([x2, s, 2.0 * x2 * s + x1 + x2 * x3])
 
 
-def _agent3_x_of_xi(xi):
-    # exact inverse of the map above; evaluates alpha on the chain, once
-    # per recorded sample
-    x2, xi2, xi3 = xi.tolist()
-    return np.array([xi3 - 3.0 * x2 * xi2 + x2 * x2 * x2, x2, xi2 - x2 * x2])
-
-
-def _agent3_alpha_xi(xi, eta):
-    return _agent3_alpha_x(_agent3_x_of_xi(xi))
-
-
 def _agent3_deriv(x, u):
     x1, x2, x3 = x.tolist()
     return np.array([x1 * x2 + x1 * x3 + u, x2 * x2 + x3, x1 + x2 * x3])
 
 
-_DAMPING = {"agent1": (1.0, 5), "agent2": (1.0, 3),
-            "agent4": (4.0, 3), "agent5": (2.0, 5)}
-
-
 def builtin(name):
     """One of the five demo agents, with all-zero initial conditions."""
-    if name in _DAMPING:
-        a, p = _DAMPING[name]
+    if name in _DAMPED_THETA:
         return NormalFormAgent(
             agent_id=int(name[-1]), r=2, n_eta=1,
-            alpha=_const(0.0), beta=_const(1.0), theta=_damped_internal(a, p),
+            alpha=_ZERO, beta=_ONE, theta=_DAMPED_THETA[name],
             xi0=np.zeros(2), eta0=np.zeros(1))
     if name == "agent3":
         native = NativePlant(
@@ -207,7 +257,7 @@ def builtin(name):
             alpha_of=_agent3_alpha_x, beta_of=lambda x: 1.0)
         return NormalFormAgent(
             agent_id=3, r=3, n_eta=0,
-            alpha=_agent3_alpha_xi, beta=_const(1.0), theta=_no_internal,
+            alpha=_AGENT3_ALPHA, beta=_ONE, theta=_NO_INTERNAL,
             xi0=np.zeros(3), eta0=np.zeros(0), native=native)
     raise UnknownAgentError(f"no builtin agent named {name!r}")
 
@@ -232,7 +282,7 @@ def augment(r, alpha_tilde, beta_tilde, theta_tilde, xi0, eta0=(), u0=0.0,
     return NormalFormAgent(
         agent_id=agent_id, r=r + 1, n_eta=eta0.shape[0],
         alpha=alpha_tilde, beta=beta_tilde,
-        theta=theta_tilde if eta0.shape[0] else _no_internal,
+        theta=theta_tilde if eta0.shape[0] else _NO_INTERNAL,
         xi0=xi0, eta0=eta0, kind=AUGMENTED_GENERAL, u0=float(u0))
 
 

@@ -223,8 +223,12 @@ def _cmd_synthesize(args):
             "union_balanced": report.union_balanced,
             "passes": report.passes,
         }
-        if gain.rank == "one" and report.passes:
-            out["guaranteed_rate"] = theoretical_speed_switching(mt, gain, cs)
+        # speed_bound is the mean-square rate's limit as switching gets
+        # fast, not a rate guaranteed at a finite switching rate
+        out["guaranteed_rate"] = None
+        out["fast_switching_limit"] = (
+            theoretical_speed_switching(mt, gain, cs)
+            if gain.rank == "one" and report.passes else None)
     else:
         lap = laplacian(scen.topology)
         if gain.rank == "one":

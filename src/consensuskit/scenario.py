@@ -33,7 +33,7 @@ import json
 
 import numpy as np
 
-from .agents import NormalFormAgent, builtin
+from .agents import NormalFormAgent, TermTable, builtin
 from .errors import (
     ConsensusKitError,
     ScenarioParseError,
@@ -106,55 +106,24 @@ def _vector(entry, length, where):
 
 
 def _terms(entry, nvars, where):
-    """Validate a polynomial term list; returns (coeffs, exponents) or None."""
+    """Validate a polynomial term list; returns its (c, exponents) pairs."""
     _expect(entry, list, where, "a list of terms")
-    if not entry:
-        return None
-    coeffs = np.zeros(len(entry))
-    expos = np.zeros((len(entry), nvars), dtype=int)
+    terms = []
     for k, term in enumerate(entry):
         tw = f"{where}[{k}]"
         _check_keys(term, ("c", "e"), (), tw)
-        coeffs[k] = _num(term["c"], f"{tw}.c")
+        c = _num(term["c"], f"{tw}.c")
         e = _expect(term["e"], list, f"{tw}.e", "a list of exponents")
         if len(e) != nvars:
             raise ValidationError(
                 f"expected {nvars} exponents (one per variable), got {len(e)}",
                 field=f"{tw}.e")
         for j, ex in enumerate(e):
-            ev = _int(ex, f"{tw}.e[{j}]")
-            if ev < 0:
+            if _int(ex, f"{tw}.e[{j}]") < 0:
                 raise ValidationError("exponents must be non-negative",
                                       field=f"{tw}.e[{j}]")
-            expos[k, j] = ev
-    return coeffs, expos
-
-
-def _scalar_poly(parsed, default=0.0):
-    if parsed is None:
-        return lambda xi, eta: default
-    coeffs, expos = parsed
-
-    def fn(xi, eta):
-        z = np.concatenate((np.asarray(xi, dtype=float),
-                            np.asarray(eta, dtype=float)))
-        return float(coeffs @ np.prod(z ** expos, axis=1))
-
-    return fn
-
-
-def _vector_poly(rows):
-    def fn(xi, eta):
-        z = np.concatenate((np.asarray(xi, dtype=float),
-                            np.asarray(eta, dtype=float)))
-        out = np.zeros(len(rows))
-        for k, parsed in enumerate(rows):
-            if parsed is not None:
-                coeffs, expos = parsed
-                out[k] = coeffs @ np.prod(z ** expos, axis=1)
-        return out
-
-    return fn
+        terms.append((c, e))
+    return terms
 
 
 def _parse_agent(doc, index):
@@ -200,21 +169,21 @@ def _parse_agent(doc, index):
             raise ValidationError("n_eta must be non-negative",
                                   field=f"{cw}.n_eta")
         nvars = r + n_eta
-        alpha = _scalar_poly(_terms(cd["alpha"], nvars, f"{cw}.alpha"))
+        alpha = TermTable([_terms(cd["alpha"], nvars, f"{cw}.alpha")],
+                          scalar=True)
         beta_terms = _terms(cd["beta"], nvars, f"{cw}.beta")
-        if beta_terms is None:
+        if not beta_terms:
             raise ValidationError("beta needs at least one term",
                                   field=f"{cw}.beta")
-        beta = _scalar_poly(beta_terms)
+        beta = TermTable([beta_terms], scalar=True)
         theta_doc = _expect(cd["theta"], list, f"{cw}.theta",
                             "a list of term lists")
         if len(theta_doc) != n_eta:
             raise ValidationError(
                 f"theta needs one row per internal state ({n_eta}), "
                 f"got {len(theta_doc)}", field=f"{cw}.theta")
-        rows = [_terms(row, nvars, f"{cw}.theta[{k}]")
-                for k, row in enumerate(theta_doc)]
-        theta = _vector_poly(rows)
+        theta = TermTable([_terms(row, nvars, f"{cw}.theta[{k}]")
+                           for k, row in enumerate(theta_doc)])
         xi0 = _vector(cd["xi0"], r, f"{cw}.xi0")
         eta0 = _vector(cd["eta0"], n_eta, f"{cw}.eta0")
         return NormalFormAgent(agent_id=index + 1, r=r, n_eta=n_eta,

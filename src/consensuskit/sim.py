@@ -25,13 +25,21 @@ linearizing input u = (u_hat - alpha) / beta the chain is exact, so no
 agent is integrated in its original coordinates.  An agent stated in them
 (builtin agent 3) enters through its map xi_of: a random start draws x and
 maps it, and an explicit x0 is mapped by with_initial.  Its u is evaluated
-from alpha and beta in chain form, only to record it.  What stays per
-agent is what is not linear: the internal dynamics eta' = theta(xi, eta),
-the integrated physical input of augmented agents (u' = w), and the beta
-guard.  The flat state is [z | nonlinear block]:
+from alpha and beta in chain form, only to record it.
+
+What is not linear is eta' = theta(xi, eta), the physical input of
+augmented agents (u' = w), and the read-out u = (u_hat - alpha) / beta
+with its beta guard.  Term-table maps (builtin and scenario agents) do
+not run per agent: their theta rows stack into one table over the flat
+state, one expression per RK4 stage, and alpha and beta are evaluated
+over all recorded states at once after the run.  Only augmented agents
+and maps given as Python callables stay per agent: theta and u' once per
+agent and stage, alpha and beta once per agent and recorded state.
+The flat state is [z | nonlinear block]:
 
 * z itself, so the linear block is state[:len(z)];
-* the nonlinear block: per agent eta and, for an augmented agent, u.
+* the nonlinear block: eta of every agent with a tabled theta, in one
+  slice, then per other agent eta and, for an augmented agent, u.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -58,7 +66,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .agents import AUGMENTED_GENERAL, NormalFormAgent
+from .agents import AUGMENTED_GENERAL, NormalFormAgent, TermTable
 from .errors import BetaNearZero, FiniteEscape, ValidationError
 from .graph import DiGraph, laplacian
 from .rng import STREAM_INIT, rng_for
@@ -159,13 +167,20 @@ class MonteCarloResult:
 class _AgentRuntime:
     """Where one agent's parts sit in the flat state."""
 
-    __slots__ = ("i", "agent", "augmented", "sl_xi", "sl_eta", "i_u")
+    __slots__ = ("i", "agent", "augmented", "tabled", "sl_xi", "sl_eta", "i_u")
 
     def __init__(self, i, agent, r):
         self.i = i
         self.agent = agent
         self.augmented = agent.kind == AUGMENTED_GENERAL
+        # theta joins the stacked table of _System
+        self.tabled = (not self.augmented
+                       and isinstance(agent.theta, TermTable))
         self.sl_xi = slice(i * r, i * r + agent.r)  # the chain, inside z
+
+    def places(self):
+        """Flat-state index of each variable (xi, eta) of the agent."""
+        return np.r_[self.sl_xi, self.sl_eta]
 
 
 def _mode_matrices(scen, laps, use_observer):
@@ -211,15 +226,20 @@ class _System:
         self.Phi = _mode_matrices(scen, laps, use_observer)
         self.use_observer = use_observer
         self.nz = pos = self.Phi.shape[1]
-        for rt in self.rts:
+        # the tabled agents' eta first, in one slice, then the rest
+        tabled = [rt for rt in self.rts if rt.tabled]
+        for rt in tabled + [rt for rt in self.rts if not rt.tabled]:
             rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
             pos += rt.agent.n_eta
             if rt.augmented:
                 rt.i_u = pos
                 pos += 1
         self.dim = pos
-        self.nonlinear = [rt for rt in self.rts
-                          if rt.augmented or rt.agent.n_eta]
+        self.theta = TermTable.stack([rt.agent.theta for rt in tabled],
+                                     [rt.places() for rt in tabled])
+        self.sl_theta = slice(self.nz, self.nz + self.theta.n_rows)
+        self.nonlinear = [rt for rt in self.rts if not rt.tabled
+                          and (rt.augmented or rt.agent.n_eta)]
         self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
 
     def initial_state(self, run_index):
@@ -251,6 +271,8 @@ class _System:
     def deriv(self, state, mode, out):
         """Stacked derivative of `state` under graph mode `mode`, into `out`."""
         dz = np.matmul(self.Phi[mode], state[:self.nz], out=out[:self.nz])
+        if self.theta.n_rows:
+            self.theta.at(state, out=out[self.sl_theta])
         for rt in self.nonlinear:
             ag = rt.agent
             xi, eta = state[rt.sl_xi], state[rt.sl_eta]
@@ -309,6 +331,33 @@ def _per_row(fn, rows, rt):
                        float, count=rows.shape[0])
 
 
+_BLOCK = 1024  # recorded states per evaluation of a stacked table
+
+
+def _map_rows(sys, name, rows, rts):
+    """Map `name` ("alpha" or "beta") of the agents `rts` at every recorded
+    state, in column rt.i of an (n, N) array that is zero elsewhere.
+    Constant maps are filled in; the other term tables are stacked into one
+    and evaluated _BLOCK states at a time; Python callables go row by row."""
+    out = np.zeros((rows.shape[0], sys.shape[0]))
+    tabled = []
+    for rt in rts:
+        fn = getattr(rt.agent, name)
+        if not isinstance(fn, TermTable):
+            out[:, rt.i] = _per_row(fn, rows, rt)
+        elif fn.constant is not None:
+            out[:, rt.i] = fn.constant
+        else:
+            tabled.append(rt)
+    if tabled:
+        table = TermTable.stack([getattr(rt.agent, name) for rt in tabled],
+                                [rt.places() for rt in tabled])
+        cols = [rt.i for rt in tabled]
+        for a in range(0, rows.shape[0], _BLOCK):
+            out[a:a + _BLOCK, cols] = table.at(rows[a:a + _BLOCK])
+    return out
+
+
 def _trajectory(sys, rows, times, modes, mode_path):
     """The Trajectory of the recorded states rows[k] (at times[k]), cut
     short of the grid when the run diverged.  Raises BetaNearZero at the
@@ -316,13 +365,13 @@ def _trajectory(sys, rows, times, modes, mode_path):
     below the floor."""
     n = rows.shape[0]
     n_ag, r = sys.shape
-    betas = np.array([_per_row(rt.agent.beta, rows, rt) for rt in sys.rts])
+    betas = _map_rows(sys, "beta", rows, sys.rts)
     low = np.abs(betas) < settings.beta_floor
     if low.any():
-        k = int(low.any(axis=0).argmax())
-        rt = sys.rts[int(low[:, k].argmax())]
+        k = int(low.any(axis=1).argmax())
+        rt = sys.rts[int(low[k].argmax())]
         raise BetaNearZero(
-            f"beta = {betas[rt.i, k]:.3e} below floor "
+            f"beta = {betas[k, rt.i]:.3e} below floor "
             f"{settings.beta_floor:.1e} for agent {rt.agent.agent_id}",
             agent_id=rt.agent.agent_id, state=rows[k].copy())
     z = rows[:, :sys.nz]
@@ -330,12 +379,12 @@ def _trajectory(sys, rows, times, modes, mode_path):
     # u starts as u_hat, entry u_idx[i] of Phi[mode] z (every mode at once)
     u = np.matmul(z, sys.Phi[:, sys.u_idx].transpose(0, 2, 1))[
         modes[:n], np.arange(n)]
+    u -= _map_rows(sys, "alpha", rows,
+                   [rt for rt in sys.rts if not rt.augmented])
+    u /= betas
     for rt in sys.rts:
         if rt.augmented:
             u[:, rt.i] = rows[:, rt.i_u]
-        else:
-            u[:, rt.i] -= _per_row(rt.agent.alpha, rows, rt)
-            u[:, rt.i] /= betas[rt.i]
     return Trajectory(
         times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
         eta=[rows[:, rt.sl_eta] for rt in sys.rts], u=u,

@@ -3,9 +3,10 @@ import pytest
 
 import consensuskit as ck
 from consensuskit.agents import (
-    AUGMENTED_GENERAL, NormalFormAgent, augment, builtin, eval_dynamics,
-    linearizing_input,
+    AUGMENTED_GENERAL, NormalFormAgent, TermTable, augment, builtin,
+    eval_dynamics, linearizing_input,
 )
+from consensuskit.scenario import parse_scenario
 
 
 def _xi_inverse(xi):
@@ -40,6 +41,28 @@ def test_builtin_chain_shift_and_input_slot():
     # alpha = 0, beta = 1 for the damped builtins, so u == u_hat
     assert u == 7.0
     assert deta[0] == pytest.approx(-1.0 - 1.0 + 2.0)
+
+
+def test_builtin_and_parsed_agents_carry_term_tables():
+    # a map that is not a TermTable drops the agent to the simulator's
+    # per-agent path, which is correct but several times slower
+    custom = {"custom": {
+        "r": 2, "n_eta": 2, "alpha": [],
+        "beta": [{"c": 1.0, "e": [0, 0, 0, 0]}],
+        "theta": [[{"c": -1.0, "e": [0, 0, 1, 0]}], []],
+        "xi0": [0.0, 0.0], "eta0": [0.0, 0.0]}}
+    doc = {"agents": [{"builtin": f"agent{i}"} for i in range(1, 6)] + [custom],
+           "controller": {"poles": [-1.0, -2.0], "mu": 1.0, "q1": 1.0,
+                          "r_hat": 1.0, "rank": "one"},
+           "graph": {"n": 6, "edges": [[k, k % 6 + 1, 1.0] for k in range(1, 7)]},
+           "sim": {"t_end": 1.0, "dt": 0.01}}
+    agents = [builtin(f"agent{i}") for i in range(1, 6)]
+    agents += parse_scenario(doc).agents
+    for ag in agents:
+        for fn in (ag.alpha, ag.beta, ag.theta):
+            assert isinstance(fn, TermTable), (ag.agent_id, fn)
+        assert ag.alpha.scalar and ag.beta.scalar and not ag.theta.scalar
+        assert ag.theta.n_rows == ag.n_eta
 
 
 def test_builtin_rejects_unknown_name():

@@ -420,7 +420,8 @@ def test_cli_synthesize_switching(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["stationary"] == pytest.approx([0.5, 0.5])
     assert out["assumption"]["passes"] is True
-    assert out["guaranteed_rate"] == pytest.approx(
+    assert out["guaranteed_rate"] is None
+    assert out["fast_switching_limit"] == pytest.approx(
         0.5 * (2.0 - 2.0 * np.cos(2.0 * np.pi / 5.0)))
 
 
