@@ -29,10 +29,10 @@ integrates it in xi like every other agent.  Its model in the original x
 coordinates (NativePlant) is the reference the tests check the chain
 against, and maps a scenario's x0 into xi0.
 
-Every builtin map, and every map of a custom scenario agent, is a
-polynomial held as a :class:`TermTable`, so the simulator can stack the
-maps of all agents and evaluate them as one expression.  Any other
-callable fn(xi, eta) also works, on a slower per-agent path.
+Every map alpha, beta and theta is a polynomial held as a
+:class:`TermTable`, so the simulator stacks the maps of all agents and
+evaluates them as one expression; an agent built in Python takes its maps
+as tables too.
 
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
@@ -85,9 +85,9 @@ class NormalFormAgent:
     agent_id: int
     r: int
     n_eta: int
-    alpha: Callable[[np.ndarray, np.ndarray], float]
-    beta: Callable[[np.ndarray, np.ndarray], float]
-    theta: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    alpha: "TermTable"  # one scalar row each
+    beta: "TermTable"
+    theta: "TermTable"  # one row per internal state
     xi0: np.ndarray
     eta0: np.ndarray
     kind: str = AFFINE
@@ -107,6 +107,21 @@ class NormalFormAgent:
         if eta0.shape[0] != self.n_eta:
             raise InvalidDimensionError(
                 f"eta0 has length {eta0.shape[0]}, expected n_eta = {self.n_eta}")
+        for name, rows, scalar in (("alpha", 1, True), ("beta", 1, True),
+                                   ("theta", self.n_eta, False)):
+            fn = getattr(self, name)
+            if not isinstance(fn, TermTable):
+                raise InvalidDimensionError(
+                    f"{name} must be a TermTable, got {type(fn).__name__}")
+            if (fn.n_rows, fn.scalar) != (rows, scalar):
+                raise InvalidDimensionError(
+                    f"{name} must be a {'scalar' if scalar else 'vector'} "
+                    f"table of {rows} rows, got {fn.n_rows} rows "
+                    f"(scalar={fn.scalar})")
+            if fn.n_vars > self.r + self.n_eta:
+                raise InvalidDimensionError(
+                    f"{name} reads variable {fn.n_vars}, past r + n_eta = "
+                    f"{self.r + self.n_eta}")
         object.__setattr__(self, "xi0", xi0)
         object.__setattr__(self, "eta0", eta0)
 
@@ -141,7 +156,8 @@ class TermTable:
     ``rows`` has one entry per output row, each a list of terms (c, e): c a
     coefficient, e the exponents of z_1, z_2, ... (trailing zeros may be
     left out); row k is the sum over its terms of c * prod_j z_j ** e_j,
-    and a row without terms is zero.
+    and a row without terms is zero.  ``n_vars`` is the number of leading
+    variables the terms reach (the last z_j with a nonzero exponent).
     Called as fn(xi, eta) it returns a float when ``scalar`` (alpha, beta)
     and an array with one entry per row otherwise (theta).  :meth:`at`
     evaluates it on many states at once, and :meth:`stack` joins the tables
@@ -171,6 +187,7 @@ class TermTable:
         # evaluate them are made on first use, as loading a scenario to
         # synthesize it never evaluates a map
         self.n_rows, self._terms, self.scalar = n_rows, terms, scalar
+        self.n_vars = max((j + 1 for _, _, f in terms for j, _ in f), default=0)
         self._w = None
         # the value of a scalar map without variables, else None
         self.constant = (None if any(f for _, _, f in terms) or not scalar
@@ -313,8 +330,4 @@ def eval_dynamics(agent, xi, eta, u_hat):
     dxi = np.empty(agent.r)
     dxi[:-1] = xi[1:]
     dxi[-1] = u_hat
-    deta = np.asarray(agent.theta(xi, eta), dtype=float).reshape(-1)
-    if deta.shape[0] != agent.n_eta:
-        raise InvalidDimensionError(
-            f"theta returned {deta.shape[0]} values, expected {agent.n_eta}")
-    return dxi, deta, u
+    return dxi, agent.theta(xi, eta), u

@@ -10,6 +10,7 @@ weights); the spectral characterization (exactly one zero Laplacian
 eigenvalue) is kept as an independent test oracle, not used here.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,23 +153,33 @@ def graph_from_dict(doc, where="graph"):
         edges = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing key {exc}", field=where) from exc
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValidationError("n must be a positive integer", field=f"{where}.n")
     if not isinstance(edges, list):
         raise ValidationError("edges must be a list", field=f"{where}.edges")
-    w = np.zeros((n, n))
+    try:
+        w = np.zeros((n, n))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"n is too large: {exc}",
+                              field=f"{where}.n") from exc
     for k, edge in enumerate(edges):
         loc = f"{where}.edges[{k}]"
         if not (isinstance(edge, list) and len(edge) == 3):
             raise ValidationError("edge must be [from, to, weight]", field=loc)
         frm, to, wt = edge
-        if not (isinstance(frm, int) and 1 <= frm <= n):
-            raise ValidationError(f"from node {frm} outside 1..{n}", field=loc)
-        if not (isinstance(to, int) and 1 <= to <= n):
-            raise ValidationError(f"to node {to} outside 1..{n}", field=loc)
+        if not (_is_int(frm) and 1 <= frm <= n):
+            raise ValidationError(f"from node {frm!r} outside 1..{n}", field=loc)
+        if not (_is_int(to) and 1 <= to <= n):
+            raise ValidationError(f"to node {to!r} outside 1..{n}", field=loc)
         if frm == to:
             raise ValidationError("self-loops are not allowed", field=loc)
-        if not (isinstance(wt, (int, float)) and np.isfinite(wt) and wt >= 0):
+        # exact comparisons: a huge integer or a NaN fails them too
+        if not ((_is_int(wt) or isinstance(wt, float))
+                and 0 <= wt <= sys.float_info.max):
             raise ValidationError(f"weight {wt!r} must be finite and >= 0", field=loc)
         w[to - 1, frm - 1] += float(wt)
     return DiGraph(w)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -30,6 +30,7 @@ SynthesisError with the original cause chained.
 
 import copy
 import json
+import sys
 
 import numpy as np
 
@@ -64,7 +65,8 @@ def _expect(obj, typ, where, what):
 def _num(obj, where):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError("expected a number", field=where)
-    if not np.isfinite(obj):
+    # exact comparisons: a NaN or an integer past the float range fails
+    if not -sys.float_info.max <= obj <= sys.float_info.max:
         raise ValidationError("expected a finite number", field=where)
     return float(obj)
 
@@ -87,12 +89,10 @@ def _check_keys(doc, required, optional, where):
 
 
 def _pole(entry, where):
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_num(entry[0], where), _num(entry[1], where))
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(float(entry), 0.0)
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in entry)):
-        return complex(float(entry[0]), float(entry[1]))
+        return complex(_num(entry, where), 0.0)
     raise ValidationError("pole must be a number or an [re, im] pair",
                           field=where)
 
@@ -122,6 +122,7 @@ def _terms(entry, nvars, where):
             if _int(ex, f"{tw}.e[{j}]") < 0:
                 raise ValidationError("exponents must be non-negative",
                                       field=f"{tw}.e[{j}]")
+            _num(ex, f"{tw}.e[{j}]")  # evaluated as a float power
         terms.append((c, e))
     return terms
 
@@ -378,8 +379,12 @@ def _normalize(doc):
 
 def load_scenario(path):
     """Parse and synthesize a scenario from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

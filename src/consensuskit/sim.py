@@ -28,18 +28,17 @@ maps it, and an explicit x0 is mapped by with_initial.  Its u is evaluated
 from alpha and beta in chain form, only to record it.
 
 What is not linear is eta' = theta(xi, eta), the physical input of
-augmented agents (u' = w), and the read-out u = (u_hat - alpha) / beta
-with its beta guard.  Term-table maps (builtin and scenario agents) do
-not run per agent: their theta rows stack into one table over the flat
-state, one expression per RK4 stage, and alpha and beta are evaluated
-over all recorded states at once after the run.  Only augmented agents
-and maps given as Python callables stay per agent: theta and u' once per
-agent and stage, alpha and beta once per agent and recorded state.
-The flat state is [z | nonlinear block]:
+augmented agents (u' = (u_hat - alpha) / beta), and the read-out u =
+(u_hat - alpha) / beta with its beta guard.  None of it runs per agent:
+the maps are term tables, so the theta rows of all agents stack into one
+table over the flat state, and the alpha and beta rows of the augmented
+agents into two more, each one expression per RK4 stage; alpha and beta
+of every agent are evaluated over all recorded states at once after the
+run.  The flat state is [z | eta | u]:
 
 * z itself, so the linear block is state[:len(z)];
-* the nonlinear block: eta of every agent with a tabled theta, in one
-  slice, then per other agent eta and, for an augmented agent, u.
+* eta of every agent, in agent order, so theta writes one slice;
+* u of each augmented agent, in agent order.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -167,20 +166,23 @@ class MonteCarloResult:
 class _AgentRuntime:
     """Where one agent's parts sit in the flat state."""
 
-    __slots__ = ("i", "agent", "augmented", "tabled", "sl_xi", "sl_eta", "i_u")
+    __slots__ = ("i", "agent", "augmented", "sl_xi", "sl_eta")
 
     def __init__(self, i, agent, r):
         self.i = i
         self.agent = agent
         self.augmented = agent.kind == AUGMENTED_GENERAL
-        # theta joins the stacked table of _System
-        self.tabled = (not self.augmented
-                       and isinstance(agent.theta, TermTable))
         self.sl_xi = slice(i * r, i * r + agent.r)  # the chain, inside z
 
     def places(self):
         """Flat-state index of each variable (xi, eta) of the agent."""
         return np.r_[self.sl_xi, self.sl_eta]
+
+
+def _stack(rts, name):
+    """Map `name` of the agents `rts` as one table over the flat state."""
+    return TermTable.stack([getattr(rt.agent, name) for rt in rts],
+                           [rt.places() for rt in rts])
 
 
 def _mode_matrices(scen, laps, use_observer):
@@ -226,21 +228,19 @@ class _System:
         self.Phi = _mode_matrices(scen, laps, use_observer)
         self.use_observer = use_observer
         self.nz = pos = self.Phi.shape[1]
-        # the tabled agents' eta first, in one slice, then the rest
-        tabled = [rt for rt in self.rts if rt.tabled]
-        for rt in tabled + [rt for rt in self.rts if not rt.tabled]:
+        for rt in self.rts:
             rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
             pos += rt.agent.n_eta
-            if rt.augmented:
-                rt.i_u = pos
-                pos += 1
-        self.dim = pos
-        self.theta = TermTable.stack([rt.agent.theta for rt in tabled],
-                                     [rt.places() for rt in tabled])
-        self.sl_theta = slice(self.nz, self.nz + self.theta.n_rows)
-        self.nonlinear = [rt for rt in self.rts if not rt.tabled
-                          and (rt.augmented or rt.agent.n_eta)]
+        self.sl_theta = slice(self.nz, pos)
+        self.aug = [rt for rt in self.rts if rt.augmented]
+        self.dim = pos + len(self.aug)
+        self.sl_u = slice(pos, self.dim)
+        self.theta = _stack(self.rts, "theta")
         self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
+        # u' = (u_hat - alpha) / beta of the augmented agents
+        self.aug_u_hat = self.u_idx[[rt.i for rt in self.aug]]
+        self.aug_alpha = _stack(self.aug, "alpha")
+        self.aug_beta = _stack(self.aug, "beta")
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -260,8 +260,7 @@ class _System:
                 state[rt.sl_xi] = rng.uniform(-1.0, 1.0, ag.r)
                 if ag.n_eta:
                     state[rt.sl_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
-            if rt.augmented:
-                state[rt.i_u] = ag.u0
+        state[self.sl_u] = [rt.agent.u0 for rt in self.aug]
         if self.use_observer and scen.observer_init == "match":
             # controller states start at zero, so xihat is the true chain
             n_r = self.nz // 2
@@ -273,14 +272,9 @@ class _System:
         dz = np.matmul(self.Phi[mode], state[:self.nz], out=out[:self.nz])
         if self.theta.n_rows:
             self.theta.at(state, out=out[self.sl_theta])
-        for rt in self.nonlinear:
-            ag = rt.agent
-            xi, eta = state[rt.sl_xi], state[rt.sl_eta]
-            if ag.n_eta:
-                out[rt.sl_eta] = ag.theta(xi, eta)
-            if rt.augmented:
-                out[rt.i_u] = ((dz[rt.sl_xi.stop - 1] - ag.alpha(xi, eta))
-                               / ag.beta(xi, eta))
+        if self.aug:
+            out[self.sl_u] = ((dz[self.aug_u_hat] - self.aug_alpha.at(state))
+                              / self.aug_beta.at(state))
 
 
 def _grid(scen):
@@ -315,7 +309,7 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
         sys.deriv(state + dt * k3, mode, k4)
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         peak = float(np.abs(state).max())
-        if not np.isfinite(peak) or peak > guard:
+        if not peak <= guard:  # NaN fails too
             traj = _trajectory(sys, rows[:k + 1], times, modes, mode_path)
             raise FiniteEscape(
                 f"state norm {peak:.3e} left the guard ball at t = "
@@ -324,35 +318,25 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
     return _trajectory(sys, rows, times, modes, mode_path)
 
 
-def _per_row(fn, rows, rt):
-    """fn(xi, eta) of agent `rt` at every recorded state."""
-    return np.fromiter((fn(xi, eta) for xi, eta
-                        in zip(rows[:, rt.sl_xi], rows[:, rt.sl_eta])),
-                       float, count=rows.shape[0])
-
-
 _BLOCK = 1024  # recorded states per evaluation of a stacked table
 
 
 def _map_rows(sys, name, rows, rts):
     """Map `name` ("alpha" or "beta") of the agents `rts` at every recorded
     state, in column rt.i of an (n, N) array that is zero elsewhere.
-    Constant maps are filled in; the other term tables are stacked into one
-    and evaluated _BLOCK states at a time; Python callables go row by row."""
+    Constant maps are filled in; the others are stacked into one table and
+    evaluated _BLOCK states at a time."""
     out = np.zeros((rows.shape[0], sys.shape[0]))
-    tabled = []
+    varying = []
     for rt in rts:
-        fn = getattr(rt.agent, name)
-        if not isinstance(fn, TermTable):
-            out[:, rt.i] = _per_row(fn, rows, rt)
-        elif fn.constant is not None:
-            out[:, rt.i] = fn.constant
+        constant = getattr(rt.agent, name).constant
+        if constant is None:
+            varying.append(rt)
         else:
-            tabled.append(rt)
-    if tabled:
-        table = TermTable.stack([getattr(rt.agent, name) for rt in tabled],
-                                [rt.places() for rt in tabled])
-        cols = [rt.i for rt in tabled]
+            out[:, rt.i] = constant
+    if varying:
+        table = _stack(varying, name)
+        cols = [rt.i for rt in varying]
         for a in range(0, rows.shape[0], _BLOCK):
             out[a:a + _BLOCK, cols] = table.at(rows[a:a + _BLOCK])
     return out
@@ -382,9 +366,7 @@ def _trajectory(sys, rows, times, modes, mode_path):
     u -= _map_rows(sys, "alpha", rows,
                    [rt for rt in sys.rts if not rt.augmented])
     u /= betas
-    for rt in sys.rts:
-        if rt.augmented:
-            u[:, rt.i] = rows[:, rt.i_u]
+    u[:, [rt.i for rt in sys.aug]] = rows[:, sys.sl_u]
     return Trajectory(
         times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
         eta=[rows[:, rt.sl_eta] for rt in sys.rts], u=u,

@@ -8,6 +8,10 @@ from consensuskit.agents import (
 )
 from consensuskit.scenario import parse_scenario
 
+ZERO = TermTable([[]], scalar=True)
+ONE = TermTable([[(1.0, ())]], scalar=True)
+NO_INTERNAL = TermTable([])
+
 
 def _xi_inverse(xi):
     # independent re-derivation of the inverse coordinate map for agent 3
@@ -44,8 +48,8 @@ def test_builtin_chain_shift_and_input_slot():
 
 
 def test_builtin_and_parsed_agents_carry_term_tables():
-    # a map that is not a TermTable drops the agent to the simulator's
-    # per-agent path, which is correct but several times slower
+    # the simulator stacks the tables of all agents; construction rejects
+    # anything else (test_normal_form_validation)
     custom = {"custom": {
         "r": 2, "n_eta": 2, "alpha": [],
         "beta": [{"c": 1.0, "e": [0, 0, 0, 0]}],
@@ -114,9 +118,9 @@ def test_agent3_chain_property_numerically():
 def test_linearizing_input_beta_floor():
     ag = NormalFormAgent(
         agent_id=9, r=2, n_eta=0,
-        alpha=lambda xi, eta: 0.0,
-        beta=lambda xi, eta: xi[0],
-        theta=lambda xi, eta: np.empty(0),
+        alpha=ZERO,
+        beta=TermTable([[(1.0, (1,))]], scalar=True),  # beta = xi_1
+        theta=NO_INTERNAL,
         xi0=np.zeros(2), eta0=np.empty(0))
     with pytest.raises(ck.BetaNearZero) as exc:
         linearizing_input(ag, np.array([0.0, 1.0]), np.empty(0), 1.0)
@@ -127,30 +131,40 @@ def test_linearizing_input_beta_floor():
     assert u == pytest.approx(1.5)
 
 
+def _agent(r=2, n_eta=0, **maps):
+    kwargs = dict(alpha=ZERO, beta=ONE, theta=TermTable([[]] * n_eta),
+                  xi0=np.zeros(r), eta0=np.zeros(n_eta))
+    kwargs.update(maps)
+    return NormalFormAgent(agent_id=1, r=r, n_eta=n_eta, **kwargs)
+
+
 def test_normal_form_validation():
-    with pytest.raises(ck.InvalidDimensionError):
-        NormalFormAgent(agent_id=1, r=0, n_eta=0,
-                        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: 1.0,
-                        theta=lambda xi, eta: np.empty(0),
-                        xi0=np.empty(0), eta0=np.empty(0))
-    with pytest.raises(ck.InvalidDimensionError):
-        NormalFormAgent(agent_id=1, r=2, n_eta=0,
-                        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: 1.0,
-                        theta=lambda xi, eta: np.empty(0),
-                        xi0=np.zeros(3), eta0=np.empty(0))
+    assert _agent().r == 2
+    bad = [
+        dict(r=0, xi0=np.empty(0)),
+        dict(xi0=np.zeros(3)),
+        # maps that are not term tables
+        dict(beta=lambda xi, eta: 1.0),
+        dict(theta=np.empty(0)),
+        # alpha and beta are one scalar row (theta: test below)
+        dict(alpha=TermTable([[], []], scalar=True)),
+        dict(beta=TermTable([[(1.0, ())]])),
+        # an exponent vector longer than r + n_eta = 2
+        dict(alpha=TermTable([[(1.0, (0, 0, 1))]], scalar=True)),
+        dict(n_eta=1, theta=TermTable([[(1.0, (0, 0, 0, 2))]])),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ck.InvalidDimensionError):
+            _agent(**kwargs)
 
 
 def test_eval_dynamics_checks_sizes():
     ag = builtin("agent1")
     with pytest.raises(ck.InvalidDimensionError):
         eval_dynamics(ag, np.zeros(3), np.zeros(1), 0.0)
-    bad_theta = NormalFormAgent(
-        agent_id=2, r=2, n_eta=1,
-        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: 1.0,
-        theta=lambda xi, eta: np.zeros(2),
-        xi0=np.zeros(2), eta0=np.zeros(1))
+    # a theta with the wrong number of rows never makes an agent
     with pytest.raises(ck.InvalidDimensionError):
-        eval_dynamics(bad_theta, np.zeros(2), np.zeros(1), 0.0)
+        _agent(n_eta=1, theta=TermTable([[], []]))
 
 
 def test_with_initial_rules():
@@ -175,8 +189,8 @@ def test_with_initial_rules():
 def test_augment_wraps_general_input():
     ag = augment(
         r=2,
-        alpha_tilde=lambda xi, eta: 0.0,
-        beta_tilde=lambda xi, eta: 1.0,
+        alpha_tilde=ZERO,
+        beta_tilde=ONE,
         theta_tilde=None,
         xi0=[1.0, 0.0, 0.5],
         u0=0.25,
@@ -186,6 +200,5 @@ def test_augment_wraps_general_input():
     assert ag.u0 == 0.25
     assert ag.agent_id == 7
     with pytest.raises(ck.InvalidDimensionError):
-        augment(r=2, alpha_tilde=lambda xi, eta: 0.0,
-                beta_tilde=lambda xi, eta: 1.0, theta_tilde=None,
+        augment(r=2, alpha_tilde=ZERO, beta_tilde=ONE, theta_tilde=None,
                 xi0=[1.0, 0.0])

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -251,6 +252,39 @@ def _mut_output_csv_type(doc):
     doc["output"] = {"csv": 7}
 
 
+HUGE = 10 ** 400  # a 401-digit integer, past the float range
+
+
+def _mut_huge_number(doc):
+    doc["controller"]["mu"] = HUGE
+
+
+def _mut_huge_pole(doc):
+    doc["controller"]["poles"][0] = [-1.0, HUGE]
+
+
+def _mut_huge_exponent(doc):
+    agent = custom_agent_doc()
+    agent["custom"]["theta"][0][0]["e"] = [0, 0, HUGE]
+    doc["agents"][0] = agent
+
+
+def _mut_graph_n_bool(doc):
+    doc["graph"]["n"] = True
+
+
+def _mut_graph_n_huge(doc):
+    doc["graph"]["n"] = HUGE
+
+
+def _mut_graph_edge_bools(doc):
+    doc["graph"]["edges"][0] = [True, 2, True]
+
+
+def _mut_graph_weight_huge(doc):
+    doc["graph"]["edges"][0] = [1, 2, HUGE]
+
+
 VALIDATION_CASES = [
     (_mut_both_topologies, ""),
     (_mut_no_topology, ""),
@@ -284,6 +318,13 @@ VALIDATION_CASES = [
     (_mut_observer_init, "observer.init"),
     (_mut_output_unknown, "output"),
     (_mut_output_csv_type, "output.csv"),
+    (_mut_huge_number, "controller.mu"),
+    (_mut_huge_pole, "controller.poles[0]"),
+    (_mut_huge_exponent, "agents[0].custom.theta[0][0].e[2]"),
+    (_mut_graph_n_bool, "graph.n"),
+    (_mut_graph_n_huge, "graph.n"),
+    (_mut_graph_edge_bools, "graph.edges[0]"),
+    (_mut_graph_weight_huge, "graph.edges[0]"),
 ]
 
 
@@ -351,6 +392,55 @@ def test_switching_validation_fields(mutate, field):
     with pytest.raises(ck.ValidationError) as exc:
         parse_scenario(doc)
     assert exc.value.field == field
+
+
+FUZZ_VALUES = [True, None, "x", [], {}, -1, 0, 0.5, HUGE]
+
+
+def _nodes(node, path=()):
+    """The path of every node below `node` in a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def test_parser_fuzzed_by_seeded_mutations():
+    # 400 single mutations of the shipped scenarios: a key deleted, or a
+    # node (leaf or not) replaced by one of FUZZ_VALUES.  Every document
+    # must parse or end in one of the scenario errors, never another
+    # exception; ~1.5 s
+    rng = np.random.default_rng(20261018)
+    sources = [json.loads((SCENARIO_DIR / name).read_text())
+               for name in ("five_agents_fixed.json",
+                            "five_agents_switching.json")]
+    outcomes = {}
+    for _ in range(400):
+        doc = copy.deepcopy(sources[rng.integers(len(sources))])
+        paths = list(_nodes(doc))
+        path = paths[rng.integers(len(paths))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rng.random() < 0.25:
+            del parent[path[-1]]
+            change = "deleted"
+        else:
+            parent[path[-1]] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+            change = f"set to {str(parent[path[-1]])[:20]}"
+        try:
+            parse_scenario(doc)
+            outcome = "parsed"
+        except (ck.ValidationError, ck.ScenarioParseError,
+                ck.SynthesisError) as exc:
+            outcome = type(exc).__name__
+        except Exception as exc:
+            pytest.fail(f"{'.'.join(map(str, path))} {change}: "
+                        f"{type(exc).__name__}: {exc}")
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes.get("ValidationError", 0) > 200, outcomes
+    assert outcomes.get("parsed", 0) > 10, outcomes
 
 
 def test_parse_error_carries_position(tmp_path):
@@ -636,6 +726,16 @@ def test_cli_malformed_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ScenarioParseError"
     assert err["line"] == 1
+
+
+def test_cli_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(base_doc()).encode("utf-8") + b' "\xe9"')
+    rc = main(["synthesize", str(path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ScenarioParseError"
+    assert "UTF-8" in err["message"]
 
 
 def test_cli_validation_error_payload(tmp_path, capsys):

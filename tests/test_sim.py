@@ -16,14 +16,17 @@ from consensuskit.sim import (
 from consensuskit.switching import MarkovTopology, default_switching_pair
 
 FLIP_FLOP = np.array([[-1.0, 1.0], [1.0, -1.0]])
+ZERO = TermTable([[]], scalar=True)
+ONE = TermTable([[(1.0, ())]], scalar=True)
+XI_1 = TermTable([[(1.0, (1,))]], scalar=True)  # beta = xi_1
+NO_INTERNAL = TermTable([])
 
 
 def _chain_agent(agent_id, r, xi0):
     """Linear full-information chain of degree r (alpha = 0, beta = 1)."""
     return NormalFormAgent(
         agent_id=agent_id, r=r, n_eta=0,
-        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: 1.0,
-        theta=lambda xi, eta: np.empty(0),
+        alpha=ZERO, beta=ONE, theta=NO_INTERNAL,
         xi0=np.asarray(xi0, dtype=float), eta0=np.empty(0))
 
 
@@ -305,8 +308,7 @@ def test_observer_requires_observer_section(target, unit_gain, five_agents,
 
 def test_augmented_agent_tracks_physical_input(target, unit_gain):
     def make(agent_id, xi0):
-        return augment(r=2, alpha_tilde=lambda xi, eta: 0.0,
-                       beta_tilde=lambda xi, eta: 1.0, theta_tilde=None,
+        return augment(r=2, alpha_tilde=ZERO, beta_tilde=ONE, theta_tilde=None,
                        xi0=xi0, u0=xi0[-1], agent_id=agent_id)
     agents = [make(1, [0.5, 0.0, -0.2]), make(2, [-0.3, 0.2, 0.1]),
               make(3, [0.0, -0.1, 0.4])]
@@ -322,8 +324,7 @@ def test_augmented_agent_tracks_physical_input(target, unit_gain):
 def test_finite_escape_truncates_trajectory(target, unit_gain):
     blower = NormalFormAgent(
         agent_id=1, r=2, n_eta=1,
-        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: 1.0,
-        theta=lambda xi, eta: np.array([eta[0] ** 3]),
+        alpha=ZERO, beta=ONE, theta=TermTable([[(1.0, (0, 0, 3))]]),
         xi0=np.zeros(2), eta0=np.array([2.0]))
     others = [builtin("agent1"), builtin("agent2")]
     others = [ag.with_initial(xi0=[0.1, 0.0]) for ag in others]
@@ -346,8 +347,7 @@ def test_finite_escape_truncates_trajectory(target, unit_gain):
 def test_beta_floor_aborts_run(target, unit_gain):
     degenerate = NormalFormAgent(
         agent_id=1, r=2, n_eta=0,
-        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: xi[0],
-        theta=lambda xi, eta: np.empty(0),
+        alpha=ZERO, beta=XI_1, theta=NO_INTERNAL,
         xi0=np.array([0.0, 1.0]), eta0=np.empty(0))
     others = [builtin("agent1"), builtin("agent2")]
     scen = build_scenario([degenerate] + others, target, unit_gain,
@@ -364,13 +364,11 @@ def test_beta_floor_is_reported_before_the_escape_it_causes(target,
     # is augmented, so its u' = (u_hat - alpha) / beta is infinite and the
     # first step leaves the guard ball; the beta floor at sample 0 must
     # still win, and at that sample the lower agent index.
-    zero_beta = augment(r=2, alpha_tilde=lambda xi, eta: 0.0,
-                        beta_tilde=lambda xi, eta: xi[0], theta_tilde=None,
+    zero_beta = augment(r=2, alpha_tilde=ZERO, beta_tilde=XI_1, theta_tilde=None,
                         xi0=[0.0, 0.5, -0.2], agent_id=11)
     plain = NormalFormAgent(
         agent_id=12, r=2, n_eta=0,
-        alpha=lambda xi, eta: 0.0, beta=lambda xi, eta: xi[0],
-        theta=lambda xi, eta: np.empty(0),
+        alpha=ZERO, beta=XI_1, theta=NO_INTERNAL,
         xi0=np.array([0.0, 1.0]), eta0=np.empty(0))
     agents = [builtin("agent3"), zero_beta, plain]
     scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
@@ -510,11 +508,17 @@ def test_scenario_validation_messages(target, unit_gain, five_agents):
                        t_end=float("inf"))
 
 
-def test_term_tables_agree_with_python_callables():
-    # one set of dynamics over (xi_1, xi_2, eta_1, eta_2), written once as
-    # scenario term lists (evaluated as stacked tables) and once as lambdas
-    # (evaluated per agent): a constant term, a two-factor monomial
-    # xi_2 eta_1, an empty theta row, nonzero alpha and non-constant beta
+def test_custom_agent_matches_independent_oracles(target, unit_gain):
+    # a custom agent over (xi_1, xi_2, eta_1, eta_2) with a constant term,
+    # the two-factor monomial xi_2 eta_1, an empty theta row, nonzero alpha
+    # and non-constant beta, among agent 1, agent 3 and an augmented agent
+    # with non-constant alpha and beta, checked against references that
+    # share no code with the simulator: xi_hat against expm(t Phi) z0 with
+    # Phi = I (x) A - L (x) B K; eta of agents 1 and 2 and u of agent 4
+    # against DOP853 on their theta and u' written here, driven by that
+    # xi_hat; u of agent 2 against alpha and beta written here, at the
+    # reference eta (measured at dt = 0.005: 7.1e-11 on xi_hat, 2.6e-11 on
+    # eta, 4.6e-11 and 4.7e-12 on the two u, the RK4 error)
     custom = {"custom": {
         "r": 2, "n_eta": 2,
         "alpha": [{"c": 0.5, "e": [1, 0, 1, 0]}, {"c": -0.2, "e": [0, 2, 0, 0]},
@@ -530,23 +534,52 @@ def test_term_tables_agree_with_python_callables():
                           "r_hat": 1.0, "rank": "one"},
            "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]},
            "sim": {"t_end": 5.0, "dt": 0.005}}
-    tabled = parse_scenario(doc)
-    assert isinstance(tabled.agents[1].theta, TermTable)
-    plain = NormalFormAgent(
-        agent_id=2, r=2, n_eta=2,
-        alpha=lambda xi, eta: 0.5 * xi[0] * eta[0] - 0.2 * xi[1] ** 2 + 0.1,
-        beta=lambda xi, eta: 1.5 + 0.25 * xi[0] ** 2,
-        theta=lambda xi, eta: np.array(
-            [-2.0 * eta[0] + 0.5 * xi[1] * eta[0] + 0.3, 0.0]),
-        xi0=[1.0, -0.8], eta0=[0.6, -0.7])
-    agents = list(tabled.agents)
-    agents[1] = plain
-    a = simulate_fixed(tabled)
-    b = simulate_fixed(replace(tabled, agents=agents))
-    assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.eta[1][:, 1], np.full(a.times.shape, -0.7))
-    # measured: eta identical, u within 2.3e-16 (max |u| 1.69): the
-    # tables only change the order in which terms are summed
-    for i in range(3):
-        assert np.allclose(a.eta[i], b.eta[i], rtol=0.0, atol=1e-15)
-    assert np.allclose(a.u, b.u, rtol=0.0, atol=2e-15)
+    # u' = (u_hat - 0.3 xi_1 xi_3) / (2 + xi_2 ** 2)
+    augmented = augment(
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
+    agents = parse_scenario(doc).agents + [augmented]
+    traj = simulate_fixed(build_scenario(agents, target, unit_gain,
+                                         directed_cycle(4), t_end=5.0,
+                                         dt=0.005))
+    assert np.array_equal(traj.eta[1][:, 1], np.full(traj.times.shape, -0.7))
+
+    phi = (np.kron(np.eye(4), target.A)
+           - np.kron(ck.laplacian(directed_cycle(4)),
+                     np.outer(target.B, unit_gain.K)))
+    z0 = np.concatenate([[0.0, 0.0, 0.0], [1.0, -0.8, 0.0],
+                         agents[2].native.xi_of(np.array([0.1, -0.2, 0.3])),
+                         [-0.4, 0.2, 0.5]])
+
+    def xi_hat(t):
+        return (scipy.linalg.expm(t * phi) @ z0).reshape(4, 3)
+
+    def u_hat(xi):
+        return phi @ xi.ravel()
+
+    def nonlinear(t, w):
+        xi = xi_hat(t)
+        return [-w[0] - w[0] ** 5 + xi[0, 0],
+                -2.0 * w[1] + 0.5 * xi[1, 1] * w[1] + 0.3,
+                ((u_hat(xi)[3 * 3 + 2] - 0.3 * xi[3, 0] * xi[3, 2])
+                 / (2.0 + xi[3, 1] ** 2))]
+
+    idx = np.arange(0, traj.times.shape[0], 50)
+    sol = scipy.integrate.solve_ivp(
+        nonlinear, (0.0, 5.0), [0.0, 0.6, 0.5], method="DOP853", rtol=1e-12,
+        atol=1e-12, t_eval=traj.times[idx])
+    assert sol.success
+    for k, t, w in zip(idx, sol.t, sol.y.T):
+        xi = xi_hat(t)
+        assert np.allclose(traj.xi_hat[k], xi, rtol=0.0, atol=1e-9)
+        assert np.allclose([traj.eta[0][k, 0], traj.eta[1][k, 0]], w[:2],
+                           rtol=0.0, atol=1e-9)
+        x1, x2, e1 = xi[1, 0], xi[1, 1], w[1]
+        alpha = 0.5 * x1 * e1 - 0.2 * x2 ** 2 + 0.1
+        beta = 1.5 + 0.25 * x1 ** 2
+        assert np.allclose(traj.u[k, [1, 3]],
+                           [(u_hat(xi)[3 + 1] - alpha) / beta, w[2]],
+                           rtol=0.0, atol=1e-9)
+    assert np.abs(traj.eta[1][:, 0] - 0.6).max() > 0.1
+    assert np.abs(traj.u[:, 3] - 0.5).max() > 0.1
