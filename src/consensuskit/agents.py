@@ -30,9 +30,10 @@ coordinates (NativePlant) is the reference the tests check the chain
 against, and maps a scenario's x0 into xi0.
 
 Every map alpha, beta and theta is a polynomial held as a
-:class:`TermTable`, so the simulator stacks the maps of all agents and
-evaluates them as one expression; an agent built in Python takes its maps
-as tables too.
+:class:`TermTable`, so the simulator stacks the maps of all agents: it
+compiles the stacked rows it integrates into one Python function, and
+evaluates alpha and beta over the recorded states as one expression; an
+agent built in Python takes its maps as tables too.
 
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
@@ -156,8 +157,10 @@ class TermTable:
     ``rows`` has one entry per output row, each a list of terms (c, e): c a
     coefficient, e the exponents of z_1, z_2, ... (trailing zeros may be
     left out); row k is the sum over its terms of c * prod_j z_j ** e_j,
-    and a row without terms is zero.  ``n_vars`` is the number of leading
-    variables the terms reach (the last z_j with a nonzero exponent).
+    and a row without terms is zero.  ``variables`` lists, sorted, the
+    0-based index of every variable some term reads, and ``n_vars`` is the
+    number of leading variables the terms reach (the last z_j with a
+    nonzero exponent).
     Called as fn(xi, eta) it returns a float when ``scalar`` (alpha, beta)
     and an array with one entry per row otherwise (theta).  :meth:`at`
     evaluates it on many states at once, and :meth:`stack` joins the tables
@@ -187,7 +190,8 @@ class TermTable:
         # evaluate them are made on first use, as loading a scenario to
         # synthesize it never evaluates a map
         self.n_rows, self._terms, self.scalar = n_rows, terms, scalar
-        self.n_vars = max((j + 1 for _, _, f in terms for j, _ in f), default=0)
+        self.variables = sorted({j for _, _, f in terms for j, _ in f})
+        self.n_vars = self.variables[-1] + 1 if self.variables else 0
         self._w = None
         # the value of a scalar map without variables, else None
         self.constant = (None if any(f for _, _, f in terms) or not scalar
@@ -221,6 +225,35 @@ class TermTable:
     def __call__(self, xi, eta):
         value = self.at(np.concatenate((xi, eta)))
         return float(value[0]) if self.scalar else value
+
+    def _source(self, index, coefs):
+        """Each row as a Python expression over a list v of floats, z_j
+        read as v[index[j]].  Every coefficient is appended to `coefs` and
+        read as c[t], t its place there, so the source holds only integer
+        indices and exponents and the coefficients keep every bit.  A term
+        is c * (its factors in order), as in :meth:`at`."""
+        rows = [[] for _ in range(self.n_rows)]
+        for k, c, factors in self._terms:
+            mono = " * ".join(f"v[{int(index[j])}]"
+                              + (f" ** {int(p)}" if p != 1 else "")
+                              for j, p in factors)
+            rows[k].append(f"c[{len(coefs)}] * ({mono})" if mono
+                           else f"c[{len(coefs)}]")
+            coefs.append(c)
+        for terms in rows:
+            if not terms:
+                terms.append(f"c[{len(coefs)}]")
+                coefs.append(0.0)
+        return [_sum(terms) for terms in rows]
+
+
+def _sum(terms):
+    # a sum of thousands of terms nests too deep for the Python compiler:
+    # add them 256 at a time, left to right inside each group
+    while len(terms) > 256:
+        terms = ["(" + " + ".join(terms[a:a + 256]) + ")"
+                 for a in range(0, len(terms), 256)]
+    return " + ".join(terms)
 
 
 _ZERO = TermTable([[(0.0, ())]], scalar=True)

@@ -15,10 +15,14 @@ M_o being the observer's injection gain.  So for each graph mode m the
 vector z = [xihat; xcheck] (agent-major, N r entries each; xcheck only
 with an observer) moves by one fixed matrix, z' = Phi[m] z, built once at
 set-up from the assemble_stacked blocks, the mode's Laplacian, K and the
-observer gain (see _mode_matrices).  Each RK4 stage makes the one product
-Phi[mode] @ z and reads everything linear off it: the chain, controller
-and observer derivatives, and the new chain input of agent i, u_hat_i =
-entry i r + r_i - 1.
+observer gain (see _mode_matrices).  Being linear, one RK4 step of z is
+one product: the four stage derivatives K_s = Phi T_s z (T_1 = I, T_2 =
+I + (h/2) Phi, T_3 = I + (h/2) Phi T_2, T_4 = I + h Phi T_3) are the rows
+of one (4 nz, nz) matrix per mode, D[m] = [Phi T_1; 2 Phi T_2; 2 Phi T_3;
+Phi T_4], built at set-up (_stage_products), and a step is K = D[mode] @ z
+followed by z + (h/6) (((K_1 + 2 K_2) + 2 K_3) + K_4).  Everything linear
+is read off K: the chain, controller and observer derivatives, and the new
+chain input of agent i, u_hat_i = entry i r + r_i - 1 of each K_s.
 
 Every agent, agent 3 included, is carried as its chain xi: under the
 linearizing input u = (u_hat - alpha) / beta the chain is exact, so no
@@ -29,15 +33,19 @@ from alpha and beta in chain form, only to record it.
 
 What is not linear is eta' = theta(xi, eta), the physical input of
 augmented agents (u' = (u_hat - alpha) / beta), and the read-out u =
-(u_hat - alpha) / beta with its beta guard.  None of it runs per agent:
-the maps are term tables, so the theta rows of all agents stack into one
-table over the flat state, and the alpha and beta rows of the augmented
-agents into two more, each one expression per RK4 stage; alpha and beta
-of every agent are evaluated over all recorded states at once after the
-run.  The flat state is [z | eta | u]:
+(u_hat - alpha) / beta with its beta guard.  The first two form a cascade
+driven by z that never feeds back into it.  Their maps are term tables:
+the theta rows of all agents and the alpha and beta rows of the augmented
+agents are compiled once per run into one Python function f(v) -> list
+(_System._compile_cascade), and the cascade is integrated by RK4 in Python
+floats, each stage reading z at that stage (z + (h/2) K_1, z + (h/2) K_2,
+z + h K_3) and u_hat from the same K.  A run goes in blocks of _STEPS
+steps: the linear block first, then the cascade it drives.  alpha and
+beta of every agent are evaluated over all recorded states at once after
+the run.  The flat state is [z | eta | u]:
 
 * z itself, so the linear block is state[:len(z)];
-* eta of every agent, in agent order, so theta writes one slice;
+* eta of every agent, in agent order;
 * u of each augmented agent, in agent order.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
@@ -50,8 +58,10 @@ is built from those rows once, after the loop (_trajectory).  Two runtime
 guards: |beta| is checked against the configured floor after the run over
 all recorded states, before a FiniteEscape is raised (BetaNearZero), and
 any state leaving the max-norm ball of radius ``settings.finite_escape_norm``
-aborts the run with FiniteEscape, which carries the trajectory recorded up
-to the abort time.
+aborts the run with FiniteEscape at the first step whose z or cascade is
+outside it, carrying the trajectory recorded up to the step before.  A
+Python OverflowError or ZeroDivisionError in the cascade counts as leaving
+the ball, as numpy gives inf there.
 
 Reproducibility: trajectories are a pure function of (scenario, seed, run
 index).  Random initial conditions and switching paths are drawn from
@@ -231,16 +241,33 @@ class _System:
         for rt in self.rts:
             rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
             pos += rt.agent.n_eta
-        self.sl_theta = slice(self.nz, pos)
         self.aug = [rt for rt in self.rts if rt.augmented]
         self.dim = pos + len(self.aug)
         self.sl_u = slice(pos, self.dim)
-        self.theta = _stack(self.rts, "theta")
         self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
-        # u' = (u_hat - alpha) / beta of the augmented agents
         self.aug_u_hat = self.u_idx[[rt.i for rt in self.aug]]
-        self.aug_alpha = _stack(self.aug, "alpha")
-        self.aug_beta = _stack(self.aug, "beta")
+        self.cols, self.f = self._compile_cascade()
+
+    def _compile_cascade(self):
+        """The cascade [eta | u] as one function f(v) -> its derivative,
+        and the columns `cols` of z its maps read.
+
+        v is [z at cols | u_hat of each augmented agent | eta | u]: f
+        returns theta of every agent, then u' = (u_hat - alpha) / beta of
+        each augmented agent, all stacked into one Python expression.
+        """
+        tables = (_stack(self.rts, "theta"), _stack(self.aug, "alpha"),
+                  _stack(self.aug, "beta"))
+        cols = sorted({int(j) for table in tables
+                       for j in table.variables if j < self.nz})
+        n_in = len(cols) + len(self.aug)
+        index = {j: i for i, j in enumerate(cols)}
+        index.update((j, n_in + j - self.nz) for j in range(self.nz, self.dim))
+        coefs = []
+        theta, alpha, beta = (t._source(index, coefs) for t in tables)
+        return cols, _compile(theta + [
+            f"(v[{len(cols) + i}] - ({a})) / ({b})"
+            for i, (a, b) in enumerate(zip(alpha, beta))], coefs)
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -267,18 +294,38 @@ class _System:
             state[n_r:self.nz] = state[:n_r]
         return state
 
-    def deriv(self, state, mode, out):
-        """Stacked derivative of `state` under graph mode `mode`, into `out`."""
-        dz = np.matmul(self.Phi[mode], state[:self.nz], out=out[:self.nz])
-        if self.theta.n_rows:
-            self.theta.at(state, out=out[self.sl_theta])
-        if self.aug:
-            out[self.sl_u] = ((dz[self.aug_u_hat] - self.aug_alpha.at(state))
-                              / self.aug_beta.at(state))
+
+def _compile(rows, coefs):
+    """One function f(v) -> [row, ...] of the Python expressions `rows`
+    over a list v, in which c[t] reads coefs[t].  It reads no global name,
+    and with numbers in v it runs in Python floats; it is elementwise, so
+    with arrays in v it runs on them."""
+    scope = {"c": tuple(coefs)}
+    exec(f"def f(v, c=c):\n    return [{', '.join(rows)}]\n", scope)
+    return scope["f"]
 
 
 def _grid(scen):
-    return np.arange(int(round(scen.t_end / scen.dt)) + 1) * scen.dt
+    try:
+        return np.arange(int(round(scen.t_end / scen.dt)) + 1) * scen.dt
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(
+            f"t_end / dt = {scen.t_end / scen.dt:.3g} steps: the time grid "
+            f"cannot be allocated", field="sim.t_end") from exc
+
+
+_STEPS = 256  # RK4 steps per block: bounds the cascade inputs built at once
+
+
+def _stage_products(phi, h):
+    """D[m] of the module docstring for every mode: the four RK4 stage
+    derivatives of z as rows of one matrix, those of stages 2 and 3, which
+    count twice in a step, doubled (exactly)."""
+    eye = np.eye(phi.shape[1])
+    d = [phi]
+    for w in (0.5 * h, 0.5 * h, h):
+        d.append(phi @ (eye + w * d[-1]))
+    return np.concatenate((d[0], 2.0 * d[1], 2.0 * d[2], d[3]), axis=1)
 
 
 def _integrate(scen, laps, modes, mode_path=None, run_index=0,
@@ -288,34 +335,88 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
     the one-mode schedule of a fixed graph; the modes are reported only
     with a ``mode_path``."""
     sys = _System(scen, laps, use_observer)
-    dt = scen.dt
     times = _grid(scen)
     modes = np.broadcast_to(modes, times.shape)
     rows = np.empty((times.shape[0], sys.dim))  # the state at times[k]
-
-    state = sys.initial_state(run_index)
-    k1 = np.zeros(sys.dim)
-    k2 = np.zeros(sys.dim)
-    k3 = np.zeros(sys.dim)
-    k4 = np.zeros(sys.dim)
-
-    guard = settings.finite_escape_norm
-    for k in range(times.shape[0] - 1):
-        rows[k] = state
-        mode = modes[k]
-        sys.deriv(state, mode, k1)
-        sys.deriv(state + (0.5 * dt) * k1, mode, k2)
-        sys.deriv(state + (0.5 * dt) * k2, mode, k3)
-        sys.deriv(state + dt * k3, mode, k4)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        peak = float(np.abs(state).max())
-        if not peak <= guard:  # NaN fails too
-            traj = _trajectory(sys, rows[:k + 1], times, modes, mode_path)
-            raise FiniteEscape(
-                f"state norm {peak:.3e} left the guard ball at t = "
-                f"{times[k + 1]:.6g}", trajectory=traj, t=float(times[k + 1]))
-    rows[-1] = state
+    rows[0] = sys.initial_state(run_index)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # past an escape a block runs on to its end; the guard reads it
+        escape = _run(sys, rows, modes.tolist(), scen.dt)
+    if escape is not None:
+        k, peak = escape
+        traj = _trajectory(sys, rows[:k], times, modes, mode_path)
+        raise FiniteEscape(
+            f"state norm {peak:.3e} left the guard ball at t = "
+            f"{times[k]:.6g}", trajectory=traj, t=float(times[k]))
     return _trajectory(sys, rows, times, modes, mode_path)
+
+
+def _run(sys, rows, modes, h):
+    """Fill rows[1:] from rows[0] block by block: the linear block z first,
+    then the cascade [eta | u] it drives.  Returns (k, peak) for the first
+    sample k outside the guard ball, or None."""
+    nz = sys.nz
+    stage = list(_stage_products(sys.Phi, h))
+    k = np.empty((_STEPS, 4, nz))  # the stage derivatives of each step
+    flat = k.reshape(_STEPS, 4 * nz)
+    s = np.empty(nz)
+    h6 = h / 6.0
+    guard = settings.finite_escape_norm
+    n = rows.shape[0]
+    for a in range(0, n - 1, _STEPS):
+        b = min(a + _STEPS, n - 1)
+        z = rows[a:b + 1, :nz]
+        for zk, zn, kk, kf, m in zip(z, z[1:], k, flat, modes[a:b]):
+            np.matmul(stage[m], zk, out=kf)
+            np.add.reduce(kk, 0, None, s)
+            s *= h6
+            np.add(zk, s, out=zn)
+        done = b - a
+        if sys.dim > nz:
+            done = _cascade_steps(sys, rows[a:b + 1], k[:b - a], h)
+        peak = np.abs(rows[a + 1:a + 1 + done]).max(axis=1)
+        out = np.flatnonzero(~(peak <= guard))  # NaN fails too
+        if out.size:
+            return a + 1 + int(out[0]), float(peak[out[0]])
+        if done < b - a:
+            return a + 1 + done, float("inf")
+    return None
+
+
+def _cascade_steps(sys, rows, k, h):
+    """RK4 on the cascade [eta | u] in Python floats over the steps of one
+    block, whose z is already in rows[:, :nz] and whose stage derivatives
+    are k (stages 2 and 3 doubled).  Each stage reads z at that stage and
+    u_hat from k, as the linear block's RK4 took them.  Returns how many
+    steps it made: a Python OverflowError or ZeroDivisionError, where numpy
+    gives inf, stops it."""
+    nz, n_cols = sys.nz, len(sys.cols)
+    zc = rows[:-1, sys.cols]
+    x = np.empty((k.shape[0], 4, n_cols + len(sys.aug)))
+    x[:, 0, :n_cols] = zc
+    # z + (h/2) K_1, z + (h/2) K_2 and z + h K_3 with K_2, K_3 doubled
+    x[:, 1:, :n_cols] = (zc[:, None]
+                         + np.array([0.5 * h, 0.25 * h, 0.5 * h])[:, None]
+                         * k[:, :3, sys.cols])
+    x[:, :, n_cols:] = (k[:, :, sys.aug_u_hat]
+                        * np.array([1.0, 0.5, 0.5, 1.0])[:, None])
+    f, h2, h6 = sys.f, 0.5 * h, h / 6.0
+    c = rows[0, nz:].tolist()
+    out = []
+    try:
+        for x1, x2, x3, x4 in x.tolist():
+            k1 = f(x1 + c)
+            k2 = f(x2 + [y + h2 * d for y, d in zip(c, k1)])
+            k3 = f(x3 + [y + h2 * d for y, d in zip(c, k2)])
+            k4 = f(x4 + [y + h * d for y, d in zip(c, k3)])
+            c = [y + h6 * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
+                 for y, d1, d2, d3, d4 in zip(c, k1, k2, k3, k4)]
+            out.append(c)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if out:
+        rows[1:1 + len(out), nz:] = out
+    return len(out)
 
 
 _BLOCK = 1024  # recorded states per evaluation of a stacked table
@@ -421,11 +522,12 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
         raise ValidationError(
             "union graph fails the spanning-tree/balance assumption "
             "(pass allow_a4_violation=True to simulate anyway)")
+    times = _grid(scen)  # first: no path is sampled for a grid too long
     path = sample_path(mt, scen.t_end, scen.seed, run_index)
     # sample k runs in the interval holding t_k: count the ends at or before it
     ends = [t1 for _, _, t1 in path[:-1]]
     modes = np.array([m for m, _, _ in path])[
-        np.searchsorted(ends, _grid(scen), side="right")]
+        np.searchsorted(ends, times, side="right")]
     return _integrate(scen, [laplacian(g) for g in mt.graphs], modes, path,
                       run_index)
 

@@ -765,6 +765,20 @@ def test_cli_finite_escape_exit_code(tmp_path, capsys):
     assert err["t"] < 1.0
 
 
+def test_cli_t_end_beyond_any_time_grid(tmp_path, capsys):
+    # 1e300 is finite, so the scenario loads; its 1e302-sample grid cannot
+    # exist, which is a ValidationError under sim.t_end (fixed graph) and
+    # is reported before a switching path is sampled up to t = 1e300
+    for doc in (base_doc(), switching_doc()):
+        doc["sim"]["t_end"] = 1e300
+        scen = _write(tmp_path, doc)
+        rc = main(["simulate", scen, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "sim.t_end"
+
+
 def test_cli_simulate_requires_out_path(tmp_path, capsys):
     doc = base_doc()
     scen = _write(tmp_path, doc)

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import struct
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,6 +11,7 @@ import consensuskit as ck
 from consensuskit.agents import NormalFormAgent, TermTable, augment, builtin
 from consensuskit.graph import directed_cycle, empty_graph
 from consensuskit.scenario import parse_scenario
+from consensuskit import sim
 from consensuskit.sim import (
     build_scenario, monte_carlo_ms, simulate_fixed, simulate_switching,
     simulate_with_observer,
@@ -319,6 +322,146 @@ def test_augmented_agent_tracks_physical_input(target, unit_gain):
     # input coincides with the last chain state sample for sample
     for i in range(3):
         assert np.array_equal(traj.u[:, i], traj.xi_hat[:, i, 2])
+
+
+def test_linear_block_escape_matches_iterated_step_matrix(target, unit_gain):
+    # with K negated the chains alone diverge (rightmost eigenvalue 1.5):
+    # the run must stop at the first step at which z_{k+1} = P z_k with
+    # the RK4 step matrix P = sum_{j <= 4} (h Phi)^j / j!, built here from
+    # the target, leaves the guard ball (step 977, inside the fourth
+    # block; the norm there crosses 1e6 by 0.5%, far beyond rounding)
+    agents = [_chain_agent(1, 3, [0.9, -0.4, 0.1]),
+              _chain_agent(2, 3, [-0.6, 0.3, 0.0]),
+              _chain_agent(3, 3, [0.1, 0.8, -0.5])]
+    unstable = replace(unit_gain, K=-unit_gain.K)
+    dt = 0.01
+    scen = build_scenario(agents, target, unstable, directed_cycle(3),
+                          t_end=30.0, dt=dt)
+    hphi = dt * (np.kron(np.eye(3), target.A)
+                 - np.kron(ck.laplacian(directed_cycle(3)),
+                           np.outer(target.B, unstable.K)))
+    step = np.eye(9)
+    term = np.eye(9)
+    for j in range(1, 5):
+        term = term @ hphi / j
+        step = step + term
+    z = np.array([ag.xi0 for ag in agents]).ravel()
+    k = 0
+    while np.abs(z).max() <= 1e6:
+        before = np.abs(z).max()
+        z = step @ z
+        k += 1
+    assert before < 0.999e6 and np.abs(z).max() > 1.001e6
+    with pytest.raises(ck.FiniteEscape) as exc:
+        simulate_fixed(scen)
+    assert exc.value.t == pytest.approx(k * dt)
+    traj = exc.value.trajectory
+    assert traj.times.shape[0] == k
+    assert traj.times[-1] == pytest.approx(exc.value.t - dt)
+    assert np.abs(traj.xi_hat).max() <= 1e6
+
+
+def test_cascade_overflow_is_a_finite_escape(target, unit_gain):
+    # eta' = eta ** 62 from 1.01 blows up within ten steps; the power of a
+    # Python float raises OverflowError where numpy gives inf.  Run without
+    # np.errstate, so a numpy RuntimeWarning would fail the test, the run
+    # must end in FiniteEscape at the step at which a scalar RK4 in numpy
+    # floats leaves the guard ball
+    blower = NormalFormAgent(
+        agent_id=1, r=2, n_eta=1,
+        alpha=ZERO, beta=ONE, theta=TermTable([[(1.0, (0, 0, 62))]]),
+        xi0=np.zeros(2), eta0=np.array([1.01]))
+    agents = [blower, builtin("agent1").with_initial(xi0=[0.1, 0.0]),
+              builtin("agent3")]
+    dt = 1e-3
+    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
+                          t_end=1.0, dt=dt)
+    eta, k = np.float64(1.01), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while abs(eta) <= 1e6:
+            k1 = eta ** 62
+            k2 = (eta + 0.5 * dt * k1) ** 62
+            k3 = (eta + 0.5 * dt * k2) ** 62
+            k4 = (eta + dt * k3) ** 62
+            eta = eta + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k += 1
+    assert k > 1
+    with pytest.raises(ck.FiniteEscape) as exc:
+        simulate_fixed(scen)
+    assert exc.value.t == pytest.approx(k * dt)
+    traj = exc.value.trajectory
+    assert traj.times.shape[0] == k
+    assert traj.times[-1] == pytest.approx(exc.value.t - dt)
+    assert np.all(np.isfinite(traj.eta[0]))
+    assert np.all(np.isfinite(traj.u))
+
+
+def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
+    # the cascade [eta | u] runs as one compiled Python function; on 200
+    # seeded states it must give what the term tables give through numpy:
+    # theta of agent 1 (damped), of a parsed custom agent with multi-factor
+    # terms and an empty row, and u' = (u_hat - alpha) / beta of an
+    # augmented agent; agent 3's chain alpha is compiled alone (measured
+    # 2.1e-16 and 2.0e-16 of the largest value)
+    custom = {"custom": {
+        "r": 2, "n_eta": 2,
+        "alpha": [{"c": 0.1, "e": [0, 0, 0, 0]}],
+        "beta": [{"c": 1.0, "e": [0, 0, 0, 0]}],
+        "theta": [[{"c": -2.0, "e": [0, 0, 1, 0]},
+                   {"c": 0.5, "e": [0, 1, 1, 0]},
+                   {"c": 0.3, "e": [0, 0, 0, 0]},
+                   {"c": 1.0 / 3.0, "e": [2, 1, 0, 3]}],
+                  []],
+        "xi0": [1.0, -0.8], "eta0": [0.6, -0.7]}}
+    doc = {"agents": [{"builtin": "agent1"}, custom, {"builtin": "agent3"}],
+           "controller": {"poles": [-1.0, -2.0], "mu": 1.0, "q1": 1.0,
+                          "r_hat": 1.0, "rank": "one"},
+           "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]},
+           "sim": {"t_end": 1.0, "dt": 0.01}}
+    augmented = augment(
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
+    scen = build_scenario(parse_scenario(doc).agents + [augmented], target,
+                          unit_gain, directed_cycle(4))
+    system = sim._System(scen, [ck.laplacian(directed_cycle(4))], False)
+    rng = np.random.default_rng(14)
+    states = rng.uniform(-2.0, 2.0, (200, system.dim))
+    u_hat = rng.uniform(-2.0, 2.0, (200, 1))
+    alpha, beta = (sim._stack(system.aug, name).at(states)
+                   for name in ("alpha", "beta"))
+    want = np.hstack([sim._stack(system.rts, "theta").at(states),
+                      (u_hat - alpha) / beta])
+    got = [system.f([*state[system.cols], *u, *state[system.nz:]])
+           for state, u in zip(states, u_hat)]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+    assert np.all(want[:, 2] == 0.0)  # the empty theta row
+
+    alpha3 = builtin("agent3").alpha
+    coefs = []
+    f = sim._compile(alpha3._source(range(3), coefs), coefs)
+    x = rng.uniform(-2.0, 2.0, (200, 3))
+    want = alpha3.at(x)[:, 0]
+    got = [f(list(row))[0] for row in x]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+    for code in (system.f.__code__, f.__code__):
+        assert code.co_names == ()
+        assert all(type(k) is int for k in code.co_consts if k is not None)
+
+
+def test_compiled_maps_keep_every_coefficient_bit():
+    coefficients = [-0.0, 5e-324, 1.0 / 3.0, float("inf"), -float("inf")]
+    table = TermTable([[(c, ())] for c in coefficients]
+                      + [[(c, (1,))] for c in coefficients])
+    coefs = []
+    f = sim._compile(table._source([0], coefs), coefs)
+    assert f.__code__.co_names == ()
+    bits = [struct.pack("<d", c) for c in coefficients]
+    assert [struct.pack("<d", v) for v in f([1.0])] == bits + bits
+    # a row of 5,000 terms compiles, summed in groups the compiler can nest
+    long = TermTable([[(1.0, (1,))] * 5000])
+    coefs = []
+    assert sim._compile(long._source([0], coefs), coefs)([0.5]) == [2500.0]
 
 
 def test_finite_escape_truncates_trajectory(target, unit_gain):
