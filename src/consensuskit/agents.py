@@ -31,9 +31,9 @@ against, and maps a scenario's x0 into xi0.
 
 Every map alpha, beta and theta is a polynomial held as a
 :class:`TermTable`, so the simulator stacks the maps of all agents: it
-compiles the stacked rows it integrates into one Python function, and
-evaluates alpha and beta over the recorded states as one expression; an
-agent built in Python takes its maps as tables too.
+writes the stacked rows it integrates out as Python source (one RK4 block
+function), and evaluates alpha and beta over the recorded states as one
+expression; an agent built in Python takes its maps as tables too.
 
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
@@ -155,12 +155,12 @@ class TermTable:
     """A polynomial map over z = (xi_1..xi_r, eta_1..eta_k), held as data.
 
     ``rows`` has one entry per output row, each a list of terms (c, e): c a
-    coefficient, e the exponents of z_1, z_2, ... (trailing zeros may be
-    left out); row k is the sum over its terms of c * prod_j z_j ** e_j,
-    and a row without terms is zero.  ``variables`` lists, sorted, the
-    0-based index of every variable some term reads, and ``n_vars`` is the
-    number of leading variables the terms reach (the last z_j with a
-    nonzero exponent).
+    coefficient, e the exponents of z_1, z_2, ..., non-negative integers
+    (trailing zeros may be left out); row k is the sum over its terms of
+    c * prod_j z_j ** e_j, and a row without terms is zero.
+    ``variables`` lists, sorted, the 0-based index of every variable some
+    term reads, and ``n_vars`` is the number of leading variables the
+    terms reach (the last z_j with a nonzero exponent).
     Called as fn(xi, eta) it returns a float when ``scalar`` (alpha, beta)
     and an array with one entry per row otherwise (theta).  :meth:`at`
     evaluates it on many states at once, and :meth:`stack` joins the tables
@@ -168,8 +168,9 @@ class TermTable:
     """
 
     def __init__(self, rows, scalar=False):
-        terms = [(k, float(c), [(j, int(p)) for j, p in enumerate(e) if p])
-                 for k, row in enumerate(rows) for c, e in row]
+        terms = [(k, float(c), [(j, _power(p, k, t, j))
+                                for j, p in enumerate(e) if p])
+                 for k, row in enumerate(rows) for t, (c, e) in enumerate(row)]
         self._build(len(rows), terms, scalar)
 
     @classmethod
@@ -226,25 +227,38 @@ class TermTable:
         value = self.at(np.concatenate((xi, eta)))
         return float(value[0]) if self.scalar else value
 
-    def _source(self, index, coefs):
-        """Each row as a Python expression over a list v of floats, z_j
-        read as v[index[j]].  Every coefficient is appended to `coefs` and
-        read as c[t], t its place there, so the source holds only integer
-        indices and exponents and the coefficients keep every bit.  A term
-        is c * (its factors in order), as in :meth:`at`."""
+    def _source(self, names, coefs):
+        """Each row as a Python expression in which z_j is the name
+        names[j].  Every coefficient is appended to `coefs` and read as the
+        name c<t>, t its place there, so the source holds only integer
+        exponents and the coefficients keep every bit.  A term is
+        c * (its factors in order), as in :meth:`at`."""
         rows = [[] for _ in range(self.n_rows)]
         for k, c, factors in self._terms:
-            mono = " * ".join(f"v[{int(index[j])}]"
-                              + (f" ** {int(p)}" if p != 1 else "")
+            mono = " * ".join(names[j] + (f" ** {p}" if p != 1 else "")
                               for j, p in factors)
-            rows[k].append(f"c[{len(coefs)}] * ({mono})" if mono
-                           else f"c[{len(coefs)}]")
+            rows[k].append(f"c{len(coefs)} * ({mono})" if mono
+                           else f"c{len(coefs)}")
             coefs.append(c)
         for terms in rows:
             if not terms:
-                terms.append(f"c[{len(coefs)}]")
+                terms.append(f"c{len(coefs)}")
                 coefs.append(0.0)
         return [_sum(terms) for terms in rows]
+
+
+def _power(p, k, t, j):
+    """Exponent p of variable j in term t of row k, as an int: a map is a
+    polynomial, so p must be a non-negative integer (2.0 is taken)."""
+    try:
+        q = int(p)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if q is None or q != p or q < 0:
+        raise InvalidDimensionError(
+            f"row {k}, term {t}: exponent {p!r} of variable {j} is not a "
+            f"non-negative integer")
+    return q
 
 
 def _sum(terms):

@@ -36,13 +36,15 @@ augmented agents (u' = (u_hat - alpha) / beta), and the read-out u =
 (u_hat - alpha) / beta with its beta guard.  The first two form a cascade
 driven by z that never feeds back into it.  Their maps are term tables:
 the theta rows of all agents and the alpha and beta rows of the augmented
-agents are compiled once per run into one Python function f(v) -> list
-(_System._compile_cascade), and the cascade is integrated by RK4 in Python
-floats, each stage reading z at that stage (z + (h/2) K_1, z + (h/2) K_2,
-z + h K_3) and u_hat from the same K.  A run goes in blocks of _STEPS
-steps: the linear block first, then the cascade it drives.  alpha and
-beta of every agent are evaluated over all recorded states at once after
-the run.  The flat state is [z | eta | u]:
+agents are written out as Python source into one function that runs RK4
+on the cascade over a whole block of steps in Python floats and local
+names (_System._compile_cascade), each stage reading z at that stage (z +
+(h/2) K_1, z + (h/2) K_2, z + h K_3) and u_hat from the same K.  Its
+source holds no coefficient, so its code is compiled once per shape of
+cascade and shared by every run of that shape (_code).  A run goes in
+blocks of _STEPS steps: the linear block first, then the cascade it
+drives.  alpha and beta of every agent are evaluated over all recorded
+states at once after the run.  The flat state is [z | eta | u]:
 
 * z itself, so the linear block is state[:len(z)];
 * eta of every agent, in agent order;
@@ -69,7 +71,12 @@ separate keyed streams, so a one-mode switching run is bit-identical to the
 corresponding fixed-topology run.
 """
 
+import functools
+import linecache
+import types
 import warnings
+import weakref
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -246,28 +253,62 @@ class _System:
         self.sl_u = slice(pos, self.dim)
         self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
         self.aug_u_hat = self.u_idx[[rt.i for rt in self.aug]]
-        self.cols, self.f = self._compile_cascade()
+        self.tables = (_stack(self.rts, "theta"), _stack(self.aug, "alpha"),
+                       _stack(self.aug, "beta"))
+        self.cols = sorted({int(j) for table in self.tables
+                            for j in table.variables if j < self.nz})
+        self.block = (self._compile_cascade(scen.dt)
+                      if self.dim > self.nz else None)
 
-    def _compile_cascade(self):
-        """The cascade [eta | u] as one function f(v) -> its derivative,
-        and the columns `cols` of z its maps read.
+    def derivative_source(self, inputs, state, coefs):
+        """The derivative of the cascade [eta | u] as Python expressions:
+        theta of every agent, then u' = (u_hat - alpha) / beta of each
+        augmented agent.  z at `cols`, then u_hat of each augmented agent,
+        are the names `inputs`, and [eta | u] the names `state`; the
+        coefficients go to `coefs` as in TermTable._source."""
+        names = dict(zip(self.cols, inputs))
+        names.update(zip(range(self.nz, self.dim), state))
+        theta, alpha, beta = (t._source(names, coefs) for t in self.tables)
+        return theta + [f"({u} - ({a})) / ({b})" for u, a, b in
+                        zip(inputs[len(self.cols):], alpha, beta)]
 
-        v is [z at cols | u_hat of each augmented agent | eta | u]: f
-        returns theta of every agent, then u' = (u_hat - alpha) / beta of
-        each augmented agent, all stacked into one Python expression.
+    def _compile_cascade(self, h):
+        """The cascade [eta | u] as one function block(x, y, out) that makes
+        RK4 steps of length h in Python floats, in local names only.
+
+        Row i of the list x holds the inputs of step i, stage after stage:
+        z at `cols`, then u_hat of each augmented agent.  From the state y,
+        block writes the state after step i to out[i], as a tuple.  Each
+        stage is written out in full: stages 2, 3 and 4 read the states
+        y + (h/2) k_1, y + (h/2) k_2 and y + h k_3, and the step is y +
+        (h/6) (((k_1 + 2 k_2) + 2 k_3) + k_4).  The source holds no float;
+        the coefficients, h/2, h, h/6 and 2.0 are default arguments, so one
+        code object serves every cascade of its shape.
         """
-        tables = (_stack(self.rts, "theta"), _stack(self.aug, "alpha"),
-                  _stack(self.aug, "beta"))
-        cols = sorted({int(j) for table in tables
-                       for j in table.variables if j < self.nz})
-        n_in = len(cols) + len(self.aug)
-        index = {j: i for i, j in enumerate(cols)}
-        index.update((j, n_in + j - self.nz) for j in range(self.nz, self.dim))
-        coefs = []
-        theta, alpha, beta = (t._source(index, coefs) for t in tables)
-        return cols, _compile(theta + [
-            f"(v[{len(cols) + i}] - ({a})) / ({b})"
-            for i, (a, b) in enumerate(zip(alpha, beta))], coefs)
+        n_in, n = len(self.cols) + len(self.aug), self.dim - self.nz
+        y, w = ([f"{a}{q}" for q in range(n)] for a in "yw")
+        x = [[f"x{s}_{i}" for i in range(n_in)] for s in range(1, 5)]
+        body, coefs = [], []
+        for s, step in enumerate((None, "h2", "h2", "h"), 1):
+            if step:
+                body += [f"{w[q]} = {y[q]} + {step} * k{s - 1}_{q}"
+                         for q in range(n)]
+            # every stage appends the same coefficients: keep the first
+            rows = self.derivative_source(x[s - 1], w if step else y,
+                                          coefs if s == 1 else [])
+            body += [f"k{s}_{q} = {row}" for q, row in enumerate(rows)]
+        body += [f"{y[q]} = {y[q]} + h6 * (((k1_{q} + two * k2_{q}) "
+                 f"+ two * k3_{q}) + k4_{q})" for q in range(n)]
+        body += [f"out[i] = ({', '.join(y)},)", "i = i + 1"]
+        target = ", ".join(sum(x, [])) + "," if n_in else "_"
+        source = "\n".join(
+            ["def block(x, y, out, c, h2, h, h6, two):",
+             f"    {', '.join(f'c{t}' for t in range(len(coefs)))}, = c",
+             f"    {', '.join(y)}, = y",
+             "    i = 0",
+             f"    for {target} in x:"]
+            + ["        " + line for line in body]) + "\n"
+        return _function(source, (tuple(coefs), 0.5 * h, h, h / 6.0, 2.0))
 
     def initial_state(self, run_index):
         scen = self.scen
@@ -295,14 +336,30 @@ class _System:
         return state
 
 
-def _compile(rows, coefs):
-    """One function f(v) -> [row, ...] of the Python expressions `rows`
-    over a list v, in which c[t] reads coefs[t].  It reads no global name,
-    and with numbers in v it runs in Python floats; it is elementwise, so
-    with arrays in v it runs on them."""
-    scope = {"c": tuple(coefs)}
-    exec(f"def f(v, c=c):\n    return [{', '.join(rows)}]\n", scope)
-    return scope["f"]
+def _function(source, defaults):
+    """The function that `source` defines, its last parameters bound to
+    `defaults`; its code is compiled once per distinct source."""
+    code = _code(source)
+    return types.FunctionType(code, {}, code.co_name, tuple(defaults))
+
+
+@functools.lru_cache(maxsize=32)
+def _code(source):
+    """The code of the one function `source` defines, compiled under the
+    file name <cascade:CRC-32 of the source>.  While that code lives, its
+    source is in linecache, so tracebacks and profilers show its lines."""
+    name = f"<cascade:{zlib.crc32(source.encode()):08x}>"
+    entry = linecache.cache[name] = (len(source), None,
+                                     source.splitlines(True), name)
+    code = compile(source, name, "exec").co_consts[0]
+    weakref.finalize(code, _forget, name, entry)
+    return code
+
+
+def _forget(name, entry):
+    # unless the same source was compiled again and registered anew
+    if linecache.cache.get(name) is entry:
+        del linecache.cache[name]
 
 
 def _grid(scen):
@@ -400,20 +457,12 @@ def _cascade_steps(sys, rows, k, h):
                          * k[:, :3, sys.cols])
     x[:, :, n_cols:] = (k[:, :, sys.aug_u_hat]
                         * np.array([1.0, 0.5, 0.5, 1.0])[:, None])
-    f, h2, h6 = sys.f, 0.5 * h, h / 6.0
-    c = rows[0, nz:].tolist()
-    out = []
+    out = [None] * k.shape[0]
     try:
-        for x1, x2, x3, x4 in x.tolist():
-            k1 = f(x1 + c)
-            k2 = f(x2 + [y + h2 * d for y, d in zip(c, k1)])
-            k3 = f(x3 + [y + h2 * d for y, d in zip(c, k2)])
-            k4 = f(x4 + [y + h * d for y, d in zip(c, k3)])
-            c = [y + h6 * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
-                 for y, d1, d2, d3, d4 in zip(c, k1, k2, k3, k4)]
-            out.append(c)
+        sys.block(x.reshape(k.shape[0], -1).tolist(), rows[0, nz:].tolist(),
+                  out)
     except (OverflowError, ZeroDivisionError):
-        pass
+        del out[out.index(None):]
     if out:
         rows[1:1 + len(out), nz:] = out
     return len(out)

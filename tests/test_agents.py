@@ -158,6 +158,22 @@ def test_normal_form_validation():
             _agent(**kwargs)
 
 
+def test_term_table_takes_only_non_negative_integer_exponents():
+    # a map is a polynomial: 0.5 and 1.7 were truncated to 0 and 1 (xi^0.5
+    # read as 1.0, xi^1.7 as xi) and -1 was taken; 2.0 means 2
+    for p in (0.5, 1.7, -1, float("nan"), "2"):
+        with pytest.raises(ck.InvalidDimensionError,
+                           match=r"row 1, term 2: exponent .* of variable 1"):
+            TermTable([[(1.0, (1,))],
+                       [(1.0, (1,)), (2.0, (0, 1)), (3.0, (0, p))]])
+    x = np.array([[0.7, -1.3], [2.0, 0.5]])
+    assert np.array_equal(TermTable([[(3.0, (0, 2.0))]]).at(x),
+                          TermTable([[(3.0, (0, 2))]]).at(x))
+    coefs = []
+    assert TermTable([[(3.0, (1.0, 2.0))]])._source(["a", "b"], coefs) \
+        == ["c0 * (a * b ** 2)"]
+
+
 def test_eval_dynamics_checks_sizes():
     ag = builtin("agent1")
     with pytest.raises(ck.InvalidDimensionError):

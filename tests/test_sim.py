@@ -1,6 +1,9 @@
 from dataclasses import replace
 
+import linecache
+import re
 import struct
+import traceback
 
 import numpy as np
 import pytest
@@ -425,6 +428,11 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
     scen = build_scenario(parse_scenario(doc).agents + [augmented], target,
                           unit_gain, directed_cycle(4))
     system = sim._System(scen, [ck.laplacian(directed_cycle(4))], False)
+    n_in = len(system.cols) + len(system.aug)
+    v = [f"v{j}" for j in range(n_in + system.dim - system.nz)]
+    coefs = []
+    f = _rows_function(
+        system.derivative_source(v[:n_in], v[n_in:], coefs), coefs, len(v))
     rng = np.random.default_rng(14)
     states = rng.uniform(-2.0, 2.0, (200, system.dim))
     u_hat = rng.uniform(-2.0, 2.0, (200, 1))
@@ -432,21 +440,30 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
                    for name in ("alpha", "beta"))
     want = np.hstack([sim._stack(system.rts, "theta").at(states),
                       (u_hat - alpha) / beta])
-    got = [system.f([*state[system.cols], *u, *state[system.nz:]])
+    got = [f([*state[system.cols], *u, *state[system.nz:]])
            for state, u in zip(states, u_hat)]
     assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
     assert np.all(want[:, 2] == 0.0)  # the empty theta row
 
     alpha3 = builtin("agent3").alpha
     coefs = []
-    f = sim._compile(alpha3._source(range(3), coefs), coefs)
+    f3 = _rows_function(alpha3._source(v[:3], coefs), coefs, 3)
     x = rng.uniform(-2.0, 2.0, (200, 3))
     want = alpha3.at(x)[:, 0]
-    got = [f(list(row))[0] for row in x]
+    got = [f3(list(row))[0] for row in x]
     assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
-    for code in (system.f.__code__, f.__code__):
+    for code in (system.block.__code__, f.__code__, f3.__code__):
         assert code.co_names == ()
         assert all(type(k) is int for k in code.co_consts if k is not None)
+
+
+def _rows_function(rows, coefs, n):
+    """The expressions `rows` over the names v0 .. v<n-1> as one function
+    f(v) -> [row, ...], compiled the way the simulator compiles."""
+    return sim._function(
+        f"def f(v, c):\n    {''.join(f'v{j}, ' for j in range(n))}= v\n"
+        f"    {''.join(f'c{t}, ' for t in range(len(coefs)))}= c\n"
+        f"    return [{', '.join(rows)}]\n", (tuple(coefs),))
 
 
 def test_compiled_maps_keep_every_coefficient_bit():
@@ -454,14 +471,110 @@ def test_compiled_maps_keep_every_coefficient_bit():
     table = TermTable([[(c, ())] for c in coefficients]
                       + [[(c, (1,))] for c in coefficients])
     coefs = []
-    f = sim._compile(table._source([0], coefs), coefs)
+    f = _rows_function(table._source(["v0"], coefs), coefs, 1)
     assert f.__code__.co_names == ()
     bits = [struct.pack("<d", c) for c in coefficients]
     assert [struct.pack("<d", v) for v in f([1.0])] == bits + bits
     # a row of 5,000 terms compiles, summed in groups the compiler can nest
     long = TermTable([[(1.0, (1,))] * 5000])
     coefs = []
-    assert sim._compile(long._source([0], coefs), coefs)([0.5]) == [2500.0]
+    assert _rows_function(long._source(["v0"], coefs), coefs, 1)([0.5]) \
+        == [2500.0]
+
+
+def test_cascade_without_z_input_is_exact_rk4(target, unit_gain):
+    # eta' = -2 eta reads no column of z and no agent is augmented, so the
+    # compiled block has no step inputs; RK4 on it is the recurrence
+    # eta_k = R(-2h)^k eta_0, R(s) = 1 + s + s^2/2 + s^3/6 + s^4/24, over
+    # two blocks (measured 1.4e-16 of eta_0 at most; asserted at 1e-15)
+    decay = NormalFormAgent(
+        agent_id=1, r=2, n_eta=1, alpha=ZERO, beta=ONE,
+        theta=TermTable([[(-2.0, (0, 0, 1))]]),
+        xi0=np.array([0.3, -0.1]), eta0=np.array([0.8]))
+    agents = [decay, _chain_agent(2, 3, [0.5, 0.0, -0.2]),
+              _chain_agent(3, 2, [-0.4, 0.1])]
+    dt = 0.01
+    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
+                          t_end=3.0, dt=dt)
+    system = sim._System(scen, [ck.laplacian(directed_cycle(3))], False)
+    assert system.cols == [] and system.aug == []
+    eta = simulate_fixed(scen).eta[0][:, 0]
+    s = -2.0 * dt
+    want = 0.8 * (1.0 + s + s * s / 2.0 + s ** 3 / 6.0 + s ** 4 / 24.0) \
+        ** np.arange(301)
+    assert np.allclose(eta, want, rtol=0.0, atol=1e-15 * 0.8)
+
+
+def _damped(c):
+    """A scenario agent eta' = c eta - eta^5 + xi_1, shaped like agent1."""
+    return {"custom": {
+        "r": 2, "n_eta": 1, "alpha": [], "beta": [{"c": 1.0, "e": [0, 0, 0]}],
+        "theta": [[{"c": c, "e": [0, 0, 1]}, {"c": -1.0, "e": [0, 0, 5]},
+                   {"c": 1.0, "e": [1, 0, 0]}]],
+        "xi0": [0.5, -0.2], "eta0": [0.3]}}
+
+
+def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
+    # agent1 (eta' = -eta - eta^5 + xi_1) and the custom agents of
+    # _damped(c) compile to one code object, yet each run integrates its
+    # own coefficients
+    def scenario(first):
+        agents = [first, {"builtin": "agent2"}, {"builtin": "agent3"}]
+        return parse_scenario({
+            "agents": agents,
+            "controller": {"poles": [-1.0, -2.0], "mu": 1.0, "q1": 1.0,
+                           "r_hat": 1.0, "rank": "one"},
+            "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0],
+                                        [3, 1, 1.0]]},
+            "sim": {"t_end": 1.0, "dt": 0.01}})
+
+    builtin1 = {"builtin": "agent1", "xi0": [0.5, -0.2], "eta0": [0.3]}
+    scens = [scenario(a) for a in (builtin1, _damped(-1.0), _damped(-3.0))]
+    lap = [ck.laplacian(scens[0].topology)]
+    blocks = [sim._System(sc, lap, False).block for sc in scens]
+    assert all(b.__code__ is blocks[0].__code__ for b in blocks)
+    assert blocks[0].__defaults__[0] != blocks[2].__defaults__[0]
+    eta = [simulate_fixed(sc).eta[0] for sc in scens]
+    assert np.array_equal(eta[1], eta[0])
+    assert not np.allclose(eta[2], eta[0], rtol=1e-3)
+
+    # a Monte Carlo run builds its system anew: every run takes its code
+    # from the cache instead of compiling it
+    hits = sim._code.cache_info().hits
+    made = []
+
+    def record(source, defaults):
+        made.append(real(source, defaults))
+        return made[-1]
+
+    real = sim._function
+    monkeypatch.setattr(sim, "_function", record)
+    mc = scenario(builtin1)
+    monte_carlo_ms(replace(mc, topology=MarkovTopology(
+        graphs=[mc.topology, mc.topology], generator=FLIP_FLOP)), runs=3)
+    assert len(made) == 3
+    assert all(f.__code__ is blocks[0].__code__ for f in made)
+    assert sim._code.cache_info().hits == hits + 3
+
+
+def test_compiled_cascade_is_visible_to_tracebacks(target, unit_gain,
+                                                   five_agents, five_cycle):
+    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle)
+    block = sim._System(scen, [ck.laplacian(five_cycle)], False).block
+    name = block.__code__.co_filename
+    assert re.fullmatch(r"<cascade:[0-9a-f]{8}>", name)
+    assert linecache.getline(name, 1).startswith("def block(x, y, out,")
+    with pytest.raises(ValueError) as exc:
+        block([], [1.0], [])  # four eta expected
+    frame = traceback.extract_tb(exc.value.__traceback__)[-1]
+    assert (frame.filename, frame.line) == (name, "y0, y1, y2, y3, = y")
+    # the cache is bounded, and the source of code it dropped is forgotten
+    first = sim._function("def f(c):\n    return c\n", (0,)).__code__
+    first = first.co_filename
+    assert first in linecache.cache
+    for k in range(sim._code.cache_info().maxsize):
+        sim._function(f"def f(c):\n    return c + {k}\n", (0,))
+    assert first not in linecache.cache
 
 
 def test_finite_escape_truncates_trajectory(target, unit_gain):
