@@ -21,6 +21,7 @@ feedback when it has an observer section.  `simulate-switching` differs from
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -329,7 +330,10 @@ def _cmd_analyze(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every main call, built once: each parse_args call
+    fills a new namespace, so no call sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="consensuskit",
         description="Rank-one output-consensus synthesis and simulation")

@@ -13,50 +13,40 @@ xihat itself or the observer estimates xcheck of it,
 
 M_o being the observer's injection gain.  So for each graph mode m the
 vector z = [xihat; xcheck] (agent-major, N r entries each; xcheck only
-with an observer) moves by one fixed matrix, z' = Phi[m] z, built once at
-set-up from the assemble_stacked blocks, the mode's Laplacian, K and the
-observer gain (see _mode_matrices).  Being linear, one RK4 step of z is
-one product: the four stage derivatives K_s = Phi T_s z (T_1 = I, T_2 =
-I + (h/2) Phi, T_3 = I + (h/2) Phi T_2, T_4 = I + h Phi T_3) are the rows
-of one (4 nz, nz) matrix per mode, D[m] = [Phi T_1; 2 Phi T_2; 2 Phi T_3;
-Phi T_4], built at set-up (_stage_products), and a step is K = D[mode] @ z
-followed by z + (h/6) (((K_1 + 2 K_2) + 2 K_3) + K_4).  Everything linear
-is read off K: the chain, controller and observer derivatives, and the new
-chain input of agent i, u_hat_i = entry i r + r_i - 1 of each K_s.
+with an observer) moves by one fixed matrix, z' = Phi[m] z, built at
+set-up (_mode_matrices).  RK4 on z is then linear too: with the stage
+matrices K_s = Phi T_s (T_1 = I, T_2 = I + (h/2) K_1, T_3 = I + (h/2) K_2,
+T_4 = I + h K_3) a step is z -> S[m] z, S = I + (h/6) (((K_1 + 2 K_2) +
+2 K_3) + K_4), so z_{a+j} = S[m]^j z_a between mode jumps.  A run goes in
+segments of at most B steps under one mode, B taken from the size of z so
+that the powers S[m]^1 .. S[m]^B fit in 512 KB (_powers, by doubling):
+the z of a segment is one product with them.  Every agent is carried as
+its chain xi, which the linearizing input u = (u_hat - alpha) / beta makes
+exact; agent 3, stated in other coordinates, enters through its map xi_of.
 
-Every agent, agent 3 included, is carried as its chain xi: under the
-linearizing input u = (u_hat - alpha) / beta the chain is exact, so no
-agent is integrated in its original coordinates.  An agent stated in them
-(builtin agent 3) enters through its map xi_of: a random start draws x and
-maps it, and an explicit x0 is mapped by with_initial.  Its u is evaluated
-from alpha and beta in chain form, only to record it.
-
-What is not linear is eta' = theta(xi, eta), the physical input of
-augmented agents (u' = (u_hat - alpha) / beta), and the read-out u =
-(u_hat - alpha) / beta with its beta guard.  The first two form a cascade
-driven by z that never feeds back into it.  Their maps are term tables:
-the theta rows of all agents and the alpha and beta rows of the augmented
-agents are written out as Python source into one function that runs RK4
-on the cascade over a whole block of steps in Python floats and local
-names (_System._compile_cascade), each stage reading z at that stage (z +
-(h/2) K_1, z + (h/2) K_2, z + h K_3) and u_hat from the same K.  Its
-source holds no coefficient, so its code is compiled once per shape of
-cascade and shared by every run of that shape (_code).  A run goes in
-blocks of _STEPS steps: the linear block first, then the cascade it
-drives.  alpha and beta of every agent are evaluated over all recorded
-states at once after the run.  The flat state is [z | eta | u]:
-
-* z itself, so the linear block is state[:len(z)];
-* eta of every agent, in agent order;
-* u of each augmented agent, in agent order.
+What is not linear is eta' = theta(xi, eta) and the physical input of
+augmented agents, u' = (u_hat - alpha) / beta: a cascade driven by z that
+never feeds back into it.  Its term tables are written out as the source
+of one function that runs RK4 on it over a segment in Python floats
+(_System._compile_cascade); the source holds no coefficient, so its code
+is compiled once per shape of cascade (_code).  Its inputs, z at the
+columns the tables read at each stage state T_s z and u_hat (entry i r +
+r_i - 1 of K_s z) of each augmented agent, are one product z @ G[m] per
+segment (_step_matrices).  The flat state is [z | eta | d], d = u -
+xi_last per augmented agent: xi_last, its last chain state, has the
+derivative u_hat, so d' = (u_hat - alpha) / beta - u_hat, and u = xi_last
++ d keeps the rounding of z (d stays 0 if alpha = 0, beta = 1 and u0 =
+xi_last(0)).  After the run the trajectory turns d into u, u(0) = u0
+exactly, and evaluates alpha and beta over all recorded states at once.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
 in the sampled path, so a jump takes effect at the first step boundary at
 or after the jump time and the graph is frozen over each step.
 
-Each sample is recorded as one row of a state matrix, and the Trajectory
-is built from those rows once, after the loop (_trajectory).  Two runtime
+Each sample is one row of a state matrix, whose size is checked against a
+fixed limit before anything is allocated (_grid), and the Trajectory is
+built from those rows once, after the loop (_trajectory).  Two runtime
 guards: |beta| is checked against the configured floor after the run over
 all recorded states, before a FiniteEscape is raised (BetaNearZero), and
 any state leaving the max-norm ball of radius ``settings.finite_escape_norm``
@@ -253,6 +243,7 @@ class _System:
         self.sl_u = slice(pos, self.dim)
         self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
         self.aug_u_hat = self.u_idx[[rt.i for rt in self.aug]]
+        self.u0 = np.array([rt.agent.u0 for rt in self.aug])
         self.tables = (_stack(self.rts, "theta"), _stack(self.aug, "alpha"),
                        _stack(self.aug, "beta"))
         self.cols = sorted({int(j) for table in self.tables
@@ -273,8 +264,10 @@ class _System:
                         zip(inputs[len(self.cols):], alpha, beta)]
 
     def _compile_cascade(self, h):
-        """The cascade [eta | u] as one function block(x, y, out) that makes
-        RK4 steps of length h in Python floats, in local names only.
+        """The cascade [eta | d] as one function block(x, y, out) that makes
+        RK4 steps of length h in Python floats, in local names only; d' is
+        the derivative_source row of u' less u_hat (see the module
+        docstring).
 
         Row i of the list x holds the inputs of step i, stage after stage:
         z at `cols`, then u_hat of each augmented agent.  From the state y,
@@ -285,7 +278,8 @@ class _System:
         the coefficients, h/2, h, h/6 and 2.0 are default arguments, so one
         code object serves every cascade of its shape.
         """
-        n_in, n = len(self.cols) + len(self.aug), self.dim - self.nz
+        n_aug, n = len(self.aug), self.dim - self.nz
+        n_in = len(self.cols) + n_aug
         y, w = ([f"{a}{q}" for q in range(n)] for a in "yw")
         x = [[f"x{s}_{i}" for i in range(n_in)] for s in range(1, 5)]
         body, coefs = [], []
@@ -296,6 +290,8 @@ class _System:
             # every stage appends the same coefficients: keep the first
             rows = self.derivative_source(x[s - 1], w if step else y,
                                           coefs if s == 1 else [])
+            for q, u_hat in enumerate(x[s - 1][n_in - n_aug:], n - n_aug):
+                rows[q] += f" - {u_hat}"
             body += [f"k{s}_{q} = {row}" for q, row in enumerate(rows)]
         body += [f"{y[q]} = {y[q]} + h6 * (((k1_{q} + two * k2_{q}) "
                  f"+ two * k3_{q}) + k4_{q})" for q in range(n)]
@@ -328,7 +324,7 @@ class _System:
                 state[rt.sl_xi] = rng.uniform(-1.0, 1.0, ag.r)
                 if ag.n_eta:
                     state[rt.sl_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
-        state[self.sl_u] = [rt.agent.u0 for rt in self.aug]
+        state[self.sl_u] = self.u0 - state[self.aug_u_hat]
         if self.use_observer and scen.observer_init == "match":
             # controller states start at zero, so xihat is the true chain
             n_r = self.nz // 2
@@ -362,27 +358,45 @@ def _forget(name, entry):
         del linecache.cache[name]
 
 
-def _grid(scen):
-    try:
-        return np.arange(int(round(scen.t_end / scen.dt)) + 1) * scen.dt
-    except (ValueError, MemoryError) as exc:
+_ROWS_BYTES = 1 << 30    # the largest state record a run may allocate
+_POWERS_BYTES = 1 << 19  # the step-matrix powers of a run, all modes
+_STEPS = 256             # the longest segment: bounds the cascade inputs
+
+
+def _grid(scen, use_observer=False):
+    """The time grid, once the run's state rows are known to fit."""
+    dim = len(scen.agents) * scen.cs.r * (1 + use_observer) + sum(
+        ag.n_eta + (ag.kind == AUGMENTED_GENERAL) for ag in scen.agents)
+    samples = np.rint(scen.t_end / scen.dt) + 1.0
+    size = samples * dim * 8.0
+    if not size <= _ROWS_BYTES:
         raise ValidationError(
-            f"t_end / dt = {scen.t_end / scen.dt:.3g} steps: the time grid "
-            f"cannot be allocated", field="sim.t_end") from exc
+            f"t_end / dt = {samples - 1.0:.3g} steps of {dim} states take "
+            f"{size:.4g} bytes, over the limit of {_ROWS_BYTES}",
+            field="sim.t_end")
+    return np.arange(int(samples)) * scen.dt
 
 
-_STEPS = 256  # RK4 steps per block: bounds the cascade inputs built at once
-
-
-def _stage_products(phi, h):
-    """D[m] of the module docstring for every mode: the four RK4 stage
-    derivatives of z as rows of one matrix, those of stages 2 and 3, which
-    count twice in a step, doubled (exactly)."""
-    eye = np.eye(phi.shape[1])
-    d = [phi]
+def _step_matrices(sys, h):
+    """S[m] and G[m] of the module docstring for every mode m."""
+    eye = np.eye(sys.nz)
+    t, k = [np.broadcast_to(eye, sys.Phi.shape)], [sys.Phi]
     for w in (0.5 * h, 0.5 * h, h):
-        d.append(phi @ (eye + w * d[-1]))
-    return np.concatenate((d[0], 2.0 * d[1], 2.0 * d[2], d[3]), axis=1)
+        t.append(eye + w * k[-1])
+        k.append(sys.Phi @ t[-1])
+    step = eye + (h / 6.0) * (((k[0] + 2.0 * k[1]) + 2.0 * k[2]) + k[3])
+    g = np.concatenate([np.concatenate((ts[:, sys.cols], ks[:, sys.aug_u_hat]),
+                                       axis=1) for ts, ks in zip(t, k)], axis=1)
+    return step, np.ascontiguousarray(g.transpose(0, 2, 1))
+
+
+def _powers(step, count):
+    """P[m, j] = step[m] ** (j + 1) for j < count, by doubling."""
+    p = np.empty((step.shape[0], count) + step.shape[1:])
+    p[:, 0] = step
+    for k in (1 << i for i in range((count - 1).bit_length())):
+        np.matmul(p[:, k - 1:k], p[:, :min(k, count - k)], out=p[:, k:2 * k])
+    return p
 
 
 def _integrate(scen, laps, modes, mode_path=None, run_index=0,
@@ -391,14 +405,14 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
     graph ``laps[modes[k]]``.  ``modes`` is one index per sample, or 0 for
     the one-mode schedule of a fixed graph; the modes are reported only
     with a ``mode_path``."""
+    times = _grid(scen, use_observer)
     sys = _System(scen, laps, use_observer)
-    times = _grid(scen)
     modes = np.broadcast_to(modes, times.shape)
     rows = np.empty((times.shape[0], sys.dim))  # the state at times[k]
     rows[0] = sys.initial_state(run_index)
     with np.errstate(over="ignore", invalid="ignore"):
-        # past an escape a block runs on to its end; the guard reads it
-        escape = _run(sys, rows, modes.tolist(), scen.dt)
+        # past an escape a segment runs on to its end; the guard reads it
+        escape = _run(sys, rows, modes, scen.dt)
     if escape is not None:
         k, peak = escape
         traj = _trajectory(sys, rows[:k], times, modes, mode_path)
@@ -409,28 +423,24 @@ def _integrate(scen, laps, modes, mode_path=None, run_index=0,
 
 
 def _run(sys, rows, modes, h):
-    """Fill rows[1:] from rows[0] block by block: the linear block z first,
-    then the cascade [eta | u] it drives.  Returns (k, peak) for the first
-    sample k outside the guard ball, or None."""
-    nz = sys.nz
-    stage = list(_stage_products(sys.Phi, h))
-    k = np.empty((_STEPS, 4, nz))  # the stage derivatives of each step
-    flat = k.reshape(_STEPS, 4 * nz)
-    s = np.empty(nz)
-    h6 = h / 6.0
+    """Fill rows[1:] from rows[0] segment by segment, B = `size` steps at
+    most, under one mode: z by one product with the powers of S, then the
+    cascade [eta | d] it drives.  Returns (k, peak) for the first sample k
+    outside the guard ball, or None."""
+    nz, n = sys.nz, rows.shape[0]
+    step, inputs = _step_matrices(sys, h)
+    size = max(1, min(_STEPS, _POWERS_BYTES // step.nbytes))
+    cuts = [0, *(np.flatnonzero(np.diff(modes[:-1])) + 1).tolist(), n - 1]
+    segments = [(a, min(a + size, b)) for s, b in zip(cuts, cuts[1:])
+                for a in range(s, b, size)]
+    powers = _powers(step, max(b - a for a, b in segments))
     guard = settings.finite_escape_norm
-    n = rows.shape[0]
-    for a in range(0, n - 1, _STEPS):
-        b = min(a + _STEPS, n - 1)
-        z = rows[a:b + 1, :nz]
-        for zk, zn, kk, kf, m in zip(z, z[1:], k, flat, modes[a:b]):
-            np.matmul(stage[m], zk, out=kf)
-            np.add.reduce(kk, 0, None, s)
-            s *= h6
-            np.add(zk, s, out=zn)
+    for a, b in segments:
+        np.matmul(powers[modes[a], :b - a], rows[a, :nz],
+                  out=rows[a + 1:b + 1, :nz])
         done = b - a
-        if sys.dim > nz:
-            done = _cascade_steps(sys, rows[a:b + 1], k[:b - a], h)
+        if sys.block is not None:
+            done = _cascade_steps(sys, rows[a:b + 1], inputs[modes[a]])
         peak = np.abs(rows[a + 1:a + 1 + done]).max(axis=1)
         out = np.flatnonzero(~(peak <= guard))  # NaN fails too
         if out.size:
@@ -440,31 +450,19 @@ def _run(sys, rows, modes, h):
     return None
 
 
-def _cascade_steps(sys, rows, k, h):
-    """RK4 on the cascade [eta | u] in Python floats over the steps of one
-    block, whose z is already in rows[:, :nz] and whose stage derivatives
-    are k (stages 2 and 3 doubled).  Each stage reads z at that stage and
-    u_hat from k, as the linear block's RK4 took them.  Returns how many
-    steps it made: a Python OverflowError or ZeroDivisionError, where numpy
-    gives inf, stops it."""
-    nz, n_cols = sys.nz, len(sys.cols)
-    zc = rows[:-1, sys.cols]
-    x = np.empty((k.shape[0], 4, n_cols + len(sys.aug)))
-    x[:, 0, :n_cols] = zc
-    # z + (h/2) K_1, z + (h/2) K_2 and z + h K_3 with K_2, K_3 doubled
-    x[:, 1:, :n_cols] = (zc[:, None]
-                         + np.array([0.5 * h, 0.25 * h, 0.5 * h])[:, None]
-                         * k[:, :3, sys.cols])
-    x[:, :, n_cols:] = (k[:, :, sys.aug_u_hat]
-                        * np.array([1.0, 0.5, 0.5, 1.0])[:, None])
-    out = [None] * k.shape[0]
+def _cascade_steps(sys, rows, g):
+    """RK4 on the cascade [eta | d] over the steps of one segment, whose z
+    is in rows[:, :nz], from the inputs rows[:-1, :nz] @ g.  Returns how
+    many steps it made: a Python OverflowError or ZeroDivisionError, where
+    numpy gives inf, stops it."""
+    out = [None] * (rows.shape[0] - 1)
     try:
-        sys.block(x.reshape(k.shape[0], -1).tolist(), rows[0, nz:].tolist(),
-                  out)
+        sys.block((rows[:-1, :sys.nz] @ g).tolist(),
+                  rows[0, sys.nz:].tolist(), out)
     except (OverflowError, ZeroDivisionError):
         del out[out.index(None):]
     if out:
-        rows[1:1 + len(out), nz:] = out
+        rows[1:1 + len(out), sys.nz:] = out
     return len(out)
 
 
@@ -499,6 +497,8 @@ def _trajectory(sys, rows, times, modes, mode_path):
     below the floor."""
     n = rows.shape[0]
     n_ag, r = sys.shape
+    rows[:, sys.sl_u] += rows[:, sys.aug_u_hat]  # u = xi_last + d
+    rows[0, sys.sl_u] = sys.u0  # exactly, whatever that sum rounds to
     betas = _map_rows(sys, "beta", rows, sys.rts)
     low = np.abs(betas) < settings.beta_floor
     if low.any():
@@ -571,7 +571,7 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
         raise ValidationError(
             "union graph fails the spanning-tree/balance assumption "
             "(pass allow_a4_violation=True to simulate anyway)")
-    times = _grid(scen)  # first: no path is sampled for a grid too long
+    times = _grid(scen)  # first: no path is sampled for a run too long
     path = sample_path(mt, scen.t_end, scen.seed, run_index)
     # sample k runs in the interval holding t_k: count the ends at or before it
     ends = [t1 for _, _, t1 in path[:-1]]
@@ -601,13 +601,13 @@ def monte_carlo_ms(scen, runs):
     """
     if runs < 1:
         raise ValidationError("need at least one run")
-    total = None
-    times = None
-    used = 0
-    diverged = 0
+    total = times = None
+    used = diverged = 0
     for k in range(runs):
         try:
-            traj = simulate_switching(scen, run_index=k)
+            # run 0 checks A4 for all: no run changes the topology
+            traj = simulate_switching(scen, allow_a4_violation=k > 0,
+                                      run_index=k)
         except FiniteEscape:
             diverged += 1
             continue

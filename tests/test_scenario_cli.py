@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import consensuskit as ck
+from consensuskit import cli
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
 from consensuskit.scenario import load_scenario, parse_scenario, scenario_to_dict
@@ -671,6 +672,36 @@ def test_cli_montecarlo(tmp_path, capsys):
     rows = _read_csv(out_csv)
     assert rows[0] == ["t", "mean_square"]
     assert len(rows) == 52
+
+
+def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
+    # the parser is built once for all main calls: flags and defaults of
+    # one call (--full-state, --seed, --svg, --allow-a4-violation, --runs)
+    # must not reach the next, whatever its subcommand
+    assert cli._build_parser() is cli._build_parser()
+    fixed = _write(tmp_path, base_doc())
+    doc = switching_doc()
+    doc["switching"]["graphs"] = [{"n": 3, "edges": [[1, 2, 1.0]]},
+                                  {"n": 3, "edges": [[2, 3, 1.0]]}]
+    bad = _write(tmp_path, doc, "bad.json")
+    plain, again = tmp_path / "plain.csv", tmp_path / "again.csv"
+    assert main(["simulate", fixed, "--out", str(plain)]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["simulate-switching", bad, "--out", str(tmp_path / "s.csv"),
+                 "--full-state", "--seed", "5", "--allow-a4-violation",
+                 "--svg", str(tmp_path / "s.svg")]) == 0
+    assert main(["montecarlo", _write(tmp_path, switching_doc(), "mc.json"),
+                 "--runs", "2", "--seed", "9",
+                 "--out", str(tmp_path / "mc.csv")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", fixed, "--out", str(again)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert "svg" not in summary
+    assert summary["final_disagreement"] == first["final_disagreement"]
+    assert again.read_bytes() == plain.read_bytes()
+    assert main(["simulate-switching", bad,
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
 def test_cli_analyze(tmp_path, capsys):

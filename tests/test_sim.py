@@ -11,7 +11,9 @@ import scipy.integrate
 import scipy.linalg
 
 import consensuskit as ck
-from consensuskit.agents import NormalFormAgent, TermTable, augment, builtin
+from consensuskit.agents import (
+    AUGMENTED_GENERAL, NormalFormAgent, TermTable, augment, builtin,
+)
 from consensuskit.graph import directed_cycle, empty_graph
 from consensuskit.scenario import parse_scenario
 from consensuskit import sim
@@ -839,3 +841,235 @@ def test_custom_agent_matches_independent_oracles(target, unit_gain):
                            rtol=0.0, atol=1e-9)
     assert np.abs(traj.eta[1][:, 0] - 0.6).max() > 0.1
     assert np.abs(traj.u[:, 3] - 0.5).max() > 0.1
+
+
+def test_powers_match_sequential_products():
+    # P[m, j] = S_m ** (j + 1) by doubling against one product at a time,
+    # for RK4-like step matrices of two modes and counts that are and are
+    # not powers of two (measured 5.2e-15 of the largest entry at most,
+    # at count 256; asserted at 2e-14)
+    rng = np.random.default_rng(3)
+    step = np.eye(9) + 0.05 * rng.standard_normal((2, 9, 9))
+    for count in (1, 2, 37, 64, 256):
+        got = sim._powers(step, count)
+        assert got.shape == (2, count, 9, 9)
+        want = [step]
+        for _ in range(count - 1):
+            want.append(want[-1] @ step)
+        want = np.stack(want, axis=1)
+        assert np.array_equal(got[:, 0], step)
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=2e-14 * np.abs(want).max())
+
+
+def _loop_agents():
+    """agent1 (damped eta), an augmented agent with non-constant alpha and
+    beta, and two pure degree-3 chains."""
+    augmented = augment(
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.7, agent_id=2)
+    rng = np.random.default_rng(2)
+    return ([builtin("agent1").with_initial(xi0=[0.8, -0.3], eta0=[0.4]),
+             augmented]
+            + [_chain_agent(3 + i, 3, rng.uniform(-1.0, 1.0, 3))
+               for i in range(2)])
+
+
+def _rk4_reference(agents, target, gain, laps, modes, dt):
+    """Classical RK4 of the whole closed loop, one step at a time in numpy,
+    with the graph of modes[k] over step k: z' = (I (x) A - L (x) B K) z,
+    eta' = theta of each agent, u' = (u_hat - alpha) / beta of each
+    augmented agent.  Returns the chains, the eta and the u of every
+    sample."""
+    n, r = len(agents), target.r
+    bk = np.outer(target.B, gain.K)
+    phis = [np.kron(np.eye(n), target.A) - np.kron(lap, bk) for lap in laps]
+    nz = n * r
+    ends = np.cumsum([nz] + [ag.n_eta for ag in agents])
+    aug = [i for i, ag in enumerate(agents) if ag.kind == AUGMENTED_GENERAL]
+
+    def local(x, i):
+        return np.r_[x[i * r:i * r + agents[i].r], x[ends[i]:ends[i + 1]]]
+
+    def f(x, phi):
+        dz = phi @ x[:nz]
+        deta = [ag.theta.at(local(x, i)) for i, ag in enumerate(agents)
+                if ag.n_eta]
+        du = [(dz[i * r + agents[i].r - 1] - agents[i].alpha.at(local(x, i))[0])
+              / agents[i].beta.at(local(x, i))[0] for i in aug]
+        return np.concatenate([dz, *deta, du])
+
+    x = np.concatenate([np.pad(ag.xi0, (0, r - ag.r)) for ag in agents]
+                       + [ag.eta0 for ag in agents]
+                       + [[agents[i].u0 for i in aug]])
+    out = [x]
+    for m in modes[:-1]:
+        k1 = f(x, phis[m])
+        k2 = f(x + 0.5 * dt * k1, phis[m])
+        k3 = f(x + 0.5 * dt * k2, phis[m])
+        k4 = f(x + dt * k3, phis[m])
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    out = np.array(out)
+    return out[:, :nz].reshape(-1, n, r), out[:, nz:ends[-1]], out[:, ends[-1]:]
+
+
+@pytest.mark.parametrize("schedule, steps, longest", [
+    ("every_step", 300, 1),     # a switch at every step: one-step segments
+    ("on_boundary", 700, 227),  # switches at steps 227, 454 and 681
+    ("one_mode", 600, 256),     # 600 = 2 * 256 + 88 steps
+])
+def test_linear_pass_matches_stepwise_rk4(target, unit_gain, monkeypatch,
+                                          schedule, steps, longest):
+    # the z of a segment is one product with the powers of its mode's step
+    # matrix, and its cascade inputs one product with G; both must give
+    # what RK4 one step at a time gives (measured, as a share of the
+    # largest value, at most 5.7e-15 on the chains, 1.7e-15 on eta and
+    # 2.9e-15 on u over the three schedules; asserted at 2e-14).  With
+    # nz = 12 the powers of two modes fit the budget up to B = 2 ** 19 //
+    # (8 * 2 * 12 * 12) = 227 steps, of one mode up to the cap of 256
+    counts = []
+    real = sim._powers
+
+    def record(step, count):
+        counts.append(count)
+        return real(step, count)
+
+    monkeypatch.setattr(sim, "_powers", record)
+    agents = _loop_agents()
+    g1, g2 = default_switching_pair(4)
+    laps = [ck.laplacian(g) for g in (g1, directed_cycle(4))]
+    k = np.arange(steps + 1)
+    modes = {"every_step": k % 2, "on_boundary": (k // 227) % 2,
+             "one_mode": 0 * k}[schedule]
+    dt = 0.01
+    scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
+                          t_end=steps * dt, dt=dt)
+    traj = sim._integrate(scen, laps if schedule != "one_mode" else laps[:1],
+                          modes)
+    assert counts == [longest]
+    xi, eta, u = _rk4_reference(agents, target, unit_gain, laps, modes, dt)
+    assert traj.times.shape == (steps + 1,)
+    assert np.allclose(traj.xi_hat, xi, rtol=0.0,
+                       atol=2e-14 * np.abs(xi).max())
+    assert np.allclose(np.hstack(traj.eta), eta, rtol=0.0,
+                       atol=2e-14 * np.abs(eta).max())
+    assert np.allclose(traj.u[:, 1], u[:, 0], rtol=0.0,
+                       atol=2e-14 * np.abs(u).max())
+    assert np.abs(u[:, 0] - u[0, 0]).max() > 0.05  # u does move
+
+
+def test_linear_pass_segments_shrink_for_a_large_state(target, unit_gain,
+                                                       monkeypatch):
+    # 8 chains of degree 3 make nz = 24, so the powers of one mode's step
+    # matrix fit the budget only up to B = 2 ** 19 // (8 * 24 * 24) = 113
+    # steps; a 700-step run is then six segments of 113 steps and one of
+    # 22, and must still follow the step matrix applied one step at a time
+    # (measured 8.1e-15 of the largest chain value; asserted at 4e-14)
+    counts = []
+    real = sim._powers
+
+    def record(step, count):
+        counts.append(count)
+        return real(step, count)
+
+    monkeypatch.setattr(sim, "_powers", record)
+    agents = [_chain_agent(i + 1, 3, np.random.default_rng(i).uniform(
+        -1.0, 1.0, 3)) for i in range(8)]
+    cycle = directed_cycle(8)
+    dt = 0.01
+    traj = simulate_fixed(build_scenario(agents, target, unit_gain, cycle,
+                                         t_end=7.0, dt=dt))
+    assert counts == [113]
+    hphi = dt * (np.kron(np.eye(8), target.A)
+                 - np.kron(ck.laplacian(cycle), np.outer(target.B, unit_gain.K)))
+    step, term = np.eye(24), np.eye(24)
+    for j in range(1, 5):
+        term = term @ hphi / j
+        step = step + term
+    z = [np.array([ag.xi0 for ag in agents]).ravel()]
+    for _ in range(700):
+        z.append(step @ z[-1])
+    z = np.array(z)
+    assert np.allclose(traj.xi_hat.reshape(701, 24), z, rtol=0.0,
+                       atol=4e-14 * np.abs(z).max())
+
+
+def test_augmented_input_starts_at_its_u0_exactly(target, unit_gain):
+    # the cascade carries u - xi_last; 0.1 + (1e-17 - 0.1) rounds to 0, so
+    # u[0] must be recorded as u0 itself, not rebuilt from that difference
+    u0, last = 1e-17, 0.1
+    assert last + (u0 - last) != u0
+    agents = [augment(r=2, alpha_tilde=ZERO, beta_tilde=ONE, theta_tilde=None,
+                      xi0=[0.3, -0.2, last], u0=u0, agent_id=1),
+              _chain_agent(2, 3, [-0.5, 0.1, 0.2]),
+              _chain_agent(3, 3, [0.2, 0.4, -0.3])]
+    traj = simulate_fixed(build_scenario(agents, target, unit_gain,
+                                         directed_cycle(3), t_end=0.1,
+                                         dt=0.01))
+    assert traj.u[0, 0] == u0
+    assert traj.xi_hat[0, 0, 2] == last
+
+
+@pytest.mark.parametrize("observer", [False, True])
+def test_run_too_long_to_record_is_refused_before_allocating(
+        target, unit_gain, five_agents, five_cycle, monkeypatch, observer):
+    # 1e8 steps of the fixed scenario would record 19 states per sample
+    # (34 with an observer) in ~15 GB (~27 GB): refused under sim.t_end,
+    # naming the bytes, before the grid or any state row exists
+    def no_system(*args):
+        raise AssertionError("reached the set-up that precedes the rows")
+
+    monkeypatch.setattr(sim, "_System", no_system)
+    obs = (ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+           if observer else None)
+    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
+                                observer=obs, t_end=1e5, dt=1e-3)
+    size = (1e8 + 1) * (34 if observer else 19) * 8
+    with pytest.raises(ck.ValidationError) as exc:
+        (simulate_with_observer if observer else simulate_fixed)(scen)
+    assert exc.value.field == "sim.t_end"
+    assert f"{size:.4g} bytes" in str(exc.value)
+    assert str(sim._ROWS_BYTES) in str(exc.value)
+
+
+def test_switching_run_too_long_is_refused_before_its_path(
+        target, unit_gain, five_agents, monkeypatch):
+    def no_path(*args):
+        raise AssertionError("sampled a path for a run that cannot be recorded")
+
+    monkeypatch.setattr(sim, "sample_path", no_path)
+    scen = _switching_scenario(target, unit_gain, five_agents,
+                               t_end=1e5, dt=1e-3, init="random")
+    with pytest.raises(ck.ValidationError) as exc:
+        simulate_switching(scen)
+    assert exc.value.field == "sim.t_end"
+    with pytest.raises(ck.ValidationError):
+        monte_carlo_ms(scen, runs=2)
+
+
+def test_monte_carlo_checks_A4_once(target, unit_gain, five_agents,
+                                    monkeypatch):
+    checked = []
+    real = sim.check_A4
+
+    def counting(mt):
+        checked.append(mt)
+        return real(mt)
+
+    monkeypatch.setattr(sim, "check_A4", counting)
+    scen = _switching_scenario(target, unit_gain, five_agents,
+                               t_end=0.2, dt=0.01, init="random", seed=4)
+    assert monte_carlo_ms(scen, runs=3).runs_used == 3
+    assert checked == [scen.topology]
+    # a failing union graph is the ValidationError of a single run
+    mt = MarkovTopology(graphs=[empty_graph(5), empty_graph(5)],
+                        generator=FLIP_FLOP)
+    bad = build_scenario(five_agents, target, unit_gain, mt,
+                         t_end=0.2, dt=0.01, init="random", seed=2)
+    with pytest.raises(ck.ValidationError) as single:
+        simulate_switching(bad)
+    with pytest.raises(ck.ValidationError) as mc:
+        monte_carlo_ms(bad, runs=3)
+    assert str(mc.value) == str(single.value)
