@@ -1,0 +1,209 @@
+"""Exact ``%.17g`` and ``%d`` CSV text for a block of rows, made by numpy.
+
+Python's ``"%.17g" % x`` rounds x to 17 significant digits (correctly, ties
+to even) and lays them out by the ``g`` rules; with 17 digits its dtoa runs
+its bignum path for every value.  :class:`RowFormatter` makes the same
+bytes for a whole block at once:
+
+* Digits.  With e = floor(log10 |x|), made exact against a table of the
+  smallest doubles >= 10**e, the 17 digits are D = round(V), V = |x|
+  10**(16 - e).  V is taken in double-double: 10**(16 - e) is a pair
+  (hi, lo) built from Python ints and |x| hi is split exactly by Dekker's
+  method, so V is known to about 1e-15, far inside the margin below.
+  Integer columns get D = |v| 10**(16 - e) in int64.
+* Layout.  From the digit count left after stripping trailing zeros, the
+  sign and e, each value picks a template: which of its digit, exponent
+  and constant characters fill the 26 slots of its field (the separator
+  included), NUL elsewhere.  One gather builds the character matrix; one
+  boolean compress of it is the text.
+* Decided values.  A value is decided when it is 0 (written ``0`` or
+  ``-0``) or when 1e-280 <= |x| < 1e281 (there the split and the products
+  neither overflow nor lose bits to underflow), V's fraction is more than
+  1e-6 from 0.5 and D < 10**17.  Exact ties at 17 digits, nan, inf,
+  subnormals, values outside that range and integers of 18 or more digits
+  are not; the caller formats rows holding one with ``%``.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+_E_MIN, _E_MAX = -280, 280  # decimal exponents of the values decided here
+_MARGIN = 1e-6  # a fraction of V this near 0.5 is left to the % fallback
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+_WIDTH = 26  # slots of the widest field: -1.2345678901234567e-100\r\n
+_NCLS = 24  # fixed e = -4 .. 16, exponent of 2 or 3 digits, zero
+# Rows of the source matrix: row 0 is the first digit of D // 10**9 (always
+# 0, read by no template), rows 1-17 the digits of D, 18-21 the exponent's
+# sign and digits, then constants.
+_CONSTANTS = b"-.0e,\r\n\0"
+_MINUS, _DOT, _ZERO, _E, _COMMA, _CR, _LF, _NUL = range(22, 30)
+_E0 = _E_MIN - 2  # the exponent at index 0 of the tables
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+
+
+@functools.cache
+def _powers():
+    """Tables over e = _E0 .. _E_MAX + 2, built exactly from Python ints.
+
+    ``least`` is the smallest double >= 10**e; ``hi + lo`` is 10**(16 - e)
+    to 2**-106 of it, ``hh + hl == hi`` its Dekker split; ``cls`` is the
+    layout class of e and ``exp_chars`` the sign and three digits of e.
+    """
+    es = np.arange(_E0, _E_MAX + 3)
+    least, hi, lo = [], [], []
+    for e in es.tolist():
+        # int / int is correctly rounded; (p, q) is the double h exactly
+        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+        h = num / den
+        p, q = h.as_integer_ratio()
+        least.append(h if p * den >= num * q else math.nextafter(h, math.inf))
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    cls = np.where((es >= -4) & (es < 17), es + 4, 21 + (np.abs(es) >= 100))
+    a = np.abs(es)
+    exp_chars = np.array([np.where(es < 0, 45, 43), a // 100 + 48,
+                          a // 10 % 10 + 48, a % 10 + 48], dtype=np.uint8)
+    return np.array(least), hi, np.array(lo), hh, hi - hh, cls, exp_chars
+
+
+@functools.cache
+def _templates():
+    """Source row of each slot, per (last column, sign, class, digit count)."""
+    t = np.full((2, 2, _NCLS, 17, _WIDTH), _NUL, dtype=np.intp)
+    for last, neg, cls, nd in itertools.product(range(2), range(2),
+                                                range(_NCLS), range(1, 18)):
+        digits = list(range(1, nd + 1))
+        s = [_MINUS] if neg else []
+        if 4 <= cls < 21:  # fixed, e = cls - 4 >= 0
+            s += list(range(1, cls - 2))
+            if nd > cls - 3:
+                s += [_DOT] + digits[cls - 3:]
+        elif cls < 4:  # fixed, e = cls - 4 < 0
+            s += [_ZERO, _DOT] + [_ZERO] * (3 - cls) + digits
+        elif cls < 23:  # exponent of 2 or 3 digits
+            s += digits[:1] + ([_DOT] + digits[1:] if nd > 1 else [])
+            s += [_E, 18] + ([19] if cls == 22 else []) + [20, 21]
+        else:
+            s += [_ZERO]
+        s += [_CR, _LF] if last else [_COMMA]
+        t[last, neg, cls, nd - 1, :len(s)] = s
+    return t.reshape(-1, _WIDTH)
+
+
+def _float_digits(x):
+    """17-digit integers D, exponents e and the decided mask of floats."""
+    least, hi_t, lo_t, hh_t, hl_t = _powers()[:5]
+    a = np.abs(x)
+    ok = (a > 0) & (a < 1e300)  # False for nan
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, _E_MIN - 1, _E_MAX + 1, out=e)
+    e -= a < least.take(e - _E0)  # log10 may round across a power of ten
+    e += a >= least.take(e - _E0 + 1)
+    ok &= (e >= _E_MIN) & (e <= _E_MAX)
+    a[~ok] = 1.0
+    e[~ok] = 0
+    i = e - _E0
+    hi, lo, hh, hl = hi_t.take(i), lo_t.take(i), hh_t.take(i), hl_t.take(i)
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    top = a * hi  # an integer, as 10**16 <= top <= 10**17 and 2**53 < 10**16
+    rest = (((ah * hh - top) + ah * hl) + al * hh) + al * hl + a * lo
+    whole = np.floor(rest)
+    frac = rest - whole
+    ok &= np.abs(frac - 0.5) > _MARGIN
+    d = top.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    ok &= d < 10 ** 17
+    return d, e, ok
+
+
+def _int_digits(v):
+    """D, e and the decided mask of integers, exact in int64."""
+    ok = (v > -10 ** 17) & (v < 10 ** 17)
+    a = np.abs(v.astype(np.int64))  # may wrap where not ok
+    e = (a[..., None] >= _POW10[1:]).sum(axis=-1)
+    return a * _POW10[16 - e], e, ok
+
+
+class RowFormatter:
+    """CSV text of blocks of up to ``rows`` rows of ``ncols`` columns.
+
+    ``int_cols`` are the indices of the columns written with ``%d``.  The
+    work buffers are allocated once, for a full block, and reused.
+    """
+
+    def __init__(self, ncols, int_cols, rows):
+        self.size = size = rows * ncols
+        self.int_cols = np.asarray(int_cols, dtype=np.intp)
+        self.src = np.empty((30, size), np.uint8)
+        self.src[22:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
+        self.slots = _templates() * size
+        last = np.zeros((rows, ncols), np.intp)
+        last[:, -1] = 2 * _NCLS * 17
+        self.last = last.ravel()
+        self.index = np.empty((size, _WIDTH), np.intp)
+        self.chars = np.empty((size, _WIDTH), np.uint8)
+        self.column = np.arange(size)[:, None]
+
+    def format(self, x, ints):
+        """Characters of each row and whether every value of it is decided.
+
+        ``x`` is the block as float64, ``ints`` its integer columns in their
+        own dtype.  The characters are (rows, 26 ncols) uint8 with NUL where
+        a slot holds nothing; they live in a buffer the next call reuses.
+        """
+        rows, m = x.shape[0], x.size
+        x = x.ravel()
+        d, e, ok = _float_digits(x)
+        zero = x == 0
+        neg = np.signbit(x)
+        if self.int_cols.size:
+            cols = (slice(None), self.int_cols)
+            for out, value in zip((d, e, ok, zero, neg),
+                                  _int_digits(ints) + (ints == 0, ints < 0)):
+                out.reshape(rows, -1)[cols] = value
+        ok |= zero
+        clear = ~ok | zero
+        d[clear] = 10 ** 16
+        e[clear] = 0
+
+        # digits: D = H 10**9 + L, each half by 8 divisions in uint32 into
+        # source rows 0-8 (H, whose first digit is 0) and 9-17 (L)
+        src = self.src[:, :m]
+        y = np.empty((2, m), np.int64)
+        np.floor_divide(d, 10 ** 9, out=y[0])
+        np.subtract(d, y[0] * 10 ** 9, out=y[1])
+        y = y.astype(np.uint32)
+        digits = self.src[:18].reshape(2, 9, self.size)
+        for k in range(8, 0, -1):
+            q = y // 10
+            y -= q * 10
+            y += 48
+            digits[:, k, :m] = y
+            y = q
+        digits[:, 0, :m] = y + 48
+        # layout: the template of (last column, sign, class of e, digits
+        # kept once trailing zeros go) picks a source row for each slot
+        kept = np.max(np.arange(1, 18, dtype=np.uint8)[:, None]
+                      * (src[1:18] != 48), axis=0)
+        cls_t, exp_t = _powers()[5:]
+        exp_t.take(e - _E0, axis=1, out=src[18:22])
+        cls = cls_t.take(e - _E0)
+        cls[zero] = 23
+        tid = self.last[:m] + (neg * _NCLS + cls) * 17 + kept - 1
+        index = self.index[:m]
+        self.slots.take(tid, axis=0, out=index, mode="clip")
+        index += self.column[:m]
+        chars = self.chars[:m]
+        self.src.take(index, out=chars, mode="clip")
+        return chars.reshape(rows, -1), ok.reshape(rows, -1).all(axis=1)

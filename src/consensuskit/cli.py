@@ -11,8 +11,10 @@ Exit codes: 0 on success, 1 for bad input (parse, validation, or synthesis
 failures, missing files), 2 for runtime failures (finite escape, a beta
 hitting its floor, solver breakdowns).  Errors are emitted as a single JSON
 object on stderr; command results go to stdout as JSON, trajectories to CSV
-files.  All numeric CSV fields use repr-faithful %.17g formatting so reruns
-are byte-identical.
+files.  CSV fields are the text of "%.17g" (17 significant digits, so every
+double reads back exactly; not repr, which prints the fewest digits that
+do) or, for integer columns such as mode, "%d", so reruns are
+byte-identical.
 
 `simulate`, `simulate-switching` and `analyze` share one dispatch: a
 switching scenario runs under its Markov schedule, a fixed one with observer
@@ -28,6 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._csvtext import RowFormatter
 from .errors import (
     ConsensusKitError,
     ScenarioParseError,
@@ -90,26 +93,54 @@ def _output_cfg(scen, args):
     return cfg
 
 
-_CHUNK_ROWS = 256  # rows formatted at once: keeps the text and float lists small
+_CHUNK_ROWS = 256  # rows formatted at once: keeps the work buffers small
+
+
+def _fallback_row(line, part, r):
+    """Row ``r`` of the blocks in ``part`` through the format ``line``."""
+    return line % tuple(v for b in part for v in b[r].tolist())
 
 
 def _write_rows(path, header, blocks):
     """CSV lines as csv.writer writes them for these fields.
 
     ``blocks`` are 2-D arrays with one row per sample, written side by side:
-    integer blocks as integers, float blocks with "%.17g" (the digits of
-    format(x, ".17g")).  A chunk of rows at a time goes through one format
-    string, so no Python call is made per value.
+    integer blocks with "%d" of each integer, float blocks with "%.17g".
+    Each chunk of 256 rows gets exactly the bytes of ``line % tuple(row)``
+    from numpy (``_csvtext.RowFormatter``).  Digits: a value's 17 digits
+    are its magnitude times a power of ten, taken in double-double and
+    rounded to an integer.  Layout: they are placed by the g rules (fixed
+    notation for -4 <= exponent < 17, else d.ddd...e+XX; trailing zeros and
+    a bare "." dropped) in a NUL-padded character matrix that one boolean
+    compress turns into bytes.  Fallback: a row holding a value that
+    product cannot decide (a tie at 17 digits, nan, inf, a subnormal, a
+    magnitude outside 1e-280 .. 1e281, an integer of 18 or more digits) is
+    formatted with ``line % tuple(row)`` instead.
     """
-    formats = []
+    formats, int_cols = [], []
     for b in blocks:
+        if b.dtype.kind in "iu":
+            int_cols += range(len(formats), len(formats) + b.shape[1])
         formats += ["%d" if b.dtype.kind in "iu" else "%.17g"] * b.shape[1]
     line = ",".join(formats) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, blocks[0].shape[0], _CHUNK_ROWS):
-            rows = np.hstack([b[lo:lo + _CHUNK_ROWS] for b in blocks])
-            fh.writelines([line % tuple(row) for row in rows.tolist()])
+    n = blocks[0].shape[0]
+    formatter = RowFormatter(len(formats), int_cols, min(n, _CHUNK_ROWS))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, n, _CHUNK_ROWS):
+            part = [b[lo:lo + _CHUNK_ROWS] for b in blocks]
+            ints = [b for b in part if b.dtype.kind in "iu"]
+            chars, decided = formatter.format(
+                np.concatenate(part, axis=1, dtype=float),
+                np.concatenate(ints, axis=1) if ints else None)
+            start = 0
+            for r in np.flatnonzero(~decided).tolist():
+                done = chars[start:r]
+                fh.write(done[done != 0])
+                fh.write(_fallback_row(line, part, r).encode())
+                start = r + 1
+            done = chars[start:]
+            fh.write(done[done != 0])
 
 
 def _write_trajectory_csv(path, traj, full_state):
@@ -178,10 +209,14 @@ def _write_svg(path, times, series, ylabel="y"):
         parts.append(f'<line x1="{ml}" y1="{zy:.2f}" x2="{ml + pw}" '
                      f'y2="{zy:.2f}" stroke="#bbb" stroke-width="1" '
                      'stroke-dasharray="4 3"/>')
+    # px and py act on whole columns, in the order of operations of a point
+    xy = np.empty((len(tt), 2))
+    xy[:, 0] = px(tt)
+    points = " ".join(["%.2f,%.2f"] * len(tt))
     for j in range(ss.shape[1]):
         color = _PALETTE[j % len(_PALETTE)]
-        pts = " ".join(f"{px(t):.2f},{py(v):.2f}"
-                       for t, v in zip(tt, ss[:, j]))
+        xy[:, 1] = py(ss[:, j])
+        pts = points % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.2"/>')
     style = 'font-family="sans-serif" font-size="12" fill="#222"'

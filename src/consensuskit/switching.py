@@ -114,8 +114,18 @@ class MarkovTopology:
         self.generator = gen
         if self.pi is None:
             self.pi = stationary_distribution(gen)
-        else:
-            self.pi = np.asarray(self.pi, dtype=float)
+            return
+        pi = np.asarray(self.pi, dtype=float)
+        if pi.shape != (gen.shape[0],):
+            raise DimensionMismatchError(
+                f"pi has shape {pi.shape} for {gen.shape[0]} modes")
+        if not np.all(np.isfinite(pi)):
+            raise ValueError("pi has non-finite entries")
+        if np.any(pi < 0):
+            raise ValueError("pi entries must be nonnegative")
+        if not pi.sum() > 0:
+            raise ValueError("pi entries must not all be zero")
+        self.pi = pi
 
     @property
     def n(self):
@@ -126,6 +136,15 @@ class MarkovTopology:
         return len(self.graphs)
 
 
+def _cdf(p):
+    """The cumulative row Generator.choice(len(p), p=p) draws against."""
+    if not np.all(p >= 0):
+        raise ValueError("probabilities are not non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_path(mt, t_end, seed, run_index=0):
     """One realization of the mode process on [0, t_end].
 
@@ -133,14 +152,18 @@ def sample_path(mt, t_end, seed, run_index=0):
     [0, t_end] exactly.  The initial mode is drawn from the stationary law,
     holding times are exponential with rate -Q[k, k], and jumps follow the
     embedded chain.  Identical (seed, run_index) reproduce the path.
+
+    Each mode draw takes one ``rng.random()`` and looks it up in the
+    cumulative probabilities, as ``rng.choice(l, p=p)`` does, so paths are
+    those of ``choice``; a mode's jump row is built at its first jump.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     rng = rng_for(seed, run_index, STREAM_MODE_PATH)
     gen = mt.generator
-    l = mt.n_modes
-    pi = mt.pi / mt.pi.sum()
-    mode = int(rng.choice(l, p=pi))
+    mode = int(_cdf(mt.pi / mt.pi.sum()).searchsorted(rng.random(),
+                                                      side="right"))
+    jumps = {}
     path = []
     t = 0.0
     while t < t_end:
@@ -153,10 +176,13 @@ def sample_path(mt, t_end, seed, run_index=0):
         path.append((mode, t, stop))
         if stop >= t_end:
             break
-        probs = gen[mode].copy()
-        probs[mode] = 0.0
-        probs = probs / rate
-        mode = int(rng.choice(l, p=probs / probs.sum()))
+        cdf = jumps.get(mode)
+        if cdf is None:
+            probs = gen[mode].copy()
+            probs[mode] = 0.0
+            probs = probs / rate
+            cdf = jumps[mode] = _cdf(probs / probs.sum())
+        mode = int(cdf.searchsorted(rng.random(), side="right"))
         t = stop
     return path
 

@@ -593,6 +593,180 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
     assert path.read_bytes() == buf.getvalue().encode()
 
 
+def _percent_text(header, blocks):
+    # the reference: each row through "%.17g" (floats) and "%d" (ints)
+    line = ",".join(("%d" if b.dtype.kind in "iu" else "%.17g")
+                    for b in blocks for _ in range(b.shape[1])) + "\r\n"
+    cols = [b.tolist() for b in blocks]
+    return (",".join(header) + "\r\n" + "".join(
+        line % tuple(v for c in cols for v in c[r])
+        for r in range(blocks[0].shape[0]))).encode()
+
+
+def _fallback_rows(monkeypatch, write, *args):
+    # call write(*args) and count the rows it sent to the "%" fallback
+    calls = []
+    fallback = cli._fallback_row
+
+    def counted(line, part, r):
+        calls.append(r)
+        return fallback(line, part, r)
+
+    monkeypatch.setattr(cli, "_fallback_row", counted)
+    write(*args)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def _hard_values(rng):
+    """Doubles chosen to break a fast %.17g: (name, values) pairs."""
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 305_000, dtype=np.int64)
+    bits = bits.view(np.float64)
+    scaled = rng.standard_normal(40_000) * 10.0 ** rng.integers(-300, 301,
+                                                                40_000)
+    # odd N / 2**j in [10**(17 - j), 10**(18 - j)): 18 significant digits
+    # ending in 5, so exact ties at 17 digits; and their neighbours
+    j = rng.integers(3, 6, 20_000)
+    lo = 2 ** j * 10 ** (17 - j)
+    ties = (rng.integers(lo, 10 * lo) | 1) / 2.0 ** j
+    near = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties,
+                                                                  np.inf)])
+    pow10 = 10.0 ** np.arange(-310, 309)
+    pow10 = np.concatenate([pow10, np.nextafter(pow10, 0),
+                            np.nextafter(pow10, np.inf)])
+    whole = np.arange(10 ** 16 - 3000, 10 ** 16 + 3000, dtype=np.int64)
+    integers = np.concatenate([whole, whole * 10, 39209478666557296 + whole
+                               - 10 ** 16, np.arange(2 ** 53 - 50,
+                                                     2 ** 53 + 50)])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e-300, 1e300, 1.7976931348623157e308,
+               np.inf, -np.inf, np.nan, 1e16, 1e17, 9.999999999999999e16,
+               1e-5, 1e-4, 1e23, 1e22, 1e-7, 0.1, 821618143501158.375]
+    return [
+        ("bits", bits[np.isfinite(bits)]),
+        ("scaled normals", scaled),
+        ("dyadic near-ties", near),
+        ("powers of ten", pow10),
+        ("integers", integers.astype(float)),
+        ("k * 0.001", np.arange(-20_000, 20_000) * 0.001),
+        ("special", np.array(special)),
+    ]
+
+
+def test_csv_rows_match_percent_formatting_on_hard_values(tmp_path,
+                                                         monkeypatch):
+    # the numpy writer must give the bytes of "%.17g" on values where the
+    # 17 digits are hard to get; each block has four columns so that most
+    # rows hold only decided values and take the numpy path
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "hard.csv"
+    for name, values in _hard_values(rng):
+        values = np.concatenate([values, rng.standard_normal(-values.size % 4)])
+        block = values.reshape(-1, 4)
+        fallback = _fallback_rows(monkeypatch, cli._write_rows, path,
+                                  list("abcd"), [block])
+        assert path.read_bytes() == _percent_text(list("abcd"), [block]), name
+        assert fallback < block.shape[0], name
+    # a lone nan, inf and subnormal fall back with their own row only
+    block = np.array([[1.5], [np.nan], [2.5], [np.inf], [5e-324], [-0.0]])
+    assert _fallback_rows(monkeypatch, cli._write_rows, path, ["x"],
+                          [block]) == 3
+    assert path.read_bytes() == _percent_text(["x"], [block])
+
+
+def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
+    # 1,000 rows: three full chunks and a partial one; the int column is
+    # written with %d of the integer itself, also past 2**53 and 10**17
+    rng = np.random.default_rng(7)
+    n = 1000
+    assert n % cli._CHUNK_ROWS
+    t = np.arange(n) * 0.001
+    mode = rng.integers(1, 4, n)[:, None]
+    mode[[0, 5, 300, 999]] = [[2 ** 53 + 1], [-(2 ** 62)], [10 ** 17],
+                              [10 ** 16 + 7]]
+    mode[[1, 2, 3, 4]] = [[10], [-100], [10 ** 16], [-(10 ** 17 - 1)]]
+    y = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 3))
+    blocks = [t[:, None], mode, y, np.empty((n, 0)), y[:, :1] * 1e-12]
+    header = ["t", "mode", "y1", "y2", "y3", "w"]
+    path = tmp_path / "mixed.csv"
+    fallback = _fallback_rows(monkeypatch, cli._write_rows, path, header,
+                              blocks)
+    text = path.read_bytes()
+    assert text == _percent_text(header, blocks)
+    assert b"\r\n0,9007199254740993," in text
+    assert b",-4611686018427387904," in text
+    assert fallback == 2  # -2**62 and 10**17 have more than 17 digits
+    # the mode column at the end of the line, and a single row
+    blocks = [t[:1, None], mode[:1]]
+    cli._write_rows(path, ["t", "mode"], blocks)
+    assert path.read_bytes() == b"t,mode\r\n0,9007199254740993\r\n"
+
+
+def test_csv_writer_takes_the_numpy_path_on_the_shipped_trajectory(
+        tmp_path, monkeypatch):
+    # a later edit could stay exact and still send every row to "%": bound
+    # the fallback count on the shipped trajectory, and check its head
+    from consensuskit.sim import simulate_fixed
+
+    traj = simulate_fixed(load_scenario(SCENARIO_DIR / "five_agents_fixed.json"))
+    path = tmp_path / "fixed.csv"
+    fallback = _fallback_rows(monkeypatch, cli._write_trajectory_csv, path,
+                              traj, True)
+    assert traj.times.size == 30_001
+    assert fallback <= 30
+    head = path.read_bytes().split(b"\r\n")[:1001]
+    blocks = [traj.times[:1000, None], traj.y[:1000]]
+    for i in range(5):
+        blocks += [traj.xi_hat[:1000, i], traj.eta[i][:1000],
+                   traj.u[:1000, i:i + 1]]
+    assert b"\r\n".join(head) + b"\r\n" == _percent_text(
+        head[0].decode().split(","), blocks)
+
+
+def _svg_points_per_point(times, series):
+    # the per-point polyline text that _write_svg vectorizes
+    ml, mtop = 60.0, 15.0
+    pw, ph = 800 - ml - 15.0, 500 - mtop - 40.0
+    stride = max(1, len(times) // 2000)
+    tt, ss = times[::stride], series[::stride]
+    t_lo, t_hi = float(tt[0]), float(tt[-1])
+    if t_hi <= t_lo:
+        t_hi = t_lo + 1.0
+    y_lo, y_hi = float(ss.min()), float(ss.max())
+    if y_hi <= y_lo:
+        y_hi, y_lo = y_lo + 0.5, y_lo - 0.5
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def px(t):
+        return ml + pw * (t - t_lo) / (t_hi - t_lo)
+
+    def py(v):
+        return mtop + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
+
+    return [" ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(tt, ss[:, j]))
+            for j in range(ss.shape[1])]
+
+
+@pytest.mark.parametrize("case", ["crosses_zero", "constant", "stride"])
+def test_svg_polylines_match_per_point_formula(tmp_path, case):
+    rng = np.random.default_rng(3)
+    if case == "crosses_zero":
+        times = np.linspace(0.0, 3.0, 301)
+        series = np.stack([np.sin(7.0 * times), 0.3 - times / 7.0], axis=1)
+    elif case == "constant":
+        times = np.linspace(0.0, 1.0, 50)
+        series = np.full((50, 2), -1.0 / 3.0)
+    else:
+        times = np.arange(30_001) * 1e-3
+        series = rng.standard_normal((30_001, 3)).cumsum(axis=0) * 1e-3
+    path = tmp_path / "plot.svg"
+    cli._write_svg(path, times, series)
+    svg = path.read_text()
+    got = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert got == _svg_points_per_point(times, series)
+
+
 def test_cli_simulate_full_state_and_observer(tmp_path, capsys):
     doc = base_doc()
     doc["observer"] = {"C": [1.0, 0.0, 0.0], "poles": [-3.0, -4.0, -5.0]}

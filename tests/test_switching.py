@@ -64,6 +64,61 @@ def test_markov_topology_validation():
     assert mt.n_modes == 2
 
 
+@pytest.mark.parametrize("pi, error", [
+    ([0.5, 0.5, 0.0], ck.DimensionMismatchError),
+    ([[0.5, 0.5]], ck.DimensionMismatchError),
+    ([-0.5, 1.5], ValueError),
+    ([np.nan, 1.0], ValueError),
+    ([np.inf, 1.0], ValueError),
+    ([0.0, 0.0], ValueError),
+])
+def test_markov_topology_rejects_bad_explicit_pi(pi, error):
+    # each used to pass here and escape later from sample_path as numpy's
+    # "a and p must have same size", "not non-negative" or "contain NaN"
+    g1, g2 = default_switching_pair(5)
+    with pytest.raises(error):
+        MarkovTopology(graphs=[g1, g2], generator=FLIP_FLOP, pi=pi)
+    mt = MarkovTopology(graphs=[g1, g2], generator=FLIP_FLOP, pi=[1, 3])
+    assert mt.pi.tolist() == [1.0, 3.0]
+
+
+def _sample_path_with_choice(mt, t_end, seed, run_index):
+    # the reference: every mode drawn by Generator.choice
+    rng = ck.rng_for(seed, run_index, ck.STREAM_MODE_PATH)
+    gen = mt.generator
+    mode = int(rng.choice(mt.n_modes, p=mt.pi / mt.pi.sum()))
+    path, t = [], 0.0
+    while t < t_end:
+        rate = -gen[mode, mode]
+        stop = min(t + rng.exponential(1.0 / rate), t_end)
+        path.append((mode, t, stop))
+        if stop >= t_end:
+            break
+        probs = gen[mode].copy()
+        probs[mode] = 0.0
+        probs = probs / rate
+        mode = int(rng.choice(mt.n_modes, p=probs / probs.sum()))
+        t = stop
+    return path
+
+
+@pytest.mark.parametrize("gen", [
+    FLIP_FLOP * 2.0,
+    np.array([[-1.0, 0.3, 0.7], [0.5, -2.5, 2.0], [1.3, 0.2, -1.5]]),
+])
+def test_sample_path_draws_the_modes_choice_draws(gen):
+    g1, g2 = default_switching_pair(5)
+    graphs = [g1, g2, directed_cycle(5)][:gen.shape[0]]
+    mt = MarkovTopology(graphs=graphs, generator=gen)
+    jumps = 0
+    for seed in range(250):
+        for run_index in (0, 7):
+            path = sample_path(mt, 5.0, seed, run_index)
+            assert path == _sample_path_with_choice(mt, 5.0, seed, run_index)
+            jumps += len(path) - 1
+    assert jumps > 3000
+
+
 def test_sample_path_tiles_horizon_exactly():
     mt = _default_topology()
     path = sample_path(mt, 50.0, seed=11)
