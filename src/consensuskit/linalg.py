@@ -3,8 +3,9 @@
 Conventions used by every solver here:
 
 * Lyapunov:  a' P + P a + q = 0, with `a` strictly stable.
-* Riccati:   a' P + P a + q - P b inv(r) b' P = 0, stabilizing P,
-  solved by Newton iteration on the associated Lyapunov equations.
+* Riccati:   a' P + P a + q - P b inv(r) b' P = 0, stabilizing P, seeded
+  from the stable invariant subspace of the Hamiltonian matrix and
+  polished by Newton iteration on the associated Lyapunov equations.
 
 Matrices are plain float64 ndarrays; spectra are complex128 vectors sorted
 by (real, imag).  Sizes here are small (a few dozen states), so the
@@ -93,44 +94,67 @@ def solve_lyapunov(a, q):
     return p
 
 
-def _stabilizing_seed(a, b, rinv):
-    """Initial stabilizing gain for the Newton iteration.
+def _stabilizing_seed(a, b, rinv, q):
+    """Initial stabilizing gain for the Newton iteration, from the Hamiltonian.
 
-    If `a` is already stable the zero gain works.  Otherwise solve the
-    shifted Lyapunov equation
+    The stabilizing Riccati solution spans the stable invariant subspace of
 
-        -(a + s I) Z + Z ( -(a + s I) )' + 2 b inv(r) b' = 0,
+        H = [[a, -b inv(r) b'], [-q, -a']]
 
-    with the shift s chosen so that -(a + s I) is stable; K0 = inv(r) b' inv(Z)
-    then stabilizes (a, b).  Z is singular exactly when the unstable part is
-    not reachable through b, in which case no stabilizing gain exists.
+    (Laub, IEEE TAC 24, 1979): with [X1; X2] a basis of the span of the
+    eigenvectors of its n stable eigenvalues, P0 = X2 inv(X1) and
+    K0 = inv(r) b' P0.  The basis is taken real (the real and imaginary
+    parts of each conjugate pair), so P0 needs no complex solve.  Fewer
+    than n stable eigenvalues means no stabilizing solution exists; a
+    singular X1 or a K0 that does not stabilize means the unstable part of
+    (a, b) is not reachable through b.
     """
     n = a.shape[0]
-    re = eig(a).real
-    if re.max() < -settings.hurwitz_tol:
-        return np.zeros((b.shape[1], n))
-    shift = 1.0 + float(np.abs(re).max())
-    m = -(a + shift * np.eye(n))
+    ham = np.block([[a, -b @ rinv @ b.T], [-q, -a.T]])
     try:
-        z = solve_lyapunov(m.T, 2.0 * b @ rinv @ b.T)
-        k0 = rinv @ b.T @ np.linalg.solve(z, np.eye(n))
-    except (SingularSystemError, np.linalg.LinAlgError) as exc:
+        vals, vecs = np.linalg.eig(ham)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
+    stable = np.flatnonzero(vals.real < -settings.hurwitz_tol)
+    if stable.size < n:
+        nearest = vals[np.argmin(np.abs(vals.real))]
+        raise ConvergenceFailure(
+            f"the Hamiltonian has {stable.size} of {n} stable eigenvalues "
+            f"(nearest the imaginary axis: {nearest:.3e}); "
+            "no stabilizing Riccati solution exists")
+    # rounding can push both members of a pair on the axis to the left
+    stable = stable[np.argsort(vals.real[stable])[:n]]
+    # a real basis of the same subspace: Re v and Im v for each pair v, v*
+    x = np.where(vals[stable].imag >= 0.0, vecs[:, stable].real,
+                 vecs[:, stable].imag)
+    try:
+        p0 = np.linalg.solve(x[:n].T, x[n:].T).T
+    except np.linalg.LinAlgError as exc:
         raise NotStabilizableError(
             f"could not construct a stabilizing seed gain: {exc}") from exc
-    closed = eig(a - b @ k0).real
-    if closed.max() >= 0.0:
+    k0 = rinv @ b.T @ (0.5 * (p0 + p0.T))
+    if not np.all(np.isfinite(k0)):
         raise NotStabilizableError(
-            "shifted Lyapunov seed failed to stabilize the pair (a, b)")
+            "could not construct a stabilizing seed gain: X1 is singular")
+    closed = eig(a - b @ k0).real
+    if closed.max() >= -settings.hurwitz_tol:
+        raise NotStabilizableError(
+            "the Hamiltonian seed failed to stabilize the pair (a, b)")
     return k0
 
 
 def solve_care(a, b, q, r):
     """Stabilizing solution of a' P + P a + q - P b inv(r) b' P = 0.
 
-    Newton iteration (Kleinman): each step solves one Lyapunov equation for
-    the current closed loop and converges quadratically from a stabilizing
-    seed gain.  `b` may be a column vector or an n-by-m matrix; `r` must be
-    symmetric positive definite m-by-m.
+    The seed gain comes from the stable invariant subspace of the
+    Hamiltonian (see `_stabilizing_seed`) and already lies next to the
+    solution; Newton iteration (Kleinman) only polishes it, each step
+    solving one Lyapunov equation for the current closed loop, and
+    usually one step reaches the 1e-13 relative residual.  No stabilizing
+    solution (fewer than n stable Hamiltonian eigenvalues) raises
+    ConvergenceFailure; an unstabilizable pair raises NotStabilizableError.
+    `b` may be a column vector or an n-by-m matrix; `r` must be symmetric
+    positive definite m-by-m.
     """
     a = _as_square(a, "a")
     b = np.asarray(b, dtype=float)
@@ -158,7 +182,7 @@ def solve_care(a, b, q, r):
     def residual(p):
         return np.linalg.norm(a.T @ p + p @ a + q - p @ b @ rinv @ b.T @ p)
 
-    k = _stabilizing_seed(a, b, rinv)
+    k = _stabilizing_seed(a, b, rinv, q)
     p = None
     best = np.inf
     for _ in range(settings.care_max_iterations):

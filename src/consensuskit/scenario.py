@@ -28,7 +28,6 @@ observer eagerly so that design failures surface at load time as
 SynthesisError with the original cause chained.
 """
 
-import copy
 import json
 import sys
 
@@ -359,8 +358,21 @@ def parse_scenario(doc):
     return scen
 
 
+def _copy_tree(node):
+    """New dicts and lists over the same leaves.
+
+    A validated document's leaves are numbers, strings, booleans and None,
+    all immutable, so sharing them keeps copy and source apart.
+    """
+    if isinstance(node, dict):
+        return {key: _copy_tree(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_copy_tree(value) for value in node]
+    return node
+
+
 def _normalize(doc):
-    norm = copy.deepcopy(doc)
+    norm = _copy_tree(doc)
     ctl = norm["controller"]
     ctl["poles"] = [[_pole(p, "").real, _pole(p, "").imag]
                     for p in ctl["poles"]]
@@ -399,4 +411,4 @@ def scenario_to_dict(scen):
     """Normalized document for a scenario built from one (round-trips)."""
     if scen.raw is None:
         raise ValidationError("scenario was not built from a document")
-    return copy.deepcopy(scen.raw)
+    return _copy_tree(scen.raw)

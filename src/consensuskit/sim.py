@@ -271,7 +271,7 @@ class _System:
 
         Row i of the list x holds the inputs of step i, stage after stage:
         z at `cols`, then u_hat of each augmented agent.  From the state y,
-        block writes the state after step i to out[i], as a tuple.  Each
+        block appends the state after each step to the flat list out.  Each
         stage is written out in full: stages 2, 3 and 4 read the states
         y + (h/2) k_1, y + (h/2) k_2 and y + h k_3, and the step is y +
         (h/6) (((k_1 + 2 k_2) + 2 k_3) + k_4).  The source holds no float;
@@ -295,13 +295,12 @@ class _System:
             body += [f"k{s}_{q} = {row}" for q, row in enumerate(rows)]
         body += [f"{y[q]} = {y[q]} + h6 * (((k1_{q} + two * k2_{q}) "
                  f"+ two * k3_{q}) + k4_{q})" for q in range(n)]
-        body += [f"out[i] = ({', '.join(y)},)", "i = i + 1"]
+        body += [f"out += ({', '.join(y)},)"]
         target = ", ".join(sum(x, [])) + "," if n_in else "_"
         source = "\n".join(
             ["def block(x, y, out, c, h2, h, h6, two):",
              f"    {', '.join(f'c{t}' for t in range(len(coefs)))}, = c",
              f"    {', '.join(y)}, = y",
-             "    i = 0",
              f"    for {target} in x:"]
             + ["        " + line for line in body]) + "\n"
         return _function(source, (tuple(coefs), 0.5 * h, h, h / 6.0, 2.0))
@@ -455,15 +454,17 @@ def _cascade_steps(sys, rows, g):
     is in rows[:, :nz], from the inputs rows[:-1, :nz] @ g.  Returns how
     many steps it made: a Python OverflowError or ZeroDivisionError, where
     numpy gives inf, stops it."""
-    out = [None] * (rows.shape[0] - 1)
+    out = []
     try:
         sys.block((rows[:-1, :sys.nz] @ g).tolist(),
                   rows[0, sys.nz:].tolist(), out)
     except (OverflowError, ZeroDivisionError):
-        del out[out.index(None):]
-    if out:
-        rows[1:1 + len(out), sys.nz:] = out
-    return len(out)
+        pass  # out holds the steps made before it, each one whole
+    done = len(out) // (sys.dim - sys.nz)
+    if done:
+        flat = np.fromiter(out, float, len(out))
+        rows[1:1 + done, sys.nz:] = flat.reshape(done, -1)
+    return done
 
 
 _BLOCK = 1024  # recorded states per evaluation of a stacked table

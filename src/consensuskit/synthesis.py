@@ -379,7 +379,12 @@ def closed_loop_spectrum(cs, gain, lap):
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
-    big = np.kron(np.eye(n), cs.A) - np.kron(lap, np.outer(cs.B, gain.K))
+    # big[i, k, j, l] = delta_ij A[k, l] - L[i, j] (B K)[k, l], the entries
+    # of the two Kronecker products without forming either
+    big = lap[:, None, :, None] * -np.outer(cs.B, gain.K)[:, None, :]
+    idx = np.arange(n)
+    big[idx, :, idx] += cs.A
+    big = big.reshape(n * cs.r, n * cs.r)
     direct = eig(big)
     if gain.rank != "one":
         return SpectrumCheck(values=direct, analytic_consistent=None)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import consensuskit as ck
+from consensuskit import linalg
 from consensuskit.linalg import eig, solve_care, solve_lyapunov
 
 from conftest import rand_stable_matrix, rand_spd
@@ -109,6 +110,66 @@ def test_care_result_is_stabilizing():
         p = solve_care(a, b, np.eye(n), np.array([[1.0]]))
         closed = a - b @ b.T @ p
         assert np.linalg.eigvals(closed).real.max() < 0
+
+
+def _seed_problems():
+    """Companion targets r = 3..6 with random SPD Q1, and a repeated pole.
+
+    The double integrator with Q = diag(1, 2) has the closed-loop
+    polynomial (s + 1)^2: a double, defective pole at -1.
+    """
+    rng = ck.rng_for(105)
+    problems = []
+    for r in range(3, 7):
+        for _ in range(4):
+            poles = []
+            while len(poles) < r - 1:
+                re = -float(rng.uniform(0.3, 3.0))
+                if r - 1 - len(poles) >= 2 and rng.random() < 0.5:
+                    im = float(rng.uniform(0.2, 2.0))
+                    poles += [complex(re, im), complex(re, -im)]
+                else:
+                    poles.append(re)
+            cs = ck.design_companion(poles)
+            r_hat = float(rng.uniform(0.2, 5.0))
+            problems.append((cs.A, cs.B.reshape(-1, 1), rand_spd(rng, r),
+                             np.array([[1.0 / r_hat]])))
+    problems.append((np.array([[0.0, 1.0], [0.0, 0.0]]),
+                     np.array([[0.0], [1.0]]), np.diag([1.0, 2.0]),
+                     np.array([[1.0]])))
+    return problems
+
+
+def test_care_matches_scipy_on_companion_targets_and_repeated_pole():
+    for a, b, q, r in _seed_problems():
+        p = solve_care(a, b, q, r)
+        ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the last problem, the double integrator: P = [[2, 1], [1, 2]]
+    assert np.allclose(p, [[2.0, 1.0], [1.0, 2.0]], rtol=0, atol=1e-14)
+
+
+def test_care_newton_polishes_the_hamiltonian_seed(monkeypatch):
+    calls = []
+    lyapunov = linalg.solve_lyapunov
+
+    def counting(a, q):
+        calls.append(1)
+        return lyapunov(a, q)
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", counting)
+    for a, b, q, r in _seed_problems():
+        calls.clear()
+        solve_care(a, b, q, r)
+        assert 1 <= len(calls) <= 2
+
+
+def test_care_without_stabilizing_solution():
+    # H = [[0, -1], [0, 0]] has no stable eigenvalue: the only P >= 0,
+    # P = 0, leaves the closed loop at 0.
+    with pytest.raises(ck.ConvergenceFailure, match="0 of 1 stable"):
+        solve_care(np.array([[0.0]]), np.array([[1.0]]),
+                   np.array([[0.0]]), np.array([[1.0]]))
 
 
 def test_care_unstabilizable_pair():

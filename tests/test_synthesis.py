@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import consensuskit as ck
+from consensuskit import synthesis
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, companion_from_coefficients,
     design_companion, full_gain, local_controller, observer_gain,
@@ -258,6 +259,29 @@ def test_closed_loop_spectrum_accepts_close_repeated_poles():
     check = closed_loop_spectrum(cs, gain, lap)
     assert check.analytic_consistent is True
     assert check.values.shape == (60,)
+
+
+def test_closed_loop_matrix_equals_kronecker_form(monkeypatch, target,
+                                                  unit_gain, five_cycle):
+    seen = []
+    eig = synthesis.eig
+    monkeypatch.setattr(synthesis, "eig", lambda m: seen.append(m) or eig(m))
+    rng = ck.rng_for(405)
+    weights = rng.uniform(0.5, 2.0, (20, 20)) * (rng.random((20, 20)) < 0.2)
+    np.fill_diagonal(weights, 0.0)
+    cs6 = design_companion([-0.5, -1.0, -1.5 + 0.5j, -1.5 - 0.5j, -2.0])
+    cases = [(target, unit_gain, ck.laplacian(five_cycle)),
+             (target, full_gain(target, mu=0.7, q1_matrix=np.eye(3),
+                                r_hat=2.0), ck.laplacian(five_cycle)),
+             (cs6, full_gain(cs6, mu=1.3, q1_matrix=np.diag(np.arange(1.0, 7.0)),
+                             r_hat=0.4), ck.laplacian(ck.DiGraph(weights)))]
+    for cs, gain, lap in cases:
+        seen.clear()
+        closed_loop_spectrum(cs, gain, lap)
+        n = lap.shape[0]
+        kron = (np.kron(np.eye(n), cs.A)
+                - np.kron(lap, np.outer(cs.B, gain.K)))
+        assert np.array_equal(seen[0], kron)
 
 
 def test_closed_loop_spectrum_rejects_a_wrong_gain(target, unit_gain,
