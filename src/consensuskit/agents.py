@@ -30,16 +30,23 @@ coordinates (NativePlant) is the reference the tests check the chain
 against, and maps a scenario's x0 into xi0.
 
 Every map alpha, beta and theta is a polynomial held as a
-:class:`TermTable`, so the simulator stacks the maps of all agents: it
-writes the stacked rows it integrates out as Python source (one RK4 block
-function), and evaluates alpha and beta over the recorded states as one
-expression; an agent built in Python takes its maps as tables too.
+:class:`TermTable`, so the simulator stacks the maps of all agents.  A
+table is evaluated only as the Python source it writes, each power a
+product of squares: the simulator runs the stacked rows it integrates in
+Python floats (one RK4 block function), and the same expressions run on
+numpy columns evaluate alpha and beta over the recorded states.  An agent
+built in Python takes its maps as tables too.
 
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
 form (one degree higher) so the rest of the toolkit treats it uniformly.
 """
 
+import functools
+import linecache
+import types
+import weakref
+import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -161,10 +168,16 @@ class TermTable:
     ``variables`` lists, sorted, the 0-based index of every variable some
     term reads, and ``n_vars`` is the number of leading variables the
     terms reach (the last z_j with a nonzero exponent).
-    Called as fn(xi, eta) it returns a float when ``scalar`` (alpha, beta)
-    and an array with one entry per row otherwise (theta).  :meth:`at`
-    evaluates it on many states at once, and :meth:`stack` joins the tables
-    of several agents into one over a longer state vector.
+
+    A table is evaluated only through the Python source :meth:`_source`
+    writes, in which a power is a product of squares: the simulator runs
+    it on Python floats in its cascade, and :meth:`at` runs it on numpy
+    columns, the same IEEE operations in the same order, so both give the
+    same bits.  :meth:`at` takes one state or a matrix of states, its
+    function compiled on first use; called as fn(xi, eta) a table returns
+    a float when ``scalar`` (alpha, beta) and an array with one entry per
+    row otherwise (theta).  :meth:`stack` joins the tables of several
+    agents into one over a longer state vector.
     """
 
     def __init__(self, rows, scalar=False):
@@ -187,56 +200,64 @@ class TermTable:
         return out
 
     def _build(self, n_rows, terms, scalar):
-        # terms: (row, c, [(variable, power > 0), ...]); the arrays that
-        # evaluate them are made on first use, as loading a scenario to
+        # terms: (row, c, [(variable, power > 0), ...]); the function that
+        # evaluates them is compiled on first use, as loading a scenario to
         # synthesize it never evaluates a map
         self.n_rows, self._terms, self.scalar = n_rows, terms, scalar
         self.variables = sorted({j for _, _, f in terms for j, _ in f})
         self.n_vars = self.variables[-1] + 1 if self.variables else 0
-        self._w = None
+        self._rows = self._columns = None
         # the value of a scalar map without variables, else None
         self.constant = (None if any(f for _, _, f in terms) or not scalar
                          else sum((c for _, c, _ in terms), 0.0))
 
-    def _compile(self):
-        # a term without factors reads z_0 ** 0 = 1
-        factors = [f or [(0, 0)] for _, _, f in self._terms]
-        self._var = np.array([j for f in factors for j, _ in f], dtype=np.intp)
-        self._pow = np.array([p for f in factors for _, p in f], dtype=float)
-        self._term_at = np.cumsum([0] + [len(f) for f in factors[:-1]])
-        self._single = all(len(f) == 1 for f in factors)
-        # monomial t enters row k with weight w[t, k]
-        w = np.zeros((len(factors), self.n_rows))
-        for t, (k, c, _) in enumerate(self._terms):
-            w[t, k] = c
-        self._w = w
-
-    def at(self, z, out=None):
+    def at(self, z):
         """The rows of the map at one state z (z_j = z[j]), or at every row
         of a matrix z (z_j = z[:, j]) as its columns."""
-        if self._w is None:
-            self._compile()
-        # an infinite monomial makes the rows with zero weight on it NaN;
-        # the state is not finite either way, so the escape guard fires
-        m = (z[self._var] if z.ndim == 1 else z[:, self._var]) ** self._pow
-        if not self._single:
-            m = np.multiply.reduceat(m, self._term_at, axis=-1)
-        return np.matmul(m, self._w, out=out)
+        if self._rows is None:
+            self._rows = self._column_function()
+            self._columns = np.array(self.variables, dtype=np.intp)
+        z = np.asarray(z, dtype=float)  # int columns would wrap, not round
+        out = np.empty((self.n_rows,) + z.shape[:-1])
+        self._rows(z.T[self._columns], out)
+        return out.T
+
+    def _column_function(self):
+        """rows(v, out) that sets out[k] to row k of the map, v holding the
+        values of ``variables`` in order: numpy columns, or Python floats."""
+        names = [f"z{j}" for j in range(self.n_vars)]
+        coefs, squares = [], {}
+        rows = self._source(names, coefs, squares)
+        body = []
+        if coefs:
+            body.append("".join(f"c{t}, " for t in range(len(coefs))) + "= c")
+        if self.variables:
+            body.append("".join(names[j] + ", " for j in self.variables)
+                        + "= v")
+        body += squares.values()
+        body += [f"out[{k}] = {row}" for k, row in enumerate(rows)]
+        source = "\n".join(["def rows(v, out, c):"]
+                           + ["    " + line for line in body or ["pass"]])
+        return _function(source + "\n", (tuple(coefs),), _rows_code)
 
     def __call__(self, xi, eta):
         value = self.at(np.concatenate((xi, eta)))
         return float(value[0]) if self.scalar else value
 
-    def _source(self, names, coefs):
+    def _source(self, names, coefs, squares):
         """Each row as a Python expression in which z_j is the name
         names[j].  Every coefficient is appended to `coefs` and read as the
-        name c<t>, t its place there, so the source holds only integer
-        exponents and the coefficients keep every bit.  A term is
-        c * (its factors in order), as in :meth:`at`."""
+        name c<t>, t its place there, so the source holds no float and the
+        coefficients keep every bit.  A term is c * (its factors in order),
+        z_j ** p the product of the squares z_j ** (2 ** i) at the set bits
+        i of p, lowest first.  The square z_j ** (2 ** i), i > 0, is the
+        name names[j]_sq<i>, made by the line squares[name] from the one
+        before; the lines a row needs are added to the dict `squares`, in
+        the order in which they must run, before the rows."""
         rows = [[] for _ in range(self.n_rows)]
         for k, c, factors in self._terms:
-            mono = " * ".join(names[j] + (f" ** {p}" if p != 1 else "")
-                              for j, p in factors)
+            mono = _join([f for j, p in factors
+                          for f in _squares(names[j], p, squares)], " * ")
             rows[k].append(f"c{len(coefs)} * ({mono})" if mono
                            else f"c{len(coefs)}")
             coefs.append(c)
@@ -244,7 +265,21 @@ class TermTable:
             if not terms:
                 terms.append(f"c{len(coefs)}")
                 coefs.append(0.0)
-        return [_sum(terms) for terms in rows]
+        return [_join(terms, " + ") for terms in rows]
+
+
+def _squares(name, p, squares):
+    """The factors of name ** p: name ** (2 ** i) at the set bits i of p,
+    lowest first, name_sq<i> for i > 0; the lines that make them from
+    name, each squaring the one before, are added to `squares`."""
+    factors, square = [], name
+    for i in range(p.bit_length()):
+        if i:
+            last, square = square, f"{name}_sq{i}"
+            squares.setdefault(square, f"{square} = {last} * {last}")
+        if p >> i & 1:
+            factors.append(square)
+    return factors
 
 
 def _power(p, k, t, j):
@@ -261,13 +296,48 @@ def _power(p, k, t, j):
     return q
 
 
-def _sum(terms):
-    # a sum of thousands of terms nests too deep for the Python compiler:
-    # add them 256 at a time, left to right inside each group
-    while len(terms) > 256:
-        terms = ["(" + " + ".join(terms[a:a + 256]) + ")"
-                 for a in range(0, len(terms), 256)]
-    return " + ".join(terms)
+def _join(items, op):
+    # thousands of terms or factors nest too deep for the Python compiler:
+    # join them 256 at a time, left to right inside each group
+    while len(items) > 256:
+        items = ["(" + op.join(items[a:a + 256]) + ")"
+                 for a in range(0, len(items), 256)]
+    return op.join(items)
+
+
+def _compiler(kind):
+    """A cache of the code of the one function a source defines, compiled
+    once per distinct source (the last 32) under the file name
+    <kind:CRC-32 of the source>.  While that code lives, its source is in
+    linecache, so tracebacks and profilers show its lines."""
+
+    @functools.lru_cache(maxsize=32)
+    def code(source):
+        name = f"<{kind}:{zlib.crc32(source.encode()):08x}>"
+        entry = linecache.cache[name] = (len(source), None,
+                                         source.splitlines(True), name)
+        made = compile(source, name, "exec").co_consts[0]
+        weakref.finalize(made, _forget, name, entry)
+        return made
+
+    return code
+
+
+def _forget(name, entry):
+    # unless the same source was compiled again and registered anew
+    if linecache.cache.get(name) is entry:
+        del linecache.cache[name]
+
+
+_code = _compiler("cascade")    # the simulator's cascade block functions
+_rows_code = _compiler("rows")  # the column functions of TermTable.at
+
+
+def _function(source, defaults, code=_code):
+    """The function that `source` defines, its last parameters bound to
+    `defaults`; its code is taken from the cache `code`."""
+    code = code(source)
+    return types.FunctionType(code, {}, code.co_name, tuple(defaults))
 
 
 _ZERO = TermTable([[(0.0, ())]], scalar=True)

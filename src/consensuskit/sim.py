@@ -29,7 +29,7 @@ augmented agents, u' = (u_hat - alpha) / beta: a cascade driven by z that
 never feeds back into it.  Its term tables are written out as the source
 of one function that runs RK4 on it over a segment in Python floats
 (_System._compile_cascade); the source holds no coefficient, so its code
-is compiled once per shape of cascade (_code).  Its inputs, z at the
+is compiled once per shape of cascade (agents._code).  Its inputs, z at the
 columns the tables read at each stage state T_s z and u_hat (entry i r +
 r_i - 1 of K_s z) of each augmented agent, are one product z @ G[m] per
 segment (_step_matrices).  The flat state is [z | eta | d], d = u -
@@ -37,7 +37,8 @@ xi_last per augmented agent: xi_last, its last chain state, has the
 derivative u_hat, so d' = (u_hat - alpha) / beta - u_hat, and u = xi_last
 + d keeps the rounding of z (d stays 0 if alpha = 0, beta = 1 and u0 =
 xi_last(0)).  After the run the trajectory turns d into u, u(0) = u0
-exactly, and evaluates alpha and beta over all recorded states at once.
+exactly, and evaluates alpha and beta over all recorded states at once,
+by the same expressions run on numpy columns (TermTable.at).
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -51,9 +52,10 @@ guards: |beta| is checked against the configured floor after the run over
 all recorded states, before a FiniteEscape is raised (BetaNearZero), and
 any state leaving the max-norm ball of radius ``settings.finite_escape_norm``
 aborts the run with FiniteEscape at the first step whose z or cascade is
-outside it, carrying the trajectory recorded up to the step before.  A
-Python OverflowError or ZeroDivisionError in the cascade counts as leaving
-the ball, as numpy gives inf there.
+outside it, carrying the trajectory recorded up to the step before.  The
+cascade's products and sums overflow to inf as numpy's do; a Python
+ZeroDivisionError there (a beta of 0, where numpy gives inf) counts as
+leaving the ball.
 
 Reproducibility: trajectories are a pure function of (scenario, seed, run
 index).  Random initial conditions and switching paths are drawn from
@@ -61,18 +63,13 @@ separate keyed streams, so a one-mode switching run is bit-identical to the
 corresponding fixed-topology run.
 """
 
-import functools
-import linecache
-import types
 import warnings
-import weakref
-import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
 
-from .agents import AUGMENTED_GENERAL, NormalFormAgent, TermTable
+from .agents import AUGMENTED_GENERAL, NormalFormAgent, TermTable, _function
 from .errors import BetaNearZero, FiniteEscape, ValidationError
 from .graph import DiGraph, laplacian
 from .rng import STREAM_INIT, rng_for
@@ -251,15 +248,17 @@ class _System:
         self.block = (self._compile_cascade(scen.dt)
                       if self.dim > self.nz else None)
 
-    def derivative_source(self, inputs, state, coefs):
+    def derivative_source(self, inputs, state, coefs, squares):
         """The derivative of the cascade [eta | u] as Python expressions:
         theta of every agent, then u' = (u_hat - alpha) / beta of each
         augmented agent.  z at `cols`, then u_hat of each augmented agent,
         are the names `inputs`, and [eta | u] the names `state`; the
-        coefficients go to `coefs` as in TermTable._source."""
+        coefficients go to `coefs` and the lines that make the squares the
+        rows read to `squares`, as in TermTable._source."""
         names = dict(zip(self.cols, inputs))
         names.update(zip(range(self.nz, self.dim), state))
-        theta, alpha, beta = (t._source(names, coefs) for t in self.tables)
+        theta, alpha, beta = (t._source(names, coefs, squares)
+                              for t in self.tables)
         return theta + [f"({u} - ({a})) / ({b})" for u, a, b in
                         zip(inputs[len(self.cols):], alpha, beta)]
 
@@ -273,8 +272,9 @@ class _System:
         z at `cols`, then u_hat of each augmented agent.  From the state y,
         block appends the state after each step to the flat list out.  Each
         stage is written out in full: stages 2, 3 and 4 read the states
-        y + (h/2) k_1, y + (h/2) k_2 and y + h k_3, and the step is y +
-        (h/6) (((k_1 + 2 k_2) + 2 k_3) + k_4).  The source holds no float;
+        y + (h/2) k_1, y + (h/2) k_2 and y + h k_3, each stage first makes
+        the squares its rows read, and the step is y + (h/6) (((k_1 + 2 k_2)
+        + 2 k_3) + k_4).  The source holds no float and no power;
         the coefficients, h/2, h, h/6 and 2.0 are default arguments, so one
         code object serves every cascade of its shape.
         """
@@ -287,11 +287,13 @@ class _System:
             if step:
                 body += [f"{w[q]} = {y[q]} + {step} * k{s - 1}_{q}"
                          for q in range(n)]
+            squares = {}
             # every stage appends the same coefficients: keep the first
             rows = self.derivative_source(x[s - 1], w if step else y,
-                                          coefs if s == 1 else [])
+                                          coefs if s == 1 else [], squares)
             for q, u_hat in enumerate(x[s - 1][n_in - n_aug:], n - n_aug):
                 rows[q] += f" - {u_hat}"
+            body += squares.values()
             body += [f"k{s}_{q} = {row}" for q, row in enumerate(rows)]
         body += [f"{y[q]} = {y[q]} + h6 * (((k1_{q} + two * k2_{q}) "
                  f"+ two * k3_{q}) + k4_{q})" for q in range(n)]
@@ -329,32 +331,6 @@ class _System:
             n_r = self.nz // 2
             state[n_r:self.nz] = state[:n_r]
         return state
-
-
-def _function(source, defaults):
-    """The function that `source` defines, its last parameters bound to
-    `defaults`; its code is compiled once per distinct source."""
-    code = _code(source)
-    return types.FunctionType(code, {}, code.co_name, tuple(defaults))
-
-
-@functools.lru_cache(maxsize=32)
-def _code(source):
-    """The code of the one function `source` defines, compiled under the
-    file name <cascade:CRC-32 of the source>.  While that code lives, its
-    source is in linecache, so tracebacks and profilers show its lines."""
-    name = f"<cascade:{zlib.crc32(source.encode()):08x}>"
-    entry = linecache.cache[name] = (len(source), None,
-                                     source.splitlines(True), name)
-    code = compile(source, name, "exec").co_consts[0]
-    weakref.finalize(code, _forget, name, entry)
-    return code
-
-
-def _forget(name, entry):
-    # unless the same source was compiled again and registered anew
-    if linecache.cache.get(name) is entry:
-        del linecache.cache[name]
 
 
 _ROWS_BYTES = 1 << 30    # the largest state record a run may allocate
@@ -452,13 +428,13 @@ def _run(sys, rows, modes, h):
 def _cascade_steps(sys, rows, g):
     """RK4 on the cascade [eta | d] over the steps of one segment, whose z
     is in rows[:, :nz], from the inputs rows[:-1, :nz] @ g.  Returns how
-    many steps it made: a Python OverflowError or ZeroDivisionError, where
-    numpy gives inf, stops it."""
+    many steps it made: a Python ZeroDivisionError, where numpy gives inf,
+    stops it."""
     out = []
     try:
         sys.block((rows[:-1, :sys.nz] @ g).tolist(),
                   rows[0, sys.nz:].tolist(), out)
-    except (OverflowError, ZeroDivisionError):
+    except ZeroDivisionError:
         pass  # out holds the steps made before it, each one whole
     done = len(out) // (sys.dim - sys.nz)
     if done:

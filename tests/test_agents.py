@@ -169,9 +169,10 @@ def test_term_table_takes_only_non_negative_integer_exponents():
     x = np.array([[0.7, -1.3], [2.0, 0.5]])
     assert np.array_equal(TermTable([[(3.0, (0, 2.0))]]).at(x),
                           TermTable([[(3.0, (0, 2))]]).at(x))
-    coefs = []
-    assert TermTable([[(3.0, (1.0, 2.0))]])._source(["a", "b"], coefs) \
-        == ["c0 * (a * b ** 2)"]
+    coefs, squares = [], {}
+    assert TermTable([[(3.0, (1.0, 2.0))]])._source(
+        ["a", "b"], coefs, squares) == ["c0 * (a * b_sq1)"]
+    assert list(squares.values()) == ["b_sq1 = b * b"]
 
 
 def test_eval_dynamics_checks_sizes():

@@ -16,7 +16,7 @@ from consensuskit.agents import (
 )
 from consensuskit.graph import directed_cycle, empty_graph
 from consensuskit.scenario import parse_scenario
-from consensuskit import sim
+from consensuskit import agents, sim
 from consensuskit.sim import (
     build_scenario, monte_carlo_ms, simulate_fixed, simulate_switching,
     simulate_with_observer,
@@ -367,8 +367,9 @@ def test_linear_block_escape_matches_iterated_step_matrix(target, unit_gain):
 
 
 def test_cascade_overflow_is_a_finite_escape(target, unit_gain):
-    # eta' = eta ** 62 from 1.01 blows up within ten steps; the power of a
-    # Python float raises OverflowError where numpy gives inf.  Run without
+    # eta' = eta ** 62 from 1.01 blows up within ten steps; the cascade
+    # makes the power by squaring in Python floats, whose products give inf
+    # as numpy's do, so the escape is seen at the same step.  Run without
     # np.errstate, so a numpy RuntimeWarning would fail the test, the run
     # must end in FiniteEscape at the step at which a scalar RK4 in numpy
     # floats leaves the guard ball
@@ -403,11 +404,11 @@ def test_cascade_overflow_is_a_finite_escape(target, unit_gain):
 
 def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
     # the cascade [eta | u] runs as one compiled Python function; on 200
-    # seeded states it must give what the term tables give through numpy:
+    # seeded states it must give what numpy's ** gives from the terms:
     # theta of agent 1 (damped), of a parsed custom agent with multi-factor
     # terms and an empty row, and u' = (u_hat - alpha) / beta of an
     # augmented agent; agent 3's chain alpha is compiled alone (measured
-    # 2.1e-16 and 2.0e-16 of the largest value)
+    # 2.1e-16 and 1.0e-16 of the largest value)
     custom = {"custom": {
         "r": 2, "n_eta": 2,
         "alpha": [{"c": 0.1, "e": [0, 0, 0, 0]}],
@@ -432,15 +433,16 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
     system = sim._System(scen, [ck.laplacian(directed_cycle(4))], False)
     n_in = len(system.cols) + len(system.aug)
     v = [f"v{j}" for j in range(n_in + system.dim - system.nz)]
-    coefs = []
+    coefs, squares = [], {}
     f = _rows_function(
-        system.derivative_source(v[:n_in], v[n_in:], coefs), coefs, len(v))
+        squares, system.derivative_source(v[:n_in], v[n_in:], coefs, squares),
+        coefs, len(v))
     rng = np.random.default_rng(14)
     states = rng.uniform(-2.0, 2.0, (200, system.dim))
     u_hat = rng.uniform(-2.0, 2.0, (200, 1))
-    alpha, beta = (sim._stack(system.aug, name).at(states)
+    alpha, beta = (_numpy_powers(sim._stack(system.aug, name), states)
                    for name in ("alpha", "beta"))
-    want = np.hstack([sim._stack(system.rts, "theta").at(states),
+    want = np.hstack([_numpy_powers(sim._stack(system.rts, "theta"), states),
                       (u_hat - alpha) / beta])
     got = [f([*state[system.cols], *u, *state[system.nz:]])
            for state, u in zip(states, u_hat)]
@@ -448,10 +450,11 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
     assert np.all(want[:, 2] == 0.0)  # the empty theta row
 
     alpha3 = builtin("agent3").alpha
-    coefs = []
-    f3 = _rows_function(alpha3._source(v[:3], coefs), coefs, 3)
+    coefs, squares = [], {}
+    f3 = _rows_function(squares, alpha3._source(v[:3], coefs, squares),
+                        coefs, 3)
     x = rng.uniform(-2.0, 2.0, (200, 3))
-    want = alpha3.at(x)[:, 0]
+    want = _numpy_powers(alpha3, x)[:, 0]
     got = [f3(list(row))[0] for row in x]
     assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
     for code in (system.block.__code__, f.__code__, f3.__code__):
@@ -459,29 +462,165 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
         assert all(type(k) is int for k in code.co_consts if k is not None)
 
 
-def _rows_function(rows, coefs, n):
-    """The expressions `rows` over the names v0 .. v<n-1> as one function
-    f(v) -> [row, ...], compiled the way the simulator compiles."""
+def _rows_function(squares, rows, coefs, n):
+    """The expressions `rows` over the names v0 .. v<n-1>, after the lines
+    of `squares`, as one function f(v) -> [row, ...], compiled the way the
+    simulator compiles."""
     return sim._function(
         f"def f(v, c):\n    {''.join(f'v{j}, ' for j in range(n))}= v\n"
         f"    {''.join(f'c{t}, ' for t in range(len(coefs)))}= c\n"
-        f"    return [{', '.join(rows)}]\n", (tuple(coefs),))
+        + "".join(f"    {line}\n" for line in squares.values())
+        + f"    return [{', '.join(rows)}]\n", (tuple(coefs),))
+
+
+def _numpy_powers(table, z, terms=None):
+    """The rows of `table` at one state z or at every row of a matrix z, as
+    numpy's ** to float exponents gives them from its terms (or from
+    `terms`, (row, c, [(variable, exponent), ...]) each): an evaluator that
+    shares no code with the table's generated source."""
+    out = np.zeros(z.shape[:-1] + (table.n_rows,))
+    for k, c, factors in table._terms if terms is None else terms:
+        mono = np.ones(z.shape[:-1])
+        for j, p in factors:
+            mono = mono * z[..., j] ** float(p)
+        out[..., k] += c * mono
+    return out
 
 
 def test_compiled_maps_keep_every_coefficient_bit():
     coefficients = [-0.0, 5e-324, 1.0 / 3.0, float("inf"), -float("inf")]
     table = TermTable([[(c, ())] for c in coefficients]
                       + [[(c, (1,))] for c in coefficients])
-    coefs = []
-    f = _rows_function(table._source(["v0"], coefs), coefs, 1)
+    coefs, squares = [], {}
+    f = _rows_function(squares, table._source(["v0"], coefs, squares),
+                       coefs, 1)
     assert f.__code__.co_names == ()
     bits = [struct.pack("<d", c) for c in coefficients]
     assert [struct.pack("<d", v) for v in f([1.0])] == bits + bits
     # a row of 5,000 terms compiles, summed in groups the compiler can nest
     long = TermTable([[(1.0, (1,))] * 5000])
-    coefs = []
-    assert _rows_function(long._source(["v0"], coefs), coefs, 1)([0.5]) \
-        == [2500.0]
+    coefs, squares = [], {}
+    assert _rows_function(squares, long._source(["v0"], coefs, squares),
+                          coefs, 1)([0.5]) == [2500.0]
+
+
+def test_term_table_at_agrees_with_numpy_powers():
+    # TermTable.at runs the table's generated source on numpy columns; the
+    # oracle takes numpy's ** to float exponents from the terms as given,
+    # zero exponents included, on states built of 0, +-1 and negative
+    # bases.  A chain of squares that makes z^p rounds p - 1 times where
+    # pow rounds once (measured 7.1e-16 of the largest value, 1.6e7, which
+    # z^62 terms reach; asserted at 2e-15)
+    spec = [
+        [(0.7, (1, 2, 0)), (-1.3, (3, 0, 1)), (2.0, (0, 4, 5)),
+         (0.25, (6, 7)), (-0.6, (2, 3, 4))],
+        [],
+        [(1.5, ()), (-0.5, (0, 0, 0))],
+        [(1e-3, (0, 62)), (-0.4, (62, 0, 3)), (0.1, (5, 62, 1))],
+        [(3.0, (7,)), (-1.0, (0, 0, 6)), (1.0 / 3.0, (1, 1, 1))],
+    ]
+    table = TermTable(spec)
+    terms = [(k, c, list(enumerate(e)))
+             for k, row in enumerate(spec) for c, e in row]
+    bases = [0.0, 1.0, -1.0, -0.6, 0.9, -1.3, 1.1, 0.45, -0.25]
+    z = np.array(np.meshgrid(bases, bases, bases)).reshape(3, -1).T
+    want = _numpy_powers(table, z, terms)
+    bound = 2e-15 * np.abs(want).max()
+    assert np.allclose(table.at(z), want, rtol=0.0, atol=bound)
+    assert np.all(table.at(z)[:, 1] == 0.0)  # the empty row
+    assert np.all(table.at(z)[:, 2] == 1.0)  # constant: 1.5 - 0.5 * z^0
+    # ints are read as floats, not as int64 columns whose products wrap
+    assert np.array_equal(table.at([[3, -2, 10 ** 4]]),
+                          table.at(np.array([[3.0, -2.0, 1e4]])))
+    for state in z[::17]:
+        got = table.at(state)
+        assert got.shape == (5,)
+        assert np.allclose(got, _numpy_powers(table, state, terms),
+                           rtol=0.0, atol=bound)
+
+
+def test_float_and_column_evaluation_agree_bit_for_bit():
+    # the cascade runs a table's source on Python floats, TermTable.at the
+    # same source on numpy columns: the same IEEE operations in the same
+    # order, so every value has the same bits
+    custom = TermTable([[(0.3, (1, 2, 0, 3)), (-1.0 / 3.0, (2, 0, 5, 1)),
+                         (0.5, ())], [], [(1.7, (0, 0, 62)), (-2.0, (7,))]])
+    rng = np.random.default_rng(19)
+    for table in (builtin("agent3").alpha, builtin("agent1").theta, custom):
+        n = table.n_vars
+        coefs, squares = [], {}
+        f = _rows_function(
+            squares, table._source([f"v{j}" for j in range(n)], coefs,
+                                   squares), coefs, n)
+        z = rng.uniform(-2.0, 2.0, (300, n))
+        floats = [f(state) for state in z.tolist()]
+        assert all(type(v) is float for row in floats for v in row)
+        pack = struct.Struct(f"<{table.n_rows}d").pack
+        assert [pack(*row) for row in floats] == [
+            pack(*row) for row in table.at(z)]
+        assert pack(*floats[0]) == pack(*table.at(z[0]))
+
+
+def _source_of(function):
+    code = function.__code__
+    return "".join(linecache.getlines(code.co_filename)), code
+
+
+def test_generated_sources_hold_no_power_and_no_float(target, unit_gain):
+    # every power is written as products of squares, and every float (the
+    # coefficients, the step sizes) is an argument: the cascade block and
+    # the column functions hold no ** and only int constants
+    custom = TermTable([[(0.3, (1, 2, 0)), (-1.0, (0, 0, 62))]])
+    decay = NormalFormAgent(
+        agent_id=1, r=2, n_eta=1, alpha=ZERO, beta=ONE, theta=custom,
+        xi0=np.array([0.3, -0.1]), eta0=np.array([0.2]))
+    augmented = augment(
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 3))]], scalar=True),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
+    agents = [decay, builtin("agent1"), builtin("agent3"), augmented]
+    scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
+                          t_end=0.1, dt=0.01)
+    functions = [sim._System(scen, [ck.laplacian(directed_cycle(4))],
+                             False).block]
+    for table in (custom, builtin("agent3").alpha, builtin("agent5").theta,
+                  augmented.beta, TermTable([[], [(2.0, ())]]),
+                  TermTable([])):
+        table.at(np.zeros((2, 3)))
+        functions.append(table._rows)
+    for function in functions:
+        source, code = _source_of(function)
+        assert source.startswith("def ") and "**" not in source
+        assert all(type(k) is int for k in code.co_consts if k is not None)
+        assert code.co_names == ()
+    assert "_sq5 = " in _source_of(functions[1])[0]  # the square z^32
+
+
+def test_huge_exponent_is_exact_and_cheap():
+    # eta' = -eta - eta ** (10 ** 300) from 0.5: the power underflows to 0,
+    # so eta = 0.5 exp(-t) to RK4's accuracy.  Its square-and-multiply
+    # takes one line per bit of the exponent (997), not one per unit
+    p = 10 ** 300
+    custom = {"custom": {
+        "r": 2, "n_eta": 1, "alpha": [], "beta": [{"c": 1.0, "e": [0, 0, 0]}],
+        "theta": [[{"c": -1.0, "e": [0, 0, 1]}, {"c": -1.0, "e": [0, 0, p]}]],
+        "xi0": [0.5, -0.2], "eta0": [0.5]}}
+    scen = parse_scenario({
+        "agents": [custom, {"builtin": "agent2"}, {"builtin": "agent3"}],
+        "controller": {"poles": [-1.0, -2.0], "mu": 1.0, "q1": 1.0,
+                       "r_hat": 1.0, "rank": "one"},
+        "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]},
+        "sim": {"t_end": 0.1, "dt": 0.01}})
+    eta = simulate_fixed(scen).eta[0][:, 0]
+    assert eta[-1] == pytest.approx(0.45241871, abs=1e-8)
+    theta = scen.agents[0].theta
+    bits = p.bit_length()
+    assert np.array_equal(theta.at(np.array([[0.0, 0.0, 0.5],
+                                             [0.0, 0.0, -1.0]])),
+                          [[-0.5], [0.0]])
+    assert len(_source_of(theta._rows)[0].splitlines()) < bits + 10
+    block = sim._System(scen, [ck.laplacian(scen.topology)], False).block
+    assert len(_source_of(block)[0].splitlines()) < 4 * (bits + 10)
 
 
 def test_cascade_without_z_input_is_exact_rk4(target, unit_gain):
@@ -542,7 +681,8 @@ def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
 
     # a Monte Carlo run builds its system anew: every run takes its code
     # from the cache instead of compiling it
-    hits = sim._code.cache_info().hits
+    hits = agents._code.cache_info().hits
+    rows_hits = agents._rows_code.cache_info().hits
     made = []
 
     def record(source, defaults):
@@ -556,7 +696,10 @@ def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
         graphs=[mc.topology, mc.topology], generator=FLIP_FLOP)), runs=3)
     assert len(made) == 3
     assert all(f.__code__ is blocks[0].__code__ for f in made)
-    assert sim._code.cache_info().hits == hits + 3
+    assert agents._code.cache_info().hits == hits + 3
+    # agent 3's alpha is evaluated over each run's states by a column
+    # function whose code comes from a cache of its own
+    assert agents._rows_code.cache_info().hits >= rows_hits + 2
 
 
 def test_compiled_cascade_is_visible_to_tracebacks(target, unit_gain,
@@ -574,7 +717,7 @@ def test_compiled_cascade_is_visible_to_tracebacks(target, unit_gain,
     first = sim._function("def f(c):\n    return c\n", (0,)).__code__
     first = first.co_filename
     assert first in linecache.cache
-    for k in range(sim._code.cache_info().maxsize):
+    for k in range(agents._code.cache_info().maxsize):
         sim._function(f"def f(c):\n    return c + {k}\n", (0,))
     assert first not in linecache.cache
 
