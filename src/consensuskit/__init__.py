@@ -83,7 +83,6 @@ from .synthesis import (
     SpectrumCheck,
     assemble_stacked,
     closed_loop_spectrum,
-    companion_from_coefficients,
     design_companion,
     full_gain,
     local_controller,

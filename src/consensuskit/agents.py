@@ -207,9 +207,6 @@ class TermTable:
         self.variables = sorted({j for _, _, f in terms for j, _ in f})
         self.n_vars = self.variables[-1] + 1 if self.variables else 0
         self._rows = self._columns = None
-        # the value of a scalar map without variables, else None
-        self.constant = (None if any(f for _, _, f in terms) or not scalar
-                         else sum((c for _, c, _ in terms), 0.0))
 
     def at(self, z):
         """The rows of the map at one state z (z_j = z[j]), or at every row

@@ -320,14 +320,15 @@ def _cmd_montecarlo(args):
 
 
 def _parse_window(text):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValidationError("window must look like T0:T1", field="--window")
     try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
+        t0, t1 = (float(part) for part in text.split(":"))
+    except ValueError as exc:  # not two numbers
         raise ValidationError("window must look like T0:T1",
                               field="--window") from exc
+    if not -np.inf < t0 < t1 < np.inf:  # NaN fails too
+        raise ValidationError(f"window needs finite T0 < T1, got {text!r}",
+                              field="--window")
+    return t0, t1
 
 
 def _cmd_analyze(args):

@@ -5,9 +5,12 @@ from agent ``j`` (an edge j -> i).  The Laplacian is ``D - W`` with ``D``
 the diagonal of row sums, so ``L @ ones == 0`` always holds and the
 consensus subspace is span(ones).
 
-The spanning-tree predicate is structural (reachability over positive
-weights); the spectral characterization (exactly one zero Laplacian
-eigenvalue) is kept as an independent test oracle, not used here.
+The spanning-tree predicate is structural: some node reaches every other
+over positive weights.  Reachability is the boolean transitive closure of
+the edges (_reachable, repeated squaring of I | adj), which also decides
+whether a switching chain is irreducible.  The spectral characterization
+(exactly one zero Laplacian eigenvalue) is kept as an independent test
+oracle, not used here.
 """
 
 import sys
@@ -73,24 +76,21 @@ def laplacian(g):
     return np.diag(w.sum(axis=1)) - w
 
 
+def _reachable(adj):
+    """Boolean transitive closure: out[i, j] when j is reached from i along
+    zero or more edges, adj[i, j] being an edge i -> j.  I | adj holds the
+    paths of at most one edge and its square those of at most two, so
+    ceil(log2(n - 1)) squarings reach every path of n - 1 edges, the
+    longest a shortest path can be."""
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    for _ in range(max(adj.shape[0] - 2, 0).bit_length()):
+        reach = reach @ reach
+    return reach
+
+
 def has_spanning_tree(g):
     """True when some root reaches every node along directed edges."""
-    w = g.weights
-    n = g.n
-    adj = w.T > 0  # adj[j, i]: edge from j to i
-    for root in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[root] = True
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for nxt in np.flatnonzero(adj[node]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        if seen.all():
-            return True
-    return False
+    return bool(_reachable(g.weights.T > 0).all(axis=1).any())
 
 
 def is_balanced(g):

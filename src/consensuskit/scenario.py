@@ -121,7 +121,10 @@ def _terms(entry, nvars, where):
             if _int(ex, f"{tw}.e[{j}]") < 0:
                 raise ValidationError("exponents must be non-negative",
                                       field=f"{tw}.e[{j}]")
-            _num(ex, f"{tw}.e[{j}]")  # evaluated as a float power
+            # a power is a product of squares (TermTable._source): inside
+            # the float range an exponent has at most 1,024 bits, so the
+            # generated source has at most one square line per bit
+            _num(ex, f"{tw}.e[{j}]")
         terms.append((c, e))
     return terms
 

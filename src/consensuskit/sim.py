@@ -37,8 +37,10 @@ xi_last per augmented agent: xi_last, its last chain state, has the
 derivative u_hat, so d' = (u_hat - alpha) / beta - u_hat, and u = xi_last
 + d keeps the rounding of z (d stays 0 if alpha = 0, beta = 1 and u0 =
 xi_last(0)).  After the run the trajectory turns d into u, u(0) = u0
-exactly, and evaluates alpha and beta over all recorded states at once,
-by the same expressions run on numpy columns (TermTable.at).
+exactly, and evaluates beta of every agent and alpha of the agents that
+are not augmented over all recorded states at once, by the same
+expressions run on numpy columns (TermTable.at); like theta, each is one
+table stacked at set-up.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -167,28 +169,6 @@ class MonteCarloResult:
     runs_diverged: int
 
 
-class _AgentRuntime:
-    """Where one agent's parts sit in the flat state."""
-
-    __slots__ = ("i", "agent", "augmented", "sl_xi", "sl_eta")
-
-    def __init__(self, i, agent, r):
-        self.i = i
-        self.agent = agent
-        self.augmented = agent.kind == AUGMENTED_GENERAL
-        self.sl_xi = slice(i * r, i * r + agent.r)  # the chain, inside z
-
-    def places(self):
-        """Flat-state index of each variable (xi, eta) of the agent."""
-        return np.r_[self.sl_xi, self.sl_eta]
-
-
-def _stack(rts, name):
-    """Map `name` of the agents `rts` as one table over the flat state."""
-    return TermTable.stack([getattr(rt.agent, name) for rt in rts],
-                           [rt.places() for rt in rts])
-
-
 def _mode_matrices(scen, laps, use_observer):
     """One matrix Phi[m] per mode with z' = Phi[m] z on the linear block.
 
@@ -226,23 +206,36 @@ def _mode_matrices(scen, laps, use_observer):
 class _System:
     def __init__(self, scen, laps, use_observer):
         self.scen = scen
-        r = scen.cs.r
-        self.shape = (len(scen.agents), r)
-        self.rts = [_AgentRuntime(i, ag, r) for i, ag in enumerate(scen.agents)]
+        agents, r = scen.agents, scen.cs.r
+        self.shape = (len(agents), r)
         self.Phi = _mode_matrices(scen, laps, use_observer)
         self.use_observer = use_observer
-        self.nz = pos = self.Phi.shape[1]
-        for rt in self.rts:
-            rt.sl_eta = slice(pos, pos + rt.agent.n_eta)
-            pos += rt.agent.n_eta
-        self.aug = [rt for rt in self.rts if rt.augmented]
-        self.dim = pos + len(self.aug)
-        self.sl_u = slice(pos, self.dim)
-        self.u_idx = np.array([rt.sl_xi.stop - 1 for rt in self.rts])
-        self.aug_u_hat = self.u_idx[[rt.i for rt in self.aug]]
-        self.u0 = np.array([rt.agent.u0 for rt in self.aug])
-        self.tables = (_stack(self.rts, "theta"), _stack(self.aug, "alpha"),
-                       _stack(self.aug, "beta"))
+        self.nz = self.Phi.shape[1]
+        # agent i: its chain inside z, its eta after z; u of the augmented
+        # agents (indices `aug`) at the end
+        ends = np.cumsum([self.nz] + [ag.n_eta for ag in agents]).tolist()
+        self.sl_xi = [slice(i * r, i * r + ag.r) for i, ag in enumerate(agents)]
+        self.sl_eta = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        every = range(len(agents))
+        self.aug = [i for i in every if agents[i].kind == AUGMENTED_GENERAL]
+        self.plain = [i for i in every if i not in self.aug]
+        self.dim = ends[-1] + len(self.aug)
+        self.sl_u = slice(ends[-1], self.dim)
+        self.u_idx = np.array([sl.stop - 1 for sl in self.sl_xi])
+        self.aug_u_hat = self.u_idx[self.aug]
+        self.u0 = np.array([agents[i].u0 for i in self.aug])
+        places = [np.r_[a, b] for a, b in zip(self.sl_xi, self.sl_eta)]
+
+        def stack(name, which):
+            # map `name` of the agents `which` as one table over the state
+            return TermTable.stack([getattr(agents[i], name) for i in which],
+                                   [places[i] for i in which])
+
+        # the cascade's maps, and those _trajectory evaluates over the
+        # recorded states
+        self.tables = (stack("theta", every), stack("alpha", self.aug),
+                       stack("beta", self.aug))
+        self.alpha, self.beta = stack("alpha", self.plain), stack("beta", every)
         self.cols = sorted({int(j) for table in self.tables
                             for j in table.variables if j < self.nz})
         self.block = (self._compile_cascade(scen.dt)
@@ -312,19 +305,18 @@ class _System:
         rng = (rng_for(scen.seed, run_index, STREAM_INIT)
                if scen.init == "random" else None)
         state = np.zeros(self.dim)
-        for rt in self.rts:
-            ag = rt.agent
+        for ag, sl_xi, sl_eta in zip(scen.agents, self.sl_xi, self.sl_eta):
             if rng is None:
-                state[rt.sl_xi] = ag.xi0
-                state[rt.sl_eta] = ag.eta0
+                state[sl_xi] = ag.xi0
+                state[sl_eta] = ag.eta0
             elif ag.native is not None:
                 # drawn in the coordinates the agent is stated in
-                state[rt.sl_xi] = ag.native.xi_of(
+                state[sl_xi] = ag.native.xi_of(
                     rng.uniform(-1.0, 1.0, ag.native.dim))
             else:
-                state[rt.sl_xi] = rng.uniform(-1.0, 1.0, ag.r)
+                state[sl_xi] = rng.uniform(-1.0, 1.0, ag.r)
                 if ag.n_eta:
-                    state[rt.sl_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
+                    state[sl_eta] = rng.uniform(-1.0, 1.0, ag.n_eta)
         state[self.sl_u] = self.u0 - state[self.aug_u_hat]
         if self.use_observer and scen.observer_init == "match":
             # controller states start at zero, so xihat is the true chain
@@ -446,24 +438,12 @@ def _cascade_steps(sys, rows, g):
 _BLOCK = 1024  # recorded states per evaluation of a stacked table
 
 
-def _map_rows(sys, name, rows, rts):
-    """Map `name` ("alpha" or "beta") of the agents `rts` at every recorded
-    state, in column rt.i of an (n, N) array that is zero elsewhere.
-    Constant maps are filled in; the others are stacked into one table and
-    evaluated _BLOCK states at a time."""
-    out = np.zeros((rows.shape[0], sys.shape[0]))
-    varying = []
-    for rt in rts:
-        constant = getattr(rt.agent, name).constant
-        if constant is None:
-            varying.append(rt)
-        else:
-            out[:, rt.i] = constant
-    if varying:
-        table = _stack(varying, name)
-        cols = [rt.i for rt in varying]
-        for a in range(0, rows.shape[0], _BLOCK):
-            out[a:a + _BLOCK, cols] = table.at(rows[a:a + _BLOCK])
+def _map_rows(table, rows):
+    """The rows of a stacked `table` at every recorded state, one column
+    each, evaluated _BLOCK states at a time."""
+    out = np.empty((rows.shape[0], table.n_rows))
+    for a in range(0, rows.shape[0], _BLOCK):
+        out[a:a + _BLOCK] = table.at(rows[a:a + _BLOCK])
     return out
 
 
@@ -476,27 +456,29 @@ def _trajectory(sys, rows, times, modes, mode_path):
     n_ag, r = sys.shape
     rows[:, sys.sl_u] += rows[:, sys.aug_u_hat]  # u = xi_last + d
     rows[0, sys.sl_u] = sys.u0  # exactly, whatever that sum rounds to
-    betas = _map_rows(sys, "beta", rows, sys.rts)
+    betas = _map_rows(sys.beta, rows)
     low = np.abs(betas) < settings.beta_floor
     if low.any():
         k = int(low.any(axis=1).argmax())
-        rt = sys.rts[int(low[k].argmax())]
+        i = int(low[k].argmax())
+        agent_id = sys.scen.agents[i].agent_id
         raise BetaNearZero(
-            f"beta = {betas[k, rt.i]:.3e} below floor "
-            f"{settings.beta_floor:.1e} for agent {rt.agent.agent_id}",
-            agent_id=rt.agent.agent_id, state=rows[k].copy())
+            f"beta = {betas[k, i]:.3e} below floor "
+            f"{settings.beta_floor:.1e} for agent {agent_id}",
+            agent_id=agent_id, state=rows[k].copy())
     z = rows[:, :sys.nz]
     xi_hat = z[:, :n_ag * r].reshape(n, n_ag, r)
     # u starts as u_hat, entry u_idx[i] of Phi[mode] z (every mode at once)
     u = np.matmul(z, sys.Phi[:, sys.u_idx].transpose(0, 2, 1))[
         modes[:n], np.arange(n)]
-    u -= _map_rows(sys, "alpha", rows,
-                   [rt for rt in sys.rts if not rt.augmented])
+    alpha = _map_rows(sys.alpha, rows)
+    for k, i in enumerate(sys.plain):  # in place: u[:, plain] would copy
+        u[:, i] -= alpha[:, k]
     u /= betas
-    u[:, [rt.i for rt in sys.aug]] = rows[:, sys.sl_u]
+    u[:, sys.aug] = rows[:, sys.sl_u]
     return Trajectory(
         times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
-        eta=[rows[:, rt.sl_eta] for rt in sys.rts], u=u,
+        eta=[rows[:, sl] for sl in sys.sl_eta], u=u,
         err=(xi_hat - z[:, n_ag * r:].reshape(n, n_ag, r)
              if sys.use_observer else None),
         mode=modes[:n].copy() if mode_path is not None else None,

@@ -21,7 +21,14 @@ from .errors import (
     ReducibleChainError,
     SingularSystemError,
 )
-from .graph import DiGraph, has_spanning_tree, is_balanced, laplacian, union
+from .graph import (
+    DiGraph,
+    _reachable,
+    has_spanning_tree,
+    is_balanced,
+    laplacian,
+    union,
+)
 from .rng import STREAM_MODE_PATH, rng_for
 from .settings import settings
 
@@ -47,26 +54,6 @@ def _validate_generator(gen):
     return gen
 
 
-def _strongly_connected(gen):
-    l = gen.shape[0]
-    adj = gen > 0
-    np.fill_diagonal(adj, False)
-
-    def reach(mat):
-        seen = np.zeros(l, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            k = stack.pop()
-            for j in np.flatnonzero(mat[k]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        return seen.all()
-
-    return reach(adj) and reach(adj.T)
-
-
 def stationary_distribution(generator):
     """Stationary law pi of an irreducible generator: pi' Q = 0, sum(pi) = 1.
 
@@ -74,7 +61,7 @@ def stationary_distribution(generator):
     """
     gen = _validate_generator(generator)
     l = gen.shape[0]
-    if l > 1 and not _strongly_connected(gen):
+    if not _reachable(gen > 0).all():
         raise ReducibleChainError(
             "generator is reducible: not every mode reaches every other")
     lhs = np.vstack([gen.T, np.ones((1, l))])

@@ -51,9 +51,9 @@ from .settings import settings
 
 __all__ = [
     "CompanionSystem", "ConsensusGain", "LocalController", "ObserverGain",
-    "SpectrumCheck", "design_companion", "companion_from_coefficients",
-    "rank_one_gain", "full_gain", "local_controller", "assemble_stacked",
-    "observer_gain", "closed_loop_spectrum",
+    "SpectrumCheck", "design_companion", "rank_one_gain", "full_gain",
+    "local_controller", "assemble_stacked", "observer_gain",
+    "closed_loop_spectrum",
 ]
 
 
@@ -135,20 +135,6 @@ def _check_conjugate_closed(poles):
                 f"pole {p} has no conjugate partner in the set")
 
 
-def _build_companion(b, stable_poles):
-    b = np.asarray(b, dtype=float)
-    r = b.shape[0] + 1
-    a = np.zeros((r, r))
-    for k in range(r - 1):
-        a[k, k + 1] = 1.0
-    a[r - 1, 1:] = -b
-    bvec = np.zeros(r)
-    bvec[r - 1] = 1.0
-    nu = np.append(b, 1.0)
-    return CompanionSystem(r=r, b=b, A=a, B=bvec, nu=nu,
-                           stable_poles=np.asarray(stable_poles, dtype=complex))
-
-
 def design_companion(stable_poles):
     """Companion target from r - 1 strictly stable poles (plus the zero root).
 
@@ -172,19 +158,13 @@ def design_companion(stable_poles):
     # coeffs = [1, c_1, ..., c_{r-1}, 0] for s**r + c_1 s**(r-1) + ...;
     # the stored b list is [b_2, ..., b_r] = [c_{r-1}, ..., c_1]
     b = coeffs[1:r][::-1].copy()
-    return _build_companion(b, sorted(poles, key=lambda p: (p.real, p.imag)))
-
-
-def companion_from_coefficients(b):
-    """Companion target directly from [b_2, ..., b_r], checked for stability."""
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape[0] < 1:
-        raise UnstablePoleError("need at least one coefficient")
-    roots = np.roots(np.concatenate([[1.0], b[::-1]]))
-    if roots.size and roots.real.max() >= -settings.stable_pole_tol:
-        raise UnstablePoleError(
-            f"coefficients give a nonzero root with Re = {roots.real.max():.3e}")
-    return _build_companion(b, sorted(roots, key=lambda p: (p.real, p.imag)))
+    a = np.eye(r, k=1)
+    a[r - 1, 1:] = -b
+    bvec = np.zeros(r)
+    bvec[r - 1] = 1.0
+    poles.sort(key=lambda p: (p.real, p.imag))
+    return CompanionSystem(r=r, b=b, A=a, B=bvec, nu=np.append(b, 1.0),
+                           stable_poles=np.array(poles, dtype=complex))
 
 
 def rank_one_gain(cs, mu, q1, r_hat):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 import consensuskit as ck
 from consensuskit.graph import (
@@ -116,6 +118,39 @@ def test_spanning_tree_matches_spectral_count_small():
             vals = np.linalg.eigvals(lap)
             n_zero = int(np.sum(np.abs(vals) < 1e-9))
             assert has_spanning_tree(g) == (n_zero == 1)
+
+
+def _has_root_by_bfs(g):
+    """Oracle: a breadth-first search from each node over the edges j -> i
+    (w[i, j] > 0) reaches all n nodes from some node."""
+    adj = csr_matrix(g.weights.T)
+    return any(breadth_first_order(adj, root, return_predecessors=False).size
+               == g.n for root in range(g.n))
+
+
+def test_spanning_tree_matches_breadth_first_search():
+    # the closure squares I | adj ceil(log2(n - 1)) times; the path rooted
+    # at its last node needs every squaring (longest shortest path n - 1),
+    # and one edge less leaves it without a root
+    for n in range(2, 25):
+        path = [(k + 1, k, 1.0) for k in range(n - 1)]
+        assert has_spanning_tree(DiGraph.from_edges(n, path))
+        for cut in range(n - 1):
+            g = DiGraph.from_edges(n, path[:cut] + path[cut + 1:])
+            assert not has_spanning_tree(g)
+    rng = ck.rng_for(203)
+    seen = set()
+    for n in range(1, 25):
+        for density in (0.5 / n, 1.0 / n, 2.0 / n, 4.0 / n):
+            for _ in range(6):
+                w = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n))
+                                                     < density)
+                np.fill_diagonal(w, 0.0)
+                g = DiGraph(w)
+                want = _has_root_by_bfs(g)
+                assert has_spanning_tree(g) == want, (n, w)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def test_graph_dict_round_trip():

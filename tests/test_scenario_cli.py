@@ -933,13 +933,19 @@ def test_cli_analyze_switching_names_the_fast_switching_limit(capsys):
     assert out["empirical_rate"] > 0.0
 
 
-def test_cli_analyze_bad_window(tmp_path, capsys):
+def test_cli_analyze_bad_window(tmp_path, capsys, monkeypatch):
+    # rejected before anything is simulated: a NaN bound or an empty window
+    # would otherwise fail only after the run, with EmptyWindowError
+    runs = []
+    monkeypatch.setattr(cli, "_simulate", runs.append)
     scen = _write(tmp_path, base_doc())
-    rc = main(["analyze", scen, "--window", "nonsense"])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError"
-    assert err["field"] == "--window"
+    for window in ("nonsense", "1:2:3", "nan:10", "0:inf", "20:5", "5:5"):
+        rc = main(["analyze", scen, "--window", window])
+        assert rc == 1, window
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "--window"
+    assert runs == []
 
 
 def test_cli_missing_file(tmp_path, capsys):

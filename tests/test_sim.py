@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import importlib
+import inspect
 import linecache
 import re
 import struct
@@ -440,10 +442,9 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
     rng = np.random.default_rng(14)
     states = rng.uniform(-2.0, 2.0, (200, system.dim))
     u_hat = rng.uniform(-2.0, 2.0, (200, 1))
-    alpha, beta = (_numpy_powers(sim._stack(system.aug, name), states)
-                   for name in ("alpha", "beta"))
-    want = np.hstack([_numpy_powers(sim._stack(system.rts, "theta"), states),
-                      (u_hat - alpha) / beta])
+    theta, alpha, beta = (_numpy_powers(table, states)
+                          for table in system.tables)
+    want = np.hstack([theta, (u_hat - alpha) / beta])
     got = [f([*state[system.cols], *u, *state[system.nz:]])
            for state, u in zip(states, u_hat)]
     assert np.allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
@@ -860,6 +861,35 @@ def test_benchmark_reaches_the_package_through_these_names(
     assert native.xi_of(x).shape == (3,)
     assert np.isfinite(native.alpha_of(x))
     assert np.isfinite(native.beta_of(x))
+
+
+# The "layer.name" of every span whose time or count
+# bench/tracing.per_layer_metrics reads.  The tracer wraps only public
+# functions of the layer modules, under "<module>.<__name__>"; a name that
+# vanished or moved reads as 0.0 there, not as an error.
+_TRACED_LAYER_NAMES = (
+    "linalg.solve_care", "linalg.solve_lyapunov", "linalg.eig",
+    "graph.has_spanning_tree", "graph.laplacian",
+    "switching.check_A4", "switching.sample_path",
+    "synthesis.design_companion", "synthesis.rank_one_gain",
+    "synthesis.full_gain", "synthesis.local_controller",
+    "synthesis.observer_gain", "synthesis.closed_loop_spectrum",
+    "metrics.theoretical_speed_fixed", "metrics.theoretical_speed_switching",
+    "metrics.disagreement", "scenario.load_scenario",
+    "sim.simulate_fixed", "sim.simulate_with_observer",
+    "sim.simulate_switching", "sim.monte_carlo_ms",
+)
+
+
+def test_benchmark_traced_layer_names_are_public_functions():
+    def traced(name):
+        layer, _, attr = name.partition(".")
+        module = f"consensuskit.{layer}"
+        fn = getattr(importlib.import_module(module), attr, None)
+        return (inspect.isfunction(fn) and not attr.startswith("_")
+                and (fn.__module__, fn.__name__) == (module, attr))
+
+    assert [name for name in _TRACED_LAYER_NAMES if not traced(name)] == []
 
 
 def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):

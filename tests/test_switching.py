@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import consensuskit as ck
 from consensuskit.graph import DiGraph, directed_cycle, empty_graph, laplacian, union
@@ -37,6 +38,46 @@ def test_stationary_distribution_three_modes():
 def test_stationary_rejects_reducible_chain():
     with pytest.raises(ck.ReducibleChainError):
         stationary_distribution(np.array([[0.0, 0.0], [1.0, -1.0]]))
+
+
+def test_stationary_reducibility_matches_strong_components():
+    # irreducible exactly when the rates > 0 make one strongly connected
+    # component (the oracle); a cycle of l modes has shortest paths of l - 1
+    # steps, and without one of its rates the chain is reducible
+    assert np.array_equal(stationary_distribution(np.zeros((1, 1))), [1.0])
+    for l in range(2, 25):
+        cycle = np.zeros((l, l))
+        cycle[np.arange(l), (np.arange(l) + 1) % l] = 1.0
+        for cut in (None, 0, l - 1):
+            gen = cycle.copy()
+            if cut is not None:
+                gen[cut, (cut + 1) % l] = 0.0
+            gen -= np.diag(gen.sum(axis=1))
+            if cut is None:
+                assert np.allclose(stationary_distribution(gen), 1.0 / l)
+            else:
+                with pytest.raises(ck.ReducibleChainError):
+                    stationary_distribution(gen)
+    rng = ck.rng_for(503)
+    seen = set()
+    for l in range(1, 25):
+        for density in (1.0 / l, 2.0 / l, 4.0 / l):
+            for _ in range(4):
+                gen = rng.uniform(0.2, 2.0, (l, l)) * (rng.random((l, l))
+                                                       < density)
+                np.fill_diagonal(gen, 0.0)
+                gen -= np.diag(gen.sum(axis=1))
+                irreducible = connected_components(
+                    gen > 0, connection="strong")[0] == 1
+                seen.add(irreducible)
+                if irreducible:
+                    pi = stationary_distribution(gen)
+                    assert np.all(pi > 0) and np.allclose(pi @ gen, 0.0,
+                                                          atol=1e-10)
+                else:
+                    with pytest.raises(ck.ReducibleChainError):
+                        stationary_distribution(gen)
+    assert seen == {True, False}
 
 
 def test_generator_validation():

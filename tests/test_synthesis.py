@@ -8,9 +8,8 @@ import scipy.linalg
 import consensuskit as ck
 from consensuskit import synthesis
 from consensuskit.synthesis import (
-    assemble_stacked, closed_loop_spectrum, companion_from_coefficients,
-    design_companion, full_gain, local_controller, observer_gain,
-    rank_one_gain,
+    assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
+    local_controller, observer_gain, rank_one_gain,
 )
 
 
@@ -51,13 +50,6 @@ def test_companion_left_null_vector_is_exact():
         assert np.allclose(vals, want, atol=1e-8)
 
 
-def test_companion_from_coefficients_matches_pole_form(target):
-    cs = companion_from_coefficients([2.0, 3.0])
-    assert np.array_equal(cs.A, target.A)
-    assert np.allclose(np.sort_complex(cs.stable_poles),
-                       np.sort_complex(target.stable_poles), atol=1e-12)
-
-
 def test_design_companion_rejects_bad_pole_sets():
     with pytest.raises(ck.UnstablePoleError):
         design_companion([])
@@ -67,13 +59,6 @@ def test_design_companion_rejects_bad_pole_sets():
         design_companion([-1.0, 0.0])
     with pytest.raises(ck.NotConjugateClosedError):
         design_companion([-1.0 + 1.0j, -2.0])
-
-
-def test_companion_from_coefficients_rejects_unstable():
-    with pytest.raises(ck.UnstablePoleError):
-        companion_from_coefficients([-1.0])
-    with pytest.raises(ck.UnstablePoleError):
-        companion_from_coefficients([])
 
 
 def test_rank_one_gain_exact_values(target, unit_gain):
