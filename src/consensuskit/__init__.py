@@ -117,7 +117,7 @@ from .metrics import (
     theoretical_speed_fixed,
     theoretical_speed_switching,
 )
-from .scenario import load_scenario, parse_scenario, scenario_to_dict
+from .scenario import load_scenario, parse_scenario
 
 __version__ = "0.1.0"
 

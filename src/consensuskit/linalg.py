@@ -7,10 +7,11 @@ Conventions used by every solver here:
   from the stable invariant subspace of the Hamiltonian matrix and
   polished by Newton iteration on the associated Lyapunov equations.
 
-Matrices are plain float64 ndarrays; spectra are complex128 vectors sorted
-by (real, imag).  Sizes here are small (a few dozen states), so the
-Lyapunov equation is solved by dense Kronecker vectorization rather than a
-Schur-form method, and eigenvalues delegate to LAPACK via numpy.
+Matrices are plain float64 ndarrays (`eig` also takes complex ones, and
+stacks of them); spectra are complex128 vectors sorted by (real, imag).
+Sizes here are small (a few dozen states), so the Lyapunov equation is
+solved by dense Kronecker vectorization rather than a Schur-form method,
+and eigenvalues delegate to LAPACK via numpy.
 """
 
 import numpy as np
@@ -44,19 +45,27 @@ def _as_square(m, name="matrix"):
 
 
 def eig(m):
-    """Eigenvalues of a real square matrix, sorted by (real, imag).
+    """Eigenvalues of a real or complex square matrix, sorted by (real, imag).
 
-    Nonreal eigenvalues of real input come back in conjugate pairs.
+    A stack of shape (..., n, n) gives each matrix's sorted spectrum along
+    the last axis, from one LAPACK call per matrix.  Nonreal eigenvalues of
+    real input come back in exact conjugate pairs.
     """
-    arr = _as_square(m)
+    arr = np.asarray(m)
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(float)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise NonSquareError(f"matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries")
     if arr.size == 0:
-        return np.empty(0, dtype=complex)
+        return np.empty(arr.shape[:-1], dtype=complex)
     try:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def solve_lyapunov(a, q):

@@ -52,7 +52,7 @@ from .synthesis import (
     rank_one_gain,
 )
 
-__all__ = ["load_scenario", "parse_scenario", "scenario_to_dict"]
+__all__ = ["load_scenario", "parse_scenario"]
 
 
 def _expect(obj, typ, where, what):
@@ -356,40 +356,9 @@ def parse_scenario(doc):
                        controllers=controllers, topology=topology,
                        observer=observer, t_end=t_end, dt=dt, seed=seed,
                        init=init, observer_init=observer_init,
-                       output=output, raw=_normalize(doc))
+                       output=output)
     scen.validate()
     return scen
-
-
-def _copy_tree(node):
-    """New dicts and lists over the same leaves.
-
-    A validated document's leaves are numbers, strings, booleans and None,
-    all immutable, so sharing them keeps copy and source apart.
-    """
-    if isinstance(node, dict):
-        return {key: _copy_tree(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_copy_tree(value) for value in node]
-    return node
-
-
-def _normalize(doc):
-    norm = _copy_tree(doc)
-    ctl = norm["controller"]
-    ctl["poles"] = [[_pole(p, "").real, _pole(p, "").imag]
-                    for p in ctl["poles"]]
-    sim_doc = norm["sim"]
-    sim_doc.setdefault("seed", 0)
-    sim_doc.setdefault("init", "explicit")
-    if "observer" in norm:
-        norm["observer"]["poles"] = [
-            [_pole(p, "").real, _pole(p, "").imag]
-            for p in norm["observer"]["poles"]]
-        norm["observer"].setdefault("init", "zero")
-    if "output" in norm:
-        norm["output"].setdefault("full_state", False)
-    return norm
 
 
 def load_scenario(path):
@@ -408,10 +377,3 @@ def load_scenario(path):
     if not isinstance(doc, dict):
         raise ScenarioParseError("top-level value must be an object")
     return parse_scenario(doc)
-
-
-def scenario_to_dict(scen):
-    """Normalized document for a scenario built from one (round-trips)."""
-    if scen.raw is None:
-        raise ValidationError("scenario was not built from a document")
-    return _copy_tree(scen.raw)

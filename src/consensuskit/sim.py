@@ -107,7 +107,6 @@ class SimScenario:
     init: str = "explicit"
     observer_init: str = "zero"
     output: Optional[dict] = None
-    raw: Optional[dict] = None
 
     def validate(self):
         if not self.agents:
@@ -203,6 +202,17 @@ def _mode_matrices(scen, laps, use_observer):
     return np.array(phis)
 
 
+def _layout(agents, r, use_observer):
+    """The flat state [z | eta | u]: z = [xihat; xcheck] is n r wide (the
+    xcheck half only with an observer), then the eta of every agent, then
+    u of each augmented agent.  Returns the bounds of z and each eta, the
+    indices of the augmented agents and the state's width."""
+    ends = np.cumsum([len(agents) * r * (1 + use_observer)]
+                     + [ag.n_eta for ag in agents]).tolist()
+    aug = [i for i, ag in enumerate(agents) if ag.kind == AUGMENTED_GENERAL]
+    return ends, aug, ends[-1] + len(aug)
+
+
 class _System:
     def __init__(self, scen, laps, use_observer):
         self.scen = scen
@@ -210,16 +220,12 @@ class _System:
         self.shape = (len(agents), r)
         self.Phi = _mode_matrices(scen, laps, use_observer)
         self.use_observer = use_observer
-        self.nz = self.Phi.shape[1]
-        # agent i: its chain inside z, its eta after z; u of the augmented
-        # agents (indices `aug`) at the end
-        ends = np.cumsum([self.nz] + [ag.n_eta for ag in agents]).tolist()
+        ends, self.aug, self.dim = _layout(agents, r, use_observer)
+        self.nz = ends[0]
         self.sl_xi = [slice(i * r, i * r + ag.r) for i, ag in enumerate(agents)]
         self.sl_eta = [slice(a, b) for a, b in zip(ends, ends[1:])]
         every = range(len(agents))
-        self.aug = [i for i in every if agents[i].kind == AUGMENTED_GENERAL]
         self.plain = [i for i in every if i not in self.aug]
-        self.dim = ends[-1] + len(self.aug)
         self.sl_u = slice(ends[-1], self.dim)
         self.u_idx = np.array([sl.stop - 1 for sl in self.sl_xi])
         self.aug_u_hat = self.u_idx[self.aug]
@@ -332,8 +338,7 @@ _STEPS = 256             # the longest segment: bounds the cascade inputs
 
 def _grid(scen, use_observer=False):
     """The time grid, once the run's state rows are known to fit."""
-    dim = len(scen.agents) * scen.cs.r * (1 + use_observer) + sum(
-        ag.n_eta + (ag.kind == AUGMENTED_GENERAL) for ag in scen.agents)
+    dim = _layout(scen.agents, scen.cs.r, use_observer)[2]
     samples = np.rint(scen.t_end / scen.dt) + 1.0
     size = samples * dim * 8.0
     if not size <= _ROWS_BYTES:

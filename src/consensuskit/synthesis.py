@@ -112,7 +112,7 @@ class SpectrumCheck:
     """Closed-loop spectrum plus the analytic cross-check flag.
 
     ``analytic_consistent`` is True when the rank-one closed form matched
-    the direct eigendecomposition, and None for full-rank gains (no closed
+    the block spectrum, and None for full-rank gains (no closed
     form applies).
     """
 
@@ -304,16 +304,19 @@ def _multiset_distance(a, b):
     is inf), and the means of its two parts are compared.
 
     A backward-stable eigensolver splits a defective eigenvalue of
-    multiplicity m by roughly eps**(1/m), far beyond any honest
+    multiplicity m by roughly eps**(1/m), and close eigenvalues by an
+    amount that grows as their gap shrinks, far beyond any honest
     per-eigenvalue tolerance, while the mean of the split cluster stays
     accurate as long as the cluster lies well apart from the rest of the
     spectrum.  Clusters close to each other must be compared jointly: in a
-    ten-agent r = 6 design, two ten-fold target poles 0.0063 apart have
-    cluster means off by 1.7e-6 and 1.9e-6 but a joint mean off by 4.8e-9,
-    hence the radius.  Genuinely distinct eigenvalues that fall into one
-    group are still checked, jointly through their mean.  For simple
-    well-separated spectra every group is one value of each multiset and
-    this is plain nearest-neighbour matching.
+    ten-agent r = 6 design whose coupling eigenvalue sits 1.3e-4 from one
+    of two target poles 0.0063 apart, the block spectra of
+    :func:`closed_loop_spectrum` have cluster means off by 9.2e-10 and
+    1.0e-9 but a joint mean off by 1.6e-12, hence the radius.  Genuinely
+    distinct eigenvalues that fall into one group are still checked,
+    jointly through their mean.  For simple well-separated spectra every
+    group is one value of each multiset and this is plain
+    nearest-neighbour matching.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -345,36 +348,43 @@ def _multiset_distance(a, b):
 def closed_loop_spectrum(cs, gain, lap):
     """Spectrum of the cooperative closed loop I (x) A - L (x) (B K).
 
+    With L = U T U* its Schur form, (U* (x) I) applied to the closed loop
+    gives the block triangle I (x) A - T (x) (B K), whose diagonal blocks
+    are A - gamma_i B K, one per eigenvalue gamma_i of L (Fax & Murray,
+    IEEE TAC 49(9), 2004).  So the spectrum is the union of those N r x r
+    spectra, and no (N r) x (N r) matrix is built: the blocks of real
+    gamma are one real stack, those with Im gamma > 0 one complex stack
+    whose spectra are appended with their exact conjugates, and the union
+    is sorted by (real, imag).
+
     For rank-one gains the analytic multiset
 
         { -mu sqrt(q1 r_hat) (B' nu) gamma : gamma in eig(L) }
         union  (N copies of the stable target poles)
 
-    is returned and verified against the direct eigendecomposition; a
-    mismatch beyond tolerance raises InconsistentSpectraError.  Repeated
-    eigenvalues (including defective ones from Jordan blocks of L) are
-    compared through cluster means, which stay accurate where the raw
-    eigenvalues split.  For full-rank gains the direct spectrum is
-    returned unchecked.
+    is returned and verified against the block spectrum; a mismatch
+    beyond tolerance raises InconsistentSpectraError.  Repeated
+    eigenvalues (including those split by a Jordan block of L) are
+    compared through cluster means.  For full-rank gains the block
+    spectrum is returned unchecked.
     """
-    lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
-    # big[i, k, j, l] = delta_ij A[k, l] - L[i, j] (B K)[k, l], the entries
-    # of the two Kronecker products without forming either
-    big = lap[:, None, :, None] * -np.outer(cs.B, gain.K)[:, None, :]
-    idx = np.arange(n)
-    big[idx, :, idx] += cs.A
-    big = big.reshape(n * cs.r, n * cs.r)
-    direct = eig(big)
+    gamma = eig(lap)
+    bk = np.outer(cs.B, gain.K)
+    real = eig(cs.A - gamma.real[gamma.imag == 0, None, None] * bk)
+    upper = eig(cs.A - gamma[gamma.imag > 0, None, None] * bk)
+    blocks = np.concatenate([real.ravel(), upper.ravel(),
+                             upper.ravel().conj()])
     if gain.rank != "one":
-        return SpectrumCheck(values=direct, analytic_consistent=None)
+        order = np.lexsort((blocks.imag, blocks.real))
+        return SpectrumCheck(values=blocks[order], analytic_consistent=None)
     c = gain.mu * np.sqrt(gain.q1 * gain.r_hat) * float(cs.B @ cs.nu)
-    analytic = np.concatenate([-c * eig(lap), np.tile(cs.stable_poles, n)])
+    analytic = np.concatenate([-c * gamma,
+                               np.tile(cs.stable_poles, len(gamma))])
     analytic = np.sort_complex(analytic)
-    scale = max(1.0, float(np.abs(direct).max()))
-    worst = _multiset_distance(analytic, direct)
+    scale = max(1.0, float(np.abs(blocks).max()))
+    worst = _multiset_distance(analytic, blocks)
     if worst > settings.spectrum_match_tol * scale:
         raise InconsistentSpectraError(
-            f"analytic and direct spectra differ by {worst:.3e} "
+            f"analytic and block spectra differ by {worst:.3e} "
             f"(tolerance {settings.spectrum_match_tol * scale:.3e})")
     return SpectrumCheck(values=analytic, analytic_consistent=True)

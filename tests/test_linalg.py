@@ -37,6 +37,28 @@ def test_eig_rejects_nonsquare():
         eig(np.zeros((2, 3)))
 
 
+def test_eig_of_a_stack_is_each_matrix_sorted_spectrum():
+    rng = ck.rng_for(102)
+    real = rng.standard_normal((7, 5, 5))
+    for stack in (real, real + 1j * rng.standard_normal((7, 5, 5)),
+                  real.reshape(7, 1, 5, 5)):
+        vals = eig(stack)
+        assert vals.shape == stack.shape[:-1]
+        for m, got in zip(stack.reshape(-1, 5, 5), vals.reshape(-1, 5)):
+            want = np.linalg.eigvals(m)
+            assert np.array_equal(got, want[np.lexsort((want.imag, want.real))])
+    assert eig(np.zeros((0, 5, 5))).shape == (0, 5)
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        stack = real.astype(type(bad))
+        stack[3, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig(stack)
+    with pytest.raises(ck.NonSquareError):
+        eig(np.zeros((4, 2, 3)))
+    with pytest.raises(ck.NonSquareError):
+        eig(np.zeros(3))
+
+
 def test_lyapunov_scalar_oracle():
     # -2 p + 2 = 0
     p = solve_lyapunov(np.array([[-1.0]]), np.array([[2.0]]))

@@ -12,7 +12,7 @@ import consensuskit as ck
 from consensuskit import cli
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
-from consensuskit.scenario import load_scenario, parse_scenario, scenario_to_dict
+from consensuskit.scenario import load_scenario, parse_scenario
 from consensuskit.switching import MarkovTopology
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -79,22 +79,13 @@ def test_shipped_switching_scenario_loads():
     assert report.passes
 
 
-def test_parse_scenario_round_trip():
-    scen = parse_scenario(base_doc())
-    doc = scenario_to_dict(scen)
-    # normalization fills defaults and turns poles into [re, im] pairs
-    assert doc["controller"]["poles"] == [[-1.0, 0.0], [-2.0, 0.0]]
-    again = scenario_to_dict(parse_scenario(doc))
-    assert again == doc
-
-
-def test_parse_scenario_and_scenario_to_dict_copy_the_document():
+def test_parse_scenario_leaves_the_document_unmutated():
     doc = switching_doc()
     doc["observer"] = {"C": [1.0, 0.0, 0.0], "poles": [-3.0, [-4.0, 0.0], -5]}
     doc["output"] = {"csv": "out.csv"}
     del doc["sim"]["seed"], doc["sim"]["init"]
     before = copy.deepcopy(doc)
-    scen = parse_scenario(doc)
+    parse_scenario(doc)
     # no pole rewrite and no seed/init/full_state defaults in the caller's
     # document
     assert doc == before
@@ -102,24 +93,6 @@ def test_parse_scenario_and_scenario_to_dict_copy_the_document():
     assert "seed" not in doc["sim"] and "init" not in doc["sim"]
     assert "init" not in doc["observer"]
     assert "full_state" not in doc["output"]
-
-    raw = copy.deepcopy(scen.raw)
-    out = scenario_to_dict(scen)
-    out["controller"]["poles"][0][0] = -9.0
-    out["switching"]["graphs"][0]["edges"].append([3, 1, 1.0])
-    out["sim"]["seed"] = 7
-    out["observer"]["C"][0] = 2.0
-    out["output"]["full_state"] = True
-    del out["agents"][0]
-    assert scen.raw == raw
-    assert scenario_to_dict(parse_scenario(scenario_to_dict(scen))) == raw
-
-
-def test_scenario_to_dict_requires_document_origin(target, unit_gain,
-                                                   five_agents, five_cycle):
-    scen = ck.build_scenario(five_agents, target, unit_gain, five_cycle)
-    with pytest.raises(ck.ValidationError):
-        scenario_to_dict(scen)
 
 
 def test_custom_agent_polynomials_evaluate():

@@ -1246,3 +1246,20 @@ def test_monte_carlo_checks_A4_once(target, unit_gain, five_agents,
     with pytest.raises(ck.ValidationError) as mc:
         monte_carlo_ms(bad, runs=3)
     assert str(mc.value) == str(single.value)
+
+
+def test_grid_refuses_at_the_width_the_system_allocates(target, unit_gain):
+    # the size check before allocation reads the state width from the same
+    # layout as _System: agent 1's eta, the augmented agent's u and, with
+    # an observer, the xcheck half of z
+    agents = _loop_agents()
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
+                          observer=obs, t_end=1e300, dt=1e-3)
+    laps = [ck.laplacian(directed_cycle(4))]
+    for use_observer in (False, True):
+        dim = sim._System(scen, laps, use_observer).dim
+        assert dim == 4 * 3 * (1 + use_observer) + 1 + 1
+        with pytest.raises(ck.ValidationError) as info:
+            sim._grid(scen, use_observer)
+        assert f" steps of {dim} states take " in str(info.value)

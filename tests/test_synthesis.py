@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 import consensuskit as ck
-from consensuskit import synthesis
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
     local_controller, observer_gain, rank_one_gain,
@@ -225,9 +226,11 @@ def test_closed_loop_spectrum_full_rank_unchecked(target, five_cycle):
 def test_closed_loop_spectrum_accepts_close_repeated_poles():
     # a ten-agent r = 6 rank-one design from the benchmark's design sweep:
     # the ten-fold target poles -1.36368 and -1.35739 lie 0.0063 apart, and
-    # one coupling eigenvalue sits 1.3e-4 from the first; the direct
-    # eigenvalues of the two clusters have means off by 1.7e-6 and 1.9e-6
-    # (tolerance 3.7e-7), their joint mean by 4.8e-9
+    # one coupling eigenvalue sits 1.3e-4 from the first; the eigenvalues
+    # of the blocks A - gamma_i B K near the two poles have cluster means
+    # off by 9.2e-10 and 1.0e-9 (tolerance 3.7e-7), their joint mean by
+    # 1.6e-12; a dense eig of the whole 60 x 60 closed loop, where each
+    # pole is ten-fold, splits them to 1.7e-6 and 1.9e-6 (4.8e-9 jointly)
     cs = design_companion([-1.594601937634916, -1.363681328637382,
                            -2.191370784080726, -1.3573906605668014,
                            -0.8919084088195437])
@@ -246,27 +249,61 @@ def test_closed_loop_spectrum_accepts_close_repeated_poles():
     assert check.values.shape == (60,)
 
 
-def test_closed_loop_matrix_equals_kronecker_form(monkeypatch, target,
-                                                  unit_gain, five_cycle):
-    seen = []
-    eig = synthesis.eig
-    monkeypatch.setattr(synthesis, "eig", lambda m: seen.append(m) or eig(m))
+def _cluster_gap(a, b, radius):
+    """Worst gap between the means of a and b over the groups that single
+    linkage at `radius` forms in the pooled values; inf when a group holds
+    unequal counts of the two."""
+    pool = np.concatenate([a, b])
+    near = scipy.sparse.csr_matrix(np.abs(pool[:, None] - pool) <= radius)
+    _, label = scipy.sparse.csgraph.connected_components(near, directed=False)
+    la, lb = label[:a.size], label[a.size:]
+    worst = 0.0
+    for g in np.unique(label):
+        if (la == g).sum() != (lb == g).sum():
+            return np.inf
+        worst = max(worst, abs(a[la == g].mean() - b[lb == g].mean()))
+    return worst
+
+
+def test_closed_loop_spectrum_matches_kronecker_eig(target, unit_gain,
+                                                    five_cycle):
     rng = ck.rng_for(405)
     weights = rng.uniform(0.5, 2.0, (20, 20)) * (rng.random((20, 20)) < 0.2)
     np.fill_diagonal(weights, 0.0)
     cs6 = design_companion([-0.5, -1.0, -1.5 + 0.5j, -1.5 - 0.5j, -2.0])
-    cases = [(target, unit_gain, ck.laplacian(five_cycle)),
+    gain6 = full_gain(cs6, mu=1.3, q1_matrix=np.diag(np.arange(1.0, 7.0)),
+                      r_hat=0.4)
+    # L of the directed path is one 19 x 19 Jordan block at 1 plus the
+    # root's 0, so the dense eig of the Kronecker form splits each of the
+    # six eigenvalues of A - B K into a ring of 19 values up to 0.13 wide
+    # (scale 3.05); the rings are compared whole, through their means
+    path = ck.laplacian(ck.DiGraph(np.eye(20, k=-1)))
+    cases = [(target, unit_gain, ck.laplacian(five_cycle), 1e-2),
              (target, full_gain(target, mu=0.7, q1_matrix=np.eye(3),
-                                r_hat=2.0), ck.laplacian(five_cycle)),
-             (cs6, full_gain(cs6, mu=1.3, q1_matrix=np.diag(np.arange(1.0, 7.0)),
-                             r_hat=0.4), ck.laplacian(ck.DiGraph(weights)))]
-    for cs, gain, lap in cases:
-        seen.clear()
-        closed_loop_spectrum(cs, gain, lap)
+                                r_hat=2.0), ck.laplacian(five_cycle), 1e-2),
+             (cs6, gain6, ck.laplacian(ck.DiGraph(weights)), 1e-2),
+             (cs6, gain6, path, 0.1)]
+    for cs, gain, lap, radius in cases:
+        values = closed_loop_spectrum(cs, gain, lap).values
         n = lap.shape[0]
-        kron = (np.kron(np.eye(n), cs.A)
-                - np.kron(lap, np.outer(cs.B, gain.K)))
-        assert np.array_equal(seen[0], kron)
+        direct = np.linalg.eigvals(np.kron(np.eye(n), cs.A)
+                                   - np.kron(lap, np.outer(cs.B, gain.K)))
+        scale = max(1.0, float(np.abs(values).max()))
+        gap = _cluster_gap(values, direct, radius * scale)
+        assert gap <= ck.settings.spectrum_match_tol * scale
+
+
+def test_closed_loop_spectrum_conjugate_closed_and_sorted(target, five_cycle):
+    lap = ck.laplacian(five_cycle)
+    assert (np.linalg.eigvals(lap).imag > 0).sum() == 2
+    gain = full_gain(target, mu=0.7, q1_matrix=np.diag([1.0, 2.0, 3.0]),
+                     r_hat=2.0)
+    values = closed_loop_spectrum(target, gain, lap).values
+    assert np.array_equal(np.lexsort((values.imag, values.real)),
+                          np.arange(values.size))
+    flipped = values.conj()
+    assert np.array_equal(flipped[np.lexsort((flipped.imag, flipped.real))],
+                          values)
 
 
 def test_closed_loop_spectrum_rejects_a_wrong_gain(target, unit_gain,
