@@ -58,7 +58,6 @@ from .graph import (
     directed_cycle,
     empty_graph,
     graph_from_dict,
-    graph_to_dict,
     has_spanning_tree,
     is_balanced,
     lambda_min_nonzero,

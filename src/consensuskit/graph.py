@@ -25,7 +25,7 @@ from .settings import settings
 __all__ = [
     "DiGraph", "laplacian", "has_spanning_tree", "is_balanced", "union",
     "lambda_min_nonzero", "directed_cycle", "empty_graph",
-    "graph_to_dict", "graph_from_dict",
+    "graph_from_dict",
 ]
 
 
@@ -133,19 +133,8 @@ def lambda_min_nonzero(m):
     return complex(cand[order[0]])
 
 
-def graph_to_dict(g):
-    """Serialize as {"n": n, "edges": [[from, to, weight], ...]}, 1-based nodes."""
-    edges = []
-    w = g.weights
-    for i in range(g.n):
-        for j in range(g.n):
-            if w[i, j] > 0:
-                edges.append([j + 1, i + 1, float(w[i, j])])
-    return {"n": g.n, "edges": edges}
-
-
 def graph_from_dict(doc, where="graph"):
-    """Parse the serialization produced by :func:`graph_to_dict`."""
+    """Parse {"n": n, "edges": [[from, to, weight], ...]}, 1-based nodes."""
     if not isinstance(doc, dict):
         raise ValidationError("expected an object", field=where)
     try:

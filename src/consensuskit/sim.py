@@ -13,34 +13,49 @@ xihat itself or the observer estimates xcheck of it,
 
 M_o being the observer's injection gain.  So for each graph mode m the
 vector z = [xihat; xcheck] (agent-major, N r entries each; xcheck only
-with an observer) moves by one fixed matrix, z' = Phi[m] z, built at
-set-up (_mode_matrices).  RK4 on z is then linear too: with the stage
-matrices K_s = Phi T_s (T_1 = I, T_2 = I + (h/2) K_1, T_3 = I + (h/2) K_2,
-T_4 = I + h K_3) a step is z -> S[m] z, S = I + (h/6) (((K_1 + 2 K_2) +
-2 K_3) + K_4), so z_{a+j} = S[m]^j z_a between mode jumps.  A run goes in
-segments of at most B steps under one mode, B taken from the size of z so
-that the powers S[m]^1 .. S[m]^B fit in 512 KB (_powers, by doubling):
-the z of a segment is one product with them.  Every agent is carried as
-its chain xi, which the linearizing input u = (u_hat - alpha) / beta makes
-exact; agent 3, stated in other coordinates, enters through its map xi_of.
+with an observer) moves by one fixed matrix, z' = Phi[m] z
+(_mode_matrices).  RK4 on z is then linear too: with the stage matrices
+K_s = Phi T_s (T_1 = I, T_2 = I + (h/2) K_1, T_3 = I + (h/2) K_2, T_4 = I
++ h K_3) a step is z -> S[m] z, S = I + (h/6) (((K_1 + 2 K_2) + 2 K_3) +
+K_4), so z_{a+j} = S[m]^j z_a between mode jumps.  Every agent is carried
+as its chain xi, which the linearizing input u = (u_hat - alpha) / beta
+makes exact; agent 3, stated in other coordinates, enters through its map
+xi_of.
 
 What is not linear is eta' = theta(xi, eta) and the physical input of
 augmented agents, u' = (u_hat - alpha) / beta: a cascade driven by z that
 never feeds back into it.  Its term tables are written out as the source
-of one function that runs RK4 on it over a segment in Python floats
+of one function that runs RK4 on it over many steps in Python floats
 (_System._compile_cascade); the source holds no coefficient, so its code
-is compiled once per shape of cascade (agents._code).  Its inputs, z at the
-columns the tables read at each stage state T_s z and u_hat (entry i r +
-r_i - 1 of K_s z) of each augmented agent, are one product z @ G[m] per
-segment (_step_matrices).  The flat state is [z | eta | d], d = u -
-xi_last per augmented agent: xi_last, its last chain state, has the
+is compiled once per shape of cascade (agents._code).  Its inputs at each
+step, z at the columns the tables read at each stage state T_s z and
+u_hat (entry i r + r_i - 1 of K_s z) of each augmented agent, are the
+product z @ G[m] (_step_matrices).  The flat state is [z | eta | d], d = u
+- xi_last per augmented agent: xi_last, its last chain state, has the
 derivative u_hat, so d' = (u_hat - alpha) / beta - u_hat, and u = xi_last
 + d keeps the rounding of z (d stays 0 if alpha = 0, beta = 1 and u0 =
 xi_last(0)).  After the run the trajectory turns d into u, u(0) = u0
 exactly, and evaluates beta of every agent and alpha of the agents that
 are not augmented over all recorded states at once, by the same
 expressions run on numpy columns (TermTable.at); like theta, each is one
-table stacked at set-up.
+stacked table.
+
+Plan and run.  All of the above depends on the scenario and the kind of
+feedback, not on the run: it is the plan (_System), which holds the
+layout, Phi, the stacked tables and the compiled cascade, S, G and the
+powers S[m]^1 .. S[m]^B, B taken from the size of z so that the powers of
+all modes fit in 512 KB (_powers, by doubling).  A scenario object keeps
+one plan per feedback kind, built by its first simulation (_plan), so the
+runs of a Monte Carlo share one.  Scenarios are frozen, so a plan cannot
+go stale; dataclasses.replace makes a new scenario, which builds its own.
+The plan holds no reference to its scenario, so a scenario is freed as
+soon as it is dropped.  A run holds the initial state, the mode path and
+two passes over them (_run).  The linear pass goes in segments of at most
+B steps under one mode: the z of a segment is one product with the powers
+of its S, and its cascade inputs one product with its G.  The cascade goes
+in chunks of whole consecutive segments of at most 256 steps: one call of
+the compiled function, one conversion each way and one guard check per
+chunk.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -66,7 +81,7 @@ corresponding fixed-topology run.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
@@ -93,7 +108,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimScenario:
     agents: List[NormalFormAgent]
     cs: CompanionSystem
@@ -107,6 +122,9 @@ class SimScenario:
     init: str = "explicit"
     observer_init: str = "zero"
     output: Optional[dict] = None
+    # the plan of its simulations per feedback kind (_plan)
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def validate(self):
         if not self.agents:
@@ -214,11 +232,19 @@ def _layout(agents, r, use_observer):
 
 
 class _System:
-    def __init__(self, scen, laps, use_observer):
-        self.scen = scen
+    """The plan of one scenario's simulations under one kind of feedback:
+    everything a run needs that does not depend on the run (see the module
+    docstring).  It reads the scenario while it is built and keeps no
+    reference to it."""
+
+    def __init__(self, scen, use_observer):
         agents, r = scen.agents, scen.cs.r
+        graphs = (scen.topology.graphs
+                  if isinstance(scen.topology, MarkovTopology)
+                  else [scen.topology])
         self.shape = (len(agents), r)
-        self.Phi = _mode_matrices(scen, laps, use_observer)
+        self.Phi = _mode_matrices(scen, [laplacian(g) for g in graphs],
+                                  use_observer)
         self.use_observer = use_observer
         ends, self.aug, self.dim = _layout(agents, r, use_observer)
         self.nz = ends[0]
@@ -246,6 +272,12 @@ class _System:
                             for j in table.variables if j < self.nz})
         self.block = (self._compile_cascade(scen.dt)
                       if self.dim > self.nz else None)
+        self.S, self.G = _step_matrices(self, scen.dt)
+        # B steps at most, and no more than the run has
+        size = max(1, min(_STEPS, _POWERS_BYTES // self.S.nbytes))
+        self.powers = _powers(self.S, int(min(size, _steps(scen))))
+        # u_hat of every agent is z @ u_rows[mode]
+        self.u_rows = self.Phi[:, self.u_idx].transpose(0, 2, 1)
 
     def derivative_source(self, inputs, state, coefs, squares):
         """The derivative of the cascade [eta | u] as Python expressions:
@@ -306,8 +338,7 @@ class _System:
             + ["        " + line for line in body]) + "\n"
         return _function(source, (tuple(coefs), 0.5 * h, h, h / 6.0, 2.0))
 
-    def initial_state(self, run_index):
-        scen = self.scen
+    def initial_state(self, scen, run_index):
         rng = (rng_for(scen.seed, run_index, STREAM_INIT)
                if scen.init == "random" else None)
         state = np.zeros(self.dim)
@@ -332,14 +363,28 @@ class _System:
 
 
 _ROWS_BYTES = 1 << 30    # the largest state record a run may allocate
-_POWERS_BYTES = 1 << 19  # the step-matrix powers of a run, all modes
-_STEPS = 256             # the longest segment: bounds the cascade inputs
+_POWERS_BYTES = 1 << 19  # the step-matrix powers of a plan, all modes
+_STEPS = 256             # the longest chunk: bounds the cascade inputs
+
+
+def _plan(scen, use_observer):
+    """The plan of scen's simulations with this feedback: built by the
+    first and kept on scen for the others."""
+    plan = scen._plans.get(use_observer)
+    if plan is None:
+        plan = scen._plans[use_observer] = _System(scen, use_observer)
+    return plan
+
+
+def _steps(scen):
+    """t_end / dt, the number of steps of a run, as a float."""
+    return np.rint(scen.t_end / scen.dt)
 
 
 def _grid(scen, use_observer=False):
     """The time grid, once the run's state rows are known to fit."""
     dim = _layout(scen.agents, scen.cs.r, use_observer)[2]
-    samples = np.rint(scen.t_end / scen.dt) + 1.0
+    samples = _steps(scen) + 1.0
     size = samples * dim * 8.0
     if not size <= _ROWS_BYTES:
         raise ValidationError(
@@ -371,72 +416,86 @@ def _powers(step, count):
     return p
 
 
-def _integrate(scen, laps, modes, mode_path=None, run_index=0,
-               use_observer=False):
+def _integrate(scen, modes, mode_path=None, run_index=0, use_observer=False):
     """RK4 over the mode schedule: sample k and the step after it use the
-    graph ``laps[modes[k]]``.  ``modes`` is one index per sample, or 0 for
-    the one-mode schedule of a fixed graph; the modes are reported only
-    with a ``mode_path``."""
+    graph of mode ``modes[k]`` of the scenario's topology.  ``modes`` is
+    one index per sample, or 0 for the one-mode schedule of a fixed graph;
+    the modes are reported only with a ``mode_path``."""
     times = _grid(scen, use_observer)
-    sys = _System(scen, laps, use_observer)
+    plan = _plan(scen, use_observer)
     modes = np.broadcast_to(modes, times.shape)
-    rows = np.empty((times.shape[0], sys.dim))  # the state at times[k]
-    rows[0] = sys.initial_state(run_index)
+    rows = np.empty((times.shape[0], plan.dim))  # the state at times[k]
+    rows[0] = plan.initial_state(scen, run_index)
     with np.errstate(over="ignore", invalid="ignore"):
-        # past an escape a segment runs on to its end; the guard reads it
-        escape = _run(sys, rows, modes, scen.dt)
+        # past an escape a chunk runs on to its end; the guard reads it
+        escape = _run(plan, rows, modes)
     if escape is not None:
         k, peak = escape
-        traj = _trajectory(sys, rows[:k], times, modes, mode_path)
+        traj = _trajectory(plan, scen, rows[:k], times, modes, mode_path)
         raise FiniteEscape(
             f"state norm {peak:.3e} left the guard ball at t = "
             f"{times[k]:.6g}", trajectory=traj, t=float(times[k]))
-    return _trajectory(sys, rows, times, modes, mode_path)
+    return _trajectory(plan, scen, rows, times, modes, mode_path)
 
 
-def _run(sys, rows, modes, h):
-    """Fill rows[1:] from rows[0] segment by segment, B = `size` steps at
-    most, under one mode: z by one product with the powers of S, then the
-    cascade [eta | d] it drives.  Returns (k, peak) for the first sample k
-    outside the guard ball, or None."""
-    nz, n = sys.nz, rows.shape[0]
-    step, inputs = _step_matrices(sys, h)
-    size = max(1, min(_STEPS, _POWERS_BYTES // step.nbytes))
-    cuts = [0, *(np.flatnonzero(np.diff(modes[:-1])) + 1).tolist(), n - 1]
-    segments = [(a, min(a + size, b)) for s, b in zip(cuts, cuts[1:])
-                for a in range(s, b, size)]
-    powers = _powers(step, max(b - a for a, b in segments))
+def _chunks(modes, size):
+    """The steps of a run as segments (a, b) of at most `size` steps under
+    one mode, cut at every mode jump, grouped into chunks: lists of whole
+    consecutive segments of at most _STEPS steps in all."""
+    cuts = [0, *(np.flatnonzero(np.diff(modes[:-1])) + 1).tolist(),
+            modes.shape[0] - 1]
+    chunks = []
+    for start, end in zip(cuts, cuts[1:]):
+        for a in range(start, end, size):
+            segment = (a, min(a + size, end))
+            if chunks and segment[1] - chunks[-1][0][0] <= _STEPS:
+                chunks[-1].append(segment)
+            else:
+                chunks.append([segment])
+    return chunks
+
+
+def _run(plan, rows, modes):
+    """Fill rows[1:] from rows[0] chunk by chunk: z segment by segment, by
+    one product with the powers of S, and the cascade inputs by one
+    product with G; then the cascade [eta | d] over the whole chunk.
+    Returns (k, peak) for the first sample k outside the guard ball, or
+    None."""
+    nz, powers, g = plan.nz, plan.powers, plan.G
     guard = settings.finite_escape_norm
-    for a, b in segments:
-        np.matmul(powers[modes[a], :b - a], rows[a, :nz],
-                  out=rows[a + 1:b + 1, :nz])
-        done = b - a
-        if sys.block is not None:
-            done = _cascade_steps(sys, rows[a:b + 1], inputs[modes[a]])
-        peak = np.abs(rows[a + 1:a + 1 + done]).max(axis=1)
+    for chunk in _chunks(modes, powers.shape[1]):
+        a0, b0 = chunk[0][0], chunk[-1][1]
+        inputs = np.empty((b0 - a0, g.shape[2]))
+        for a, b in chunk:
+            np.matmul(powers[modes[a], :b - a], rows[a, :nz],
+                      out=rows[a + 1:b + 1, :nz])
+            np.matmul(rows[a:b, :nz], g[modes[a]], out=inputs[a - a0:b - a0])
+        done = b0 - a0
+        if plan.block is not None:
+            done = _cascade_steps(plan, rows[a0:b0 + 1], inputs)
+        peak = np.abs(rows[a0 + 1:a0 + 1 + done]).max(axis=1)
         out = np.flatnonzero(~(peak <= guard))  # NaN fails too
         if out.size:
-            return a + 1 + int(out[0]), float(peak[out[0]])
-        if done < b - a:
-            return a + 1 + done, float("inf")
+            return a0 + 1 + int(out[0]), float(peak[out[0]])
+        if done < b0 - a0:
+            return a0 + 1 + done, float("inf")
     return None
 
 
-def _cascade_steps(sys, rows, g):
-    """RK4 on the cascade [eta | d] over the steps of one segment, whose z
-    is in rows[:, :nz], from the inputs rows[:-1, :nz] @ g.  Returns how
-    many steps it made: a Python ZeroDivisionError, where numpy gives inf,
-    stops it."""
+def _cascade_steps(plan, rows, inputs):
+    """RK4 on the cascade [eta | d] over the steps of one chunk, whose z
+    is in rows[:, :nz], from the inputs of its steps, a row each.  Returns
+    how many steps it made: a Python ZeroDivisionError, where numpy gives
+    inf, stops it."""
     out = []
     try:
-        sys.block((rows[:-1, :sys.nz] @ g).tolist(),
-                  rows[0, sys.nz:].tolist(), out)
+        plan.block(inputs.tolist(), rows[0, plan.nz:].tolist(), out)
     except ZeroDivisionError:
         pass  # out holds the steps made before it, each one whole
-    done = len(out) // (sys.dim - sys.nz)
+    done = len(out) // (plan.dim - plan.nz)
     if done:
         flat = np.fromiter(out, float, len(out))
-        rows[1:1 + done, sys.nz:] = flat.reshape(done, -1)
+        rows[1:1 + done, plan.nz:] = flat.reshape(done, -1)
     return done
 
 
@@ -452,40 +511,39 @@ def _map_rows(table, rows):
     return out
 
 
-def _trajectory(sys, rows, times, modes, mode_path):
+def _trajectory(plan, scen, rows, times, modes, mode_path):
     """The Trajectory of the recorded states rows[k] (at times[k]), cut
     short of the grid when the run diverged.  Raises BetaNearZero at the
     earliest sample, and there at the lowest agent index, with |beta|
     below the floor."""
     n = rows.shape[0]
-    n_ag, r = sys.shape
-    rows[:, sys.sl_u] += rows[:, sys.aug_u_hat]  # u = xi_last + d
-    rows[0, sys.sl_u] = sys.u0  # exactly, whatever that sum rounds to
-    betas = _map_rows(sys.beta, rows)
+    n_ag, r = plan.shape
+    rows[:, plan.sl_u] += rows[:, plan.aug_u_hat]  # u = xi_last + d
+    rows[0, plan.sl_u] = plan.u0  # exactly, whatever that sum rounds to
+    betas = _map_rows(plan.beta, rows)
     low = np.abs(betas) < settings.beta_floor
     if low.any():
         k = int(low.any(axis=1).argmax())
         i = int(low[k].argmax())
-        agent_id = sys.scen.agents[i].agent_id
+        agent_id = scen.agents[i].agent_id
         raise BetaNearZero(
             f"beta = {betas[k, i]:.3e} below floor "
             f"{settings.beta_floor:.1e} for agent {agent_id}",
             agent_id=agent_id, state=rows[k].copy())
-    z = rows[:, :sys.nz]
+    z = rows[:, :plan.nz]
     xi_hat = z[:, :n_ag * r].reshape(n, n_ag, r)
-    # u starts as u_hat, entry u_idx[i] of Phi[mode] z (every mode at once)
-    u = np.matmul(z, sys.Phi[:, sys.u_idx].transpose(0, 2, 1))[
-        modes[:n], np.arange(n)]
-    alpha = _map_rows(sys.alpha, rows)
-    for k, i in enumerate(sys.plain):  # in place: u[:, plain] would copy
+    # u starts as u_hat (every mode at once)
+    u = np.matmul(z, plan.u_rows)[modes[:n], np.arange(n)]
+    alpha = _map_rows(plan.alpha, rows)
+    for k, i in enumerate(plan.plain):  # in place: u[:, plain] would copy
         u[:, i] -= alpha[:, k]
     u /= betas
-    u[:, sys.aug] = rows[:, sys.sl_u]
+    u[:, plan.aug] = rows[:, plan.sl_u]
     return Trajectory(
         times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
-        eta=[rows[:, sl] for sl in sys.sl_eta], u=u,
+        eta=[rows[:, sl] for sl in plan.sl_eta], u=u,
         err=(xi_hat - z[:, n_ag * r:].reshape(n, n_ag, r)
-             if sys.use_observer else None),
+             if plan.use_observer else None),
         mode=modes[:n].copy() if mode_path is not None else None,
         mode_path=mode_path, diverged=n < times.shape[0])
 
@@ -499,7 +557,7 @@ def simulate_fixed(scen):
     """Simulate on the fixed graph with full-information feedback."""
     scen.validate()
     _require_fixed(scen)
-    return _integrate(scen, [laplacian(scen.topology)], 0)
+    return _integrate(scen, 0)
 
 
 def simulate_with_observer(scen):
@@ -514,7 +572,7 @@ def simulate_with_observer(scen):
     _require_fixed(scen)
     if scen.observer is None:
         raise ValidationError("scenario has no observer section")
-    return _integrate(scen, [laplacian(scen.topology)], 0, use_observer=True)
+    return _integrate(scen, 0, use_observer=True)
 
 
 def simulate_switching(scen, allow_a4_violation=False, run_index=0):
@@ -541,8 +599,7 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
     ends = [t1 for _, _, t1 in path[:-1]]
     modes = np.array([m for m, _, _ in path])[
         np.searchsorted(ends, times, side="right")]
-    return _integrate(scen, [laplacian(g) for g in mt.graphs], modes, path,
-                      run_index)
+    return _integrate(scen, modes, path, run_index)
 
 
 def _max_pairwise_sq(xi_hat):

@@ -95,10 +95,6 @@ class LocalController:
     def static(self):
         return self.r_agent == self.r
 
-    @property
-    def n_phi(self):
-        return self.r - self.r_agent
-
 
 @dataclass(frozen=True)
 class ObserverGain:

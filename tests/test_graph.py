@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 import consensuskit as ck
 from consensuskit.graph import (
-    DiGraph, directed_cycle, empty_graph, graph_from_dict, graph_to_dict,
+    DiGraph, directed_cycle, empty_graph, graph_from_dict,
     has_spanning_tree, is_balanced, lambda_min_nonzero, laplacian, union,
 )
 
@@ -153,12 +153,13 @@ def test_spanning_tree_matches_breadth_first_search():
     assert seen == {True, False}
 
 
-def test_graph_dict_round_trip():
+def test_graph_from_dict_reads_edges():
+    # edges are [from, to, weight] with 1-based nodes; weight w[to, from]
+    doc = {"n": 4, "edges": [[1, 2, 1.5], [3, 4, 0.5], [4, 1, 2.0]]}
     g = DiGraph.from_edges(4, [(0, 1, 1.5), (2, 3, 0.5), (3, 0, 2.0)])
-    doc = graph_to_dict(g)
-    assert doc["n"] == 4
-    assert [1, 2, 1.5] in doc["edges"]
     back = graph_from_dict(doc)
+    assert back.n == 4
+    assert back.weights[1, 0] == 1.5
     assert np.array_equal(back.weights, g.weights)
 
 

@@ -1,11 +1,13 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
+import gc
 import importlib
 import inspect
 import linecache
 import re
 import struct
 import traceback
+import weakref
 
 import numpy as np
 import pytest
@@ -179,7 +181,7 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
               _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     cycle = directed_cycle(3)
     scen = build_scenario(agents, target, unit_gain, cycle, t_end=4.0, dt=1e-3)
-    assert [ctl.n_phi for ctl in scen.controllers] == [2, 1, 0]
+    assert [ctl.E.shape[0] for ctl in scen.controllers] == [2, 1, 0]
     traj = simulate_fixed(scen)
     eye = np.eye(3)
     bk = np.outer(target.B, unit_gain.K)
@@ -432,7 +434,7 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     scen = build_scenario(parse_scenario(doc).agents + [augmented], target,
                           unit_gain, directed_cycle(4))
-    system = sim._System(scen, [ck.laplacian(directed_cycle(4))], False)
+    system = sim._System(scen, False)
     n_in = len(system.cols) + len(system.aug)
     v = [f"v{j}" for j in range(n_in + system.dim - system.nz)]
     coefs, squares = [], {}
@@ -582,8 +584,7 @@ def test_generated_sources_hold_no_power_and_no_float(target, unit_gain):
     agents = [decay, builtin("agent1"), builtin("agent3"), augmented]
     scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
                           t_end=0.1, dt=0.01)
-    functions = [sim._System(scen, [ck.laplacian(directed_cycle(4))],
-                             False).block]
+    functions = [sim._System(scen, False).block]
     for table in (custom, builtin("agent3").alpha, builtin("agent5").theta,
                   augmented.beta, TermTable([[], [(2.0, ())]]),
                   TermTable([])):
@@ -620,7 +621,7 @@ def test_huge_exponent_is_exact_and_cheap():
                                              [0.0, 0.0, -1.0]])),
                           [[-0.5], [0.0]])
     assert len(_source_of(theta._rows)[0].splitlines()) < bits + 10
-    block = sim._System(scen, [ck.laplacian(scen.topology)], False).block
+    block = sim._System(scen, False).block
     assert len(_source_of(block)[0].splitlines()) < 4 * (bits + 10)
 
 
@@ -638,7 +639,7 @@ def test_cascade_without_z_input_is_exact_rk4(target, unit_gain):
     dt = 0.01
     scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
                           t_end=3.0, dt=dt)
-    system = sim._System(scen, [ck.laplacian(directed_cycle(3))], False)
+    system = sim._System(scen, False)
     assert system.cols == [] and system.aug == []
     eta = simulate_fixed(scen).eta[0][:, 0]
     s = -2.0 * dt
@@ -672,16 +673,15 @@ def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
 
     builtin1 = {"builtin": "agent1", "xi0": [0.5, -0.2], "eta0": [0.3]}
     scens = [scenario(a) for a in (builtin1, _damped(-1.0), _damped(-3.0))]
-    lap = [ck.laplacian(scens[0].topology)]
-    blocks = [sim._System(sc, lap, False).block for sc in scens]
+    blocks = [sim._System(sc, False).block for sc in scens]
     assert all(b.__code__ is blocks[0].__code__ for b in blocks)
     assert blocks[0].__defaults__[0] != blocks[2].__defaults__[0]
     eta = [simulate_fixed(sc).eta[0] for sc in scens]
     assert np.array_equal(eta[1], eta[0])
     assert not np.allclose(eta[2], eta[0], rtol=1e-3)
 
-    # a Monte Carlo run builds its system anew: every run takes its code
-    # from the cache instead of compiling it
+    # a Monte Carlo builds its plan once, for all its runs, and takes the
+    # cascade's code from the cache instead of compiling it
     hits = agents._code.cache_info().hits
     rows_hits = agents._rows_code.cache_info().hits
     made = []
@@ -695,10 +695,10 @@ def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
     mc = scenario(builtin1)
     monte_carlo_ms(replace(mc, topology=MarkovTopology(
         graphs=[mc.topology, mc.topology], generator=FLIP_FLOP)), runs=3)
-    assert len(made) == 3
-    assert all(f.__code__ is blocks[0].__code__ for f in made)
-    assert agents._code.cache_info().hits == hits + 3
-    # agent 3's alpha is evaluated over each run's states by a column
+    assert len(made) == 1
+    assert made[0].__code__ is blocks[0].__code__
+    assert agents._code.cache_info().hits == hits + 1
+    # agent 3's alpha is evaluated over the runs' states by a column
     # function whose code comes from a cache of its own
     assert agents._rows_code.cache_info().hits >= rows_hits + 2
 
@@ -706,7 +706,7 @@ def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
 def test_compiled_cascade_is_visible_to_tracebacks(target, unit_gain,
                                                    five_agents, five_cycle):
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle)
-    block = sim._System(scen, [ck.laplacian(five_cycle)], False).block
+    block = sim._System(scen, False).block
     name = block.__code__.co_filename
     assert re.fullmatch(r"<cascade:[0-9a-f]{8}>", name)
     assert linecache.getline(name, 1).startswith("def block(x, y, out,")
@@ -1101,7 +1101,9 @@ def test_linear_pass_matches_stepwise_rk4(target, unit_gain, monkeypatch,
     # largest value, at most 5.7e-15 on the chains, 1.7e-15 on eta and
     # 2.9e-15 on u over the three schedules; asserted at 2e-14).  With
     # nz = 12 the powers of two modes fit the budget up to B = 2 ** 19 //
-    # (8 * 2 * 12 * 12) = 227 steps, of one mode up to the cap of 256
+    # (8 * 2 * 12 * 12) = 227 steps, of one mode up to the cap of 256; the
+    # plan makes min(B, steps) of them, and the run's longest segment is
+    # `longest` steps
     counts = []
     real = sim._powers
 
@@ -1117,11 +1119,15 @@ def test_linear_pass_matches_stepwise_rk4(target, unit_gain, monkeypatch,
     modes = {"every_step": k % 2, "on_boundary": (k // 227) % 2,
              "one_mode": 0 * k}[schedule]
     dt = 0.01
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
+    topology = (g1 if schedule == "one_mode" else MarkovTopology(
+        graphs=[g1, directed_cycle(4)], generator=FLIP_FLOP))
+    scen = build_scenario(agents, target, unit_gain, topology,
                           t_end=steps * dt, dt=dt)
-    traj = sim._integrate(scen, laps if schedule != "one_mode" else laps[:1],
-                          modes)
-    assert counts == [longest]
+    traj = sim._integrate(scen, modes)
+    size = 256 if schedule == "one_mode" else 227
+    assert counts == [min(size, steps)]
+    assert max(b - a for chunk in sim._chunks(modes, size)
+               for a, b in chunk) == longest
     xi, eta, u = _rk4_reference(agents, target, unit_gain, laps, modes, dt)
     assert traj.times.shape == (steps + 1,)
     assert np.allclose(traj.xi_hat, xi, rtol=0.0,
@@ -1256,10 +1262,209 @@ def test_grid_refuses_at_the_width_the_system_allocates(target, unit_gain):
     obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
                           observer=obs, t_end=1e300, dt=1e-3)
-    laps = [ck.laplacian(directed_cycle(4))]
     for use_observer in (False, True):
-        dim = sim._System(scen, laps, use_observer).dim
+        dim = sim._System(scen, use_observer).dim
         assert dim == 4 * 3 * (1 + use_observer) + 1 + 1
         with pytest.raises(ck.ValidationError) as info:
             sim._grid(scen, use_observer)
         assert f" steps of {dim} states take " in str(info.value)
+
+
+def test_monte_carlo_builds_its_plan_once(target, unit_gain, five_agents,
+                                          monkeypatch):
+    # the runs share the plan the first one built, and still go through
+    # simulate_switching one by one; the mean is the same sum of the same
+    # runs as when each is simulated alone
+    built = {"_System": 0, "_step_matrices": 0, "_powers": 0}
+
+    def counted(name):
+        real = getattr(sim, name)
+
+        def count(*args):
+            built[name] += 1
+            return real(*args)
+        return count
+
+    for name in built:
+        monkeypatch.setattr(sim, name, counted(name))
+    calls = []
+    real = sim.simulate_switching
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("run_index"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate_switching", recording)
+    scen = _switching_scenario(target, unit_gain, five_agents,
+                               t_end=1.0, dt=0.01, init="random", seed=8)
+    mc = monte_carlo_ms(scen, runs=3)
+    assert built == {"_System": 1, "_step_matrices": 1, "_powers": 1}
+    assert calls == [0, 1, 2]
+    total = sim._max_pairwise_sq(real(scen, run_index=0).xi_hat)
+    for k in (1, 2):
+        total += sim._max_pairwise_sq(real(scen, run_index=k).xi_hat)
+    assert np.array_equal(mc.mean_square, total / 3)
+    assert built["_System"] == 1
+
+
+def test_fixed_and_observer_simulations_get_distinct_plans(
+        target, unit_gain, five_agents, five_cycle):
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
+                                observer=obs, t_end=0.5, dt=0.01)
+    simulate_fixed(scen)
+    simulate_with_observer(scen)
+    full, observed = scen._plans[False], scen._plans[True]
+    assert full is not observed
+    assert (full.nz, observed.nz) == (15, 30)
+    simulate_fixed(scen)
+    assert sim._plan(scen, False) is full
+
+
+def test_scenario_is_frozen_and_replace_starts_a_new_plan(
+        target, unit_gain, five_agents, five_cycle):
+    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
+                                t_end=0.5, dt=0.01)
+    with pytest.raises(FrozenInstanceError):
+        scen.t_end = 1.0
+    simulate_fixed(scen)
+    longer = replace(scen, t_end=1.0)
+    assert longer._plans == {}
+    assert simulate_fixed(longer).times.shape == (101,)
+    # each plan holds the powers of its own run: min(B, steps)
+    assert longer._plans[False] is not scen._plans[False]
+    assert longer._plans[False].powers.shape[1] == 100
+    assert scen._plans[False].powers.shape[1] == 50
+
+
+def test_a_dropped_scenario_is_freed_without_the_cyclic_collector(
+        target, unit_gain, five_agents, five_cycle):
+    # the plan a scenario keeps holds no reference back to it, so the
+    # scenario and its plans go with its last reference
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    gc.disable()
+    try:
+        scen = _five_agent_scenario(target, unit_gain, five_agents,
+                                    five_cycle, observer=obs, t_end=0.2,
+                                    dt=0.01)
+        simulate_fixed(scen)
+        simulate_with_observer(scen)
+        assert len(scen._plans) == 2
+        alive = weakref.ref(scen)
+        del scen
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _outcome(run):
+    """The escape or beta floor error a run raises, as comparable data."""
+    with np.errstate(all="ignore"):
+        with pytest.raises((ck.FiniteEscape, ck.BetaNearZero)) as info:
+            run()
+    err = info.value
+    if isinstance(err, ck.BetaNearZero):
+        return "beta", err.agent_id, err.state
+    traj = err.trajectory
+    return ("escape", err.t, traj.xi_hat, np.hstack(traj.eta), traj.u,
+            traj.err)
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("layout", ["every_step", "observer"])
+@pytest.mark.parametrize("failure", ["escape", "zero_beta", "beta_floor"])
+def test_failures_inside_a_chunk_match_one_segment_per_chunk(
+        target, unit_gain, monkeypatch, layout, failure):
+    # one agent leaves the guard ball (eta' = eta^3 from 0.6, blowing up
+    # at t = 1/0.72 = 1.39) or divides by zero in the cascade: beta = eta
+    # with eta' = -1 from 2 at dt = 1/64 is exact, so stage 4 of step 127
+    # reads beta = 0.0; with a floor of 0.05, sample 125 (beta = 3/64) is
+    # reported first.  Either happens past the first segment of a chunk of
+    # several, one-step segments of a switch at every step or the 72-step
+    # segments of the observer layout, and must be reported as when each
+    # segment is its own chunk
+    dt = 1.0 / 64.0
+    if failure == "escape":
+        odd = NormalFormAgent(
+            agent_id=1, r=2, n_eta=1, alpha=ZERO, beta=ONE,
+            theta=TermTable([[(1.0, (0, 0, 3))]]),
+            xi0=np.array([0.1, 0.0]), eta0=np.array([0.6]))
+    else:
+        odd = augment(r=2, alpha_tilde=ZERO,
+                      beta_tilde=TermTable([[(1.0, (0, 0, 0, 1))]],
+                                           scalar=True),
+                      theta_tilde=TermTable([[(-1.0, ())]]),
+                      xi0=[0.2, -0.1, 0.3], eta0=[2.0], u0=0.1, agent_id=1)
+    if failure == "beta_floor":
+        monkeypatch.setattr(ck.settings, "beta_floor", 0.05)
+    agents = [odd, builtin("agent1"), builtin("agent2"),
+              _chain_agent(4, 3, [0.5, 0.0, -0.2]),
+              _chain_agent(5, 2, [-0.4, 0.1])]
+    steps = 320
+    if layout == "every_step":
+        g1, g2 = default_switching_pair(5)
+        scen = build_scenario(agents, target, unit_gain, MarkovTopology(
+            graphs=[g1, g2], generator=FLIP_FLOP), t_end=steps * dt, dt=dt)
+        modes = np.arange(steps + 1) % 2
+
+        def run():
+            sim._integrate(scen, modes)
+    else:
+        obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+        scen = build_scenario(agents, target, unit_gain, directed_cycle(5),
+                              observer=obs, t_end=steps * dt, dt=dt)
+        modes = np.zeros(steps + 1, dtype=int)
+
+        def run():
+            simulate_with_observer(scen)
+
+    grouped = _outcome(run)
+    size = sim._plan(scen, layout == "observer").powers.shape[1]
+    assert size == (72 if layout == "observer" else 145)
+    real = sim._chunks
+    monkeypatch.setattr(sim, "_chunks", lambda modes, size: [
+        [segment] for chunk in real(modes, size) for segment in chunk])
+    alone = _outcome(run)
+    assert grouped[0] == ("beta" if failure == "beta_floor" else "escape")
+    assert _same(grouped, alone)
+    nz = 30 if layout == "observer" else 15
+    if failure == "escape":
+        assert 1.3 < grouped[1] < 1.5
+        last = int(round(grouped[1] / dt))
+    elif failure == "zero_beta":
+        assert grouped[1] == 128 * dt  # the step from 127 made no state
+        assert np.isfinite(grouped[4]).all()
+        last = 128
+    else:
+        assert grouped[1] == 1 and grouped[2][nz] == 3.0 / 64.0
+        last = 125
+    # the failing step lies past the first segment of a chunk of several
+    chunk = next(c for c in real(modes, size) if c[0][0] < last <= c[-1][1])
+    assert len(chunk) > 1 and last > chunk[0][1]
+
+
+def test_chunks_group_whole_segments_of_one_mode():
+    # segments of at most `size` steps never straddle a mode jump; chunks
+    # are whole consecutive segments of at most 256 steps, a new one
+    # opening only where the next segment would not fit
+    rng = np.random.default_rng(5)
+    for size in (1, 72, 145, 256):
+        modes = np.repeat(rng.integers(0, 2, 60), rng.integers(1, 40, 60))
+        chunks = sim._chunks(modes, size)
+        segments = [s for chunk in chunks for s in chunk]
+        assert segments[0][0] == 0 and segments[-1][1] == modes.shape[0] - 1
+        assert all(b == c for (_, b), (c, _) in zip(segments, segments[1:]))
+        for a, b in segments:
+            assert 0 < b - a <= size
+            assert (modes[a:b] == modes[a]).all()
+        for chunk, after in zip(chunks, chunks[1:] + [None]):
+            assert chunk[-1][1] - chunk[0][0] <= 256
+            if after is not None:
+                assert after[0][1] - chunk[0][0] > 256
+    every = sim._chunks(np.arange(601) % 2, 145)
+    assert [len(chunk) for chunk in every] == [256, 256, 88]

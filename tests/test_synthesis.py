@@ -131,7 +131,7 @@ def test_full_gain_against_scipy(target):
 def test_local_controller_static(target):
     ctl = local_controller(target, SimpleNamespace(r=3))
     assert ctl.static
-    assert ctl.n_phi == 0
+    assert ctl.E.shape[0] == 0
     assert np.array_equal(ctl.static_row, [0.0, -2.0, -3.0])
     assert ctl.D.shape == (0, 3)
     assert ctl.E.shape == (0, 0)
