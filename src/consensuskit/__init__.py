@@ -85,6 +85,7 @@ from .synthesis import (
     design_companion,
     full_gain,
     local_controller,
+    local_controllers,
     observer_gain,
     rank_one_gain,
 )

@@ -187,6 +187,17 @@ class TermTable:
         self._build(len(rows), terms, scalar)
 
     @classmethod
+    def from_checked(cls, rows, scalar=False):
+        """The table of ``rows`` whose coefficients are floats and whose
+        exponents are non-negative ints already, as a scenario's parser
+        leaves them: their exponents are taken without a second check."""
+        out = cls.__new__(cls)
+        out._build(len(rows), [(k, c, [(j, p) for j, p in enumerate(e) if p])
+                               for k, row in enumerate(rows)
+                               for c, e in row], scalar)
+        return out
+
+    @classmethod
     def stack(cls, tables, places):
         """The rows of every table in turn, as one table over a vector that
         holds variable j of tables[i] at entry places[i][j]."""

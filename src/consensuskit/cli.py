@@ -27,6 +27,8 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -58,7 +60,94 @@ __all__ = ["main"]
 
 
 def _cpairs(values):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values).ravel()]
+    values = np.asarray(values).ravel()
+    return list(map(list, zip(values.real.tolist(), values.imag.tolist())))
+
+
+_FLOAT, _LIST = {float}, {list}
+_INF = float("inf")
+
+
+def _json_report(obj):
+    """``json.dumps(obj, indent=2)``, the same text written faster.
+
+    A non-empty list of finite floats, or of lists of finite floats all of
+    one non-zero length (the [re, im] pairs, a matrix's rows), is laid out
+    with one "%r" template over a tuple of its floats: exact ``float``s
+    only, so ``%r`` is the ``float.__repr__`` json takes, and their sum
+    finite, so no value is a nan or an infinity (a sum that overflows sends
+    its list the long way too).  Everything else takes the generic
+    recursive path, json's rules in json's order; a circular reference is
+    not detected.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl):
+    """The text of ``obj`` at the nesting whose closing bracket goes after
+    ``nl``; its items go after ``nl`` plus two spaces."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _floatstr(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == _FLOAT and -_INF < sum(obj) < _INF:
+            return _items("%r", len(obj), nl) % tuple(obj)
+        if kinds == _LIST and len(set(map(len, obj))) == 1:
+            flat = list(chain.from_iterable(obj))
+            if (flat and set(map(type, flat)) == _FLOAT
+                    and -_INF < sum(flat) < _INF):
+                row = _items("%r", len(obj[0]), inner)
+                return _items(row, len(obj), nl) % tuple(flat)
+        return _join([_encode(v, inner) for v in obj], "[", nl, "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return _join([f"{_quote(_key(k))}: {_encode(v, inner)}"
+                      for k, v in obj.items()], "{", nl, "}")
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _items(item, count, nl):
+    """``count`` copies of ``item`` as the items of a list at ``nl``."""
+    return _join([item] * count, "[", nl, "]")
+
+
+def _join(items, opening, nl, closing):
+    inner = nl + "  "
+    return opening + inner + ("," + inner).join(items) + nl + closing
+
+
+def _floatstr(value):
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key):
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _emit_error(exc):
@@ -242,18 +331,18 @@ def _cmd_synthesize(args):
     cs, gain = scen.cs, scen.gain
     out = {
         "r": cs.r,
-        "b": [float(v) for v in cs.b],
-        "nu": [float(v) for v in cs.nu],
+        "b": cs.b.tolist(),
+        "nu": cs.nu.tolist(),
         "target_poles": _cpairs(cs.stable_poles),
         "rank": gain.rank,
-        "K": [float(v) for v in gain.K],
-        "P1": [[float(v) for v in row] for row in gain.P1],
+        "K": gain.K.tolist(),
+        "P1": gain.P1.tolist(),
     }
     if isinstance(scen.topology, MarkovTopology):
         mt = scen.topology
         lap = laplacian(union(mt.graphs))
         report = check_A4(mt)
-        out["stationary"] = [float(v) for v in mt.pi]
+        out["stationary"] = mt.pi.tolist()
         out["assumption"] = {
             "union_has_spanning_tree": report.union_has_spanning_tree,
             "union_balanced": report.union_balanced,
@@ -267,13 +356,16 @@ def _cmd_synthesize(args):
             if gain.rank == "one" and report.passes else None)
     else:
         lap = laplacian(scen.topology)
+        # null when no rate is guaranteed: a full-rank design, or a graph
+        # without a spanning tree
+        out["guaranteed_rate"] = None
         if gain.rank == "one":
             try:
                 out["guaranteed_rate"] = theoretical_speed_fixed(cs, gain, lap)
             except ConsensusKitError:
                 pass
     out["spectrum"] = _spectrum_payload(scen, lap)
-    print(json.dumps(out, indent=2))
+    print(_json_report(out))
     return 0
 
 
@@ -362,7 +454,7 @@ def _cmd_analyze(args):
         # speed_bound is the mean-square rate's limit as switching gets
         # fast, not a rate one sampled run at a finite rate should show
         out["fast_switching_limit"] = theoretical
-    print(json.dumps(out, indent=2))
+    print(_json_report(out))
     return 0
 
 

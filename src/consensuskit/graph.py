@@ -152,22 +152,39 @@ def graph_from_dict(doc, where="graph"):
         raise ValidationError(f"n is too large: {exc}",
                               field=f"{where}.n") from exc
     for k, edge in enumerate(edges):
-        loc = f"{where}.edges[{k}]"
-        if not (isinstance(edge, list) and len(edge) == 3):
-            raise ValidationError("edge must be [from, to, weight]", field=loc)
+        if not _edge_ok(edge, n):
+            _check_edge(edge, n, f"{where}.edges[{k}]")
         frm, to, wt = edge
-        if not (_is_int(frm) and 1 <= frm <= n):
-            raise ValidationError(f"from node {frm!r} outside 1..{n}", field=loc)
-        if not (_is_int(to) and 1 <= to <= n):
-            raise ValidationError(f"to node {to!r} outside 1..{n}", field=loc)
-        if frm == to:
-            raise ValidationError("self-loops are not allowed", field=loc)
-        # exact comparisons: a huge integer or a NaN fails them too
-        if not ((_is_int(wt) or isinstance(wt, float))
-                and 0 <= wt <= sys.float_info.max):
-            raise ValidationError(f"weight {wt!r} must be finite and >= 0", field=loc)
         w[to - 1, frm - 1] += float(wt)
     return DiGraph(w)
+
+
+def _edge_ok(edge, n):
+    """The one check of an edge: true only for an edge that _check_edge
+    accepts (exact types, so a subclass takes the long way)."""
+    if type(edge) is not list or len(edge) != 3:
+        return False
+    frm, to, wt = edge
+    return (type(frm) is int and type(to) is int and frm != to
+            and 1 <= frm <= n and 1 <= to <= n
+            and type(wt) in (float, int) and 0 <= wt <= sys.float_info.max)
+
+
+def _check_edge(edge, n, loc):
+    """The per-field checks of an edge, whose errors name the field."""
+    if not (isinstance(edge, list) and len(edge) == 3):
+        raise ValidationError("edge must be [from, to, weight]", field=loc)
+    frm, to, wt = edge
+    if not (_is_int(frm) and 1 <= frm <= n):
+        raise ValidationError(f"from node {frm!r} outside 1..{n}", field=loc)
+    if not (_is_int(to) and 1 <= to <= n):
+        raise ValidationError(f"to node {to!r} outside 1..{n}", field=loc)
+    if frm == to:
+        raise ValidationError("self-loops are not allowed", field=loc)
+    # exact comparisons: a huge integer or a NaN fails them too
+    if not ((_is_int(wt) or isinstance(wt, float))
+            and 0 <= wt <= sys.float_info.max):
+        raise ValidationError(f"weight {wt!r} must be finite and >= 0", field=loc)
 
 
 def _is_int(value):

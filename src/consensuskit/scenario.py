@@ -26,9 +26,20 @@ Loading validates the document (ValidationError carries a dotted field
 path), then synthesizes the target system, gains, local controllers, and
 observer eagerly so that design failures surface at load time as
 SynthesisError with the original cause chained.
+
+Each polynomial term and graph edge gets one check: a single test of
+exact types and ranges accepts a well-formed one, and its field path
+(say agents[2].custom.theta[0][1].e) is built only when that test fails.
+Then the per-field checks run and name the error.  They stay the only
+judge: the single test accepts nothing they reject, and what it rejects
+they may still accept (an int subclass, say).  A graph's node count is
+compared with the number of agents before its n x n weights are
+allocated.  The local controllers are built once per relative degree
+(synthesis.local_controllers).
 """
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,12 +58,17 @@ from .switching import MarkovTopology
 from .synthesis import (
     design_companion,
     full_gain,
-    local_controller,
+    local_controllers,
     observer_gain,
     rank_one_gain,
 )
 
 __all__ = ["load_scenario", "parse_scenario"]
+
+
+_MAX = sys.float_info.max
+_MAX_NODES = math.isqrt(sys.maxsize // 8)  # n x n float64 fits the index range
+_INT = {int}
 
 
 def _expect(obj, typ, where, what):
@@ -65,7 +81,7 @@ def _num(obj, where):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError("expected a number", field=where)
     # exact comparisons: a NaN or an integer past the float range fails
-    if not -sys.float_info.max <= obj <= sys.float_info.max:
+    if not -_MAX <= obj <= _MAX:
         raise ValidationError("expected a finite number", field=where)
     return float(obj)
 
@@ -109,24 +125,43 @@ def _terms(entry, nvars, where):
     _expect(entry, list, where, "a list of terms")
     terms = []
     for k, term in enumerate(entry):
-        tw = f"{where}[{k}]"
-        _check_keys(term, ("c", "e"), (), tw)
-        c = _num(term["c"], f"{tw}.c")
-        e = _expect(term["e"], list, f"{tw}.e", "a list of exponents")
-        if len(e) != nvars:
-            raise ValidationError(
-                f"expected {nvars} exponents (one per variable), got {len(e)}",
-                field=f"{tw}.e")
-        for j, ex in enumerate(e):
-            if _int(ex, f"{tw}.e[{j}]") < 0:
-                raise ValidationError("exponents must be non-negative",
-                                      field=f"{tw}.e[{j}]")
-            # a power is a product of squares (TermTable._source): inside
-            # the float range an exponent has at most 1,024 bits, so the
-            # generated source has at most one square line per bit
-            _num(ex, f"{tw}.e[{j}]")
-        terms.append((c, e))
+        if _term_ok(term, nvars):
+            terms.append((float(term["c"]), term["e"]))
+        else:
+            terms.append(_term(term, nvars, f"{where}[{k}]"))
     return terms
+
+
+def _term_ok(term, nvars):
+    """The one check of a term: true only for a term that _term accepts
+    as it stands (exact types, so a subclass takes the long way)."""
+    if type(term) is not dict or len(term) != 2:
+        return False
+    c, e = term.get("c"), term.get("e")
+    return (type(c) in (float, int) and -_MAX <= c <= _MAX
+            and type(e) is list and len(e) == nvars
+            and set(map(type, e)) == _INT and 0 <= min(e)
+            and max(e) <= _MAX)
+
+
+def _term(term, nvars, tw):
+    """The per-field checks of a term, whose errors name the field."""
+    _check_keys(term, ("c", "e"), (), tw)
+    c = _num(term["c"], f"{tw}.c")
+    e = _expect(term["e"], list, f"{tw}.e", "a list of exponents")
+    if len(e) != nvars:
+        raise ValidationError(
+            f"expected {nvars} exponents (one per variable), got {len(e)}",
+            field=f"{tw}.e")
+    for j, ex in enumerate(e):
+        if _int(ex, f"{tw}.e[{j}]") < 0:
+            raise ValidationError("exponents must be non-negative",
+                                  field=f"{tw}.e[{j}]")
+        # a power is a product of squares (TermTable._source): inside
+        # the float range an exponent has at most 1,024 bits, so the
+        # generated source has at most one square line per bit
+        _num(ex, f"{tw}.e[{j}]")
+    return c, [int(ex) for ex in e]
 
 
 def _parse_agent(doc, index):
@@ -172,21 +207,22 @@ def _parse_agent(doc, index):
             raise ValidationError("n_eta must be non-negative",
                                   field=f"{cw}.n_eta")
         nvars = r + n_eta
-        alpha = TermTable([_terms(cd["alpha"], nvars, f"{cw}.alpha")],
-                          scalar=True)
+        alpha = TermTable.from_checked(
+            [_terms(cd["alpha"], nvars, f"{cw}.alpha")], scalar=True)
         beta_terms = _terms(cd["beta"], nvars, f"{cw}.beta")
         if not beta_terms:
             raise ValidationError("beta needs at least one term",
                                   field=f"{cw}.beta")
-        beta = TermTable([beta_terms], scalar=True)
+        beta = TermTable.from_checked([beta_terms], scalar=True)
         theta_doc = _expect(cd["theta"], list, f"{cw}.theta",
                             "a list of term lists")
         if len(theta_doc) != n_eta:
             raise ValidationError(
                 f"theta needs one row per internal state ({n_eta}), "
                 f"got {len(theta_doc)}", field=f"{cw}.theta")
-        theta = TermTable([_terms(row, nvars, f"{cw}.theta[{k}]")
-                           for k, row in enumerate(theta_doc)])
+        theta = TermTable.from_checked(
+            [_terms(row, nvars, f"{cw}.theta[{k}]")
+             for k, row in enumerate(theta_doc)])
         xi0 = _vector(cd["xi0"], r, f"{cw}.xi0")
         eta0 = _vector(cd["eta0"], n_eta, f"{cw}.eta0")
         return NormalFormAgent(agent_id=index + 1, r=r, n_eta=n_eta,
@@ -232,6 +268,20 @@ def _parse_controller(doc, where="controller"):
     return poles, mu, r_hat, rank, None, q1m
 
 
+def _graph(doc, n_agents, where, what):
+    """The graph at `where`; a well-formed node count is compared with the
+    number of agents before the n x n weights are allocated.  A count too
+    large for any array of that size is left to graph_from_dict, which
+    reports it at the field n."""
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if (isinstance(n, int) and not isinstance(n, bool)
+            and 1 <= n <= _MAX_NODES and n != n_agents):
+        raise ValidationError(
+            f"{what} has {n} nodes but the scenario has {n_agents} agents",
+            field=where)
+    return graph_from_dict(doc, where=where)
+
+
 def _parse_switching(doc, n_agents, where="switching"):
     _check_keys(doc, ("graphs", "generator"), (), where)
     graphs_doc = _expect(doc["graphs"], list, f"{where}.graphs",
@@ -239,13 +289,8 @@ def _parse_switching(doc, n_agents, where="switching"):
     if not graphs_doc:
         raise ValidationError("need at least one mode graph",
                               field=f"{where}.graphs")
-    graphs = [graph_from_dict(g, where=f"{where}.graphs[{k}]")
+    graphs = [_graph(g, n_agents, f"{where}.graphs[{k}]", "mode graph")
               for k, g in enumerate(graphs_doc)]
-    for k, g in enumerate(graphs):
-        if g.n != n_agents:
-            raise ValidationError(
-                f"mode graph has {g.n} nodes but the scenario has "
-                f"{n_agents} agents", field=f"{where}.graphs[{k}]")
     gen_doc = _expect(doc["generator"], list, f"{where}.generator", "a matrix")
     m = len(graphs)
     if len(gen_doc) != m:
@@ -329,11 +374,7 @@ def parse_scenario(doc):
         observer_init = "zero"
 
     if "graph" in doc:
-        topology = graph_from_dict(doc["graph"], where="graph")
-        if topology.n != len(agents):
-            raise ValidationError(
-                f"graph has {topology.n} nodes but the scenario has "
-                f"{len(agents)} agents", field="graph")
+        topology = _graph(doc["graph"], len(agents), "graph", "graph")
     else:
         topology = _parse_switching(doc["switching"], len(agents))
 
@@ -344,7 +385,7 @@ def parse_scenario(doc):
             gain = rank_one_gain(cs, mu, q1, r_hat)
         else:
             gain = full_gain(cs, mu, q1m, r_hat)
-        controllers = [local_controller(cs, ag) for ag in agents]
+        controllers = local_controllers(cs, agents)
         observer = (observer_gain(cs, obs_c, obs_poles)
                     if observer_doc is not None else None)
     except (ValidationError, ScenarioParseError):

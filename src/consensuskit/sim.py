@@ -98,7 +98,7 @@ from .synthesis import (
     LocalController,
     ObserverGain,
     assemble_stacked,
-    local_controller,
+    local_controllers,
 )
 
 __all__ = [
@@ -157,7 +157,7 @@ class SimScenario:
 
 def build_scenario(agents, cs, gain, topology, observer=None, **kwargs):
     """Convenience constructor that synthesizes the local controllers."""
-    controllers = [local_controller(cs, ag) for ag in agents]
+    controllers = local_controllers(cs, agents)
     scen = SimScenario(agents=list(agents), cs=cs, gain=gain,
                        controllers=controllers, topology=topology,
                        observer=observer, **kwargs)

@@ -52,8 +52,8 @@ from .settings import settings
 __all__ = [
     "CompanionSystem", "ConsensusGain", "LocalController", "ObserverGain",
     "SpectrumCheck", "design_companion", "rank_one_gain", "full_gain",
-    "local_controller", "assemble_stacked", "observer_gain",
-    "closed_loop_spectrum",
+    "local_controller", "local_controllers", "assemble_stacked",
+    "observer_gain", "closed_loop_spectrum",
 ]
 
 
@@ -223,6 +223,17 @@ def local_controller(cs, agent):
     g = np.zeros(m)
     g[-1] = 1.0
     return LocalController(r=r, r_agent=ra, D=d, E=e, G=g, static_row=None)
+
+
+def local_controllers(cs, agents):
+    """One controller per agent, built once per relative degree: a
+    controller depends only on the target and the agent's degree, so the
+    agents of one degree share it."""
+    by_degree = {}
+    for agent in agents:
+        if agent.r not in by_degree:
+            by_degree[agent.r] = local_controller(cs, agent)
+    return [by_degree[agent.r] for agent in agents]
 
 
 def assemble_stacked(cs, ctl):

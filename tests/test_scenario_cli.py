@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,92 @@ def test_validation_reports_dotted_field(mutate, field):
     assert exc.value.field == field
 
 
+# (term, field below agents[1].custom.theta[0][1], message) of every kind
+# of rejected term; the messages are those of the per-field checks
+TERM_REJECTS = [
+    ({"c": 1.0, "e": [0, True, 0]}, ".e[1]", "expected an integer"),
+    ({"c": 1.0, "e": [0, 0, -2]}, ".e[2]", "exponents must be non-negative"),
+    ({"c": 1.0, "e": [1.0, 0, 0]}, ".e[0]", "expected an integer"),
+    ({"c": 1.0, "e": [0, 2 ** 1100, 0]}, ".e[1]", "expected a finite number"),
+    ({"c": 1.0, "e": [1, 0]}, ".e",
+     "expected 3 exponents (one per variable), got 2"),
+    ({"c": 1.0, "e": [1, 0, 0, 0]}, ".e",
+     "expected 3 exponents (one per variable), got 4"),
+    ({"c": 1.0, "e": "100"}, ".e", "expected a list of exponents"),
+    ({"e": [0, 0, 0]}, "", "missing required key 'c'"),
+    ({"c": 1.0}, "", "missing required key 'e'"),
+    ({"c": 1.0, "e": [0, 0, 0], "d": 0}, "", "unknown key 'd'"),
+    ({"c": True, "e": [0, 0, 0]}, ".c", "expected a number"),
+    ({"c": float("nan"), "e": [0, 0, 0]}, ".c", "expected a finite number"),
+    ({"c": -float("inf"), "e": [0, 0, 0]}, ".c", "expected a finite number"),
+    ({"c": HUGE, "e": [0, 0, 0]}, ".c", "expected a finite number"),
+    ({"c": "1", "e": [0, 0, 0]}, ".c", "expected a number"),
+    ([1.0, [0, 0, 0]], "", "expected an object"),
+    (None, "", "expected an object"),
+]
+
+
+def _doc_with_theta_term(term):
+    doc = base_doc()
+    agent = custom_agent_doc()
+    agent["custom"]["theta"][0].append(term)
+    doc["agents"][1] = agent
+    return doc
+
+
+@pytest.mark.parametrize("term,field,message", TERM_REJECTS,
+                         ids=[repr(t)[:28] for t, _, _ in TERM_REJECTS])
+def test_rejected_term_names_its_field_and_fault(term, field, message):
+    with pytest.raises(ck.ValidationError) as exc:
+        parse_scenario(_doc_with_theta_term(term))
+    assert exc.value.field == "agents[1].custom.theta[0][2]" + field
+    assert str(exc.value) == message
+
+
+def test_terms_of_subclassed_values_take_the_per_field_checks():
+    # the one check takes exact types only; the per-field checks accept a
+    # dict or int subclass, and the parsed map is the same
+    class Int(int):
+        pass
+
+    class Dict(dict):
+        pass
+
+    plain = parse_scenario(_doc_with_theta_term({"c": 0.5, "e": [2, 0, 3]}))
+    sub = parse_scenario(_doc_with_theta_term(
+        Dict(c=0.5, e=[Int(2), 0, Int(3)])))
+    assert sub.agents[1].theta._terms == plain.agents[1].theta._terms
+    factors = plain.agents[1].theta._terms[-1][2]
+    assert factors == [(0, 2), (2, 3)]
+    assert all(type(p) is int for _, p in factors)
+
+
+def test_graph_size_is_checked_before_its_weights_are_allocated():
+    # an n x n weight matrix of n = 2000 is 32 MB; the count is compared
+    # with the number of agents first, with the same error
+    doc = base_doc()
+    doc["agents"] = doc["agents"][:1]
+    doc["graph"] = {"n": 2000, "edges": [[1, 2, 1.0]]}
+    sdoc = switching_doc()
+    sdoc["agents"] = sdoc["agents"][:1]
+    sdoc["switching"]["graphs"] = [{"n": 1, "edges": []},
+                                   {"n": 2000, "edges": []}]
+    sdoc["switching"]["generator"] = [[-1.0, 1.0], [1.0, -1.0]]
+    for d, field, what in ((doc, "graph", "graph"),
+                           (sdoc, "switching.graphs[1]", "mode graph")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ck.ValidationError) as exc:
+                parse_scenario(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.field == field
+        assert str(exc.value) == (f"{what} has 2000 nodes but the scenario "
+                                  f"has 1 agents")
+        assert peak < 200_000
+
+
 def _mut_switch_graph_size(doc):
     doc["switching"]["graphs"][1]["n"] = 4
 
@@ -514,6 +602,134 @@ def test_cli_synthesize_switching(capsys):
     assert out["guaranteed_rate"] is None
     assert out["fast_switching_limit"] == pytest.approx(
         0.5 * (2.0 - 2.0 * np.cos(2.0 * np.pi / 5.0)))
+
+
+def test_cli_synthesize_prints_null_when_no_rate_is_guaranteed(tmp_path,
+                                                              capsys):
+    # a full-rank design, and a rank-one design on a graph without a
+    # spanning tree (node 3 hears nobody), print the key with null
+    full = base_doc()
+    full["controller"]["rank"] = "full"
+    del full["controller"]["q1"]
+    no_tree = base_doc()
+    no_tree["graph"] = {"n": 3, "edges": [[1, 2, 1.0]]}
+    for name, doc in (("full", full), ("no_tree", no_tree)):
+        rc = main(["synthesize", _write(tmp_path, doc, f"{name}.json")])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "guaranteed_rate" in out, name
+        assert out["guaranteed_rate"] is None, name
+        assert list(out)[-2:] == ["guaranteed_rate", "spectrum"], name
+
+
+def _reports(monkeypatch, capsys, argv):
+    """The objects the CLI command prints as a report, and its stdout."""
+    seen = []
+
+    def spy(obj):
+        seen.append(copy.deepcopy(obj))
+        return writer(obj)
+
+    writer = cli._json_report
+    monkeypatch.setattr(cli, "_json_report", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ck.SpeedConventionWarning)
+        assert main(argv) == 0
+    return seen, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["five_agents_fixed.json",
+                                  "five_agents_switching.json"])
+@pytest.mark.parametrize("command", ["synthesize", "analyze"])
+def test_report_writer_is_json_dumps_indent_2_on_shipped_reports(
+        monkeypatch, capsys, name, command):
+    seen, out = _reports(monkeypatch, capsys,
+                         [command, str(SCENARIO_DIR / name)])
+    assert len(seen) == 1
+    assert out == json.dumps(seen[0], indent=2) + "\n"
+
+
+_HARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                1e16, 1e-7, 0.1, 1.0 / 3.0, 123456789.0]
+_STRINGS = ["", "rank", "caf\u00e9", "\u2713 \U0001F600", 'a "quoted" word',
+            "back\\slash", "tab\tnew\nline\x00", "\ud800 lone surrogate"]
+
+
+def _payload(rng, depth):
+    """A random JSON value: the reports' shapes plus the edge cases."""
+    def number():
+        pick = rng.integers(5)
+        if pick == 0:
+            return _HARD_FLOATS[rng.integers(len(_HARD_FLOATS))]
+        if pick == 1:
+            return int(rng.integers(-10 ** 6, 10 ** 6))
+        if pick == 2:
+            return bool(rng.integers(2))
+        if pick == 3:
+            return np.float64(rng.normal())
+        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+
+    def floats(n, mixed):
+        vals = [float(rng.normal() * 10.0 ** rng.integers(-5, 5))
+                for _ in range(n)]
+        if mixed and vals:
+            vals[rng.integers(n)] = number()
+        return vals
+
+    kind = rng.integers(9 if depth < 3 else 4)
+    mixed = rng.random() < 0.4
+    if kind == 0:
+        return number()
+    if kind == 1:
+        return [None, True, False][rng.integers(3)]
+    if kind == 2:
+        return _STRINGS[rng.integers(len(_STRINGS))]
+    if kind == 3:
+        return floats(int(rng.integers(0, 8)), mixed)
+    if kind == 4:  # [re, im] pairs or matrix rows: even, ragged or empty
+        width = int(rng.integers(0, 4))
+        rows = [floats(width, False) for _ in range(rng.integers(0, 6))]
+        if rows and mixed:
+            rows[rng.integers(len(rows))] = floats(int(rng.integers(0, 4)),
+                                                   rng.random() < 0.5)
+        return rows
+    if kind in (5, 6):
+        return {_STRINGS[rng.integers(len(_STRINGS))] + str(k):
+                _payload(rng, depth + 1) for k in range(rng.integers(0, 5))}
+    if kind == 7:
+        return tuple(_payload(rng, depth + 1) for _ in range(rng.integers(3)))
+    return [_payload(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+
+
+def test_report_writer_is_json_dumps_indent_2_on_seeded_payloads():
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        obj = {"payload": _payload(rng, 0)}
+        assert cli._json_report(obj) == json.dumps(obj, indent=2), obj
+    keys = {1: "a", 2.5: "b", True: "c", None: "d", -0.0: "e", "f": {}}
+    assert cli._json_report(keys) == json.dumps(keys, indent=2)
+    for bad in ({"x": {1, 2}}, {(1, 2): 3}, [np.int64(1)]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_report(bad)
+
+
+def test_report_writer_lays_out_float_lists_by_one_template(monkeypatch):
+    calls = []
+    encode = cli._encode
+    monkeypatch.setattr(cli, "_encode",
+                        lambda obj, nl: calls.append(obj) or encode(obj, nl))
+    for obj, count in (([0.5, -0.0, 1e300], 1),
+                       ([[1.0, 2.0], [3.0, -4.0]], 1),
+                       ([0.5, float("nan")], 3),
+                       ([1.7e308, 1.7e308], 3),  # the sum overflows
+                       ([0.5, 1], 3),
+                       ([[1.0, 2.0], [3.0]], 3)):  # ragged: per row
+        calls.clear()
+        assert cli._json_report(obj) == json.dumps(obj, indent=2)
+        assert len(calls) == count, obj
 
 
 def test_cli_simulate_writes_csv_and_svg(tmp_path, capsys):
@@ -882,7 +1098,9 @@ def test_cli_analyze(tmp_path, capsys):
     doc = base_doc()
     doc["sim"] = {"t_end": 12.0, "dt": 0.005, "seed": 1, "init": "random"}
     scen = _write(tmp_path, doc)
-    rc = main(["analyze", scen, "--window", "5:11"])
+    # with target poles -1 and -2 the two readings of the pole term differ
+    with pytest.warns(ck.SpeedConventionWarning):
+        rc = main(["analyze", scen, "--window", "5:11"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["window"] == [5.0, 11.0]

@@ -3,11 +3,13 @@ from dataclasses import FrozenInstanceError, replace
 import gc
 import importlib
 import inspect
+import json
 import linecache
 import re
 import struct
 import traceback
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from consensuskit.sim import (
     simulate_with_observer,
 )
 from consensuskit.switching import MarkovTopology, default_switching_pair
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 FLIP_FLOP = np.array([[-1.0, 1.0], [1.0, -1.0]])
 ZERO = TermTable([[]], scalar=True)
@@ -890,6 +894,28 @@ def test_benchmark_traced_layer_names_are_public_functions():
                 and (fn.__module__, fn.__name__) == (module, attr))
 
     assert [name for name in _TRACED_LAYER_NAMES if not traced(name)] == []
+
+
+def test_agents_of_one_degree_share_a_controller(target, unit_gain,
+                                                five_agents, five_cycle):
+    # agents 1, 2, 4, 5 have degree 2 and agent 3 degree 3: two controllers,
+    # and the mode matrices are those of one controller per agent
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
+                                observer=obs)
+    shipped = parse_scenario(json.loads(
+        (SCENARIO_DIR / "five_agents_fixed.json").read_text()))
+    for s in (scen, shipped):
+        ctls = s.controllers
+        assert [c.r_agent for c in ctls] == [ag.r for ag in s.agents]
+        assert len({id(c) for c in ctls}) == len({ag.r for ag in s.agents})
+    per_agent = replace(scen, controllers=[
+        ck.local_controller(target, ag) for ag in five_agents])
+    laps = [ck.laplacian(g) for g in default_switching_pair(5)]
+    for use_observer in (False, True):
+        assert np.array_equal(sim._mode_matrices(scen, laps, use_observer),
+                              sim._mode_matrices(per_agent, laps,
+                                                 use_observer))
 
 
 def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):

@@ -10,7 +10,7 @@ import scipy.sparse.csgraph
 import consensuskit as ck
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
-    local_controller, observer_gain, rank_one_gain,
+    local_controller, local_controllers, observer_gain, rank_one_gain,
 )
 
 
@@ -151,6 +151,24 @@ def test_local_controller_degree_two_agent(target):
     assert np.array_equal(ctl.D, [[0.0, -2.0]])
     assert np.array_equal(ctl.E, [[-3.0]])
     assert np.array_equal(ctl.G, [1.0])
+
+
+def test_local_controllers_share_one_per_degree(target):
+    agents = [SimpleNamespace(r=r) for r in (2, 3, 2, 1, 3, 2)]
+    ctls = local_controllers(target, agents)
+    assert len(ctls) == len(agents)
+    for ag, ctl in zip(agents, ctls):
+        alone = local_controller(target, ag)
+        assert (ctl.r, ctl.r_agent) == (alone.r, alone.r_agent)
+        for name in ("D", "E", "G"):
+            assert np.array_equal(getattr(ctl, name), getattr(alone, name))
+        assert (ctl.static_row is None) == (alone.static_row is None)
+        if alone.static_row is not None:
+            assert np.array_equal(ctl.static_row, alone.static_row)
+    assert len({id(c) for c in ctls}) == 3
+    assert ctls[0] is ctls[2] is ctls[5] and ctls[1] is ctls[4]
+    with pytest.raises(ck.DegreeExceedsTargetError):
+        local_controllers(target, [SimpleNamespace(r=2), SimpleNamespace(r=4)])
 
 
 def test_local_controller_rejects_excess_degree(target):
