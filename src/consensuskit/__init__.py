@@ -50,7 +50,6 @@ from .errors import (
     UnstablePoleError,
     ValidationError,
 )
-from .settings import NumericSettings, settings
 from .rng import STREAM_INIT, STREAM_MODE_PATH, rng_for
 from .linalg import eig, solve_care, solve_lyapunov
 from .graph import (

@@ -57,12 +57,13 @@ from .errors import (
     InvalidDimensionError,
     UnknownAgentError,
 )
-from .settings import settings
 
 __all__ = [
     "NormalFormAgent", "NativePlant", "builtin", "augment",
     "linearizing_input", "eval_dynamics", "AFFINE", "AUGMENTED_GENERAL",
 ]
+
+_BETA_FLOOR = 1e-9  # sim checks the recorded states against it too
 
 AFFINE = "affine"
 AUGMENTED_GENERAL = "augmented-general"
@@ -431,9 +432,9 @@ def augment(r, alpha_tilde, beta_tilde, theta_tilde, xi0, eta0=(), u0=0.0,
 def linearizing_input(agent, xi, eta, u_hat):
     """Physical input u = (u_hat - alpha) / beta with the beta floor guard."""
     beta = agent.beta(xi, eta)
-    if abs(beta) < settings.beta_floor:
+    if abs(beta) < _BETA_FLOOR:
         raise BetaNearZero(
-            f"beta = {beta:.3e} below floor {settings.beta_floor:.1e}",
+            f"beta = {beta:.3e} below floor {_BETA_FLOOR:.1e}",
             agent_id=agent.agent_id, state=np.concatenate([xi, eta]))
     return (u_hat - agent.alpha(xi, eta)) / beta
 

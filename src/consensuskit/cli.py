@@ -48,6 +48,7 @@ from .metrics import (
 )
 from .scenario import load_scenario
 from .sim import (
+    _grid,
     monte_carlo_ms,
     simulate_fixed,
     simulate_switching,
@@ -411,7 +412,9 @@ def _cmd_montecarlo(args):
     return 0
 
 
-def _parse_window(text):
+def _parse_window(text, scen):
+    """--window T0:T1, which must select at least two samples of scen's
+    time grid (as empirical_rate does), checked before anything runs."""
     try:
         t0, t1 = (float(part) for part in text.split(":"))
     except ValueError as exc:  # not two numbers
@@ -420,12 +423,19 @@ def _parse_window(text):
     if not -np.inf < t0 < t1 < np.inf:  # NaN fails too
         raise ValidationError(f"window needs finite T0 < T1, got {text!r}",
                               field="--window")
+    times = _grid(scen)
+    picked = int(np.count_nonzero((times >= t0) & (times <= t1)))
+    if picked < 2:
+        raise ValidationError(
+            f"window [{t0:g}, {t1:g}] selects {picked} samples of the time "
+            f"grid 0:{scen.dt:g}:{times[-1]:g}; need at least 2",
+            field="--window")
     return t0, t1
 
 
 def _cmd_analyze(args):
     scen = _apply_overrides(load_scenario(args.scenario), args)
-    window = _parse_window(args.window) if args.window else None
+    window = _parse_window(args.window, scen) if args.window else None
     switching = isinstance(scen.topology, MarkovTopology)
     traj = _simulate(scen)
     lap = laplacian(union(scen.topology.graphs) if switching

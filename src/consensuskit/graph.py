@@ -20,13 +20,15 @@ import numpy as np
 
 from .errors import AllZeroError, DimensionMismatchError, ValidationError
 from .linalg import eig
-from .settings import settings
 
 __all__ = [
     "DiGraph", "laplacian", "has_spanning_tree", "is_balanced", "union",
     "lambda_min_nonzero", "directed_cycle", "empty_graph",
     "graph_from_dict",
 ]
+
+_BALANCE_TOL = 1e-12
+_LAPLACIAN_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +98,7 @@ def has_spanning_tree(g):
 def is_balanced(g):
     """Weight balance: in-weight equals out-weight at every node."""
     w = g.weights
-    tol = settings.balance_tol * max(1.0, float(w.sum()))
+    tol = _BALANCE_TOL * max(1.0, float(w.sum()))
     return bool(np.all(np.abs(w.sum(axis=1) - w.sum(axis=0)) <= tol))
 
 
@@ -125,7 +127,7 @@ def lambda_min_nonzero(m):
     """
     m = np.asarray(m, dtype=float)
     vals = eig(m)
-    thresh = settings.laplacian_zero_tol * np.linalg.norm(m)
+    thresh = _LAPLACIAN_ZERO_TOL * np.linalg.norm(m)
     cand = vals[vals.real > thresh]
     if cand.size == 0:
         raise AllZeroError("no eigenvalue with positive real part beyond threshold")
@@ -155,7 +157,13 @@ def graph_from_dict(doc, where="graph"):
         if not _edge_ok(edge, n):
             _check_edge(edge, n, f"{where}.edges[{k}]")
         frm, to, wt = edge
-        w[to - 1, frm - 1] += float(wt)
+        # Python floats: a sum of parallel edges overflows to inf silently
+        total = float(w[to - 1, frm - 1]) + float(wt)
+        if total > sys.float_info.max:
+            raise ValidationError(
+                f"parallel edges {frm} -> {to} sum to more than the largest "
+                "float", field=f"{where}.edges")
+        w[to - 1, frm - 1] = total
     return DiGraph(w)
 
 

@@ -23,9 +23,13 @@ from .errors import (
     SingularSystemError,
     UnstableMatrixError,
 )
-from .settings import settings
 
 __all__ = ["eig", "solve_lyapunov", "solve_care"]
+
+_HURWITZ_TOL = 1e-12
+_LYAPUNOV_RESIDUAL_TOL = 1e-10
+_CARE_RESIDUAL_TOL = 1e-8
+_CARE_MAX_ITERATIONS = 200
 
 
 def _as_matrix(m, name="matrix"):
@@ -82,7 +86,7 @@ def solve_lyapunov(a, q):
     if not np.allclose(q, q.T, rtol=0, atol=1e-9 * max(1.0, np.linalg.norm(q))):
         raise ValueError("q must be symmetric")
     re = eig(a).real
-    if re.size and re.max() >= -settings.hurwitz_tol:
+    if re.size and re.max() >= -_HURWITZ_TOL:
         raise UnstableMatrixError(
             f"a must be strictly stable; max Re(eig) = {re.max():.3e}")
 
@@ -96,7 +100,7 @@ def solve_lyapunov(a, q):
     p = 0.5 * (p + p.T)
 
     resid = np.linalg.norm(a.T @ p + p @ a + q)
-    if resid > settings.lyapunov_residual_tol * max(1.0, np.linalg.norm(q)):
+    if resid > _LYAPUNOV_RESIDUAL_TOL * max(1.0, np.linalg.norm(q)):
         raise SingularSystemError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance; "
             "the operator is too ill conditioned")
@@ -124,7 +128,7 @@ def _stabilizing_seed(a, b, rinv, q):
         vals, vecs = np.linalg.eig(ham)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
-    stable = np.flatnonzero(vals.real < -settings.hurwitz_tol)
+    stable = np.flatnonzero(vals.real < -_HURWITZ_TOL)
     if stable.size < n:
         nearest = vals[np.argmin(np.abs(vals.real))]
         raise ConvergenceFailure(
@@ -146,7 +150,7 @@ def _stabilizing_seed(a, b, rinv, q):
         raise NotStabilizableError(
             "could not construct a stabilizing seed gain: X1 is singular")
     closed = eig(a - b @ k0).real
-    if closed.max() >= -settings.hurwitz_tol:
+    if closed.max() >= -_HURWITZ_TOL:
         raise NotStabilizableError(
             "the Hamiltonian seed failed to stabilize the pair (a, b)")
     return k0
@@ -194,7 +198,7 @@ def solve_care(a, b, q, r):
     k = _stabilizing_seed(a, b, rinv, q)
     p = None
     best = np.inf
-    for _ in range(settings.care_max_iterations):
+    for _ in range(_CARE_MAX_ITERATIONS):
         closed = a - b @ k
         try:
             p = solve_lyapunov(closed, q + k.T @ r @ k)
@@ -205,13 +209,13 @@ def solve_care(a, b, q, r):
         res = residual(p)
         if res <= 1e-13 * scale:
             break
-        if res >= 0.9 * best and best <= settings.care_residual_tol * scale:
+        if res >= 0.9 * best and best <= _CARE_RESIDUAL_TOL * scale:
             break  # stalled at numerical floor, already good enough
         best = min(best, res)
-    if p is None or residual(p) > settings.care_residual_tol * scale:
+    if p is None or residual(p) > _CARE_RESIDUAL_TOL * scale:
         raise ConvergenceFailure(
             f"Riccati residual {residual(p):.3e} above tolerance after "
-            f"{settings.care_max_iterations} iterations")
+            f"{_CARE_MAX_ITERATIONS} iterations")
     closed_re = eig(a - b @ rinv @ b.T @ p).real
     if closed_re.max() > 1e-9:
         raise ConvergenceFailure(

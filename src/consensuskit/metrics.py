@@ -24,7 +24,6 @@ from .errors import (
     NotRankOneError,
 )
 from .graph import DiGraph, has_spanning_tree, lambda_min_nonzero
-from .settings import settings
 from .switching import speed_bound
 
 __all__ = [
@@ -32,6 +31,8 @@ __all__ = [
     "theoretical_speed_fixed", "theoretical_speed_switching",
     "SpeedConventionWarning",
 ]
+
+_RATE_FLOOR = 1e-15
 
 
 class SpeedConventionWarning(UserWarning):
@@ -55,9 +56,9 @@ def empirical_rate(times, values, window=None):
     """Least-squares exponential rate of a positive decaying series.
 
     Fits log(values) = intercept - rate * t over the window (defaults to
-    the last 60 percent of the horizon).  Values are floored at
-    ``settings.rate_floor`` before taking logs; a window whose values are
-    all at or below zero is rejected since no decay rate is identifiable.
+    the last 60 percent of the horizon).  Values are floored at 1e-15
+    (_RATE_FLOOR) before taking logs; a window whose values are all at or
+    below zero is rejected since no decay rate is identifiable.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -77,7 +78,7 @@ def empirical_rate(times, values, window=None):
     if not np.any(vw > 0):
         raise NonPositiveSeriesError(
             "no positive values inside the fit window")
-    logv = np.log(np.maximum(vw, settings.rate_floor))
+    logv = np.log(np.maximum(vw, _RATE_FLOOR))
     slope, intercept = np.polyfit(tw, logv, 1)
     pred = slope * tw + intercept
     ss_res = float(np.sum((logv - pred) ** 2))

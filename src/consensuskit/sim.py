@@ -46,16 +46,19 @@ layout, Phi, the stacked tables and the compiled cascade, S, G and the
 powers S[m]^1 .. S[m]^B, B taken from the size of z so that the powers of
 all modes fit in 512 KB (_powers, by doubling).  A scenario object keeps
 one plan per feedback kind, built by its first simulation (_plan), so the
-runs of a Monte Carlo share one.  Scenarios are frozen, so a plan cannot
-go stale; dataclasses.replace makes a new scenario, which builds its own.
-The plan holds no reference to its scenario, so a scenario is freed as
-soon as it is dropped.  A run holds the initial state, the mode path and
-two passes over them (_run).  The linear pass goes in segments of at most
-B steps under one mode: the z of a segment is one product with the powers
-of its S, and its cascade inputs one product with its G.  The cascade goes
-in chunks of whole consecutive segments of at most 256 steps: one call of
-the compiled function, one conversion each way and one guard check per
-chunk.
+runs of a Monte Carlo share one.  A scenario and its topology are
+frozen (assigning to a field raises FrozenInstanceError) and a graph's
+weights are read-only; dataclasses.replace makes a new scenario, which
+builds its own plan.  An edit in place of what is still mutable, an
+array such as gain.K (gain.K[:] = ...) or an item of the agents list, is
+not seen by a plan already built: replace the scenario instead.  The
+plan holds no reference to its scenario, so a scenario is freed as soon
+as it is dropped.  A run holds the initial state, the mode path and two passes over them (_run).  The
+linear pass goes in segments of at most B steps under one mode: the z of a
+segment is one product with the powers of its S, and its cascade inputs
+one product with its G.  The cascade goes in chunks of whole consecutive
+segments of at most 256 steps: one call of the compiled function, one
+conversion each way and one guard check per chunk.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -65,14 +68,14 @@ or after the jump time and the graph is frozen over each step.
 Each sample is one row of a state matrix, whose size is checked against a
 fixed limit before anything is allocated (_grid), and the Trajectory is
 built from those rows once, after the loop (_trajectory).  Two runtime
-guards: |beta| is checked against the configured floor after the run over
-all recorded states, before a FiniteEscape is raised (BetaNearZero), and
-any state leaving the max-norm ball of radius ``settings.finite_escape_norm``
-aborts the run with FiniteEscape at the first step whose z or cascade is
-outside it, carrying the trajectory recorded up to the step before.  The
-cascade's products and sums overflow to inf as numpy's do; a Python
-ZeroDivisionError there (a beta of 0, where numpy gives inf) counts as
-leaving the ball.
+guards: |beta| is checked against the floor 1e-9 (agents._BETA_FLOOR)
+after the run over all recorded states, before a FiniteEscape is raised
+(BetaNearZero), and any state leaving the max-norm ball of radius 1e6
+(_FINITE_ESCAPE_NORM) aborts the run with FiniteEscape at the first step
+whose z or cascade is outside it, carrying the trajectory recorded up to
+the step before.  The cascade's products and sums overflow to inf as
+numpy's do; a Python ZeroDivisionError there (a beta of 0, where numpy
+gives inf) counts as leaving the ball.
 
 Reproducibility: trajectories are a pure function of (scenario, seed, run
 index).  Random initial conditions and switching paths are drawn from
@@ -86,11 +89,16 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .agents import AUGMENTED_GENERAL, NormalFormAgent, TermTable, _function
+from .agents import (
+    _BETA_FLOOR,
+    AUGMENTED_GENERAL,
+    NormalFormAgent,
+    TermTable,
+    _function,
+)
 from .errors import BetaNearZero, FiniteEscape, ValidationError
 from .graph import DiGraph, laplacian
 from .rng import STREAM_INIT, rng_for
-from .settings import settings
 from .switching import MarkovTopology, check_A4, sample_path
 from .synthesis import (
     CompanionSystem,
@@ -362,9 +370,10 @@ class _System:
         return state
 
 
-_ROWS_BYTES = 1 << 30    # the largest state record a run may allocate
-_POWERS_BYTES = 1 << 19  # the step-matrix powers of a plan, all modes
-_STEPS = 256             # the longest chunk: bounds the cascade inputs
+_ROWS_BYTES = 1 << 30      # the largest state record a run may allocate
+_POWERS_BYTES = 1 << 19    # the step-matrix powers of a plan, all modes
+_STEPS = 256               # the longest chunk: bounds the cascade inputs
+_FINITE_ESCAPE_NORM = 1e6  # the max-norm radius of the guard ball
 
 
 def _plan(scen, use_observer):
@@ -462,7 +471,7 @@ def _run(plan, rows, modes):
     Returns (k, peak) for the first sample k outside the guard ball, or
     None."""
     nz, powers, g = plan.nz, plan.powers, plan.G
-    guard = settings.finite_escape_norm
+    guard = _FINITE_ESCAPE_NORM
     for chunk in _chunks(modes, powers.shape[1]):
         a0, b0 = chunk[0][0], chunk[-1][1]
         inputs = np.empty((b0 - a0, g.shape[2]))
@@ -521,14 +530,14 @@ def _trajectory(plan, scen, rows, times, modes, mode_path):
     rows[:, plan.sl_u] += rows[:, plan.aug_u_hat]  # u = xi_last + d
     rows[0, plan.sl_u] = plan.u0  # exactly, whatever that sum rounds to
     betas = _map_rows(plan.beta, rows)
-    low = np.abs(betas) < settings.beta_floor
+    low = np.abs(betas) < _BETA_FLOOR
     if low.any():
         k = int(low.any(axis=1).argmax())
         i = int(low[k].argmax())
         agent_id = scen.agents[i].agent_id
         raise BetaNearZero(
             f"beta = {betas[k, i]:.3e} below floor "
-            f"{settings.beta_floor:.1e} for agent {agent_id}",
+            f"{_BETA_FLOOR:.1e} for agent {agent_id}",
             agent_id=agent_id, state=rows[k].copy())
     z = rows[:, :plan.nz]
     xi_hat = z[:, :n_ag * r].reshape(n, n_ag, r)

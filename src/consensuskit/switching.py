@@ -10,7 +10,7 @@ returned by :func:`speed_bound`.
 """
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,13 +30,15 @@ from .graph import (
     union,
 )
 from .rng import STREAM_MODE_PATH, rng_for
-from .settings import settings
 
 __all__ = [
     "MarkovTopology", "GraphCheck", "A4Report",
     "stationary_distribution", "sample_path", "check_A4", "speed_bound",
     "default_switching_pair",
 ]
+
+_GENERATOR_ROW_TOL = 1e-12
+_STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 def _validate_generator(gen):
@@ -49,7 +51,7 @@ def _validate_generator(gen):
     if np.any(off < 0):
         raise ValueError("off-diagonal generator entries must be nonnegative")
     rowsum = np.abs(gen.sum(axis=1)).max()
-    if rowsum > settings.generator_row_tol * max(1.0, np.abs(gen).max()):
+    if rowsum > _GENERATOR_ROW_TOL * max(1.0, np.abs(gen).max()):
         raise ValueError(f"generator rows must sum to zero (worst {rowsum:.3e})")
     return gen
 
@@ -69,7 +71,7 @@ def stationary_distribution(generator):
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     resid = np.linalg.norm(pi @ gen)
-    if resid > settings.stationary_residual_tol * max(1.0, np.abs(gen).max()):
+    if resid > _STATIONARY_RESIDUAL_TOL * max(1.0, np.abs(gen).max()):
         raise SingularSystemError(
             f"stationary residual {resid:.3e} above tolerance")
     if np.any(pi <= 0):
@@ -78,41 +80,40 @@ def stationary_distribution(generator):
     return pi / pi.sum()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MarkovTopology:
-    """Mode graphs plus the generator of the switching chain."""
+    """Immutable mode graphs plus the generator of the switching chain.
 
-    graphs: List[DiGraph]
+    ``graphs`` is kept as a tuple and ``generator`` as a read-only copy.
+    ``pi`` is not an argument: it is the chain's stationary law, computed
+    from the generator, which sample_path draws the initial mode from and
+    whose smallest entry scales speed_bound.
+    """
+
+    graphs: Tuple[DiGraph, ...]
     generator: np.ndarray
-    pi: np.ndarray = field(default=None)  # type: ignore[assignment]
+    pi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.graphs:
+        graphs = tuple(self.graphs)
+        if not graphs:
             raise DimensionMismatchError("need at least one mode graph")
-        n = self.graphs[0].n
-        for g in self.graphs[1:]:
+        n = graphs[0].n
+        for g in graphs[1:]:
             if g.n != n:
                 raise DimensionMismatchError("mode graphs must share node count")
         gen = _validate_generator(self.generator)
-        if gen.shape[0] != len(self.graphs):
+        if gen.shape[0] != len(graphs):
             raise DimensionMismatchError(
                 f"generator is {gen.shape[0]}x{gen.shape[0]} for "
-                f"{len(self.graphs)} graphs")
-        self.generator = gen
-        if self.pi is None:
-            self.pi = stationary_distribution(gen)
-            return
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (gen.shape[0],):
-            raise DimensionMismatchError(
-                f"pi has shape {pi.shape} for {gen.shape[0]} modes")
-        if not np.all(np.isfinite(pi)):
-            raise ValueError("pi has non-finite entries")
-        if np.any(pi < 0):
-            raise ValueError("pi entries must be nonnegative")
-        if not pi.sum() > 0:
-            raise ValueError("pi entries must not all be zero")
-        self.pi = pi
+                f"{len(graphs)} graphs")
+        gen = gen.copy()
+        pi = stationary_distribution(gen)
+        gen.setflags(write=False)
+        pi.setflags(write=False)
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "generator", gen)
+        object.__setattr__(self, "pi", pi)
 
     @property
     def n(self):
@@ -148,8 +149,7 @@ def sample_path(mt, t_end, seed, run_index=0):
         raise ValueError("t_end must be positive")
     rng = rng_for(seed, run_index, STREAM_MODE_PATH)
     gen = mt.generator
-    mode = int(_cdf(mt.pi / mt.pi.sum()).searchsorted(rng.random(),
-                                                      side="right"))
+    mode = int(_cdf(mt.pi).searchsorted(rng.random(), side="right"))
     jumps = {}
     path = []
     t = 0.0

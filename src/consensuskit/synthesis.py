@@ -47,7 +47,6 @@ from .errors import (
     UnstablePoleError,
 )
 from .linalg import eig, solve_care
-from .settings import settings
 
 __all__ = [
     "CompanionSystem", "ConsensusGain", "LocalController", "ObserverGain",
@@ -55,6 +54,12 @@ __all__ = [
     "local_controller", "local_controllers", "assemble_stacked",
     "observer_gain", "closed_loop_spectrum",
 ]
+
+_CONJUGATE_PAIR_TOL = 1e-9
+_STABLE_POLE_TOL = 1e-9
+_OBSERVABILITY_SV_TOL = 1e-9
+_OBSERVER_PLACEMENT_TOL = 1e-6
+_SPECTRUM_MATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ class SpectrumCheck:
 
 
 def _check_conjugate_closed(poles):
-    tol = settings.conjugate_pair_tol
+    tol = _CONJUGATE_PAIR_TOL
     pending = [complex(p) for p in poles if abs(complex(p).imag) > tol]
     while pending:
         p = pending.pop()
@@ -142,9 +147,9 @@ def design_companion(stable_poles):
         raise UnstablePoleError("need at least one stable pole")
     _check_conjugate_closed(poles)
     worst = max(p.real for p in poles)
-    if worst >= -settings.stable_pole_tol:
+    if worst >= -_STABLE_POLE_TOL:
         raise UnstablePoleError(
-            f"all poles must satisfy Re < -{settings.stable_pole_tol:.0e}, "
+            f"all poles must satisfy Re < -{_STABLE_POLE_TOL:.0e}, "
             f"got Re = {worst:.3e}")
     coeffs = np.poly(np.concatenate([[0.0], poles]))
     if np.abs(coeffs.imag).max() > 1e-9 * max(1.0, np.abs(coeffs).max()):
@@ -282,7 +287,7 @@ def observer_gain(cs, c, observer_poles):
     _check_conjugate_closed(poles)
     obsv = _obsv_matrix(c, cs.A)
     svals = np.linalg.svd(obsv, compute_uv=False)
-    if svals[-1] <= settings.observability_sv_tol:
+    if svals[-1] <= _OBSERVABILITY_SV_TOL:
         raise NotObservableError(
             f"(C, A) is not observable (sigma_min = {svals[-1]:.3e})")
     coeffs = np.poly(poles).real
@@ -295,7 +300,7 @@ def observer_gain(cs, c, observer_poles):
     achieved = eig(cs.A - np.outer(m, c))
     want = np.sort_complex(poles)
     worst = _multiset_distance(want, achieved)
-    if worst > settings.observer_placement_tol * max(1.0, np.abs(poles).max()):
+    if worst > _OBSERVER_PLACEMENT_TOL * max(1.0, np.abs(poles).max()):
         raise PlacementFailure(
             f"achieved observer spectrum off by {worst:.3e}")
     return ObserverGain(C=c, M=m, poles=poles)
@@ -390,8 +395,8 @@ def closed_loop_spectrum(cs, gain, lap):
     analytic = np.sort_complex(analytic)
     scale = max(1.0, float(np.abs(blocks).max()))
     worst = _multiset_distance(analytic, blocks)
-    if worst > settings.spectrum_match_tol * scale:
+    if worst > _SPECTRUM_MATCH_TOL * scale:
         raise InconsistentSpectraError(
             f"analytic and block spectra differ by {worst:.3e} "
-            f"(tolerance {settings.spectrum_match_tol * scale:.3e})")
+            f"(tolerance {_SPECTRUM_MATCH_TOL * scale:.3e})")
     return SpectrumCheck(values=analytic, analytic_consistent=True)

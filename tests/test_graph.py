@@ -231,3 +231,17 @@ def test_edges_of_subclassed_numbers_take_the_per_field_checks():
                                              [3, 1, Int(2)]]})
     assert np.array_equal(sub.weights, plain.weights)
     assert plain.weights[1, 0] == 1.5 and plain.weights[0, 2] == 2.0
+
+
+def test_parallel_edges_whose_sum_overflows_are_rejected():
+    # each weight is finite; their sum is not, and must not get as far as
+    # numpy's overflow warning or DiGraph's ValueError
+    big = [1, 2, 1.7e308]
+    for where in ("graph", "switching.graphs[1]"):
+        with pytest.raises(ck.ValidationError) as exc:
+            graph_from_dict({"n": 3, "edges": [big, [2, 3, 1.0], big]},
+                            where=where)
+        assert exc.value.field == f"{where}.edges"
+        assert "parallel edges 1 -> 2" in str(exc.value)
+    g = graph_from_dict({"n": 2, "edges": [[1, 2, 8.9e307], [1, 2, 8.9e307]]})
+    assert g.weights[1, 0] == 8.9e307 + 8.9e307

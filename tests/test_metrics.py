@@ -9,7 +9,6 @@ from consensuskit.metrics import (
     SpeedConventionWarning, disagreement, empirical_rate,
     theoretical_speed_fixed, theoretical_speed_switching,
 )
-from consensuskit.settings import settings
 from consensuskit.sim import Trajectory
 from consensuskit.switching import MarkovTopology, default_switching_pair, speed_bound
 
@@ -75,14 +74,12 @@ def test_empirical_rate_floors_tiny_values():
     assert np.isfinite(fit.rate)
 
 
-def test_empirical_rate_floor_follows_settings(monkeypatch):
+def test_empirical_rate_floor_follows_settings():
+    # an exact zero is read as the fixed floor 1e-15
     times = np.array([0.0, 1.0])
     values = np.array([1.0, 0.0])
     fit = empirical_rate(times, values, window=(0.0, 1.0))
     assert fit.rate == pytest.approx(-np.log(1e-15), rel=1e-12)
-    monkeypatch.setattr(settings, "rate_floor", 1e-6)
-    fit = empirical_rate(times, values, window=(0.0, 1.0))
-    assert fit.rate == pytest.approx(-np.log(1e-6), rel=1e-12)
 
 
 def test_theoretical_speed_fixed_default_design(target, unit_gain, five_cycle):

@@ -1130,7 +1130,9 @@ def test_cli_analyze_bad_window(tmp_path, capsys, monkeypatch):
     runs = []
     monkeypatch.setattr(cli, "_simulate", runs.append)
     scen = _write(tmp_path, base_doc())
-    for window in ("nonsense", "1:2:3", "nan:10", "0:inf", "20:5", "5:5"):
+    # the grid is 0, 0.01, .., 0.5: past its end, or between two points
+    for window in ("nonsense", "1:2:3", "nan:10", "0:inf", "20:5", "5:5",
+                   "100:200", "0.101:0.109"):
         rc = main(["analyze", scen, "--window", window])
         assert rc == 1, window
         err = json.loads(capsys.readouterr().err)
@@ -1176,6 +1178,21 @@ def test_cli_validation_error_payload(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert err["field"] == "sim.dt"
+
+
+def test_cli_overflowing_parallel_edges_payload(tmp_path, capsys):
+    big = [1, 2, 1.7e308]
+    fixed = base_doc()
+    fixed["graph"]["edges"] += [big, big]
+    switching = switching_doc()
+    switching["switching"]["graphs"][1]["edges"] += [big, big]
+    for doc, field in ((fixed, "graph.edges"),
+                       (switching, "switching.graphs[1].edges")):
+        rc = main(["synthesize", _write(tmp_path, doc)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["field"] == field
 
 
 def test_cli_finite_escape_exit_code(tmp_path, capsys):

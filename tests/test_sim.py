@@ -1427,7 +1427,7 @@ def test_failures_inside_a_chunk_match_one_segment_per_chunk(
                       theta_tilde=TermTable([[(-1.0, ())]]),
                       xi0=[0.2, -0.1, 0.3], eta0=[2.0], u0=0.1, agent_id=1)
     if failure == "beta_floor":
-        monkeypatch.setattr(ck.settings, "beta_floor", 0.05)
+        monkeypatch.setattr(sim, "_BETA_FLOOR", 0.05)
     agents = [odd, builtin("agent1"), builtin("agent2"),
               _chain_agent(4, 3, [0.5, 0.0, -0.2]),
               _chain_agent(5, 2, [-0.4, 0.1])]

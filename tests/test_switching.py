@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -105,29 +107,35 @@ def test_markov_topology_validation():
     assert mt.n_modes == 2
 
 
-@pytest.mark.parametrize("pi, error", [
-    ([0.5, 0.5, 0.0], ck.DimensionMismatchError),
-    ([[0.5, 0.5]], ck.DimensionMismatchError),
-    ([-0.5, 1.5], ValueError),
-    ([np.nan, 1.0], ValueError),
-    ([np.inf, 1.0], ValueError),
-    ([0.0, 0.0], ValueError),
-])
-def test_markov_topology_rejects_bad_explicit_pi(pi, error):
-    # each used to pass here and escape later from sample_path as numpy's
-    # "a and p must have same size", "not non-negative" or "contain NaN"
+def test_markov_topology_is_frozen_with_its_stationary_law():
+    # pi is always the generator's stationary law, not an argument; the
+    # graphs are a tuple and the generator a read-only copy
     g1, g2 = default_switching_pair(5)
-    with pytest.raises(error):
-        MarkovTopology(graphs=[g1, g2], generator=FLIP_FLOP, pi=pi)
-    mt = MarkovTopology(graphs=[g1, g2], generator=FLIP_FLOP, pi=[1, 3])
-    assert mt.pi.tolist() == [1.0, 3.0]
+    gen = np.array([[-2.0, 2.0], [1.0, -1.0]])
+    graphs = [g1, g2]
+    mt = MarkovTopology(graphs, gen)
+    assert mt.graphs == (g1, g2)
+    assert np.array_equal(mt.pi, stationary_distribution(gen))
+    with pytest.raises(TypeError):
+        MarkovTopology(graphs, gen, pi=[1.0, 0.0])
+    for name, value in (("graphs", [g2, g1]), ("generator", FLIP_FLOP),
+                        ("pi", np.array([1.0, 0.0]))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mt, name, value)
+    for array in (mt.generator, mt.pi):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    gen[0] = [-5.0, 5.0]
+    graphs.reverse()
+    assert mt.generator.tolist() == [[-2.0, 2.0], [1.0, -1.0]]
+    assert mt.graphs == (g1, g2)
 
 
 def _sample_path_with_choice(mt, t_end, seed, run_index):
     # the reference: every mode drawn by Generator.choice
     rng = ck.rng_for(seed, run_index, ck.STREAM_MODE_PATH)
     gen = mt.generator
-    mode = int(rng.choice(mt.n_modes, p=mt.pi / mt.pi.sum()))
+    mode = int(rng.choice(mt.n_modes, p=mt.pi))
     path, t = [], 0.0
     while t < t_end:
         rate = -gen[mode, mode]

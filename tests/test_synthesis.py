@@ -8,6 +8,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 import consensuskit as ck
+from consensuskit import synthesis
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
     local_controller, local_controllers, observer_gain, rank_one_gain,
@@ -308,7 +309,7 @@ def test_closed_loop_spectrum_matches_kronecker_eig(target, unit_gain,
                                    - np.kron(lap, np.outer(cs.B, gain.K)))
         scale = max(1.0, float(np.abs(values).max()))
         gap = _cluster_gap(values, direct, radius * scale)
-        assert gap <= ck.settings.spectrum_match_tol * scale
+        assert gap <= synthesis._SPECTRUM_MATCH_TOL * scale
 
 
 def test_closed_loop_spectrum_conjugate_closed_and_sorted(target, five_cycle):
