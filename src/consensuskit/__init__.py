@@ -20,6 +20,8 @@ controller, then simulate.
     traj = ck.simulate_fixed(scen)
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     A4ViolatedError,
     AllZeroError,
@@ -59,7 +61,6 @@ from .graph import (
     graph_from_dict,
     has_spanning_tree,
     is_balanced,
-    lambda_min_nonzero,
     laplacian,
     union,
 )
@@ -110,7 +111,6 @@ from .sim import (
 )
 from .metrics import (
     RateFit,
-    SpeedConventionWarning,
     disagreement,
     empirical_rate,
     theoretical_speed_fixed,
@@ -120,4 +120,5 @@ from .scenario import load_scenario, parse_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -319,12 +319,25 @@ def _write_svg(path, times, series, ylabel="y"):
         fh.write("\n".join(parts) + "\n")
 
 
-def _spectrum_payload(scen, lap):
-    check = closed_loop_spectrum(scen.cs, scen.gain, lap)
-    payload = {"values": _cpairs(check.values)}
+def _rate_and_spectrum(scen):
+    """The rank-one rate (fixed graph: guaranteed; switching: the
+    fast-switching limit; None when none holds) and the closed-loop
+    spectrum payload of the graph or the modes' union, for both reports."""
+    topology, cs, gain = scen.topology, scen.cs, scen.gain
+    switching = isinstance(topology, MarkovTopology)
+    lap = laplacian(union(topology.graphs) if switching else topology)
+    rate = None
+    if gain.rank == "one":
+        try:
+            rate = (theoretical_speed_switching(topology, gain, cs)
+                    if switching else theoretical_speed_fixed(cs, gain, lap))
+        except ConsensusKitError:
+            pass
+    check = closed_loop_spectrum(cs, gain, lap)
+    spectrum = {"values": _cpairs(check.values)}
     if check.analytic_consistent is not None:
-        payload["analytic_consistent"] = bool(check.analytic_consistent)
-    return payload
+        spectrum["analytic_consistent"] = bool(check.analytic_consistent)
+    return rate, spectrum
 
 
 def _cmd_synthesize(args):
@@ -339,9 +352,9 @@ def _cmd_synthesize(args):
         "K": gain.K.tolist(),
         "P1": gain.P1.tolist(),
     }
+    rate, spectrum = _rate_and_spectrum(scen)
     if isinstance(scen.topology, MarkovTopology):
         mt = scen.topology
-        lap = laplacian(union(mt.graphs))
         report = check_A4(mt)
         out["stationary"] = mt.pi.tolist()
         out["assumption"] = {
@@ -352,20 +365,10 @@ def _cmd_synthesize(args):
         # speed_bound is the mean-square rate's limit as switching gets
         # fast, not a rate guaranteed at a finite switching rate
         out["guaranteed_rate"] = None
-        out["fast_switching_limit"] = (
-            theoretical_speed_switching(mt, gain, cs)
-            if gain.rank == "one" and report.passes else None)
+        out["fast_switching_limit"] = rate
     else:
-        lap = laplacian(scen.topology)
-        # null when no rate is guaranteed: a full-rank design, or a graph
-        # without a spanning tree
-        out["guaranteed_rate"] = None
-        if gain.rank == "one":
-            try:
-                out["guaranteed_rate"] = theoretical_speed_fixed(cs, gain, lap)
-            except ConsensusKitError:
-                pass
-    out["spectrum"] = _spectrum_payload(scen, lap)
+        out["guaranteed_rate"] = rate
+    out["spectrum"] = spectrum
     print(_json_report(out))
     return 0
 
@@ -438,32 +441,21 @@ def _cmd_analyze(args):
     window = _parse_window(args.window, scen) if args.window else None
     switching = isinstance(scen.topology, MarkovTopology)
     traj = _simulate(scen)
-    lap = laplacian(union(scen.topology.graphs) if switching
-                    else scen.topology)
     d = disagreement(traj)
     fit = empirical_rate(traj.times, d, window)
-    theoretical = None
-    if scen.gain.rank == "one":
-        try:
-            if switching:
-                theoretical = theoretical_speed_switching(
-                    scen.topology, scen.gain, scen.cs)
-            else:
-                theoretical = theoretical_speed_fixed(scen.cs, scen.gain, lap)
-        except ConsensusKitError:
-            theoretical = None
+    rate, spectrum = _rate_and_spectrum(scen)
     out = {
         "empirical_rate": fit.rate,
         "r_squared": fit.r_squared,
         "window": [fit.window[0], fit.window[1]],
         "final_disagreement": float(d[-1]),
-        "theoretical_rate": None if switching else theoretical,
-        "spectrum": _spectrum_payload(scen, lap),
+        "theoretical_rate": None if switching else rate,
+        "spectrum": spectrum,
     }
     if switching:
         # speed_bound is the mean-square rate's limit as switching gets
         # fast, not a rate one sampled run at a finite rate should show
-        out["fast_switching_limit"] = theoretical
+        out["fast_switching_limit"] = rate
     print(_json_report(out))
     return 0
 

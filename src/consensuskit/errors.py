@@ -41,7 +41,7 @@ class DimensionMismatchError(ConsensusKitError):
 
 
 class AllZeroError(ConsensusKitError):
-    """Every eigenvalue was inside the zero threshold."""
+    """A Laplacian had no eigenvalue besides its structural zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ class UnstablePoleError(ConsensusKitError):
 
 
 class NonPositiveParameterError(ConsensusKitError):
-    """A design weight that must be positive was not."""
+    """A design weight was not positive and finite, or overflowed the gain."""
 
 
 class DegreeExceedsTargetError(ConsensusKitError):

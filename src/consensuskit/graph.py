@@ -8,7 +8,8 @@ consensus subspace is span(ones).
 The spanning-tree predicate is structural: some node reaches every other
 over positive weights.  Reachability is the boolean transitive closure of
 the edges (_reachable, repeated squaring of I | adj), which also decides
-whether a switching chain is irreducible.  The spectral characterization
+whether a switching chain is irreducible and whether a Laplacian's
+off-diagonal pattern holds a spanning tree (metrics).  The spectral characterization
 (exactly one zero Laplacian eigenvalue) is kept as an independent test
 oracle, not used here.
 """
@@ -18,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroError, DimensionMismatchError, ValidationError
-from .linalg import eig
+from .errors import DimensionMismatchError, ValidationError
 
 __all__ = [
     "DiGraph", "laplacian", "has_spanning_tree", "is_balanced", "union",
-    "lambda_min_nonzero", "directed_cycle", "empty_graph",
-    "graph_from_dict",
+    "directed_cycle", "empty_graph", "graph_from_dict",
 ]
 
 _BALANCE_TOL = 1e-12
-_LAPLACIAN_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,23 +114,6 @@ def union(*graphs):
     for g in graphs:
         total += g.weights
     return DiGraph(total)
-
-
-def lambda_min_nonzero(m):
-    """Eigenvalue of smallest real part among those with Re > threshold.
-
-    The threshold is 1e-9 * ||m||_F, which separates the structural zero of
-    a Laplacian from its right-half-plane eigenvalues.  Ties on the real
-    part prefer the smallest |Im|, then nonnegative Im.
-    """
-    m = np.asarray(m, dtype=float)
-    vals = eig(m)
-    thresh = _LAPLACIAN_ZERO_TOL * np.linalg.norm(m)
-    cand = vals[vals.real > thresh]
-    if cand.size == 0:
-        raise AllZeroError("no eigenvalue with positive real part beyond threshold")
-    order = np.lexsort((-np.sign(cand.imag), np.abs(cand.imag), cand.real))
-    return complex(cand[order[0]])
 
 
 def graph_from_dict(doc, where="graph"):

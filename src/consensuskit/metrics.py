@@ -7,36 +7,35 @@ The headline quantity is the output disagreement
 which the synthesis drives to zero exponentially.  `empirical_rate` fits
 log d(t) over a window by least squares and reports the decay rate as a
 positive number.  `theoretical_speed_fixed` evaluates the guaranteed rate of
-the rank-one design on a fixed graph; `theoretical_speed_switching` defers
-to the switching module's stationary-average rate, the fast-switching
-limit (not a bound at finite switching rates).
+the rank-one design on a fixed graph, the spectral abscissa of its closed
+loop once the Laplacian's structural zero is dropped;
+`theoretical_speed_switching` defers to the switching module's
+stationary-average rate, the fast-switching limit (not a bound at finite
+switching rates).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    AllZeroError,
+    DimensionMismatchError,
     EmptyWindowError,
     NonPositiveSeriesError,
     NoSpanningTreeError,
     NotRankOneError,
 )
-from .graph import DiGraph, has_spanning_tree, lambda_min_nonzero
+from .graph import _reachable
+from .linalg import eig
 from .switching import speed_bound
 
 __all__ = [
     "disagreement", "RateFit", "empirical_rate",
     "theoretical_speed_fixed", "theoretical_speed_switching",
-    "SpeedConventionWarning",
 ]
 
 _RATE_FLOOR = 1e-15
-
-
-class SpeedConventionWarning(UserWarning):
-    """The plant-pole term of the guaranteed rate is convention dependent."""
 
 
 def disagreement(traj):
@@ -88,44 +87,32 @@ def empirical_rate(times, values, window=None):
                    window=(t0, t1), r_squared=r2)
 
 
-def _graph_from_laplacian(lap):
-    lap = np.asarray(lap, dtype=float)
-    w = -lap.copy()
-    np.fill_diagonal(w, 0.0)
-    w[np.abs(w) < 1e-15] = 0.0
-    return DiGraph(w)
-
-
 def theoretical_speed_fixed(cs, gain, lap):
     """Guaranteed decay rate of the rank-one design on a fixed graph.
 
-    The rate is the slower of the network term
-    mu * sqrt(q1 * r_hat) * (B' nu) * Re(lambda_min_nonzero(L)) and the
-    slowest open-loop target pole, read as the smallest nonzero real part
-    of the spectrum of -A.  A SpeedConventionWarning is raised when the
-    alternative reading of the pole term, the largest real part, would
-    change the returned rate.
+    The closed loop I (x) A - L (x) B K has the spectrum -c eig(L) plus N
+    copies of the target poles, c = mu sqrt(q1 r_hat) (B' nu).  With a
+    spanning tree in the off-diagonal pattern of L, eig(L) holds exactly
+    one structural zero; the rate is the spectral abscissa of the rest,
+    with the one gamma nearest zero dropped and no threshold.
     """
     if gain.rank != "one":
         raise NotRankOneError("the guaranteed-rate formula needs a rank-one gain")
-    graph = _graph_from_laplacian(lap)
-    if not has_spanning_tree(graph):
+    lap = np.asarray(lap, dtype=float)
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise DimensionMismatchError(f"Laplacian must be square, got {lap.shape}")
+    if np.any((lap > 0) & ~np.eye(len(lap), dtype=bool)):
+        raise ValueError("Laplacian off-diagonal entries must be <= 0")
+    if not _reachable(lap.T < 0).all(axis=1).any():  # L[i, j] < 0: j -> i
         raise NoSpanningTreeError("graph has no directed spanning tree")
+    gamma = eig(lap)
+    if gamma.size < 2:
+        raise AllZeroError("a one-node graph has no eigenvalue besides zero")
+    gamma = np.delete(gamma, np.argmin(np.abs(gamma)))
     b_nu = float(cs.B @ cs.nu)
     coupling = (gain.mu * np.sqrt(gain.q1 * gain.r_hat) * b_nu
-                * float(lambda_min_nonzero(np.asarray(lap)).real))
-    if cs.r == 1:
-        return float(coupling)
-    pole_re = -cs.stable_poles.real
-    rate = float(min(coupling, pole_re.min()))
-    alternative = float(min(coupling, pole_re.max()))
-    if alternative != rate:
-        warnings.warn(
-            f"the plant-pole term is read as the smallest nonzero real part "
-            f"({pole_re.min():g}), giving rate {rate:g}; the alternative "
-            f"largest-magnitude reading ({pole_re.max():g}) would give "
-            f"{alternative:g}", SpeedConventionWarning)
-    return rate
+                * float(gamma.real.min()))
+    return float(min([coupling, *(-cs.stable_poles.real).tolist()]))
 
 
 def theoretical_speed_switching(mt, gain, cs):

@@ -306,6 +306,30 @@ def _parse_switching(doc, n_agents, where="switching"):
                               field=f"{where}.generator") from exc
 
 
+def _check_closed_loop(cs, gain, topology):
+    """Refuse a design whose closed loop I (x) A - L (x) B K overflows.
+
+    With S the largest in-weight of a node (summed over the modes), 2 S
+    bounds |gamma| for gamma in eig(L) (Gershgorin), and max|A| +
+    2 S max|B K| every entry of the closed loop and of its spectrum blocks
+    A - gamma B K.  The error names the larger factor.
+    """
+    switching = isinstance(topology, MarkovTopology)
+    graphs = topology.graphs if switching else (topology,)
+    gain_max = np.abs(cs.B).max() * np.abs(gain.K).max()
+    with np.errstate(over="ignore"):
+        gamma_max = 2.0 * sum(g.weights.sum(axis=1) for g in graphs).max()
+        bound = np.abs(cs.A).max() + gamma_max * gain_max
+    if np.isfinite(bound):
+        return
+    field = ("controller.mu" if gain_max > gamma_max
+             else "switching.graphs" if switching else "graph.edges")
+    raise ValidationError(
+        f"the closed loop I (x) A - L (x) B K overflows: the edge weights "
+        f"bound |gamma| by {gamma_max:g} and the gain gives max|B K| = "
+        f"{gain_max:g}", field=field)
+
+
 def parse_scenario(doc):
     """Build a validated, fully synthesized scenario from a parsed document."""
     _check_keys(doc, ("agents", "controller", "sim"),
@@ -392,6 +416,7 @@ def parse_scenario(doc):
         raise
     except ConsensusKitError as exc:
         raise SynthesisError(f"synthesis failed: {exc}") from exc
+    _check_closed_loop(cs, gain, topology)
 
     scen = SimScenario(agents=agents, cs=cs, gain=gain,
                        controllers=controllers, topology=topology,

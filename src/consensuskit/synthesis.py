@@ -180,7 +180,12 @@ def rank_one_gain(cs, mu, q1, r_hat):
             raise NonPositiveParameterError(f"{name} must be positive, got {val!r}")
     btnu = float(cs.B @ cs.nu)
     p1 = np.sqrt(q1) / (np.sqrt(r_hat) * btnu)
-    k = mu * np.sqrt(q1 * r_hat) * cs.nu
+    with np.errstate(over="ignore"):
+        k = mu * np.sqrt(q1 * r_hat) * cs.nu
+    if not np.all(np.isfinite(k)):
+        raise NonPositiveParameterError(
+            f"the gain K = mu sqrt(q1 r_hat) nu overflows (mu = {mu!r}, "
+            f"q1 = {q1!r}, r_hat = {r_hat!r})")
     p = p1 * np.outer(cs.nu, cs.nu)
     return ConsensusGain(rank="one", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, q1=float(q1))
@@ -195,7 +200,12 @@ def full_gain(cs, mu, q1_matrix, r_hat):
     q1_matrix = np.asarray(q1_matrix, dtype=float)
     p = solve_care(cs.A, cs.B.reshape(-1, 1), q1_matrix,
                    np.array([[1.0 / r_hat]]))
-    k = mu * r_hat * (cs.B @ p)
+    with np.errstate(over="ignore"):
+        k = mu * r_hat * (cs.B @ p)
+    if not np.all(np.isfinite(k)):
+        raise NonPositiveParameterError(
+            f"the gain K = mu r_hat B' P1 overflows (mu = {mu!r}, "
+            f"r_hat = {r_hat!r})")
     return ConsensusGain(rank="full", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, Q1=q1_matrix)
 

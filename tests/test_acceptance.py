@@ -23,7 +23,6 @@ this leg.
 """
 
 import itertools
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +39,6 @@ from consensuskit.graph import (
 )
 from consensuskit.linalg import solve_care, solve_lyapunov
 from consensuskit.metrics import (
-    SpeedConventionWarning,
     disagreement,
     empirical_rate,
     theoretical_speed_fixed,
@@ -167,9 +165,7 @@ def weight_runs(target, agents, cycle):
         traj = simulate_fixed(scen)
         fit = empirical_rate(traj.times, disagreement(traj),
                              window=(8.0, 18.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SpeedConventionWarning)
-            theo = theoretical_speed_fixed(target, gain, lap)
+        theo = theoretical_speed_fixed(target, gain, lap)
         runs[q1] = (fit.rate, theo)
     return runs
 
@@ -271,9 +267,7 @@ def test_criterion_4b_slow_coupling_reaches_threshold(target, cycle,
     hit = _time_to_threshold(times, d, THRESHOLD)
     fit = empirical_rate(times, d, window=(300.0, 1000.0))
     gain = rank_one_gain(target, mu=0.01, q1=1.0, r_hat=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpeedConventionWarning)
-        theo = theoretical_speed_fixed(target, gain, laplacian(cycle))
+    theo = theoretical_speed_fixed(target, gain, laplacian(cycle))
     ratio = fit.rate / theo
     print(f"criterion 4b: mu=0.01 reaches {THRESHOLD:g} at t={hit:g}, "
           f"disagreement at t={times[-1]:g} is {d[-1]:.3e}; fitted rate "

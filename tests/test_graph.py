@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import breadth_first_order
 import consensuskit as ck
 from consensuskit.graph import (
     DiGraph, directed_cycle, empty_graph, graph_from_dict,
-    has_spanning_tree, is_balanced, lambda_min_nonzero, laplacian, union,
+    has_spanning_tree, is_balanced, laplacian, union,
 )
 
 
@@ -86,25 +86,6 @@ def test_union_sums_weights_and_checks_sizes():
         union(g1, empty_graph(4))
     with pytest.raises(ck.DimensionMismatchError):
         union([])
-
-
-def test_lambda_min_nonzero_three_cycle():
-    # spectrum of the 3-cycle Laplacian: 0, 3/2 +- i sqrt(3)/2
-    val = lambda_min_nonzero(laplacian(directed_cycle(3)))
-    assert val.real == pytest.approx(1.5, abs=1e-12)
-    assert val.imag == pytest.approx(0.8660254037844386, abs=1e-12)
-
-
-def test_lambda_min_nonzero_five_cycle_prefers_positive_imag():
-    val = lambda_min_nonzero(laplacian(directed_cycle(5)))
-    assert val.real == pytest.approx(1.0 - np.cos(2.0 * np.pi / 5.0), abs=1e-12)
-    assert val.imag == pytest.approx(np.sin(2.0 * np.pi / 5.0), abs=1e-12)
-    assert val.imag > 0
-
-
-def test_lambda_min_nonzero_all_zero():
-    with pytest.raises(ck.AllZeroError):
-        lambda_min_nonzero(laplacian(empty_graph(3)))
 
 
 def test_spanning_tree_matches_spectral_count_small():

@@ -4,7 +4,6 @@ import io
 import json
 import re
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -606,14 +605,19 @@ def test_cli_synthesize_switching(capsys):
 
 def test_cli_synthesize_prints_null_when_no_rate_is_guaranteed(tmp_path,
                                                               capsys):
-    # a full-rank design, and a rank-one design on a graph without a
-    # spanning tree (node 3 hears nobody), print the key with null
+    # a full-rank design, and rank-one designs on a graph without a
+    # spanning tree (node 3 hears nobody) or with one agent, print the key
+    # with null
     full = base_doc()
     full["controller"]["rank"] = "full"
     del full["controller"]["q1"]
     no_tree = base_doc()
     no_tree["graph"] = {"n": 3, "edges": [[1, 2, 1.0]]}
-    for name, doc in (("full", full), ("no_tree", no_tree)):
+    one_agent = base_doc()
+    one_agent["agents"] = one_agent["agents"][:1]
+    one_agent["graph"] = {"n": 1, "edges": []}
+    for name, doc in (("full", full), ("no_tree", no_tree),
+                      ("one_agent", one_agent)):
         rc = main(["synthesize", _write(tmp_path, doc, f"{name}.json")])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
@@ -632,9 +636,7 @@ def _reports(monkeypatch, capsys, argv):
 
     writer = cli._json_report
     monkeypatch.setattr(cli, "_json_report", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ck.SpeedConventionWarning)
-        assert main(argv) == 0
+    assert main(argv) == 0
     return seen, capsys.readouterr().out
 
 
@@ -1098,10 +1100,7 @@ def test_cli_analyze(tmp_path, capsys):
     doc = base_doc()
     doc["sim"] = {"t_end": 12.0, "dt": 0.005, "seed": 1, "init": "random"}
     scen = _write(tmp_path, doc)
-    # with target poles -1 and -2 the two readings of the pole term differ
-    with pytest.warns(ck.SpeedConventionWarning):
-        rc = main(["analyze", scen, "--window", "5:11"])
-    assert rc == 0
+    assert main(["analyze", scen, "--window", "5:11"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["window"] == [5.0, 11.0]
     assert out["empirical_rate"] > 0.5
@@ -1195,6 +1194,50 @@ def test_cli_overflowing_parallel_edges_payload(tmp_path, capsys):
         assert err["field"] == field
 
 
+def test_cli_closed_loop_overflow_payload(tmp_path, capsys):
+    # one edge of weight 1e308, or mu = 1e308, overflows I (x) A - L (x) B K:
+    # every command refuses the document at load, with exit 1
+    heavy = base_doc()
+    heavy["graph"]["edges"][0][2] = 1e308
+    heavy_mode = switching_doc()
+    heavy_mode["switching"]["graphs"][0]["edges"][0][2] = 1e308
+    loud = base_doc()
+    loud["controller"]["mu"] = 1e308
+    loud_full = base_doc()
+    loud_full["controller"].update(mu=1e308, rank="full")
+    del loud_full["controller"]["q1"]
+    cases = ((heavy, "ValidationError", "graph.edges"),
+             (heavy_mode, "ValidationError", "switching.graphs"),
+             (loud, "SynthesisError", None),  # the gain K itself overflows
+             (loud_full, "ValidationError", "controller.mu"))
+    out = str(tmp_path / "x.csv")
+    for doc, error, field in cases:
+        scen = _write(tmp_path, doc)
+        for argv in (["synthesize", scen], ["analyze", scen],
+                     ["simulate", scen, "--out", out],
+                     ["montecarlo", scen, "--runs", "2", "--out", out]):
+            assert main(argv) == 1, argv
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == error, argv
+            assert err.get("field") == field, argv
+            if field is None:
+                assert "mu = 1e+308" in err["message"], argv
+
+
+@pytest.mark.parametrize("weight", [1e-16, 1e-10])
+def test_cli_synthesize_rates_a_weak_edge(tmp_path, capsys, weight):
+    # the guaranteed rate is the spectral abscissa of the printed spectrum
+    # without its consensus zero, however weak the edge that sets it
+    doc = base_doc()
+    doc["graph"]["edges"] = [[1, 2, 1.0], [2, 3, weight]]
+    assert main(["synthesize", _write(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    values = np.array([complex(*v) for v in out["spectrum"]["values"]])
+    nonzero = np.delete(values, np.argmin(np.abs(values)))
+    assert out["guaranteed_rate"] == -nonzero.real.max()
+    assert out["guaranteed_rate"] == pytest.approx(weight, rel=1e-9)
+
+
 def test_cli_finite_escape_exit_code(tmp_path, capsys):
     doc = base_doc()
     blower = custom_agent_doc()
@@ -1232,6 +1275,14 @@ def test_cli_simulate_requires_out_path(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "output.csv"
+
+
+def test_star_import_binds_no_module():
+    names = {}
+    exec("from consensuskit import *", names)
+    names.pop("__builtins__")
+    assert [k for k, v in names.items() if type(v) is type(ck)] == []
+    assert "closed_loop_spectrum" in names
 
 
 def test_readme_scenario_examples_parse():
