@@ -57,6 +57,7 @@ from .errors import (
     InvalidDimensionError,
     UnknownAgentError,
 )
+from .linalg import _read_only
 
 __all__ = [
     "NormalFormAgent", "NativePlant", "builtin", "augment",
@@ -83,6 +84,7 @@ class NativePlant:
     xi_of: Callable[[np.ndarray], np.ndarray]
     alpha_of: Callable[[np.ndarray], float]
     beta_of: Callable[[np.ndarray], float]
+    __post_init__ = _read_only
 
     @property
     def dim(self):
@@ -133,30 +135,29 @@ class NormalFormAgent:
                     f"{self.r + self.n_eta}")
         object.__setattr__(self, "xi0", xi0)
         object.__setattr__(self, "eta0", eta0)
+        _read_only(self)
 
     def with_initial(self, xi0=None, eta0=None, x0=None, u0=None):
         """Copy of this agent with replaced initial conditions."""
-        out = self
+        changes = {} if u0 is None else {"u0": float(u0)}
         if x0 is not None:
-            if out.native is None:
+            if self.native is None:
                 raise InvalidDimensionError(
-                    f"agent {out.agent_id} has no native coordinates")
+                    f"agent {self.agent_id} has no native coordinates")
             x0 = np.asarray(x0, dtype=float).reshape(-1)
-            if x0.shape[0] != out.native.dim:
+            if x0.shape[0] != self.native.dim:
                 raise InvalidDimensionError(
-                    f"x0 has length {x0.shape[0]}, expected {out.native.dim}")
-            out = replace(out, native=replace(out.native, x0=x0),
-                          xi0=out.native.xi_of(x0))
+                    f"x0 has length {x0.shape[0]}, expected {self.native.dim}")
+            changes.update(native=replace(self.native, x0=x0),
+                           xi0=self.native.xi_of(x0))
         if xi0 is not None:
-            if out.native is not None:
+            if self.native is not None:
                 raise InvalidDimensionError(
-                    f"agent {out.agent_id} takes x0, not xi0")
-            out = replace(out, xi0=np.asarray(xi0, dtype=float).reshape(-1))
+                    f"agent {self.agent_id} takes x0, not xi0")
+            changes["xi0"] = xi0
         if eta0 is not None:
-            out = replace(out, eta0=np.asarray(eta0, dtype=float).reshape(-1))
-        if u0 is not None:
-            out = replace(out, u0=float(u0))
-        return out
+            changes["eta0"] = eta0
+        return replace(self, **changes)
 
 
 class TermTable:
@@ -166,9 +167,9 @@ class TermTable:
     coefficient, e the exponents of z_1, z_2, ..., non-negative integers
     (trailing zeros may be left out); row k is the sum over its terms of
     c * prod_j z_j ** e_j, and a row without terms is zero.
-    ``variables`` lists, sorted, the 0-based index of every variable some
-    term reads, and ``n_vars`` is the number of leading variables the
-    terms reach (the last z_j with a nonzero exponent).
+    ``variables`` is the sorted tuple of the 0-based index of every
+    variable some term reads, and ``n_vars`` is the number of leading
+    variables the terms reach (the last z_j with a nonzero exponent).
 
     A table is evaluated only through the Python source :meth:`_source`
     writes, in which a power is a product of squares: the simulator runs
@@ -215,8 +216,8 @@ class TermTable:
         # terms: (row, c, [(variable, power > 0), ...]); the function that
         # evaluates them is compiled on first use, as loading a scenario to
         # synthesize it never evaluates a map
-        self.n_rows, self._terms, self.scalar = n_rows, terms, scalar
-        self.variables = sorted({j for _, _, f in terms for j, _ in f})
+        self.n_rows, self._terms, self.scalar = n_rows, tuple(terms), scalar
+        self.variables = tuple(sorted({j for _, _, f in terms for j, _ in f}))
         self.n_vars = self.variables[-1] + 1 if self.variables else 0
         self._rows = self._columns = None
 

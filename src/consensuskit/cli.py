@@ -39,7 +39,7 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
-from .graph import laplacian, union
+from .graph import laplacian
 from .metrics import (
     disagreement,
     empirical_rate,
@@ -325,7 +325,7 @@ def _rate_and_spectrum(scen):
     spectrum payload of the graph or the modes' union, for both reports."""
     topology, cs, gain = scen.topology, scen.cs, scen.gain
     switching = isinstance(topology, MarkovTopology)
-    lap = laplacian(union(topology.graphs) if switching else topology)
+    lap = laplacian(topology.union if switching else topology)
     rate = None
     if gain.rank == "one":
         try:

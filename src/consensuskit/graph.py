@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .linalg import _read_only
 
 __all__ = [
     "DiGraph", "laplacian", "has_spanning_tree", "is_balanced", "union",
@@ -45,13 +46,17 @@ class DiGraph:
             raise ValueError("weights must be nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("self-weights must be zero")
-        w = w.copy()
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        _read_only(self)
 
     @property
     def n(self):
         return self.weights.shape[0]
+
+    @property
+    def graphs(self):
+        """The one mode of a fixed graph, as MarkovTopology.graphs."""
+        return (self,)
 
     @classmethod
     def from_edges(cls, n, edges):

@@ -32,6 +32,15 @@ _CARE_RESIDUAL_TOL = 1e-8
 _CARE_MAX_ITERATIONS = 200
 
 
+def _read_only(obj):
+    """Make each ndarray field of frozen `obj` a read-only copy of it."""
+    for name, value in list(vars(obj).items()):
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.setflags(write=False)
+            object.__setattr__(obj, name, value)
+
+
 def _as_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:

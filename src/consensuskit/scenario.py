@@ -25,7 +25,8 @@ agent dynamics are polynomials given as term lists {"c": coefficient,
 Loading validates the document (ValidationError carries a dotted field
 path), then synthesizes the target system, gains, local controllers, and
 observer eagerly so that design failures surface at load time as
-SynthesisError with the original cause chained.
+SynthesisError with the original cause chained; SimScenario checks the
+run settings last.
 
 Each polynomial term and graph edge gets one check: a single test of
 exact types and ranges accepts a well-formed one, and its field path
@@ -314,16 +315,15 @@ def _check_closed_loop(cs, gain, topology):
     2 S max|B K| every entry of the closed loop and of its spectrum blocks
     A - gamma B K.  The error names the larger factor.
     """
-    switching = isinstance(topology, MarkovTopology)
-    graphs = topology.graphs if switching else (topology,)
     gain_max = np.abs(cs.B).max() * np.abs(gain.K).max()
     with np.errstate(over="ignore"):
-        gamma_max = 2.0 * sum(g.weights.sum(axis=1) for g in graphs).max()
+        gamma_max = 2.0 * sum(g.weights.sum(1) for g in topology.graphs).max()
         bound = np.abs(cs.A).max() + gamma_max * gain_max
     if np.isfinite(bound):
         return
     field = ("controller.mu" if gain_max > gamma_max
-             else "switching.graphs" if switching else "graph.edges")
+             else "switching.graphs" if isinstance(topology, MarkovTopology)
+             else "graph.edges")
     raise ValidationError(
         f"the closed loop I (x) A - L (x) B K overflows: the edge weights "
         f"bound |gamma| by {gamma_max:g} and the gain gives max|B K| = "
@@ -349,16 +349,7 @@ def parse_scenario(doc):
     _check_keys(sim_doc, ("t_end", "dt"), ("seed", "init"), "sim")
     t_end = _num(sim_doc["t_end"], "sim.t_end")
     dt = _num(sim_doc["dt"], "sim.dt")
-    if dt <= 0:
-        raise ValidationError("dt must be positive", field="sim.dt")
-    if t_end < dt:
-        raise ValidationError("t_end must cover at least one step",
-                              field="sim.t_end")
     seed = _int(sim_doc.get("seed", 0), "sim.seed")
-    init = sim_doc.get("init", "explicit")
-    if init not in ("explicit", "random"):
-        raise ValidationError("init must be 'explicit' or 'random'",
-                              field="sim.init")
 
     output = None
     if "output" in doc:
@@ -390,12 +381,6 @@ def parse_scenario(doc):
                                   field="observer.poles")
         obs_poles = [_pole(p, f"observer.poles[{k}]")
                      for k, p in enumerate(obs_poles_doc)]
-        observer_init = observer_doc.get("init", "zero")
-        if observer_init not in ("zero", "match"):
-            raise ValidationError("init must be 'zero' or 'match'",
-                                  field="observer.init")
-    else:
-        observer_init = "zero"
 
     if "graph" in doc:
         topology = _graph(doc["graph"], len(agents), "graph", "graph")
@@ -418,13 +403,12 @@ def parse_scenario(doc):
         raise SynthesisError(f"synthesis failed: {exc}") from exc
     _check_closed_loop(cs, gain, topology)
 
-    scen = SimScenario(agents=agents, cs=cs, gain=gain,
+    return SimScenario(agents=agents, cs=cs, gain=gain,
                        controllers=controllers, topology=topology,
                        observer=observer, t_end=t_end, dt=dt, seed=seed,
-                       init=init, observer_init=observer_init,
+                       init=sim_doc.get("init", "explicit"),
+                       observer_init=(observer_doc or {}).get("init", "zero"),
                        output=output)
-    scen.validate()
-    return scen
 
 
 def load_scenario(path):

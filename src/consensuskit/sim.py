@@ -46,17 +46,15 @@ layout, Phi, the stacked tables and the compiled cascade, S, G and the
 powers S[m]^1 .. S[m]^B, B taken from the size of z so that the powers of
 all modes fit in 512 KB (_powers, by doubling).  A scenario object keeps
 one plan per feedback kind, built by its first simulation (_plan), so the
-runs of a Monte Carlo share one.  A scenario and its topology are
-frozen (assigning to a field raises FrozenInstanceError) and a graph's
-weights are read-only; dataclasses.replace makes a new scenario, which
-builds its own plan.  An edit in place of what is still mutable, an
-array such as gain.K (gain.K[:] = ...) or an item of the agents list, is
-not seen by a plan already built: replace the scenario instead.  The
-plan holds no reference to its scenario, so a scenario is freed as soon
-as it is dropped.  A run holds the initial state, the mode path and two passes over them (_run).  The
-linear pass goes in segments of at most B steps under one mode: the z of a
-segment is one product with the powers of its S, and its cascade inputs
-one product with its G.  The cascade goes in chunks of whole consecutive
+runs of a Monte Carlo share one.  A scenario is checked once, when built,
+and frozen throughout (tuples, read-only arrays), so no plan disagrees with
+its scenario; dataclasses.replace makes and checks a new one, which builds
+its own plan.  The plan holds no reference to its scenario, so a scenario
+is freed as soon as it is dropped.  A run holds the initial state, the
+mode path and two passes over them (_run).  The linear pass goes in
+segments of at most B steps under one mode: the z of a segment is one
+product with the powers of its S, and its cascade inputs one product
+with its G.  The cascade goes in chunks of whole consecutive
 segments of at most 256 steps: one call of the compiled function, one
 conversion each way and one guard check per chunk.
 
@@ -85,7 +83,7 @@ corresponding fixed-topology run.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -118,10 +116,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimScenario:
-    agents: List[NormalFormAgent]
+    """A closed-loop design and its run settings, checked once, when built."""
+
+    agents: Tuple[NormalFormAgent, ...]
     cs: CompanionSystem
     gain: ConsensusGain
-    controllers: List[LocalController]
+    controllers: Tuple[LocalController, ...]
     topology: Union[DiGraph, MarkovTopology]
     observer: Optional[ObserverGain] = None
     t_end: float = 10.0
@@ -134,7 +134,9 @@ class SimScenario:
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "agents", tuple(self.agents))
+        object.__setattr__(self, "controllers", tuple(self.controllers))
         if not self.agents:
             raise ValidationError("scenario has no agents")
         if self.topology.n != len(self.agents):
@@ -153,24 +155,24 @@ class SimScenario:
             raise ValidationError("gain dimension does not match the target")
         if self.observer is not None and self.observer.C.shape != (self.cs.r,):
             raise ValidationError("observer row dimension does not match")
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if not (self.t_end >= self.dt and np.isfinite(self.t_end)):
-            raise ValidationError("t_end must be finite and at least one step")
+        if not self.dt > 0:  # NaN fails here, an infinite dt the next test
+            raise ValidationError("dt must be positive", field="sim.dt")
+        if not self.dt <= self.t_end < np.inf:
+            raise ValidationError("t_end must be finite and cover at least "
+                                  "one step", field="sim.t_end")
         if self.init not in ("explicit", "random"):
-            raise ValidationError(f"unknown init mode {self.init!r}")
+            raise ValidationError("init must be 'explicit' or 'random'",
+                                  field="sim.init")
         if self.observer_init not in ("zero", "match"):
-            raise ValidationError(f"unknown observer init {self.observer_init!r}")
+            raise ValidationError("init must be 'zero' or 'match'",
+                                  field="observer.init")
 
 
 def build_scenario(agents, cs, gain, topology, observer=None, **kwargs):
     """Convenience constructor that synthesizes the local controllers."""
-    controllers = local_controllers(cs, agents)
-    scen = SimScenario(agents=list(agents), cs=cs, gain=gain,
-                       controllers=controllers, topology=topology,
-                       observer=observer, **kwargs)
-    scen.validate()
-    return scen
+    return SimScenario(agents=agents, cs=cs, gain=gain,
+                       controllers=local_controllers(cs, agents),
+                       topology=topology, observer=observer, **kwargs)
 
 
 @dataclass
@@ -247,12 +249,9 @@ class _System:
 
     def __init__(self, scen, use_observer):
         agents, r = scen.agents, scen.cs.r
-        graphs = (scen.topology.graphs
-                  if isinstance(scen.topology, MarkovTopology)
-                  else [scen.topology])
         self.shape = (len(agents), r)
-        self.Phi = _mode_matrices(scen, [laplacian(g) for g in graphs],
-                                  use_observer)
+        self.Phi = _mode_matrices(
+            scen, [laplacian(g) for g in scen.topology.graphs], use_observer)
         self.use_observer = use_observer
         ends, self.aug, self.dim = _layout(agents, r, use_observer)
         self.nz = ends[0]
@@ -431,12 +430,13 @@ def _integrate(scen, modes, mode_path=None, run_index=0, use_observer=False):
     one index per sample, or 0 for the one-mode schedule of a fixed graph;
     the modes are reported only with a ``mode_path``."""
     times = _grid(scen, use_observer)
-    plan = _plan(scen, use_observer)
     modes = np.broadcast_to(modes, times.shape)
-    rows = np.empty((times.shape[0], plan.dim))  # the state at times[k]
-    rows[0] = plan.initial_state(scen, run_index)
     with np.errstate(over="ignore", invalid="ignore"):
-        # past an escape a chunk runs on to its end; the guard reads it
+        # a stiff design's step matrices overflow, and past an escape a
+        # chunk runs on to its end: the guard reads both
+        plan = _plan(scen, use_observer)
+        rows = np.empty((times.shape[0], plan.dim))  # the state at times[k]
+        rows[0] = plan.initial_state(scen, run_index)
         escape = _run(plan, rows, modes)
     if escape is not None:
         k, peak = escape
@@ -564,7 +564,6 @@ def _require_fixed(scen):
 
 def simulate_fixed(scen):
     """Simulate on the fixed graph with full-information feedback."""
-    scen.validate()
     _require_fixed(scen)
     return _integrate(scen, 0)
 
@@ -577,7 +576,6 @@ def simulate_with_observer(scen):
     The scenario's ``observer_init`` picks the start of the estimates:
     "zero" at the origin, "match" at the true initial state.
     """
-    scen.validate()
     _require_fixed(scen)
     if scen.observer is None:
         raise ValidationError("scenario has no observer section")
@@ -592,7 +590,6 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
     over each step.  With a single mode this is bit-identical to
     :func:`simulate_fixed` on that mode's graph.
     """
-    scen.validate()
     if not isinstance(scen.topology, MarkovTopology):
         raise ValidationError("scenario topology is not a switching topology")
     if scen.observer is not None:
@@ -635,9 +632,7 @@ def monte_carlo_ms(scen, runs):
     used = diverged = 0
     for k in range(runs):
         try:
-            # run 0 checks A4 for all: no run changes the topology
-            traj = simulate_switching(scen, allow_a4_violation=k > 0,
-                                      run_index=k)
+            traj = simulate_switching(scen, run_index=k)
         except FiniteEscape:
             diverged += 1
             continue

@@ -10,12 +10,14 @@ returned by :func:`speed_bound`.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
 from .errors import (
     A4ViolatedError,
+    AllZeroError,
     DimensionMismatchError,
     NotRankOneError,
     ReducibleChainError,
@@ -29,6 +31,7 @@ from .graph import (
     laplacian,
     union,
 )
+from .linalg import _read_only
 from .rng import STREAM_MODE_PATH, rng_for
 
 __all__ = [
@@ -87,7 +90,8 @@ class MarkovTopology:
     ``graphs`` is kept as a tuple and ``generator`` as a read-only copy.
     ``pi`` is not an argument: it is the chain's stationary law, computed
     from the generator, which sample_path draws the initial mode from and
-    whose smallest entry scales speed_bound.
+    whose smallest entry scales speed_bound.  The modes' ``union`` graph
+    and its ``a4_report`` (check_A4) are computed on first use and kept.
     """
 
     graphs: Tuple[DiGraph, ...]
@@ -107,13 +111,10 @@ class MarkovTopology:
             raise DimensionMismatchError(
                 f"generator is {gen.shape[0]}x{gen.shape[0]} for "
                 f"{len(graphs)} graphs")
-        gen = gen.copy()
-        pi = stationary_distribution(gen)
-        gen.setflags(write=False)
-        pi.setflags(write=False)
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi", stationary_distribution(gen))
+        _read_only(self)
 
     @property
     def n(self):
@@ -122,6 +123,16 @@ class MarkovTopology:
     @property
     def n_modes(self):
         return len(self.graphs)
+
+    @cached_property
+    def union(self):
+        return union(self.graphs)
+
+    @cached_property
+    def a4_report(self):
+        return A4Report(has_spanning_tree(self.union), is_balanced(self.union),
+                        tuple(GraphCheck(has_spanning_tree(g), is_balanced(g))
+                              for g in self.graphs))
 
 
 def _cdf(p):
@@ -184,7 +195,7 @@ class GraphCheck:
 class A4Report:
     union_has_spanning_tree: bool
     union_balanced: bool
-    per_graph: List[GraphCheck]
+    per_graph: Tuple[GraphCheck, ...]
 
     @property
     def passes(self):
@@ -192,16 +203,12 @@ class A4Report:
 
 
 def check_A4(mt):
-    """Union-graph connectivity and balance report for a switching topology."""
-    u = union(mt.graphs)
-    per = [GraphCheck(has_spanning_tree(g), is_balanced(g)) for g in mt.graphs]
-    return A4Report(union_has_spanning_tree=has_spanning_tree(u),
-                    union_balanced=is_balanced(u),
-                    per_graph=per)
+    """Union-graph connectivity and balance report, kept on the topology."""
+    return mt.a4_report
 
 
 def _lambda_min_on_disagreement(sym):
-    """Smallest eigenvalue of a symmetric matrix restricted to ones-perp.
+    """Smallest eigenvalue of a symmetric matrix (n >= 2) on ones-perp.
 
     The consensus direction is deflated exactly by projecting onto an
     orthonormal basis of the complement of span(ones).
@@ -209,13 +216,8 @@ def _lambda_min_on_disagreement(sym):
     n = sym.shape[0]
     v = np.ones(n) / np.sqrt(n)
     v[0] -= 1.0
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        basis = np.eye(n)[:, 1:]
-    else:
-        v = v / nrm
-        house = np.eye(n) - 2.0 * np.outer(v, v)
-        basis = house[:, 1:]
+    v = v / np.linalg.norm(v)
+    basis = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
     reduced = basis.T @ sym @ basis
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
 
@@ -225,8 +227,8 @@ def speed_bound(mt, gain, cs):
 
     min(pi) * mu * sqrt(q1 r_hat) * (B' nu) * lambda_min(L_union + L_union'),
     where lambda_min excludes the structural zero along ones.  Requires the
-    rank-one gain and the union graph to satisfy the spanning-tree and
-    balance assumption.
+    rank-one gain, at least two agents (one raises AllZeroError), and the
+    union graph to satisfy the spanning-tree and balance assumption.
 
     It is not a bound at a finite switching rate: on the default pair with
     the unit gain it reads 0.691, while the exact second-moment decay rate
@@ -235,12 +237,14 @@ def speed_bound(mt, gain, cs):
     """
     if gain.rank != "one":
         raise NotRankOneError("speed bound applies to the rank-one gain only")
+    if mt.n == 1:
+        raise AllZeroError("one agent has no disagreement to decay")
     report = check_A4(mt)
     if not report.passes:
         raise A4ViolatedError(
             f"union graph fails assumptions: spanning tree = "
             f"{report.union_has_spanning_tree}, balanced = {report.union_balanced}")
-    lap = laplacian(union(mt.graphs))
+    lap = laplacian(mt.union)
     lam = _lambda_min_on_disagreement(lap + lap.T)
     btnu = float(cs.B @ cs.nu)
     return float(mt.pi.min() * gain.mu * np.sqrt(gain.q1 * gain.r_hat)

@@ -46,7 +46,7 @@ from .errors import (
     PlacementFailure,
     UnstablePoleError,
 )
-from .linalg import eig, solve_care
+from .linalg import _read_only, eig, solve_care
 
 __all__ = [
     "CompanionSystem", "ConsensusGain", "LocalController", "ObserverGain",
@@ -72,6 +72,7 @@ class CompanionSystem:
     B: np.ndarray             # (r,) input vector e_r
     nu: np.ndarray            # (r,) left null vector [b_2, ..., b_r, 1]
     stable_poles: np.ndarray  # the r - 1 nonzero roots, complex
+    __post_init__ = _read_only
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,7 @@ class ConsensusGain:
     P1: np.ndarray            # (r, r) Riccati solution
     q1: Optional[float] = None       # scalar weight (rank-one only)
     Q1: Optional[np.ndarray] = None  # weight matrix (full rank only)
+    __post_init__ = _read_only
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,7 @@ class LocalController:
     E: np.ndarray             # (r - r_agent, r - r_agent)
     G: np.ndarray             # (r - r_agent,)
     static_row: Optional[np.ndarray]  # (r,) feedback row when r_agent == r
+    __post_init__ = _read_only
 
     @property
     def static(self):
@@ -106,6 +109,7 @@ class ObserverGain:
     C: np.ndarray             # (r,) measurement row on xihat
     M: np.ndarray             # (r,) injection gain
     poles: np.ndarray         # requested spectrum of A - M C
+    __post_init__ = _read_only
 
 
 @dataclass(frozen=True)
@@ -295,19 +299,21 @@ def observer_gain(cs, c, observer_poles):
         raise PlacementFailure(
             f"need exactly {cs.r} observer poles, got {poles.shape[0]}")
     _check_conjugate_closed(poles)
-    obsv = _obsv_matrix(c, cs.A)
-    svals = np.linalg.svd(obsv, compute_uv=False)
-    if svals[-1] <= _OBSERVABILITY_SV_TOL:
-        raise NotObservableError(
-            f"(C, A) is not observable (sigma_min = {svals[-1]:.3e})")
-    coeffs = np.poly(poles).real
-    p_of_a = np.zeros_like(cs.A)
-    for cof in coeffs:
-        p_of_a = p_of_a @ cs.A + cof * np.eye(cs.r)
-    e_last = np.zeros(cs.r)
-    e_last[-1] = 1.0
-    m = p_of_a @ np.linalg.solve(obsv, e_last)
-    achieved = eig(cs.A - np.outer(m, c))
+    try:  # a huge C or pole overflows C A^k or the pole polynomial of A
+        with np.errstate(over="raise", invalid="raise"):
+            obsv = _obsv_matrix(c, cs.A)
+            svals = np.linalg.svd(obsv, compute_uv=False)
+            if svals[-1] <= _OBSERVABILITY_SV_TOL:
+                raise NotObservableError(
+                    f"(C, A) is not observable (sigma_min = {svals[-1]:.3e})")
+            p_of_a = np.zeros_like(cs.A)
+            for cof in np.poly(poles).real:
+                p_of_a = p_of_a @ cs.A + cof * np.eye(cs.r)
+            m = p_of_a @ np.linalg.solve(obsv, np.eye(cs.r)[-1])
+            closed = cs.A - np.outer(m, c)
+    except FloatingPointError as exc:
+        raise PlacementFailure(f"the observer overflows: {exc}") from exc
+    achieved = eig(closed)
     want = np.sort_complex(poles)
     worst = _multiset_distance(want, achieved)
     if worst > _OBSERVER_PLACEMENT_TOL * max(1.0, np.abs(poles).max()):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import consensuskit as ck
-from consensuskit import cli
+from consensuskit import cli, errors, switching
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
 from consensuskit.scenario import load_scenario, parse_scenario
@@ -1224,6 +1224,23 @@ def test_cli_closed_loop_overflow_payload(tmp_path, capsys):
                 assert "mu = 1e+308" in err["message"], argv
 
 
+@pytest.mark.parametrize("observer", [
+    {"C": [1.0, 1e308, 0.0], "poles": [-3.0, -4.0, -5.0]},
+    {"C": [1.0, 0.0, 1e308], "poles": [-3.0, -4.0, -5.0]},
+    {"C": [1.0, 0.0, 0.0], "poles": [-3.0, -1e308, -5.0]},
+])
+def test_cli_observer_overflow_payload(tmp_path, capsys, observer):
+    # a C entry or an observer pole of 1e308 overflows C A^k or the pole
+    # polynomial of A: a SynthesisError at load, in place of a ValueError
+    # from a non-finite A - M C or a LinAlgError from the SVD
+    doc = base_doc()
+    doc["observer"] = observer
+    assert main(["synthesize", _write(tmp_path, doc)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SynthesisError"
+    assert "the observer overflows" in err["message"]
+
+
 @pytest.mark.parametrize("weight", [1e-16, 1e-10])
 def test_cli_synthesize_rates_a_weak_edge(tmp_path, capsys, weight):
     # the guaranteed rate is the spectral abscissa of the printed spectrum
@@ -1275,6 +1292,134 @@ def test_cli_simulate_requires_out_path(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "output.csv"
+
+
+def test_cli_synthesize_one_agent_switching_prints_null_limit(tmp_path,
+                                                             capsys):
+    # one agent has no disagreement to decay: speed_bound raises
+    # AllZeroError, as the fixed one-agent case does, in place of an
+    # IndexError from an empty disagreement basis
+    doc = switching_doc()
+    doc["agents"] = doc["agents"][:1]
+    doc["switching"]["graphs"] = [{"n": 1, "edges": []}] * 2
+    assert main(["synthesize", _write(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["fast_switching_limit"] is None
+    assert out["assumption"]["passes"] is True
+
+
+def test_cli_stiff_design_reports_only_its_error(tmp_path, capsys):
+    # the step matrices of mu = 1e4 (and q1 = 1e308) overflow while the
+    # plan is built; the guard reports the escape, and no numpy warning
+    # reaches stderr before it
+    stiff = json.loads((SCENARIO_DIR / "five_agents_fixed.json").read_text())
+    stiff["sim"]["t_end"] = 0.2
+    stiff["controller"]["mu"] = 1e4
+    heavy = copy.deepcopy(stiff)
+    heavy["controller"].update(mu=1.0, q1=1e308)
+    for doc, t in ((stiff, 0.002), (heavy, 0.001)):
+        rc = main(["simulate", _write(tmp_path, doc), "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "FiniteEscape"
+        assert err["t"] == t
+
+
+def test_cli_builds_the_union_and_its_report_once(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = {"union": 0, "A4Report": 0}
+    for name in calls:
+        real = getattr(switching, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(switching, name, counting)
+    path = str(SCENARIO_DIR / "five_agents_switching.json")
+    assert main(["synthesize", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["assumption"]["passes"] is True
+    assert out["fast_switching_limit"] > 0.0
+    assert calls == {"union": 1, "A4Report": 1}
+    # and once for all the runs of a Monte Carlo
+    doc = json.loads(Path(path).read_text())
+    doc["sim"]["t_end"] = 1.0
+    calls.update(union=0, A4Report=0)
+    assert main(["montecarlo", _write(tmp_path, doc), "--runs", "24",
+                 "--out", str(tmp_path / "ms.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["runs_used"] == 24
+    assert calls == {"union": 1, "A4Report": 1}
+
+
+FUZZ_VALUES = (0, -1, 1e-320, 1e4, 1e20, 1e154, 1e308, float("nan"))
+
+
+def _numeric_leaves(obj, path=()):
+    """The path of every number in a document (booleans left out)."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+    elif isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield from _numeric_leaves(value, path + (key,))
+
+
+def _fuzzed_documents(count, seed):
+    """Documents made from the shipped fixed and switching scenarios and
+    an observer variant of the fixed one, in turn (t_end 0.2, no output
+    section), each with 1-3 numeric leaves set to values of FUZZ_VALUES."""
+    fixed, switched = (
+        json.loads((SCENARIO_DIR / f"five_agents_{name}.json").read_text())
+        for name in ("fixed", "switching"))
+    observed = copy.deepcopy(fixed)
+    observed["observer"] = {"C": [1.0, 0.0, 0.0],
+                            "poles": [-3.0, -4.0, -5.0]}
+    bases = (fixed, switched, observed)
+    for doc in bases:
+        del doc["output"]
+        doc["sim"]["t_end"] = 0.2
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        doc = copy.deepcopy(bases[k % 3])
+        paths = list(_numeric_leaves(doc))
+        for j in rng.choice(len(paths), size=rng.integers(1, 4),
+                            replace=False):
+            *parents, last = paths[j]
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+        yield doc
+
+
+def test_cli_contract_holds_on_fuzzed_documents(tmp_path, capsys):
+    # every command ends in exit 0 with JSON on stdout, or in exit 1 or 2
+    # with one JSON line on stderr that names a ConsensusKitError: no
+    # traceback and no numpy warning (tier-1 turns those into errors)
+    path, out = str(tmp_path / "doc.json"), str(tmp_path / "x.csv")
+    exits = set()
+    for k, doc in enumerate(_fuzzed_documents(200, seed=0)):
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["synthesize", path], ["analyze", path],
+                     ["simulate", path, "--out", out],
+                     ["simulate-switching", path, "--out", out],
+                     ["montecarlo", path, "--runs", "2", "--out", out]):
+            rc = main(argv)
+            stdout, stderr = capsys.readouterr()
+            exits.add(rc)
+            if rc == 0:
+                json.loads(stdout)
+                assert stderr == "", (k, argv[0])
+                continue
+            assert rc in (1, 2), (k, argv[0])
+            (line,) = stderr.splitlines()
+            error = getattr(errors, json.loads(line)["error"], None)
+            assert isinstance(error, type), (k, argv[0], line)
+            assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
+    assert exits == {0, 1, 2}
 
 
 def test_star_import_binds_no_module():
