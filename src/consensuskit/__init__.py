@@ -7,16 +7,17 @@ loop on fixed or Markov-switching topologies, with optional observer-based
 output feedback.
 
 Typical flow: pick a target pole set, synthesize the companion target and
-the rank-one gain, wrap each agent with its degree-matching local
-controller, then simulate.
+the rank-one gain, then simulate.  Each agent's degree-matching local
+controller makes its stacked chain obey the target exactly, so the
+simulator runs the closed loop I (x) A - L (x) B K directly.
 
     import consensuskit as ck
 
     agents = [ck.builtin(f"agent{i}") for i in (1, 2, 3, 4, 5)]
     cs = ck.design_companion([-1.0, -2.0])
     gain = ck.rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
-    scen = ck.build_scenario(agents, cs, gain, ck.directed_cycle(5),
-                             t_end=30.0, dt=1e-3, seed=42, init="random")
+    scen = ck.SimScenario(agents, cs, gain, ck.directed_cycle(5),
+                          t_end=30.0, dt=1e-3, seed=42, init="random")
     traj = ck.simulate_fixed(scen)
 """
 
@@ -85,7 +86,6 @@ from .synthesis import (
     design_companion,
     full_gain,
     local_controller,
-    local_controllers,
     observer_gain,
     rank_one_gain,
 )
@@ -103,7 +103,6 @@ from .sim import (
     MonteCarloResult,
     SimScenario,
     Trajectory,
-    build_scenario,
     monte_carlo_ms,
     simulate_fixed,
     simulate_switching,

@@ -92,7 +92,7 @@ class UnstablePoleError(ConsensusKitError):
 
 
 class NonPositiveParameterError(ConsensusKitError):
-    """A design weight was not positive and finite, or overflowed the gain."""
+    """A design parameter was not positive and finite, or overflowed."""
 
 
 class DegreeExceedsTargetError(ConsensusKitError):

@@ -23,10 +23,11 @@ agent dynamics are polynomials given as term lists {"c": coefficient,
 (xi_1..xi_r, eta_1..eta_k).  Graph nodes are 1-based in documents.
 
 Loading validates the document (ValidationError carries a dotted field
-path), then synthesizes the target system, gains, local controllers, and
-observer eagerly so that design failures surface at load time as
-SynthesisError with the original cause chained; SimScenario checks the
-run settings last.
+path), then synthesizes the target system, gains and observer eagerly so
+that design failures surface at load time as SynthesisError with the
+original cause chained (poles whose target overflows are a ValidationError
+at controller.poles); SimScenario checks the agents' degrees and the run
+settings last.
 
 Each polynomial term and graph edge gets one check: a single test of
 exact types and ranges accepts a well-formed one, and its field path
@@ -35,8 +36,7 @@ Then the per-field checks run and name the error.  They stay the only
 judge: the single test accepts nothing they reject, and what it rejects
 they may still accept (an int subclass, say).  A graph's node count is
 compared with the number of agents before its n x n weights are
-allocated.  The local controllers are built once per relative degree
-(synthesis.local_controllers).
+allocated.
 """
 
 import json
@@ -48,6 +48,7 @@ import numpy as np
 from .agents import NormalFormAgent, TermTable, builtin
 from .errors import (
     ConsensusKitError,
+    NonPositiveParameterError,
     ScenarioParseError,
     SynthesisError,
     UnknownAgentError,
@@ -59,7 +60,6 @@ from .switching import MarkovTopology
 from .synthesis import (
     design_companion,
     full_gain,
-    local_controllers,
     observer_gain,
     rank_one_gain,
 )
@@ -307,6 +307,15 @@ def _parse_switching(doc, n_agents, where="switching"):
                               field=f"{where}.generator") from exc
 
 
+def _target(poles):
+    """The companion target of the poles; poles so large that the target
+    overflows (synthesis.design_companion) are a ValidationError."""
+    try:
+        return design_companion(poles)
+    except NonPositiveParameterError as exc:
+        raise ValidationError(str(exc), field="controller.poles") from exc
+
+
 def _check_closed_loop(cs, gain, topology):
     """Refuse a design whose closed loop I (x) A - L (x) B K overflows.
 
@@ -389,12 +398,11 @@ def parse_scenario(doc):
 
     # eager synthesis: any design failure surfaces now, with the cause chained
     try:
-        cs = design_companion(poles)
+        cs = _target(poles)
         if rank == "one":
             gain = rank_one_gain(cs, mu, q1, r_hat)
         else:
             gain = full_gain(cs, mu, q1m, r_hat)
-        controllers = local_controllers(cs, agents)
         observer = (observer_gain(cs, obs_c, obs_poles)
                     if observer_doc is not None else None)
     except (ValidationError, ScenarioParseError):
@@ -403,8 +411,7 @@ def parse_scenario(doc):
         raise SynthesisError(f"synthesis failed: {exc}") from exc
     _check_closed_loop(cs, gain, topology)
 
-    return SimScenario(agents=agents, cs=cs, gain=gain,
-                       controllers=controllers, topology=topology,
+    return SimScenario(agents=agents, cs=cs, gain=gain, topology=topology,
                        observer=observer, t_end=t_end, dt=dt, seed=seed,
                        init=sim_doc.get("init", "explicit"),
                        observer_init=(observer_doc or {}).get("init", "zero"),

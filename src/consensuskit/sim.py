@@ -1,19 +1,20 @@
 """Closed-loop simulation.
 
-With its local controller, every agent's chain xi and controller state phi
-stack into one r-vector xihat_i that is exactly linear,
+Every agent's local controller (synthesis.local_controller) lifts its
+chain xi to the target's degree, and the stacked chain and controller
+state xihat_i = (xi_i, phi_i) obeys the target's (A, B) exactly.  So the
+whole group moves by one linear system,
 
-    xihat_i' = M_i xihat_i + Bv_i v_i,   v = -(L feedback) K,
+    xihat' = (I (x) A - L (x) B K) xihat,
 
-where (M_i, Bv_i) = assemble_stacked(target, controller_i), which equals
-the target's (A, B) when the controller is correct, and the feedback is
-xihat itself or the observer estimates xcheck of it,
+its feedback xihat itself or the observer estimates xcheck of it,
 
     xcheck_i' = A xcheck_i + B v_i + M_o C (xihat_i - xcheck_i),
 
 M_o being the observer's injection gain.  So for each graph mode m the
 vector z = [xihat; xcheck] (agent-major, N r entries each; xcheck only
-with an observer) moves by one fixed matrix, z' = Phi[m] z
+with an observer) moves by one fixed matrix, z' = Phi[m] z, built from
+the target, the gain, the observer and the mode's Laplacian alone
 (_mode_matrices).  RK4 on z is then linear too: with the stage matrices
 K_s = Phi T_s (T_1 = I, T_2 = I + (h/2) K_1, T_3 = I + (h/2) K_2, T_4 = I
 + h K_3) a step is z -> S[m] z, S = I + (h/6) (((K_1 + 2 K_2) + 2 K_3) +
@@ -98,19 +99,11 @@ from .errors import BetaNearZero, FiniteEscape, ValidationError
 from .graph import DiGraph, laplacian
 from .rng import STREAM_INIT, rng_for
 from .switching import MarkovTopology, check_A4, sample_path
-from .synthesis import (
-    CompanionSystem,
-    ConsensusGain,
-    LocalController,
-    ObserverGain,
-    assemble_stacked,
-    local_controllers,
-)
+from .synthesis import CompanionSystem, ConsensusGain, ObserverGain
 
 __all__ = [
-    "SimScenario", "Trajectory", "MonteCarloResult", "build_scenario",
-    "simulate_fixed", "simulate_switching", "simulate_with_observer",
-    "monte_carlo_ms",
+    "SimScenario", "Trajectory", "MonteCarloResult", "simulate_fixed",
+    "simulate_switching", "simulate_with_observer", "monte_carlo_ms",
 ]
 
 
@@ -121,7 +114,6 @@ class SimScenario:
     agents: Tuple[NormalFormAgent, ...]
     cs: CompanionSystem
     gain: ConsensusGain
-    controllers: Tuple[LocalController, ...]
     topology: Union[DiGraph, MarkovTopology]
     observer: Optional[ObserverGain] = None
     t_end: float = 10.0
@@ -136,21 +128,16 @@ class SimScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "controllers", tuple(self.controllers))
         if not self.agents:
             raise ValidationError("scenario has no agents")
         if self.topology.n != len(self.agents):
             raise ValidationError(
                 f"{len(self.agents)} agents on a {self.topology.n}-node topology")
-        if len(self.controllers) != len(self.agents):
-            raise ValidationError("one local controller per agent is required")
-        for ag, ctl in zip(self.agents, self.controllers):
+        for k, ag in enumerate(self.agents):
             if ag.r > self.cs.r:
                 raise ValidationError(
-                    f"agent {ag.agent_id} degree {ag.r} exceeds target {self.cs.r}")
-            if ctl.r != self.cs.r or ctl.r_agent != ag.r:
-                raise ValidationError(
-                    f"controller for agent {ag.agent_id} does not match")
+                    f"agent {ag.agent_id} degree {ag.r} exceeds target "
+                    f"{self.cs.r}", field=f"agents[{k}]")
         if self.gain.K.shape != (self.cs.r,):
             raise ValidationError("gain dimension does not match the target")
         if self.observer is not None and self.observer.C.shape != (self.cs.r,):
@@ -166,13 +153,6 @@ class SimScenario:
         if self.observer_init not in ("zero", "match"):
             raise ValidationError("init must be 'zero' or 'match'",
                                   field="observer.init")
-
-
-def build_scenario(agents, cs, gain, topology, observer=None, **kwargs):
-    """Convenience constructor that synthesizes the local controllers."""
-    return SimScenario(agents=agents, cs=cs, gain=gain,
-                       controllers=local_controllers(cs, agents),
-                       topology=topology, observer=observer, **kwargs)
 
 
 @dataclass
@@ -199,27 +179,25 @@ class MonteCarloResult:
 def _mode_matrices(scen, laps, use_observer):
     """One matrix Phi[m] per mode with z' = Phi[m] z on the linear block.
 
-    Full information: Phi = blockdiag(M_i) - C with C[(i, a), (j, c)] =
-    Bv_i[a] L[i, j] K[c], the cooperative input v = -(L xihat) K entering
-    agent i through Bv_i.  With an observer, z = [xihat; xcheck], v is fed
-    back from xcheck and
+    Full information: Phi = I (x) A - C with C[(i, a), (j, c)] = B[a]
+    L[i, j] K[c], the cooperative input v = -(L xihat) K entering every
+    agent through B.  With an observer, z = [xihat; xcheck], v is fed back
+    from xcheck and
 
-        Phi = [[blockdiag(M_i), -C],
-               [I (x) M_o C,    I (x) (A - M_o C) - L (x) B K]].
+        Phi = [[I (x) A,     -C],
+               [I (x) M_o C, I (x) (A - M_o C) - L (x) B K]].
     """
-    cs, n, r = scen.cs, len(scen.agents), scen.cs.r
-    stacked = [assemble_stacked(cs, ctl) for ctl in scen.controllers]
-    bv = np.array([b for _, b in stacked])
-    diag = np.zeros((n, r, n, r))  # block (i, i) is M_i
-    diag[np.arange(n), :, np.arange(n), :] = [m for m, _ in stacked]
+    cs, K, r = scen.cs, scen.gain.K, scen.cs.r
+    n = laps[0].shape[0]
+    diag = np.zeros((n, r, n, r))  # block (i, i) is A
+    diag[np.arange(n), :, np.arange(n), :] = cs.A
     diag = diag.reshape(n * r, n * r)
-    K = scen.gain.K
     if use_observer:
         inj = np.outer(scen.observer.M, scen.observer.C)
         eye = np.eye(n)
     phis = []
     for lap in laps:
-        coupling = np.einsum("ia,ij,c->iajc", bv, lap, K).reshape(n * r, n * r)
+        coupling = np.einsum("a,ij,c->iajc", cs.B, lap, K).reshape(n * r, n * r)
         if not use_observer:
             phis.append(diag - coupling)
             continue

@@ -64,7 +64,11 @@ def stationary_distribution(generator):
 
     Solved as the least-squares system [Q'; 1'] pi = [0; 1].
     """
-    gen = _validate_generator(generator)
+    return _stationary(_validate_generator(generator))
+
+
+def _stationary(gen):
+    """stationary_distribution of a generator already validated."""
     l = gen.shape[0]
     if not _reachable(gen > 0).all():
         raise ReducibleChainError(
@@ -113,7 +117,7 @@ class MarkovTopology:
                 f"{len(graphs)} graphs")
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "pi", stationary_distribution(gen))
+        object.__setattr__(self, "pi", _stationary(gen))
         _read_only(self)
 
     @property

@@ -51,7 +51,7 @@ from .linalg import _read_only, eig, solve_care
 __all__ = [
     "CompanionSystem", "ConsensusGain", "LocalController", "ObserverGain",
     "SpectrumCheck", "design_companion", "rank_one_gain", "full_gain",
-    "local_controller", "local_controllers", "assemble_stacked",
+    "local_controller", "assemble_stacked",
     "observer_gain", "closed_loop_spectrum",
 ]
 
@@ -144,7 +144,8 @@ def design_companion(stable_poles):
     """Companion target from r - 1 strictly stable poles (plus the zero root).
 
     The pole set must be closed under conjugation so the coefficients come
-    out real.
+    out real, and small enough that the coefficients, and the products nu
+    nu' the rank-one P1 is made of, are finite.
     """
     poles = [complex(p) for p in stable_poles]
     if not poles:
@@ -155,8 +156,16 @@ def design_companion(stable_poles):
         raise UnstablePoleError(
             f"all poles must satisfy Re < -{_STABLE_POLE_TOL:.0e}, "
             f"got Re = {worst:.3e}")
-    coeffs = np.poly(np.concatenate([[0.0], poles]))
-    if np.abs(coeffs.imag).max() > 1e-9 * max(1.0, np.abs(coeffs).max()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.poly(np.concatenate([[0.0], poles]))
+        biggest = np.abs(coeffs).max()
+        finite = np.isfinite(biggest * biggest)
+    if not finite:
+        raise NonPositiveParameterError(
+            f"the poles overflow the target: its coefficients, or their "
+            f"products nu nu' in P1, are not finite (largest |pole| "
+            f"{max(abs(p) for p in poles):.3g})")
+    if np.abs(coeffs.imag).max() > 1e-9 * max(1.0, biggest):
         raise NotConjugateClosedError("pole set produced complex coefficients")
     coeffs = coeffs.real
     r = len(poles) + 1
@@ -183,14 +192,17 @@ def rank_one_gain(cs, mu, q1, r_hat):
         if not (val > 0 and np.isfinite(val)):
             raise NonPositiveParameterError(f"{name} must be positive, got {val!r}")
     btnu = float(cs.B @ cs.nu)
-    p1 = np.sqrt(q1) / (np.sqrt(r_hat) * btnu)
     with np.errstate(over="ignore"):
         k = mu * np.sqrt(q1 * r_hat) * cs.nu
+        p1 = np.sqrt(q1) / (np.sqrt(r_hat) * btnu)
+        p = p1 * np.outer(cs.nu, cs.nu)
     if not np.all(np.isfinite(k)):
         raise NonPositiveParameterError(
             f"the gain K = mu sqrt(q1 r_hat) nu overflows (mu = {mu!r}, "
             f"q1 = {q1!r}, r_hat = {r_hat!r})")
-    p = p1 * np.outer(cs.nu, cs.nu)
+    if not np.all(np.isfinite(p)):
+        raise NonPositiveParameterError(
+            f"P1 = nu p1 nu' overflows (q1 = {q1!r}, r_hat = {r_hat!r})")
     return ConsensusGain(rank="one", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, q1=float(q1))
 
@@ -210,6 +222,8 @@ def full_gain(cs, mu, q1_matrix, r_hat):
         raise NonPositiveParameterError(
             f"the gain K = mu r_hat B' P1 overflows (mu = {mu!r}, "
             f"r_hat = {r_hat!r})")
+    if not np.all(np.isfinite(p)):
+        raise NonPositiveParameterError("the Riccati solution P1 overflows")
     return ConsensusGain(rank="full", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, Q1=q1_matrix)
 
@@ -242,17 +256,6 @@ def local_controller(cs, agent):
     g = np.zeros(m)
     g[-1] = 1.0
     return LocalController(r=r, r_agent=ra, D=d, E=e, G=g, static_row=None)
-
-
-def local_controllers(cs, agents):
-    """One controller per agent, built once per relative degree: a
-    controller depends only on the target and the agent's degree, so the
-    agents of one degree share it."""
-    by_degree = {}
-    for agent in agents:
-        if agent.r not in by_degree:
-            by_degree[agent.r] = local_controller(cs, agent)
-    return [by_degree[agent.r] for agent in agents]
 
 
 def assemble_stacked(cs, ctl):

@@ -44,7 +44,7 @@ from consensuskit.metrics import (
     theoretical_speed_fixed,
 )
 from consensuskit.sim import (
-    build_scenario,
+    SimScenario,
     monte_carlo_ms,
     simulate_fixed,
     simulate_with_observer,
@@ -146,8 +146,8 @@ def coupling_runs(target, agents, cycle):
     for mu, t_end, dt in ((1.0, 30.0, 0.002), (0.1, 300.0, 0.02),
                           (0.01, 1000.0, 0.05)):
         gain = rank_one_gain(target, mu=mu, q1=1.0, r_hat=1.0)
-        scen = build_scenario(agents, target, gain, cycle, t_end=t_end,
-                              dt=dt, init="random", seed=42)
+        scen = SimScenario(agents, target, gain, cycle, t_end=t_end,
+                           dt=dt, init="random", seed=42)
         traj = simulate_fixed(scen)
         runs[mu] = (traj.times, disagreement(traj))
     return runs
@@ -160,8 +160,8 @@ def weight_runs(target, agents, cycle):
     runs = {}
     for q1 in (1.0, 10.0, 100.0):
         gain = rank_one_gain(target, mu=1.0, q1=q1, r_hat=1.0)
-        scen = build_scenario(agents, target, gain, cycle, t_end=20.0,
-                              dt=0.002, init="random", seed=42)
+        scen = SimScenario(agents, target, gain, cycle, t_end=20.0,
+                           dt=0.002, init="random", seed=42)
         traj = simulate_fixed(scen)
         fit = empirical_rate(traj.times, disagreement(traj),
                              window=(8.0, 18.0))
@@ -174,8 +174,8 @@ def weight_runs(target, agents, cycle):
 def observer_run(target, agents, cycle):
     gain = rank_one_gain(target, mu=1.0, q1=1.0, r_hat=1.0)
     obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
-    scen = build_scenario(agents, target, gain, cycle, observer=obs,
-                          t_end=30.0, dt=0.002, init="random", seed=42)
+    scen = SimScenario(agents, target, gain, cycle, observer=obs,
+                       t_end=30.0, dt=0.002, init="random", seed=42)
     return simulate_with_observer(replace(scen, observer_init="zero"))
 
 
@@ -183,8 +183,8 @@ def observer_run(target, agents, cycle):
 def switching_mc(target, agents):
     gain = rank_one_gain(target, mu=1.0, q1=1.0, r_hat=1.0)
     mt = MarkovTopology(list(default_switching_pair(5)), FLIP_FLOP)
-    scen = build_scenario(agents, target, gain, mt, t_end=30.0, dt=0.05,
-                          init="random", seed=42)
+    scen = SimScenario(agents, target, gain, mt, t_end=30.0, dt=0.05,
+                       init="random", seed=42)
     return monte_carlo_ms(scen, runs=200)
 
 
@@ -419,8 +419,8 @@ def test_criterion_9b_integrator_order_ratio(target, agents, cycle):
     gain = rank_one_gain(target, mu=1.0, q1=1.0, r_hat=1.0)
 
     def final_y(dt):
-        scen = build_scenario(agents, target, gain, cycle, t_end=2.0,
-                              dt=dt, init="random", seed=42)
+        scen = SimScenario(agents, target, gain, cycle, t_end=2.0,
+                           dt=dt, init="random", seed=42)
         return simulate_fixed(scen).y[-1]
 
     ref = final_y(0.0025)

@@ -2,7 +2,10 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -1239,6 +1242,86 @@ def test_cli_observer_overflow_payload(tmp_path, capsys, observer):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SynthesisError"
     assert "the observer overflows" in err["message"]
+
+
+@pytest.mark.parametrize("rank", ["one", "full"])
+@pytest.mark.parametrize("poles", [[-1e200, -1e200], [-1e300, -2.0]])
+def test_cli_huge_controller_poles_payload(tmp_path, capsys, poles, rank):
+    # the target's coefficients (1e400), or the products nu nu' of the
+    # rank-one P1 (nu holds 2e300), overflow: every command refuses the
+    # shipped design with these poles at load, with exit 1 and one JSON
+    # line naming the poles, where synthesize wrote a RuntimeWarning and
+    # blamed mu, printed an infinite P1, or (full rank) a ValueError
+    doc = json.loads((SCENARIO_DIR / "five_agents_fixed.json").read_text())
+    doc["controller"]["poles"] = poles
+    if rank == "full":
+        doc["controller"]["rank"] = "full"
+        del doc["controller"]["q1"]
+    scen = _write(tmp_path, doc)
+    out = str(tmp_path / "x.csv")
+    for argv in (["synthesize", scen], ["analyze", scen],
+                 ["simulate", scen, "--out", out]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValidationError", argv
+        assert err["field"] == "controller.poles", argv
+
+
+def test_cli_overflowing_p1_payload(tmp_path, capsys):
+    # q1 / r_hat so large that P1 = nu p1 nu' overflows, K staying finite:
+    # a SynthesisError naming both, where synthesize printed an infinite P1
+    doc = base_doc()
+    doc["controller"].update(q1=1e308, r_hat=1e-320)
+    assert main(["synthesize", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "SynthesisError"
+    assert "P1" in err["message"] and "r_hat = 1e-320" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_cli_agent_degree_above_target(tmp_path, capsys, command):
+    # a degree-4 agent on the shipped r = 3 target: the scenario's own
+    # check names the agent
+    doc = json.loads((SCENARIO_DIR / "five_agents_fixed.json").read_text())
+    doc["agents"][0] = {"custom": {
+        "r": 4, "n_eta": 0, "alpha": [],
+        "beta": [{"c": 1.0, "e": [0, 0, 0, 0]}], "theta": [],
+        "xi0": [0.1, 0.0, 0.0, 0.0], "eta0": []}}
+    argv = [command, _write(tmp_path, doc)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValidationError"
+    assert err["field"] == "agents[0]"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: synthesize on the shipped scenario,
+    # in a fresh interpreter, imports no scipy module
+    src = str(Path(ck.__file__).resolve().parent.parent)
+    path = str(SCENARIO_DIR / "five_agents_fixed.json")
+    code = (f"import json, sys\n"
+            f"from consensuskit.cli import main\n"
+            f"rc = main(['synthesize', {path!r}])\n"
+            f"scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            f"print(json.dumps(scipy), file=sys.stderr)\n"
+            f"sys.exit(rc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["r"] == 3
+    assert json.loads(proc.stderr) == []
 
 
 @pytest.mark.parametrize("weight", [1e-16, 1e-10])

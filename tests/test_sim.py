@@ -24,7 +24,7 @@ from consensuskit.graph import directed_cycle, empty_graph
 from consensuskit.scenario import parse_scenario
 from consensuskit import agents, sim, switching
 from consensuskit.sim import (
-    build_scenario, monte_carlo_ms, simulate_fixed, simulate_switching,
+    SimScenario, monte_carlo_ms, simulate_fixed, simulate_switching,
     simulate_with_observer,
 )
 from consensuskit.switching import (
@@ -49,13 +49,13 @@ def _chain_agent(agent_id, r, xi0):
 
 
 def _five_agent_scenario(target, unit_gain, five_agents, five_cycle, **kwargs):
-    return build_scenario(five_agents, target, unit_gain, five_cycle, **kwargs)
+    return SimScenario(five_agents, target, unit_gain, five_cycle, **kwargs)
 
 
 def _switching_scenario(target, unit_gain, five_agents, **kwargs):
     g1, g2 = default_switching_pair(5)
     mt = MarkovTopology(graphs=[g1, g2], generator=FLIP_FLOP)
-    return build_scenario(five_agents, target, unit_gain, mt, **kwargs)
+    return SimScenario(five_agents, target, unit_gain, mt, **kwargs)
 
 
 def test_time_grid_and_shapes(target, unit_gain, five_agents, five_cycle):
@@ -99,7 +99,7 @@ def test_single_mode_switching_matches_fixed(target, unit_gain, five_agents,
         _five_agent_scenario(target, unit_gain, five_agents, five_cycle, **kwargs))
     mt = MarkovTopology(graphs=[five_cycle], generator=np.array([[0.0]]))
     switched = simulate_switching(
-        build_scenario(five_agents, target, unit_gain, mt, **kwargs))
+        SimScenario(five_agents, target, unit_gain, mt, **kwargs))
     assert np.array_equal(switched.y, fixed.y)
     assert np.array_equal(switched.xi_hat, fixed.xi_hat)
     assert np.array_equal(switched.u, fixed.u)
@@ -122,8 +122,8 @@ def _manifold_agents():
 
 
 def test_consensus_manifold_is_invariant_fixed(target, unit_gain, five_cycle):
-    scen = build_scenario(_manifold_agents(), target, unit_gain, five_cycle,
-                          t_end=5.0, dt=1e-3)
+    scen = SimScenario(_manifold_agents(), target, unit_gain, five_cycle,
+                       t_end=5.0, dt=1e-3)
     traj = simulate_fixed(scen)
     spread = traj.xi_hat.max(axis=1) - traj.xi_hat.min(axis=1)
     assert spread.max() <= 1e-8
@@ -134,8 +134,8 @@ def test_consensus_manifold_is_invariant_fixed(target, unit_gain, five_cycle):
 def test_consensus_manifold_is_invariant_switching(target, unit_gain):
     g1, g2 = default_switching_pair(5)
     mt = MarkovTopology(graphs=[g1, g2], generator=FLIP_FLOP)
-    scen = build_scenario(_manifold_agents(), target, unit_gain, mt,
-                          t_end=5.0, dt=1e-3, seed=5)
+    scen = SimScenario(_manifold_agents(), target, unit_gain, mt,
+                       t_end=5.0, dt=1e-3, seed=5)
     traj = simulate_switching(scen)
     spread = traj.xi_hat.max(axis=1) - traj.xi_hat.min(axis=1)
     assert spread.max() <= 1e-8
@@ -156,8 +156,8 @@ def test_rate_matches_linear_spectrum(target, unit_gain):
     # disagreement must decay at the slowest stable mode of the target
     inits = ([0.9, -0.4, 0.1], [-0.6, 0.3, 0.0], [0.1, 0.8, -0.5])
     agents = [_chain_agent(i + 1, 3, xi) for i, xi in enumerate(inits)]
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
-                          t_end=12.0, dt=1e-3)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
+                       t_end=12.0, dt=1e-3)
     traj = simulate_fixed(scen)
     fit = ck.empirical_rate(traj.times, ck.disagreement(traj), window=(5.0, 11.0))
     check = ck.closed_loop_spectrum(target, unit_gain, ck.laplacian(directed_cycle(3)))
@@ -186,8 +186,9 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
     agents = [_chain_agent(1, 1, [0.9]), _chain_agent(2, 2, [-0.6, 0.3]),
               _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     cycle = directed_cycle(3)
-    scen = build_scenario(agents, target, unit_gain, cycle, t_end=4.0, dt=1e-3)
-    assert [ctl.E.shape[0] for ctl in scen.controllers] == [2, 1, 0]
+    scen = SimScenario(agents, target, unit_gain, cycle, t_end=4.0, dt=1e-3)
+    assert [ck.local_controller(target, ag).E.shape[0]
+            for ag in scen.agents] == [2, 1, 0]
     traj = simulate_fixed(scen)
     eye = np.eye(3)
     bk = np.outer(target.B, unit_gain.K)
@@ -219,8 +220,8 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
 
     g1, g2 = default_switching_pair(3)
     mt = MarkovTopology(graphs=[g1, g2], generator=2.0 * FLIP_FLOP)
-    traj = simulate_switching(build_scenario(agents, target, unit_gain, mt,
-                                             t_end=4.0, dt=1e-3, seed=6))
+    traj = simulate_switching(SimScenario(agents, target, unit_gain, mt,
+                                          t_end=4.0, dt=1e-3, seed=6))
     # sample k and the step after it run under mode[k]
     starts = np.flatnonzero(np.diff(traj.mode)) + 1
     assert len(starts) >= 2
@@ -330,8 +331,8 @@ def test_augmented_agent_tracks_physical_input(target, unit_gain):
                        xi0=xi0, u0=xi0[-1], agent_id=agent_id)
     agents = [make(1, [0.5, 0.0, -0.2]), make(2, [-0.3, 0.2, 0.1]),
               make(3, [0.0, -0.1, 0.4])]
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
-                          t_end=2.0, dt=2e-3)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
+                       t_end=2.0, dt=2e-3)
     traj = simulate_fixed(scen)
     # with alpha = 0, beta = 1 and u(0) = xi3(0), the integrated physical
     # input coincides with the last chain state sample for sample
@@ -350,8 +351,8 @@ def test_linear_block_escape_matches_iterated_step_matrix(target, unit_gain):
               _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     unstable = replace(unit_gain, K=-unit_gain.K)
     dt = 0.01
-    scen = build_scenario(agents, target, unstable, directed_cycle(3),
-                          t_end=30.0, dt=dt)
+    scen = SimScenario(agents, target, unstable, directed_cycle(3),
+                       t_end=30.0, dt=dt)
     hphi = dt * (np.kron(np.eye(3), target.A)
                  - np.kron(ck.laplacian(directed_cycle(3)),
                            np.outer(target.B, unstable.K)))
@@ -390,8 +391,8 @@ def test_cascade_overflow_is_a_finite_escape(target, unit_gain):
     agents = [blower, builtin("agent1").with_initial(xi0=[0.1, 0.0]),
               builtin("agent3")]
     dt = 1e-3
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
-                          t_end=1.0, dt=dt)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
+                       t_end=1.0, dt=dt)
     eta, k = np.float64(1.01), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while abs(eta) <= 1e6:
@@ -438,8 +439,8 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
         r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
         beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
-    scen = build_scenario(parse_scenario(doc).agents + (augmented,), target,
-                          unit_gain, directed_cycle(4))
+    scen = SimScenario(parse_scenario(doc).agents + (augmented,), target,
+                       unit_gain, directed_cycle(4))
     system = sim._System(scen, False)
     n_in = len(system.cols) + len(system.aug)
     v = [f"v{j}" for j in range(n_in + system.dim - system.nz)]
@@ -588,8 +589,8 @@ def test_generated_sources_hold_no_power_and_no_float(target, unit_gain):
         beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     agents = [decay, builtin("agent1"), builtin("agent3"), augmented]
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
-                          t_end=0.1, dt=0.01)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(4),
+                       t_end=0.1, dt=0.01)
     functions = [sim._System(scen, False).block]
     for table in (custom, builtin("agent3").alpha, builtin("agent5").theta,
                   augmented.beta, TermTable([[], [(2.0, ())]]),
@@ -643,8 +644,8 @@ def test_cascade_without_z_input_is_exact_rk4(target, unit_gain):
     agents = [decay, _chain_agent(2, 3, [0.5, 0.0, -0.2]),
               _chain_agent(3, 2, [-0.4, 0.1])]
     dt = 0.01
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
-                          t_end=3.0, dt=dt)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
+                       t_end=3.0, dt=dt)
     system = sim._System(scen, False)
     assert system.cols == [] and system.aug == []
     eta = simulate_fixed(scen).eta[0][:, 0]
@@ -736,8 +737,8 @@ def test_finite_escape_truncates_trajectory(target, unit_gain):
         xi0=np.zeros(2), eta0=np.array([2.0]))
     others = [builtin("agent1"), builtin("agent2")]
     others = [ag.with_initial(xi0=[0.1, 0.0]) for ag in others]
-    scen = build_scenario([blower] + others, target, unit_gain,
-                          directed_cycle(3), t_end=3.0, dt=1e-3)
+    scen = SimScenario([blower] + others, target, unit_gain,
+                       directed_cycle(3), t_end=3.0, dt=1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ck.FiniteEscape) as exc:
             simulate_fixed(scen)
@@ -758,8 +759,8 @@ def test_beta_floor_aborts_run(target, unit_gain):
         alpha=ZERO, beta=XI_1, theta=NO_INTERNAL,
         xi0=np.array([0.0, 1.0]), eta0=np.empty(0))
     others = [builtin("agent1"), builtin("agent2")]
-    scen = build_scenario([degenerate] + others, target, unit_gain,
-                          directed_cycle(3), t_end=1.0, dt=0.01)
+    scen = SimScenario([degenerate] + others, target, unit_gain,
+                       directed_cycle(3), t_end=1.0, dt=0.01)
     with pytest.raises(ck.BetaNearZero) as exc:
         simulate_fixed(scen)
     assert exc.value.agent_id == 1
@@ -779,8 +780,8 @@ def test_beta_floor_is_reported_before_the_escape_it_causes(target,
         alpha=ZERO, beta=XI_1, theta=NO_INTERNAL,
         xi0=np.array([0.0, 1.0]), eta0=np.empty(0))
     agents = [builtin("agent3"), zero_beta, plain]
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(3),
-                          t_end=1.0, dt=0.01)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
+                       t_end=1.0, dt=0.01)
     with np.errstate(all="ignore"):
         with pytest.raises(ck.BetaNearZero) as exc:
             simulate_fixed(scen)
@@ -898,26 +899,62 @@ def test_benchmark_traced_layer_names_are_public_functions():
     assert [name for name in _TRACED_LAYER_NAMES if not traced(name)] == []
 
 
-def test_agents_of_one_degree_share_a_controller(target, unit_gain,
-                                                five_agents, five_cycle):
-    # agents 1, 2, 4, 5 have degree 2 and agent 3 degree 3: two controllers,
-    # and the mode matrices are those of one controller per agent
+def _per_agent_mode_matrices(scen, laps, use_observer):
+    """The mode matrices built agent by agent: block (i, i) and the
+    coupling's input vector are those of agent i's own local controller
+    (synthesis.assemble_stacked).  The oracle of sim._mode_matrices."""
+    cs, n, r = scen.cs, len(scen.agents), scen.cs.r
+    stacked = [ck.assemble_stacked(cs, ck.local_controller(cs, ag))
+               for ag in scen.agents]
+    bv = np.array([b for _, b in stacked])
+    diag = np.zeros((n, r, n, r))
+    diag[np.arange(n), :, np.arange(n), :] = [m for m, _ in stacked]
+    diag = diag.reshape(n * r, n * r)
+    K = scen.gain.K
+    phis = []
+    for lap in laps:
+        coupling = np.einsum("ia,ij,c->iajc", bv, lap, K)
+        coupling = coupling.reshape(n * r, n * r)
+        if not use_observer:
+            phis.append(diag - coupling)
+            continue
+        inj = np.outer(scen.observer.M, scen.observer.C)
+        eye = np.eye(n)
+        phis.append(np.block([
+            [diag, -coupling],
+            [np.kron(eye, inj),
+             np.kron(eye, cs.A - inj) - np.kron(lap, np.outer(cs.B, K))]]))
+    return np.array(phis)
+
+
+def test_mode_matrices_are_the_per_agent_build_bit_for_bit(
+        target, unit_gain, five_agents):
+    # every local controller makes its agent's stacked chain obey (A, B)
+    # exactly, so the mode matrices built from the target alone equal the
+    # agent-by-agent build in every bit (zero signs included): mixed-degree
+    # chains, the shipped five agents and a two-mode switching set, each
+    # with and without an observer
     obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
-    scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
-                                observer=obs)
+    chains = [_chain_agent(1, 1, [0.9]), _chain_agent(2, 2, [-0.6, 0.3]),
+              _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     shipped = parse_scenario(json.loads(
         (SCENARIO_DIR / "five_agents_fixed.json").read_text()))
-    for s in (scen, shipped):
-        ctls = s.controllers
-        assert [c.r_agent for c in ctls] == [ag.r for ag in s.agents]
-        assert len({id(c) for c in ctls}) == len({ag.r for ag in s.agents})
-    per_agent = replace(scen, controllers=[
-        ck.local_controller(target, ag) for ag in five_agents])
-    laps = [ck.laplacian(g) for g in default_switching_pair(5)]
-    for use_observer in (False, True):
-        assert np.array_equal(sim._mode_matrices(scen, laps, use_observer),
-                              sim._mode_matrices(per_agent, laps,
-                                                 use_observer))
+    pair = default_switching_pair(5)
+    cases = [
+        (SimScenario(chains, target, unit_gain, directed_cycle(3),
+                     observer=obs), [directed_cycle(3)]),
+        (replace(shipped, observer=obs), [shipped.topology]),
+        (SimScenario(five_agents, target, unit_gain, MarkovTopology(
+            pair, FLIP_FLOP), observer=obs), pair),
+    ]
+    for scen, graphs in cases:
+        laps = [ck.laplacian(g) for g in graphs]
+        for use_observer in (False, True):
+            ours = sim._mode_matrices(scen, laps, use_observer)
+            oracle = _per_agent_mode_matrices(scen, laps, use_observer)
+            assert ours.shape == oracle.shape
+            assert np.array_equal(ours.view(np.uint64),
+                                  oracle.view(np.uint64))
 
 
 def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):
@@ -939,8 +976,8 @@ def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):
 def test_switching_assumption_gate(target, unit_gain, five_agents):
     mt = MarkovTopology(graphs=[empty_graph(5), empty_graph(5)],
                         generator=FLIP_FLOP)
-    scen = build_scenario(five_agents, target, unit_gain, mt,
-                          t_end=0.5, dt=0.01, init="random", seed=2)
+    scen = SimScenario(five_agents, target, unit_gain, mt,
+                       t_end=0.5, dt=0.01, init="random", seed=2)
     with pytest.raises(ck.ValidationError):
         simulate_switching(scen)
     traj = simulate_switching(scen, allow_a4_violation=True)
@@ -950,21 +987,21 @@ def test_switching_assumption_gate(target, unit_gain, five_agents):
 
 def test_scenario_validation_messages(target, unit_gain, five_agents):
     with pytest.raises(ck.ValidationError):
-        build_scenario(five_agents, target, unit_gain, directed_cycle(3))
+        SimScenario(five_agents, target, unit_gain, directed_cycle(3))
     with pytest.raises(ck.ValidationError):
-        build_scenario(five_agents, target, unit_gain, directed_cycle(5),
-                       dt=-0.1)
+        SimScenario(five_agents, target, unit_gain, directed_cycle(5),
+                    dt=-0.1)
     with pytest.raises(ck.ValidationError):
-        build_scenario(five_agents, target, unit_gain, directed_cycle(5),
-                       t_end=0.001, dt=0.01)
+        SimScenario(five_agents, target, unit_gain, directed_cycle(5),
+                    t_end=0.001, dt=0.01)
     with pytest.raises(ck.ValidationError):
-        build_scenario(five_agents, target, unit_gain, directed_cycle(5),
-                       init="sampled")
+        SimScenario(five_agents, target, unit_gain, directed_cycle(5),
+                    init="sampled")
     with pytest.raises(ck.ValidationError):
-        build_scenario([], target, unit_gain, directed_cycle(5))
+        SimScenario([], target, unit_gain, directed_cycle(5))
     with pytest.raises(ck.ValidationError):
-        build_scenario(five_agents, target, unit_gain, directed_cycle(5),
-                       t_end=float("inf"))
+        SimScenario(five_agents, target, unit_gain, directed_cycle(5),
+                    t_end=float("inf"))
 
 
 def test_custom_agent_matches_independent_oracles(target, unit_gain):
@@ -999,9 +1036,9 @@ def test_custom_agent_matches_independent_oracles(target, unit_gain):
         beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     agents = parse_scenario(doc).agents + (augmented,)
-    traj = simulate_fixed(build_scenario(agents, target, unit_gain,
-                                         directed_cycle(4), t_end=5.0,
-                                         dt=0.005))
+    traj = simulate_fixed(SimScenario(agents, target, unit_gain,
+                                      directed_cycle(4), t_end=5.0,
+                                      dt=0.005))
     assert np.array_equal(traj.eta[1][:, 1], np.full(traj.times.shape, -0.7))
 
     phi = (np.kron(np.eye(4), target.A)
@@ -1149,8 +1186,8 @@ def test_linear_pass_matches_stepwise_rk4(target, unit_gain, monkeypatch,
     dt = 0.01
     topology = (g1 if schedule == "one_mode" else MarkovTopology(
         graphs=[g1, directed_cycle(4)], generator=FLIP_FLOP))
-    scen = build_scenario(agents, target, unit_gain, topology,
-                          t_end=steps * dt, dt=dt)
+    scen = SimScenario(agents, target, unit_gain, topology,
+                       t_end=steps * dt, dt=dt)
     traj = sim._integrate(scen, modes)
     size = 256 if schedule == "one_mode" else 227
     assert counts == [min(size, steps)]
@@ -1186,8 +1223,8 @@ def test_linear_pass_segments_shrink_for_a_large_state(target, unit_gain,
         -1.0, 1.0, 3)) for i in range(8)]
     cycle = directed_cycle(8)
     dt = 0.01
-    traj = simulate_fixed(build_scenario(agents, target, unit_gain, cycle,
-                                         t_end=7.0, dt=dt))
+    traj = simulate_fixed(SimScenario(agents, target, unit_gain, cycle,
+                                      t_end=7.0, dt=dt))
     assert counts == [113]
     hphi = dt * (np.kron(np.eye(8), target.A)
                  - np.kron(ck.laplacian(cycle), np.outer(target.B, unit_gain.K)))
@@ -1212,9 +1249,9 @@ def test_augmented_input_starts_at_its_u0_exactly(target, unit_gain):
                       xi0=[0.3, -0.2, last], u0=u0, agent_id=1),
               _chain_agent(2, 3, [-0.5, 0.1, 0.2]),
               _chain_agent(3, 3, [0.2, 0.4, -0.3])]
-    traj = simulate_fixed(build_scenario(agents, target, unit_gain,
-                                         directed_cycle(3), t_end=0.1,
-                                         dt=0.01))
+    traj = simulate_fixed(SimScenario(agents, target, unit_gain,
+                                      directed_cycle(3), t_end=0.1,
+                                      dt=0.01))
     assert traj.u[0, 0] == u0
     assert traj.xi_hat[0, 0, 2] == last
 
@@ -1275,8 +1312,8 @@ def test_monte_carlo_checks_A4_once(target, unit_gain, five_agents,
     # a failing union graph is the ValidationError of a single run
     mt = MarkovTopology(graphs=[empty_graph(5), empty_graph(5)],
                         generator=FLIP_FLOP)
-    bad = build_scenario(five_agents, target, unit_gain, mt,
-                         t_end=0.2, dt=0.01, init="random", seed=2)
+    bad = SimScenario(five_agents, target, unit_gain, mt,
+                      t_end=0.2, dt=0.01, init="random", seed=2)
     with pytest.raises(ck.ValidationError) as single:
         simulate_switching(bad)
     with pytest.raises(ck.ValidationError) as mc:
@@ -1290,8 +1327,8 @@ def test_grid_refuses_at_the_width_the_system_allocates(target, unit_gain):
     # an observer, the xcheck half of z
     agents = _loop_agents()
     obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
-    scen = build_scenario(agents, target, unit_gain, directed_cycle(4),
-                          observer=obs, t_end=1e300, dt=1e-3)
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(4),
+                       observer=obs, t_end=1e300, dt=1e-3)
     for use_observer in (False, True):
         dim = sim._System(scen, use_observer).dim
         assert dim == 4 * 3 * (1 + use_observer) + 1 + 1
@@ -1445,7 +1482,8 @@ def test_scenario_checks_its_run_settings_once_built(
                              **settings)
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle)
     assert isinstance(scen.agents, tuple)
-    assert isinstance(scen.controllers, tuple)
+    assert [ck.local_controller(target, ag).r_agent
+            for ag in scen.agents] == [ag.r for ag in five_agents]
     with pytest.raises(ck.ValidationError) as replaced:
         replace(scen, **settings)
     assert built.value.field == replaced.value.field == field
@@ -1577,7 +1615,7 @@ def test_failures_inside_a_chunk_match_one_segment_per_chunk(
     steps = 320
     if layout == "every_step":
         g1, g2 = default_switching_pair(5)
-        scen = build_scenario(agents, target, unit_gain, MarkovTopology(
+        scen = SimScenario(agents, target, unit_gain, MarkovTopology(
             graphs=[g1, g2], generator=FLIP_FLOP), t_end=steps * dt, dt=dt)
         modes = np.arange(steps + 1) % 2
 
@@ -1585,8 +1623,8 @@ def test_failures_inside_a_chunk_match_one_segment_per_chunk(
             sim._integrate(scen, modes)
     else:
         obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
-        scen = build_scenario(agents, target, unit_gain, directed_cycle(5),
-                              observer=obs, t_end=steps * dt, dt=dt)
+        scen = SimScenario(agents, target, unit_gain, directed_cycle(5),
+                           observer=obs, t_end=steps * dt, dt=dt)
         modes = np.zeros(steps + 1, dtype=int)
 
         def run():

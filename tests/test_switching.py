@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 import consensuskit as ck
+from consensuskit import switching
 from consensuskit.graph import DiGraph, directed_cycle, empty_graph, laplacian, union
 from consensuskit.switching import (
     MarkovTopology, check_A4, default_switching_pair, sample_path,
@@ -91,6 +92,29 @@ def test_generator_validation():
         stationary_distribution(np.array([[-1.0, 2.0], [1.0, -1.0]]))
     with pytest.raises(ValueError):
         stationary_distribution(np.array([[-np.inf, np.inf], [1.0, -1.0]]))
+
+
+def test_markov_topology_validates_its_generator_once(monkeypatch):
+    # construction checks the generator once, and stationary_distribution
+    # still checks an outside caller's
+    calls = []
+    real = switching._validate_generator
+
+    def counted(gen):
+        calls.append(1)
+        return real(gen)
+
+    monkeypatch.setattr(switching, "_validate_generator", counted)
+    mt = _default_topology(np.array([[-2.0, 2.0], [1.0, -1.0]]))
+    assert len(calls) == 1
+    assert np.allclose(mt.pi, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+    _default_topology()
+    assert len(calls) == 2
+    stationary_distribution(FLIP_FLOP)
+    assert len(calls) == 3
+    with pytest.raises(ValueError):
+        _default_topology(np.array([[-1.0, 2.0], [1.0, -1.0]]))
+    assert len(calls) == 4
 
 
 def test_markov_topology_validation():

@@ -11,7 +11,7 @@ import consensuskit as ck
 from consensuskit import synthesis
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
-    local_controller, local_controllers, observer_gain, rank_one_gain,
+    local_controller, observer_gain, rank_one_gain,
 )
 
 
@@ -61,6 +61,12 @@ def test_design_companion_rejects_bad_pole_sets():
         design_companion([-1.0, 0.0])
     with pytest.raises(ck.NotConjugateClosedError):
         design_companion([-1.0 + 1.0j, -2.0])
+    # the coefficients overflow (1e400), or their products nu nu', of
+    # which the rank-one P1 is made (nu holds 2e300 and 1e160): refused
+    # without a numpy warning
+    for poles in ([-1e200, -1e200], [-1e300, -2.0], [-1e80, -1e80]):
+        with pytest.raises(ck.NonPositiveParameterError, match="overflow"):
+            design_companion(poles)
 
 
 def test_rank_one_gain_exact_values(target, unit_gain):
@@ -108,7 +114,9 @@ def test_gain_parameter_gates(target):
     for kwargs in ({"mu": 0.0, "q1": 1.0, "r_hat": 1.0},
                    {"mu": 1.0, "q1": -2.0, "r_hat": 1.0},
                    {"mu": 1.0, "q1": 1.0, "r_hat": 0.0},
-                   {"mu": np.inf, "q1": 1.0, "r_hat": 1.0}):
+                   {"mu": np.inf, "q1": 1.0, "r_hat": 1.0},
+                   # p1 = sqrt(q1 / r_hat) = 1e314: P1 overflows, K does not
+                   {"mu": 1.0, "q1": 1e308, "r_hat": 1e-320}):
         with pytest.raises(ck.NonPositiveParameterError):
             rank_one_gain(target, **kwargs)
     with pytest.raises(ck.NonPositiveParameterError):
@@ -152,24 +160,6 @@ def test_local_controller_degree_two_agent(target):
     assert np.array_equal(ctl.D, [[0.0, -2.0]])
     assert np.array_equal(ctl.E, [[-3.0]])
     assert np.array_equal(ctl.G, [1.0])
-
-
-def test_local_controllers_share_one_per_degree(target):
-    agents = [SimpleNamespace(r=r) for r in (2, 3, 2, 1, 3, 2)]
-    ctls = local_controllers(target, agents)
-    assert len(ctls) == len(agents)
-    for ag, ctl in zip(agents, ctls):
-        alone = local_controller(target, ag)
-        assert (ctl.r, ctl.r_agent) == (alone.r, alone.r_agent)
-        for name in ("D", "E", "G"):
-            assert np.array_equal(getattr(ctl, name), getattr(alone, name))
-        assert (ctl.static_row is None) == (alone.static_row is None)
-        if alone.static_row is not None:
-            assert np.array_equal(ctl.static_row, alone.static_row)
-    assert len({id(c) for c in ctls}) == 3
-    assert ctls[0] is ctls[2] is ctls[5] and ctls[1] is ctls[4]
-    with pytest.raises(ck.DegreeExceedsTargetError):
-        local_controllers(target, [SimpleNamespace(r=2), SimpleNamespace(r=4)])
 
 
 def test_local_controller_rejects_excess_degree(target):
