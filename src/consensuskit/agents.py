@@ -258,24 +258,37 @@ class TermTable:
         """Each row as a Python expression in which z_j is the name
         names[j].  Every coefficient is appended to `coefs` and read as the
         name c<t>, t its place there, so the source holds no float and the
-        coefficients keep every bit.  A term is c * (its factors in order),
-        z_j ** p the product of the squares z_j ** (2 ** i) at the set bits
-        i of p, lowest first.  The square z_j ** (2 ** i), i > 0, is the
-        name names[j]_sq<i>, made by the line squares[name] from the one
-        before; the lines a row needs are added to the dict `squares`, in
-        the order in which they must run, before the rows."""
+        coefficients keep every bit.  A term is c<t> * (its factors in
+        order), or c<t> alone without factors, z_j ** p the product of the
+        squares z_j ** (2 ** i) at the set bits i of p, lowest first.  The
+        square z_j ** (2 ** i), i > 0, is the name names[j]_sq<i>, made by
+        the line squares[name] from the one before; the lines a row needs
+        are added to the dict `squares`, in the order in which they must
+        run, before the rows.
+
+        A term with factors whose c is exactly 1.0 or -1.0 does not read
+        its c<t>, which keeps its place in `coefs` all the same: it is (its
+        factors), added, or subtracted (-(its factors) where it starts its
+        row, or in a row long enough for _join to group).  IEEE makes that
+        exact: 1.0 * x is x, -1.0 * x is -x and s + -x is s - x, bit for bit
+        on every finite, zero and infinite value; only a NaN's sign bit can
+        differ.  So the source depends on the table's shape and on which of
+        its coefficients are +-1."""
         rows = [[] for _ in range(self.n_rows)]
         for k, c, factors in self._terms:
             mono = _join([f for j, p in factors
                           for f in _squares(names[j], p, squares)], " * ")
-            rows[k].append(f"c{len(coefs)} * ({mono})" if mono
-                           else f"c{len(coefs)}")
+            if mono and abs(c) == 1.0:
+                rows[k].append((c < 0.0, f"({mono})"))
+            else:
+                rows[k].append((False, f"c{len(coefs)} * ({mono})" if mono
+                                else f"c{len(coefs)}"))
             coefs.append(c)
         for terms in rows:
             if not terms:
-                terms.append(f"c{len(coefs)}")
+                terms.append((False, f"c{len(coefs)}"))
                 coefs.append(0.0)
-        return [_join(terms, " + ") for terms in rows]
+        return [_sum(terms) for terms in rows]
 
 
 def _squares(name, p, squares):
@@ -306,12 +319,26 @@ def _power(p, k, t, j):
     return q
 
 
+_GROUP = 256  # the terms or factors _join writes in one group
+
+
+def _sum(terms):
+    """The sum of the (negated, text) `terms` in order, a negated term
+    subtracted, or -(text) where it starts the sum or the sum is long
+    enough for _join to group it."""
+    if len(terms) > _GROUP:
+        return _join([f"-{t}" if neg else t for neg, t in terms], " + ")
+    (neg, first), *rest = terms
+    return "".join([f"-{first}" if neg else first]
+                   + [f" - {t}" if neg else f" + {t}" for neg, t in rest])
+
+
 def _join(items, op):
     # thousands of terms or factors nest too deep for the Python compiler:
-    # join them 256 at a time, left to right inside each group
-    while len(items) > 256:
-        items = ["(" + op.join(items[a:a + 256]) + ")"
-                 for a in range(0, len(items), 256)]
+    # join them _GROUP at a time, left to right inside each group
+    while len(items) > _GROUP:
+        items = ["(" + op.join(items[a:a + _GROUP]) + ")"
+                 for a in range(0, len(items), _GROUP)]
     return op.join(items)
 
 

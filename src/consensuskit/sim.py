@@ -27,8 +27,11 @@ What is not linear is eta' = theta(xi, eta) and the physical input of
 augmented agents, u' = (u_hat - alpha) / beta: a cascade driven by z that
 never feeds back into it.  Its term tables are written out as the source
 of one function that runs RK4 on it over many steps in Python floats
-(_System._compile_cascade); the source holds no coefficient, so its code
-is compiled once per shape of cascade (agents._code).  Its inputs at each
+(_System._compile_cascade).  The source reads every coefficient as an
+argument but those that are exactly +-1, each such term being its bare
+product added or subtracted, which IEEE makes exact (TermTable._source).
+So its code is compiled once per shape of cascade and set of unit
+coefficients (agents._code).  Its inputs at each
 step, z at the columns the tables read at each stage state T_s z and
 u_hat (entry i r + r_i - 1 of K_s z) of each augmented agent, are the
 product z @ G[m] (_step_matrices).  The flat state is [z | eta | d], d = u
@@ -292,7 +295,9 @@ class _System:
         the squares its rows read, and the step is y + (h/6) (((k_1 + 2 k_2)
         + 2 k_3) + k_4).  The source holds no float and no power;
         the coefficients, h/2, h, h/6 and 2.0 are default arguments, so one
-        code object serves every cascade of its shape.
+        code object serves every cascade of its shape whose coefficients
+        are +-1 at the same terms (those terms read none, as
+        TermTable._source writes them).
         """
         n_aug, n = len(self.aug), self.dim - self.nz
         n_in = len(self.cols) + n_aug

@@ -1450,31 +1450,54 @@ def _numeric_leaves(obj, path=()):
             yield from _numeric_leaves(value, path + (key,))
 
 
-def _fuzzed_documents(count, seed):
+def _leaves(obj, path=()):
+    """The path of every value in a document that is not a dict or list."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _fuzzed_documents(count, seed, values=FUZZ_VALUES,
+                      leaves=_numeric_leaves, custom=False):
     """Documents made from the shipped fixed and switching scenarios and
-    an observer variant of the fixed one, in turn (t_end 0.2, no output
-    section), each with 1-3 numeric leaves set to values of FUZZ_VALUES."""
+    an observer variant of the fixed one (and, with `custom`, a variant
+    whose first agent is given by its term lists), in turn (t_end 0.2, no
+    output section), each with 1-3 of its `leaves` set to `values`."""
     fixed, switched = (
         json.loads((SCENARIO_DIR / f"five_agents_{name}.json").read_text())
         for name in ("fixed", "switching"))
     observed = copy.deepcopy(fixed)
     observed["observer"] = {"C": [1.0, 0.0, 0.0],
                             "poles": [-3.0, -4.0, -5.0]}
-    bases = (fixed, switched, observed)
+    bases = [fixed, switched, observed]
+    if custom:
+        termed = copy.deepcopy(fixed)
+        termed["agents"][0] = {"custom": {
+            "r": 2, "n_eta": 1, "alpha": [{"c": 0.1, "e": [0, 0, 0]}],
+            "beta": [{"c": 1.0, "e": [0, 0, 0]}],
+            "theta": [[{"c": -2.0, "e": [0, 0, 1]},
+                       {"c": -1.0, "e": [0, 0, 3]},
+                       {"c": 1.0, "e": [1, 0, 0]}]],
+            "xi0": [0.5, -0.2], "eta0": [0.3]}}
+        termed["sim"]["init"] = "explicit"
+        bases.append(termed)
     for doc in bases:
         del doc["output"]
         doc["sim"]["t_end"] = 0.2
     rng = np.random.default_rng(seed)
     for k in range(count):
-        doc = copy.deepcopy(bases[k % 3])
-        paths = list(_numeric_leaves(doc))
+        doc = copy.deepcopy(bases[k % len(bases)])
+        paths = list(leaves(doc))
         for j in rng.choice(len(paths), size=rng.integers(1, 4),
                             replace=False):
             *parents, last = paths[j]
             node = doc
             for key in parents:
                 node = node[key]
-            node[last] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+            node[last] = copy.deepcopy(values[rng.integers(len(values))])
         yield doc
 
 
@@ -1503,6 +1526,40 @@ def test_cli_contract_holds_on_fuzzed_documents(tmp_path, capsys):
             assert isinstance(error, type), (k, argv[0], line)
             assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
     assert exits == {0, 1, 2}
+
+
+def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
+    # any leaf (number, string, bool) set to a huge int, inf, a bool, null,
+    # a string, a list or a dict: every command ends in exit 0 with JSON on
+    # stdout, or in exit 1 or 2 with one JSON line on stderr that names a
+    # ConsensusKitError.  Measured: every one of the 1,000 calls exits 1,
+    # each naming the field it refuses; a wider search (10,500 documents,
+    # numbers in the pool too, leaves or whole sections set) crashed no
+    # command
+    path, out = str(tmp_path / "doc.json"), str(tmp_path / "x.csv")
+    refused = 0
+    for k, doc in enumerate(_fuzzed_documents(
+            200, seed=1, values=(10 ** 400, float("inf"), True, None, "x",
+                                 [], {}), leaves=_leaves, custom=True)):
+        Path(path).write_text(json.dumps(doc))
+        for argv in (["synthesize", path], ["analyze", path],
+                     ["simulate", path, "--out", out],
+                     ["simulate-switching", path, "--out", out],
+                     ["montecarlo", path, "--runs", "2", "--out", out]):
+            rc = main(argv)
+            stdout, stderr = capsys.readouterr()
+            if rc == 0:
+                json.loads(stdout)
+                assert stderr == "", (k, argv[0])
+                continue
+            assert rc in (1, 2), (k, argv[0])
+            (line,) = stderr.splitlines()
+            payload = json.loads(line)
+            error = getattr(errors, payload["error"], None)
+            assert isinstance(error, type), (k, argv[0], line)
+            assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
+            refused += rc == 1 and "field" in payload
+    assert refused == 1000
 
 
 def test_star_import_binds_no_module():

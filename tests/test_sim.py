@@ -514,6 +514,68 @@ def test_compiled_maps_keep_every_coefficient_bit():
                           coefs, 1)([0.5]) == [2500.0]
 
 
+def _multiply_form(table, names, coefs, squares):
+    """The rows of `table` with every term written c<t> * (its factors),
+    unit coefficients too, summed in _join's groups."""
+    rows = [[] for _ in range(table.n_rows)]
+    for k, c, factors in table._terms:
+        mono = agents._join([f for j, p in factors
+                             for f in agents._squares(names[j], p, squares)],
+                            " * ")
+        rows[k].append(f"c{len(coefs)} * ({mono})" if mono
+                       else f"c{len(coefs)}")
+        coefs.append(c)
+    return [agents._join(terms, " + ") for terms in rows]
+
+
+def test_unit_coefficients_keep_the_bits_of_their_products():
+    # a term whose c is +-1 is written as its product, added, subtracted
+    # or negated; IEEE makes that exact, so TermTable.at and the source on
+    # Python floats give the bits of c * (product) summed in the same
+    # order, on signed zeros, subnormals, overflowing squares and
+    # infinities; a NaN may differ only in its sign bit
+    rng = np.random.default_rng(29)
+    long_row = [(float(rng.choice([-1.0, 1.0, 0.5])),
+                 tuple(rng.integers(0, 3, 3).tolist())) for _ in range(300)]
+    table = TermTable([
+        [(-1.0, (1,)), (1.0, (0, 2)), (-1.0, (1, 1, 1)), (2.5, (0, 0, 3))],
+        [(1.0, (2, 1)), (-1.0, ()), (1.0, ()), (-1.0, (0, 0, 2))],
+        [(0.75, (1,)), (-1.0, (0, 1)), (1.0, (0, 0, 1))],
+        [(-1.0, (0, 1))],
+        long_row, [(-1.0, (1 + t % 3,)) for t in range(300)]])
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300,
+              float("inf"), -float("inf"), float("nan"), 1.5, -0.7]
+    z = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
+    names = ["v0", "v1", "v2"]
+    coefs, squares = [], {}
+    rows = table._source(names, coefs, squares)
+    assert rows[:4] == [
+        "-(v0) + (v1_sq1) - (v0 * v1 * v2) + c3 * (v2 * v2_sq1)",
+        "(v0_sq1 * v1) + c5 + c6 - (v2_sq1)", "c8 * (v0) - (v1) + (v2)",
+        "-(v1)"]
+    assert rows[4].startswith("(") and " + -(" in rows[4]  # grouped
+    assert rows[5].startswith("(-(v0) + -(v0_sq1) + -(v0 * v0_sq1) + ")
+    folded = _rows_function(squares, rows, coefs, 3)
+    coefs, squares = [], {}
+    multiply = _rows_function(
+        squares, _multiply_form(table, names, coefs, squares), coefs, 3)
+
+    def same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64),
+                              want[~nan].view(np.uint64))
+
+    with np.errstate(all="ignore"):
+        want = np.array(multiply(z.T)).T
+        same_bits(table.at(z), want)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert (np.signbit(want) & (want == 0.0)).any()
+        same_bits([folded(state) for state in z.tolist()], want)
+        same_bits([multiply(state) for state in z.tolist()], want)
+
+
 def test_term_table_at_agrees_with_numpy_powers():
     # TermTable.at runs the table's generated source on numpy columns; the
     # oracle takes numpy's ** to float exponents from the terms as given,
@@ -665,9 +727,10 @@ def _damped(c):
 
 
 def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
-    # agent1 (eta' = -eta - eta^5 + xi_1) and the custom agents of
-    # _damped(c) compile to one code object, yet each run integrates its
-    # own coefficients
+    # the custom agents of _damped(-2.0) and _damped(-3.0) compile to one
+    # code object, yet each run integrates its own coefficients; agent1
+    # (eta' = -eta - eta^5 + xi_1) shares its code with _damped(-1.0),
+    # whose c = -1 is written as a subtraction and read from no argument
     def scenario(first):
         agents = [first, {"builtin": "agent2"}, {"builtin": "agent3"}]
         return parse_scenario({
@@ -679,13 +742,16 @@ def test_compiled_cascade_is_shared_across_coefficients(monkeypatch):
             "sim": {"t_end": 1.0, "dt": 0.01}})
 
     builtin1 = {"builtin": "agent1", "xi0": [0.5, -0.2], "eta0": [0.3]}
-    scens = [scenario(a) for a in (builtin1, _damped(-1.0), _damped(-3.0))]
+    scens = [scenario(a) for a in (builtin1, _damped(-1.0), _damped(-2.0),
+                                   _damped(-3.0))]
     blocks = [sim._System(sc, False).block for sc in scens]
-    assert all(b.__code__ is blocks[0].__code__ for b in blocks)
-    assert blocks[0].__defaults__[0] != blocks[2].__defaults__[0]
+    assert blocks[1].__code__ is blocks[0].__code__
+    assert blocks[3].__code__ is blocks[2].__code__
+    assert blocks[2].__code__ is not blocks[0].__code__
+    assert blocks[2].__defaults__[0] != blocks[3].__defaults__[0]
     eta = [simulate_fixed(sc).eta[0] for sc in scens]
     assert np.array_equal(eta[1], eta[0])
-    assert not np.allclose(eta[2], eta[0], rtol=1e-3)
+    assert not np.allclose(eta[3], eta[2], rtol=1e-3)
 
     # a Monte Carlo builds its plan once, for all its runs, and takes the
     # cascade's code from the cache instead of compiling it
@@ -1542,6 +1608,75 @@ def test_relabelling_the_agents_permutes_the_trajectory(perm):
             assert np.allclose(b.eta[k], a.eta[p], rtol=0.0, atol=1e-12)
         if name == "switching":
             assert np.array_equal(b.mode, a.mode)
+
+
+def _with_zero_terms(table, e):
+    """`table` with the term 0.0 * z^e appended to every row."""
+    rows = [[] for _ in range(table.n_rows)]
+    for k, c, factors in table._terms:
+        exponents = [0] * table.n_vars
+        for j, p in factors:
+            exponents[j] = p
+        rows[k].append((c, tuple(exponents)))
+    return TermTable([row + [(0.0, e)] for row in rows], scalar=table.scalar)
+
+
+def _outputs(traj):
+    return [traj.y, traj.xi_hat, traj.u, *traj.eta] + (
+        [] if traj.err is None else [traj.err])
+
+
+def test_zero_terms_leave_the_outputs_bit_identical(target, unit_gain):
+    # appending 0 * z^e to every theta, alpha or beta row adds a zero to
+    # each row sum s, which leaves s as it is (no z^e overflows away from
+    # escape) except that s = -0.0 becomes +0.0.  Measured and asserted:
+    # bit-identical outputs on the shipped fixed, observer and switching
+    # loops and on an augmented agent (whose alpha and beta run in the
+    # cascade); equal values but other bits only where a row sums to -0.0
+    docs = {name: json.loads(
+        (SCENARIO_DIR / f"five_agents_{name}.json").read_text())
+        for name in ("fixed", "switching")}
+    for doc in docs.values():
+        doc["sim"]["t_end"] = 2.0
+    docs["observer"] = json.loads(json.dumps(docs["fixed"]))
+    docs["observer"]["observer"] = {"C": [1.0, 0.0, 0.0],
+                                    "poles": [-3.0, -4.0, -5.0]}
+    augmented = augment(
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1)), (-1.0, (0, 1))]],
+                                   scalar=True),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
+    cases = [(parse_scenario(docs[name]), run) for name, run in (
+        ("fixed", simulate_fixed), ("observer", simulate_with_observer),
+        ("switching", lambda sc: simulate_switching(sc, run_index=1)))]
+    cases.append((SimScenario(
+        [builtin("agent1"), builtin("agent3"), augmented], target,
+        unit_gain, directed_cycle(3), t_end=2.0, dt=0.002), simulate_fixed))
+    for scen, run in cases:
+        want = _outputs(run(scen))
+        for name in ("theta", "alpha", "beta"):
+            for e in ((), (1,), (0, 1, 1)):
+                agents = [replace(ag, **{name: _with_zero_terms(
+                    getattr(ag, name), e)}) for ag in scen.agents]
+                got = _outputs(run(replace(scen, agents=agents)))
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(got, want)), (name, e)
+
+    # eta' = eta from eta = -0.0 stays at -0.0; its row plus 0.0 is +0.0
+    grows = NormalFormAgent(
+        agent_id=1, r=2, n_eta=1, alpha=ZERO, beta=ONE,
+        theta=TermTable([[(1.0, (0, 0, 1))]]), xi0=np.zeros(2),
+        eta0=np.array([-0.0]))
+    agents = [grows, _chain_agent(2, 3, np.zeros(3)),
+              _chain_agent(3, 2, np.zeros(2))]
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
+                       t_end=0.1, dt=0.01)
+    eta = simulate_fixed(scen).eta[0]
+    zeroed = replace(grows, theta=_with_zero_terms(grows.theta, ()))
+    eta_zeroed = simulate_fixed(
+        replace(scen, agents=[zeroed] + agents[1:])).eta[0]
+    assert np.array_equal(eta_zeroed, eta)
+    assert np.signbit(eta).all() and not np.signbit(eta_zeroed[1:]).any()
 
 
 def test_a_dropped_scenario_is_freed_without_the_cyclic_collector(
