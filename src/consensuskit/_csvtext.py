@@ -1,4 +1,4 @@
-"""Exact ``%.17g`` and ``%d`` CSV text for a block of rows, made by numpy.
+"""Exact ``%.17g`` CSV text for a block of rows, made by numpy.
 
 Python's ``"%.17g" % x`` rounds x to 17 significant digits (correctly, ties
 to even) and lays them out by the ``g`` rules; with 17 digits its dtoa runs
@@ -10,7 +10,6 @@ bytes for a whole block at once:
   10**(16 - e).  V is taken in double-double: 10**(16 - e) is a pair
   (hi, lo) built from Python ints and |x| hi is split exactly by Dekker's
   method, so V is known to about 1e-15, far inside the margin below.
-  Integer columns get D = |v| 10**(16 - e) in int64.
 * Layout.  From the digit count left after stripping trailing zeros, the
   sign and e, each value picks a template: which of its digit, exponent
   and constant characters fill the 26 slots of its field (the separator
@@ -20,8 +19,8 @@ bytes for a whole block at once:
   ``-0``) or when 1e-280 <= |x| < 1e281 (there the split and the products
   neither overflow nor lose bits to underflow), V's fraction is more than
   1e-6 from 0.5 and D < 10**17.  Exact ties at 17 digits, nan, inf,
-  subnormals, values outside that range and integers of 18 or more digits
-  are not; the caller formats rows holding one with ``%``.
+  subnormals and values outside that range are not; the caller formats
+  rows holding one with ``%``.
 """
 
 import functools
@@ -41,7 +40,6 @@ _NCLS = 24  # fixed e = -4 .. 16, exponent of 2 or 3 digits, zero
 _CONSTANTS = b"-.0e,\r\n\0"
 _MINUS, _DOT, _ZERO, _E, _COMMA, _CR, _LF, _NUL = range(22, 30)
 _E0 = _E_MIN - 2  # the exponent at index 0 of the tables
-_POW10 = 10 ** np.arange(17, dtype=np.int64)
 
 
 @functools.cache
@@ -127,24 +125,14 @@ def _float_digits(x):
     return d, e, ok
 
 
-def _int_digits(v):
-    """D, e and the decided mask of integers, exact in int64."""
-    ok = (v > -10 ** 17) & (v < 10 ** 17)
-    a = np.abs(v.astype(np.int64))  # may wrap where not ok
-    e = (a[..., None] >= _POW10[1:]).sum(axis=-1)
-    return a * _POW10[16 - e], e, ok
-
-
 class RowFormatter:
     """CSV text of blocks of up to ``rows`` rows of ``ncols`` columns.
 
-    ``int_cols`` are the indices of the columns written with ``%d``.  The
-    work buffers are allocated once, for a full block, and reused.
+    The work buffers are allocated once, for a full block, and reused.
     """
 
-    def __init__(self, ncols, int_cols, rows):
+    def __init__(self, ncols, rows):
         self.size = size = rows * ncols
-        self.int_cols = np.asarray(int_cols, dtype=np.intp)
         self.src = np.empty((30, size), np.uint8)
         self.src[22:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
         self.slots = _templates() * size
@@ -155,23 +143,18 @@ class RowFormatter:
         self.chars = np.empty((size, _WIDTH), np.uint8)
         self.column = np.arange(size)[:, None]
 
-    def format(self, x, ints):
+    def format(self, x):
         """Characters of each row and whether every value of it is decided.
 
-        ``x`` is the block as float64, ``ints`` its integer columns in their
-        own dtype.  The characters are (rows, 26 ncols) uint8 with NUL where
-        a slot holds nothing; they live in a buffer the next call reuses.
+        ``x`` is the block as float64.  The characters are (rows, 26 ncols)
+        uint8 with NUL where a slot holds nothing; they live in a buffer the
+        next call reuses.
         """
         rows, m = x.shape[0], x.size
         x = x.ravel()
         d, e, ok = _float_digits(x)
         zero = x == 0
         neg = np.signbit(x)
-        if self.int_cols.size:
-            cols = (slice(None), self.int_cols)
-            for out, value in zip((d, e, ok, zero, neg),
-                                  _int_digits(ints) + (ints == 0, ints < 0)):
-                out.reshape(rows, -1)[cols] = value
         ok |= zero
         clear = ~ok | zero
         d[clear] = 10 ** 16

@@ -137,9 +137,9 @@ class NormalFormAgent:
         object.__setattr__(self, "eta0", eta0)
         _read_only(self)
 
-    def with_initial(self, xi0=None, eta0=None, x0=None, u0=None):
+    def with_initial(self, xi0=None, eta0=None, x0=None):
         """Copy of this agent with replaced initial conditions."""
-        changes = {} if u0 is None else {"u0": float(u0)}
+        changes = {}
         if x0 is not None:
             if self.native is None:
                 raise InvalidDimensionError(

@@ -9,12 +9,13 @@
 
 Exit codes: 0 on success, 1 for bad input (parse, validation, or synthesis
 failures, missing files), 2 for runtime failures (finite escape, a beta
-hitting its floor, solver breakdowns).  Errors are emitted as a single JSON
-object on stderr; command results go to stdout as JSON, trajectories to CSV
-files.  CSV fields are the text of "%.17g" (17 significant digits, so every
-double reads back exactly; not repr, which prints the fewest digits that
-do) or, for integer columns such as mode, "%d", so reruns are
-byte-identical.
+hitting its floor, solver breakdowns).  Every command prints one JSON line:
+its result on stdout (``json.dumps``; ``python -m json.tool`` pretty-prints
+it) or its error on stderr.  Trajectories go to CSV files, in which every
+field is the text of "%.17g" (17 significant digits, so every double reads
+back exactly; not repr, which prints the fewest digits that do), the mode
+column included, so reruns are byte-identical.  A relative output path
+resolves against the working directory, not the scenario file's.
 
 `simulate`, `simulate-switching` and `analyze` share one dispatch: a
 switching scenario runs under its Markov schedule, a fixed one with observer
@@ -27,8 +28,6 @@ import functools
 import json
 import sys
 from dataclasses import replace
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -65,92 +64,6 @@ def _cpairs(values):
     return list(map(list, zip(values.real.tolist(), values.imag.tolist())))
 
 
-_FLOAT, _LIST = {float}, {list}
-_INF = float("inf")
-
-
-def _json_report(obj):
-    """``json.dumps(obj, indent=2)``, the same text written faster.
-
-    A non-empty list of finite floats, or of lists of finite floats all of
-    one non-zero length (the [re, im] pairs, a matrix's rows), is laid out
-    with one "%r" template over a tuple of its floats: exact ``float``s
-    only, so ``%r`` is the ``float.__repr__`` json takes, and their sum
-    finite, so no value is a nan or an infinity (a sum that overflows sends
-    its list the long way too).  Everything else takes the generic
-    recursive path, json's rules in json's order; a circular reference is
-    not detected.
-    """
-    return _encode(obj, "\n")
-
-
-def _encode(obj, nl):
-    """The text of ``obj`` at the nesting whose closing bracket goes after
-    ``nl``; its items go after ``nl`` plus two spaces."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _floatstr(obj)
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == _FLOAT and -_INF < sum(obj) < _INF:
-            return _items("%r", len(obj), nl) % tuple(obj)
-        if kinds == _LIST and len(set(map(len, obj))) == 1:
-            flat = list(chain.from_iterable(obj))
-            if (flat and set(map(type, flat)) == _FLOAT
-                    and -_INF < sum(flat) < _INF):
-                row = _items("%r", len(obj[0]), inner)
-                return _items(row, len(obj), nl) % tuple(flat)
-        return _join([_encode(v, inner) for v in obj], "[", nl, "]")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return _join([f"{_quote(_key(k))}: {_encode(v, inner)}"
-                      for k, v in obj.items()], "{", nl, "}")
-    raise TypeError(f"Object of type {obj.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
-def _items(item, count, nl):
-    """``count`` copies of ``item`` as the items of a list at ``nl``."""
-    return _join([item] * count, "[", nl, "]")
-
-
-def _join(items, opening, nl, closing):
-    inner = nl + "  "
-    return opening + inner + ("," + inner).join(items) + nl + closing
-
-
-def _floatstr(value):
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key(key):
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _emit_error(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("field", "line", "column", "agent_id", "t"):
@@ -173,9 +86,6 @@ def _output_cfg(scen, args):
         cfg["csv"] = args.out
     if getattr(args, "svg", None):
         cfg["svg"] = args.svg
-    if getattr(args, "full_state", False):
-        cfg["full_state"] = True
-    cfg.setdefault("full_state", False)
     if "csv" not in cfg:
         raise ValidationError(
             "no CSV output path; pass --out or set output.csv",
@@ -194,35 +104,28 @@ def _fallback_row(line, part, r):
 def _write_rows(path, header, blocks):
     """CSV lines as csv.writer writes them for these fields.
 
-    ``blocks`` are 2-D arrays with one row per sample, written side by side:
-    integer blocks with "%d" of each integer, float blocks with "%.17g".
-    Each chunk of 256 rows gets exactly the bytes of ``line % tuple(row)``
-    from numpy (``_csvtext.RowFormatter``).  Digits: a value's 17 digits
-    are its magnitude times a power of ten, taken in double-double and
-    rounded to an integer.  Layout: they are placed by the g rules (fixed
-    notation for -4 <= exponent < 17, else d.ddd...e+XX; trailing zeros and
-    a bare "." dropped) in a NUL-padded character matrix that one boolean
-    compress turns into bytes.  Fallback: a row holding a value that
-    product cannot decide (a tie at 17 digits, nan, inf, a subnormal, a
-    magnitude outside 1e-280 .. 1e281, an integer of 18 or more digits) is
-    formatted with ``line % tuple(row)`` instead.
+    ``blocks`` are 2-D float arrays with one row per sample, written side by
+    side with "%.17g".  Each chunk of 256 rows gets exactly the bytes of
+    ``line % tuple(row)`` from numpy (``_csvtext.RowFormatter``).  Digits: a
+    value's 17 digits are its magnitude times a power of ten, taken in
+    double-double and rounded to an integer.  Layout: they are placed by the
+    g rules (fixed notation for -4 <= exponent < 17, else d.ddd...e+XX;
+    trailing zeros and a bare "." dropped) in a NUL-padded character matrix
+    that one boolean compress turns into bytes.  Fallback: a row holding a
+    value that product cannot decide (a tie at 17 digits, nan, inf, a
+    subnormal, a magnitude outside 1e-280 .. 1e281) is formatted with
+    ``line % tuple(row)`` instead.
     """
-    formats, int_cols = [], []
-    for b in blocks:
-        if b.dtype.kind in "iu":
-            int_cols += range(len(formats), len(formats) + b.shape[1])
-        formats += ["%d" if b.dtype.kind in "iu" else "%.17g"] * b.shape[1]
-    line = ",".join(formats) + "\r\n"
+    ncols = sum(b.shape[1] for b in blocks)
+    line = ",".join(["%.17g"] * ncols) + "\r\n"
     n = blocks[0].shape[0]
-    formatter = RowFormatter(len(formats), int_cols, min(n, _CHUNK_ROWS))
+    formatter = RowFormatter(ncols, min(n, _CHUNK_ROWS))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for lo in range(0, n, _CHUNK_ROWS):
             part = [b[lo:lo + _CHUNK_ROWS] for b in blocks]
-            ints = [b for b in part if b.dtype.kind in "iu"]
             chars, decided = formatter.format(
-                np.concatenate(part, axis=1, dtype=float),
-                np.concatenate(ints, axis=1) if ints else None)
+                np.concatenate(part, axis=1, dtype=float))
             start = 0
             for r in np.flatnonzero(~decided).tolist():
                 done = chars[start:r]
@@ -243,7 +146,7 @@ def _write_trajectory_csv(path, traj, full_state):
         blocks.append(np.linalg.norm(traj.err, axis=2))
     if traj.mode is not None:
         header.append("mode")
-        blocks.append(traj.mode[:, None] + 1)
+        blocks.append(traj.mode[:, None] + 1.0)
     if full_state:
         for i in agents:
             xi, eta = traj.xi_hat[:, i - 1], traj.eta[i - 1]
@@ -369,7 +272,7 @@ def _cmd_synthesize(args):
     else:
         out["guaranteed_rate"] = rate
     out["spectrum"] = spectrum
-    print(_json_report(out))
+    print(json.dumps(out))
     return 0
 
 
@@ -385,7 +288,7 @@ def _cmd_simulate(args):
     scen = _apply_overrides(load_scenario(args.scenario), args)
     cfg = _output_cfg(scen, args)
     traj = _simulate(scen, getattr(args, "allow_a4_violation", False))
-    _write_trajectory_csv(cfg["csv"], traj, cfg["full_state"])
+    _write_trajectory_csv(cfg["csv"], traj, args.full_state)
     summary = {
         "csv": cfg["csv"],
         "samples": int(traj.times.shape[0]),
@@ -456,7 +359,7 @@ def _cmd_analyze(args):
         # speed_bound is the mean-square rate's limit as switching gets
         # fast, not a rate one sampled run at a finite rate should show
         out["fast_switching_limit"] = rate
-    print(_json_report(out))
+    print(json.dumps(out))
     return 0
 
 

@@ -20,7 +20,8 @@ Exactly one of "graph" and "switching" must be present; "observer" and
 "output" are optional.  Poles may be numbers or [re, im] pairs.  Custom
 agent dynamics are polynomials given as term lists {"c": coefficient,
 "e": exponents}, with one exponent per variable in the order
-(xi_1..xi_r, eta_1..eta_k).  Graph nodes are 1-based in documents.
+(xi_1..xi_r, eta_1..eta_k); a custom agent's r and n_eta are at most
+_MAX_ORDER (1,000).  Graph nodes are 1-based in documents.
 
 Loading validates the document (ValidationError carries a dotted field
 path), then synthesizes the target system, gains and observer eagerly so
@@ -69,6 +70,7 @@ __all__ = ["load_scenario", "parse_scenario"]
 
 _MAX = sys.float_info.max
 _MAX_NODES = math.isqrt(sys.maxsize // 8)  # n x n float64 fits the index range
+_MAX_ORDER = 1000  # largest r and n_eta of a custom agent
 _INT = {int}
 
 
@@ -202,11 +204,15 @@ def _parse_agent(doc, index):
                     (), cw)
         r = _int(cd["r"], f"{cw}.r")
         n_eta = _int(cd["n_eta"], f"{cw}.n_eta")
-        if r < 1:
-            raise ValidationError("r must be at least 1", field=f"{cw}.r")
-        if n_eta < 0:
-            raise ValidationError("n_eta must be non-negative",
-                                  field=f"{cw}.n_eta")
+        # bounded before any term list is read, whose exponent count is
+        # r + n_eta
+        if not 1 <= r <= _MAX_ORDER:
+            raise ValidationError(f"r must be between 1 and {_MAX_ORDER}",
+                                  field=f"{cw}.r")
+        if not 0 <= n_eta <= _MAX_ORDER:
+            raise ValidationError(
+                f"n_eta must be between 0 and {_MAX_ORDER}",
+                field=f"{cw}.n_eta")
         nvars = r + n_eta
         alpha = TermTable.from_checked(
             [_terms(cd["alpha"], nvars, f"{cw}.alpha")], scalar=True)
@@ -363,7 +369,7 @@ def parse_scenario(doc):
     output = None
     if "output" in doc:
         out_doc = doc["output"]
-        _check_keys(out_doc, (), ("csv", "svg", "full_state"), "output")
+        _check_keys(out_doc, (), ("csv", "svg"), "output")
         output = {}
         if "csv" in out_doc:
             output["csv"] = _expect(out_doc["csv"], str, "output.csv",
@@ -371,11 +377,6 @@ def parse_scenario(doc):
         if "svg" in out_doc:
             output["svg"] = _expect(out_doc["svg"], str, "output.svg",
                                     "a path string")
-        fs = out_doc.get("full_state", False)
-        if not isinstance(fs, bool):
-            raise ValidationError("full_state must be a boolean",
-                                  field="output.full_state")
-        output["full_state"] = fs
 
     r = len(poles) + 1
     observer_doc = None

@@ -1,7 +1,29 @@
+import os
+
 import numpy as np
 import pytest
 
 import consensuskit as ck
+
+
+def _files_here():
+    """The working directory's entries, each with its file's mtime."""
+    with os.scandir() as entries:
+        return {e.name: e.stat().st_mtime_ns if e.is_file() else None
+                for e in entries}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def working_directory_untouched():
+    """Fail the run if a test adds or rewrites a file in the working
+    directory: outputs belong under tmp_path."""
+    cwd, before = os.getcwd(), _files_here()
+    yield
+    assert os.getcwd() == cwd
+    after = _files_here()
+    touched = sorted(name for name, mtime in after.items()
+                     if name not in before or before[name] != mtime)
+    assert not touched, f"tests left or rewrote {touched} in {cwd}"
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import consensuskit as ck
-from consensuskit import cli, errors, switching
+from consensuskit import cli, errors, scenario, switching
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
 from consensuskit.scenario import load_scenario, parse_scenario
@@ -90,13 +90,11 @@ def test_parse_scenario_leaves_the_document_unmutated():
     del doc["sim"]["seed"], doc["sim"]["init"]
     before = copy.deepcopy(doc)
     parse_scenario(doc)
-    # no pole rewrite and no seed/init/full_state defaults in the caller's
-    # document
+    # no pole rewrite and no seed/init defaults in the caller's document
     assert doc == before
     assert doc["controller"]["poles"] == [-1.0, -2.0]
     assert "seed" not in doc["sim"] and "init" not in doc["sim"]
     assert "init" not in doc["observer"]
-    assert "full_state" not in doc["output"]
 
 
 def test_custom_agent_polynomials_evaluate():
@@ -629,112 +627,18 @@ def test_cli_synthesize_prints_null_when_no_rate_is_guaranteed(tmp_path,
         assert list(out)[-2:] == ["guaranteed_rate", "spectrum"], name
 
 
-def _reports(monkeypatch, capsys, argv):
-    """The objects the CLI command prints as a report, and its stdout."""
-    seen = []
-
-    def spy(obj):
-        seen.append(copy.deepcopy(obj))
-        return writer(obj)
-
-    writer = cli._json_report
-    monkeypatch.setattr(cli, "_json_report", spy)
-    assert main(argv) == 0
-    return seen, capsys.readouterr().out
+def _one_json_line(text):
+    """The value of ``text``, which must be one line of ``json.dumps``."""
+    value = json.loads(text)
+    assert text == json.dumps(value) + "\n"
+    return value
 
 
-@pytest.mark.parametrize("name", ["five_agents_fixed.json",
-                                  "five_agents_switching.json"])
-@pytest.mark.parametrize("command", ["synthesize", "analyze"])
-def test_report_writer_is_json_dumps_indent_2_on_shipped_reports(
-        monkeypatch, capsys, name, command):
-    seen, out = _reports(monkeypatch, capsys,
-                         [command, str(SCENARIO_DIR / name)])
-    assert len(seen) == 1
-    assert out == json.dumps(seen[0], indent=2) + "\n"
-
-
-_HARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
-                5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
-                1e16, 1e-7, 0.1, 1.0 / 3.0, 123456789.0]
-_STRINGS = ["", "rank", "caf\u00e9", "\u2713 \U0001F600", 'a "quoted" word',
-            "back\\slash", "tab\tnew\nline\x00", "\ud800 lone surrogate"]
-
-
-def _payload(rng, depth):
-    """A random JSON value: the reports' shapes plus the edge cases."""
-    def number():
-        pick = rng.integers(5)
-        if pick == 0:
-            return _HARD_FLOATS[rng.integers(len(_HARD_FLOATS))]
-        if pick == 1:
-            return int(rng.integers(-10 ** 6, 10 ** 6))
-        if pick == 2:
-            return bool(rng.integers(2))
-        if pick == 3:
-            return np.float64(rng.normal())
-        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
-
-    def floats(n, mixed):
-        vals = [float(rng.normal() * 10.0 ** rng.integers(-5, 5))
-                for _ in range(n)]
-        if mixed and vals:
-            vals[rng.integers(n)] = number()
-        return vals
-
-    kind = rng.integers(9 if depth < 3 else 4)
-    mixed = rng.random() < 0.4
-    if kind == 0:
-        return number()
-    if kind == 1:
-        return [None, True, False][rng.integers(3)]
-    if kind == 2:
-        return _STRINGS[rng.integers(len(_STRINGS))]
-    if kind == 3:
-        return floats(int(rng.integers(0, 8)), mixed)
-    if kind == 4:  # [re, im] pairs or matrix rows: even, ragged or empty
-        width = int(rng.integers(0, 4))
-        rows = [floats(width, False) for _ in range(rng.integers(0, 6))]
-        if rows and mixed:
-            rows[rng.integers(len(rows))] = floats(int(rng.integers(0, 4)),
-                                                   rng.random() < 0.5)
-        return rows
-    if kind in (5, 6):
-        return {_STRINGS[rng.integers(len(_STRINGS))] + str(k):
-                _payload(rng, depth + 1) for k in range(rng.integers(0, 5))}
-    if kind == 7:
-        return tuple(_payload(rng, depth + 1) for _ in range(rng.integers(3)))
-    return [_payload(rng, depth + 1) for _ in range(rng.integers(0, 4))]
-
-
-def test_report_writer_is_json_dumps_indent_2_on_seeded_payloads():
-    rng = np.random.default_rng(20261019)
-    for _ in range(3000):
-        obj = {"payload": _payload(rng, 0)}
-        assert cli._json_report(obj) == json.dumps(obj, indent=2), obj
-    keys = {1: "a", 2.5: "b", True: "c", None: "d", -0.0: "e", "f": {}}
-    assert cli._json_report(keys) == json.dumps(keys, indent=2)
-    for bad in ({"x": {1, 2}}, {(1, 2): 3}, [np.int64(1)]):
-        with pytest.raises(TypeError):
-            json.dumps(bad, indent=2)
-        with pytest.raises(TypeError):
-            cli._json_report(bad)
-
-
-def test_report_writer_lays_out_float_lists_by_one_template(monkeypatch):
-    calls = []
-    encode = cli._encode
-    monkeypatch.setattr(cli, "_encode",
-                        lambda obj, nl: calls.append(obj) or encode(obj, nl))
-    for obj, count in (([0.5, -0.0, 1e300], 1),
-                       ([[1.0, 2.0], [3.0, -4.0]], 1),
-                       ([0.5, float("nan")], 3),
-                       ([1.7e308, 1.7e308], 3),  # the sum overflows
-                       ([0.5, 1], 3),
-                       ([[1.0, 2.0], [3.0]], 3)):  # ragged: per row
-        calls.clear()
-        assert cli._json_report(obj) == json.dumps(obj, indent=2)
-        assert len(calls) == count, obj
+def test_reports_are_one_json_dumps_line(capsys):
+    for name in ("five_agents_fixed.json", "five_agents_switching.json"):
+        for command in ("synthesize", "analyze"):
+            assert main([command, str(SCENARIO_DIR / name)]) == 0
+            _one_json_line(capsys.readouterr().out)
 
 
 def test_cli_simulate_writes_csv_and_svg(tmp_path, capsys):
@@ -815,9 +719,8 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
 
 
 def _percent_text(header, blocks):
-    # the reference: each row through "%.17g" (floats) and "%d" (ints)
-    line = ",".join(("%d" if b.dtype.kind in "iu" else "%.17g")
-                    for b in blocks for _ in range(b.shape[1])) + "\r\n"
+    # the reference: each row through "%.17g"
+    line = ",".join(["%.17g"] * sum(b.shape[1] for b in blocks)) + "\r\n"
     cols = [b.tolist() for b in blocks]
     return (",".join(header) + "\r\n" + "".join(
         line % tuple(v for c in cols for v in c[r])
@@ -896,16 +799,14 @@ def test_csv_rows_match_percent_formatting_on_hard_values(tmp_path,
 
 
 def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
-    # 1,000 rows: three full chunks and a partial one; the int column is
-    # written with %d of the integer itself, also past 2**53 and 10**17
+    # 1,000 rows: three full chunks and a partial one; the mode column holds
+    # whole floats, which "%.17g" writes as the integer's digits
     rng = np.random.default_rng(7)
     n = 1000
     assert n % cli._CHUNK_ROWS
     t = np.arange(n) * 0.001
-    mode = rng.integers(1, 4, n)[:, None]
-    mode[[0, 5, 300, 999]] = [[2 ** 53 + 1], [-(2 ** 62)], [10 ** 17],
-                              [10 ** 16 + 7]]
-    mode[[1, 2, 3, 4]] = [[10], [-100], [10 ** 16], [-(10 ** 17 - 1)]]
+    mode = rng.integers(0, 3, n)[:, None] + 1.0
+    mode[[0, 1, 2, 3, 999]] = [[2.0 ** 53], [10.0], [-100.0], [1e16], [-0.0]]
     y = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 3))
     blocks = [t[:, None], mode, y, np.empty((n, 0)), y[:, :1] * 1e-12]
     header = ["t", "mode", "y1", "y2", "y3", "w"]
@@ -914,13 +815,13 @@ def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
                               blocks)
     text = path.read_bytes()
     assert text == _percent_text(header, blocks)
-    assert b"\r\n0,9007199254740993," in text
-    assert b",-4611686018427387904," in text
-    assert fallback == 2  # -2**62 and 10**17 have more than 17 digits
+    assert b"\r\n0,9007199254740992," in text
+    assert b"\r\n0.001,10," in text and b",10000000000000000," in text
+    assert fallback == 0
     # the mode column at the end of the line, and a single row
     blocks = [t[:1, None], mode[:1]]
     cli._write_rows(path, ["t", "mode"], blocks)
-    assert path.read_bytes() == b"t,mode\r\n0,9007199254740993\r\n"
+    assert path.read_bytes() == b"t,mode\r\n0,9007199254740992\r\n"
 
 
 def test_csv_writer_takes_the_numpy_path_on_the_shipped_trajectory(
@@ -1304,6 +1205,33 @@ def test_cli_agent_degree_above_target(tmp_path, capsys, command):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["r", "n_eta"])
+@pytest.mark.parametrize("command", ["synthesize", "analyze", "simulate"])
+def test_cli_refuses_a_huge_custom_order_at_its_field(tmp_path, capsys,
+                                                      command, key):
+    # r and n_eta past the documented limit are refused at their own field,
+    # before any term list is read, by a message that does not print them
+    for value, field in ((10 ** 400, key), (2 ** 63, key),
+                         (scenario._MAX_ORDER + 1, key),
+                         (scenario._MAX_ORDER, "alpha[0].e")):
+        doc = base_doc()
+        doc["agents"][0] = custom_agent_doc()
+        doc["agents"][0]["custom"][key] = value
+        argv = [command, _write(tmp_path, doc)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = _one_json_line(captured.err)
+        assert err["error"] == "ValidationError"
+        assert err["field"] == f"agents[0].custom.{field}", value
+        if field == key:
+            assert str(value) not in err["message"]
+            assert len(err["message"]) < 60
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: synthesize on the shipped scenario,
     # in a fresh interpreter, imports no scipy module
@@ -1430,11 +1358,13 @@ def test_cli_builds_the_union_and_its_report_once(tmp_path, capsys,
     # and once for all the runs of a Monte Carlo
     doc = json.loads(Path(path).read_text())
     doc["sim"]["t_end"] = 1.0
+    doc["output"]["svg"] = str(tmp_path / "ms.svg")
     calls.update(union=0, A4Report=0)
     assert main(["montecarlo", _write(tmp_path, doc), "--runs", "24",
                  "--out", str(tmp_path / "ms.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["runs_used"] == 24
     assert calls == {"union": 1, "A4Report": 1}
+    assert (tmp_path / "ms.svg").is_file()
 
 
 FUZZ_VALUES = (0, -1, 1e-320, 1e4, 1e20, 1e154, 1e308, float("nan"))
@@ -1502,9 +1432,10 @@ def _fuzzed_documents(count, seed, values=FUZZ_VALUES,
 
 
 def test_cli_contract_holds_on_fuzzed_documents(tmp_path, capsys):
-    # every command ends in exit 0 with JSON on stdout, or in exit 1 or 2
-    # with one JSON line on stderr that names a ConsensusKitError: no
-    # traceback and no numpy warning (tier-1 turns those into errors)
+    # every command ends in exit 0 with one JSON line on stdout, or in
+    # exit 1 or 2 with one JSON line on stderr that names a
+    # ConsensusKitError: no traceback and no numpy warning (tier-1 turns
+    # those into errors)
     path, out = str(tmp_path / "doc.json"), str(tmp_path / "x.csv")
     exits = set()
     for k, doc in enumerate(_fuzzed_documents(200, seed=0)):
@@ -1517,22 +1448,22 @@ def test_cli_contract_holds_on_fuzzed_documents(tmp_path, capsys):
             stdout, stderr = capsys.readouterr()
             exits.add(rc)
             if rc == 0:
-                json.loads(stdout)
+                _one_json_line(stdout)
                 assert stderr == "", (k, argv[0])
                 continue
             assert rc in (1, 2), (k, argv[0])
-            (line,) = stderr.splitlines()
-            error = getattr(errors, json.loads(line)["error"], None)
-            assert isinstance(error, type), (k, argv[0], line)
+            assert stdout == "", (k, argv[0])
+            error = getattr(errors, _one_json_line(stderr)["error"], None)
+            assert isinstance(error, type), (k, argv[0], stderr)
             assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
     assert exits == {0, 1, 2}
 
 
 def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
     # any leaf (number, string, bool) set to a huge int, inf, a bool, null,
-    # a string, a list or a dict: every command ends in exit 0 with JSON on
-    # stdout, or in exit 1 or 2 with one JSON line on stderr that names a
-    # ConsensusKitError.  Measured: every one of the 1,000 calls exits 1,
+    # a string, a list or a dict: every command ends in exit 0 with one JSON
+    # line on stdout, or in exit 1 or 2 with one JSON line on stderr that
+    # names a ConsensusKitError.  Measured: every one of the 1,000 calls exits 1,
     # each naming the field it refuses; a wider search (10,500 documents,
     # numbers in the pool too, leaves or whole sections set) crashed no
     # command
@@ -1549,14 +1480,14 @@ def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
             rc = main(argv)
             stdout, stderr = capsys.readouterr()
             if rc == 0:
-                json.loads(stdout)
+                _one_json_line(stdout)
                 assert stderr == "", (k, argv[0])
                 continue
             assert rc in (1, 2), (k, argv[0])
-            (line,) = stderr.splitlines()
-            payload = json.loads(line)
+            assert stdout == "", (k, argv[0])
+            payload = _one_json_line(stderr)
             error = getattr(errors, payload["error"], None)
-            assert isinstance(error, type), (k, argv[0], line)
+            assert isinstance(error, type), (k, argv[0], stderr)
             assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
             refused += rc == 1 and "field" in payload
     assert refused == 1000
