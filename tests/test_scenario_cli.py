@@ -634,11 +634,32 @@ def _one_json_line(text):
     return value
 
 
-def test_reports_are_one_json_dumps_line(capsys):
-    for name in ("five_agents_fixed.json", "five_agents_switching.json"):
-        for command in ("synthesize", "analyze"):
-            assert main([command, str(SCENARIO_DIR / name)]) == 0
-            _one_json_line(capsys.readouterr().out)
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[^\s\[\]{}:,"]+|[\[\]{}:,]')
+
+
+@pytest.mark.parametrize("name", ["five_agents_fixed.json",
+                                  "five_agents_switching.json"])
+@pytest.mark.parametrize("command", ["synthesize", "analyze"])
+def test_report_writer_is_json_dumps_indent_2_on_shipped_reports(
+        monkeypatch, capsys, name, command):
+    # the command prints the report it built as one compact json.dumps
+    # line, and that line is its json.dumps(indent=2) layout with only the
+    # whitespace dropped: the same keys in the same order, the same float text
+    dumps = json.dumps
+    seen = []
+
+    def spy(obj, **kwargs):
+        seen.append(copy.deepcopy(obj))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    assert main([command, str(SCENARIO_DIR / name)]) == 0
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert len(seen) == 1
+    assert out == dumps(seen[0]) + "\n"
+    assert _JSON_TOKEN.findall(out) == _JSON_TOKEN.findall(
+        dumps(seen[0], indent=2))
 
 
 def test_cli_simulate_writes_csv_and_svg(tmp_path, capsys):
