@@ -29,6 +29,10 @@ integrates it in xi like every other agent.  Its model in the original x
 coordinates (NativePlant) is the reference the tests check the chain
 against, and maps a scenario's x0 into xi0.
 
+Each builtin is built once, at import: builtin(name) returns that one
+frozen agent, and with_initial makes a new one with other initial
+conditions.
+
 Every map alpha, beta and theta is a polynomial held as a
 :class:`TermTable`, so the simulator stacks the maps of all agents.  A
 table is evaluated only as the Python source it writes, each power a
@@ -415,13 +419,7 @@ def _agent3_deriv(x, u):
     return np.array([x1 * x2 + x1 * x3 + u, x2 * x2 + x3, x1 + x2 * x3])
 
 
-def builtin(name):
-    """One of the five demo agents, with all-zero initial conditions."""
-    if name in _DAMPED_THETA:
-        return NormalFormAgent(
-            agent_id=int(name[-1]), r=2, n_eta=1,
-            alpha=_ZERO, beta=_ONE, theta=_DAMPED_THETA[name],
-            xi0=np.zeros(2), eta0=np.zeros(1))
+def _make_builtin(name):
     if name == "agent3":
         native = NativePlant(
             x0=np.zeros(3), deriv=_agent3_deriv, xi_of=_agent3_xi_of,
@@ -430,7 +428,26 @@ def builtin(name):
             agent_id=3, r=3, n_eta=0,
             alpha=_AGENT3_ALPHA, beta=_ONE, theta=_NO_INTERNAL,
             xi0=np.zeros(3), eta0=np.zeros(0), native=native)
-    raise UnknownAgentError(f"no builtin agent named {name!r}")
+    return NormalFormAgent(
+        agent_id=int(name[-1]), r=2, n_eta=1,
+        alpha=_ZERO, beta=_ONE, theta=_DAMPED_THETA[name],
+        xi0=np.zeros(2), eta0=np.zeros(1))
+
+
+_BUILTINS = {name: _make_builtin(name)
+             for name in ("agent1", "agent2", "agent3", "agent4", "agent5")}
+
+
+def builtin(name):
+    """One of the five demo agents, with all-zero initial conditions.
+
+    Each name gives the one agent built for it at import, shared by every
+    caller: it is frozen and its arrays are read-only, and with_initial
+    returns a new agent, so no caller can change what another sees.
+    """
+    if name not in _BUILTINS:
+        raise UnknownAgentError(f"no builtin agent named {name!r}")
+    return _BUILTINS[name]
 
 
 def augment(r, alpha_tilde, beta_tilde, theta_tilde, xi0, eta0=(), u0=0.0,

@@ -40,11 +40,11 @@ class DiGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionMismatchError(f"weights must be square, got {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be nonnegative")
-        if np.any(np.diag(w) != 0):
+        if (np.diag(w) != 0).any():
             raise ValueError("self-weights must be zero")
         object.__setattr__(self, "weights", w)
         _read_only(self)
@@ -102,7 +102,7 @@ def is_balanced(g):
     """Weight balance: in-weight equals out-weight at every node."""
     w = g.weights
     tol = _BALANCE_TOL * max(1.0, float(w.sum()))
-    return bool(np.all(np.abs(w.sum(axis=1) - w.sum(axis=0)) <= tol))
+    return bool((np.abs(w.sum(axis=1) - w.sum(axis=0)) <= tol).all())
 
 
 def union(*graphs):

@@ -45,7 +45,7 @@ def _as_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise NonSquareError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -62,14 +62,15 @@ def eig(m):
 
     A stack of shape (..., n, n) gives each matrix's sorted spectrum along
     the last axis, from one LAPACK call per matrix.  Nonreal eigenvalues of
-    real input come back in exact conjugate pairs.
+    real input come back in exact conjugate pairs.  A single matrix's
+    spectrum is sorted by direct indexing, a stack's along its last axis.
     """
     arr = np.asarray(m)
     if not np.iscomplexobj(arr):
         arr = arr.astype(float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise NonSquareError(f"matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix has non-finite entries")
     if arr.size == 0:
         return np.empty(arr.shape[:-1], dtype=complex)
@@ -78,6 +79,8 @@ def eig(m):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
+    if vals.ndim == 1:
+        return vals[order]
     return np.take_along_axis(vals, order, axis=-1)
 
 
@@ -85,22 +88,29 @@ def solve_lyapunov(a, q):
     """Solve a' P + P a + q = 0 for symmetric P, with `a` strictly stable.
 
     Uses dense Kronecker vectorization: (I (x) a' + a' (x) I) vec(P) = -vec(q)
-    in row-major vec convention.
+    in row-major vec convention.  `q` is symmetric when |q - q'| is at most
+    1e-9 max(1, ||q||) in every entry (a NaN fails); that norm also scales
+    the residual tolerance.
     """
     a = _as_square(a, "a")
     q = _as_square(q, "q")
     n = a.shape[0]
     if q.shape[0] != n:
         raise NonSquareError(f"q must match a: {q.shape} vs {a.shape}")
-    if not np.allclose(q, q.T, rtol=0, atol=1e-9 * max(1.0, np.linalg.norm(q))):
+    scale = max(1.0, np.linalg.norm(q))
+    if not (np.abs(q - q.T) <= 1e-9 * scale).all():
         raise ValueError("q must be symmetric")
     re = eig(a).real
     if re.size and re.max() >= -_HURWITZ_TOL:
         raise UnstableMatrixError(
             f"a must be strictly stable; max Re(eig) = {re.max():.3e}")
 
-    ident = np.eye(n)
-    coeff = np.kron(a.T, ident) + np.kron(ident, a.T)
+    # kron(a', I) + kron(I, a'): entry (i n + k, j n + l) is
+    # a'[i, j] I[k, l] + I[i, j] a'[k, l], the products np.kron forms
+    at, ident = a.T, np.eye(n)
+    coeff = (at[:, None, :, None] * ident[None, :, None, :]
+             + ident[:, None, :, None] * at[None, :, None, :])
+    coeff = coeff.reshape(n * n, n * n)
     try:
         vec = np.linalg.solve(coeff, -q.reshape(-1))
     except np.linalg.LinAlgError as exc:
@@ -109,7 +119,7 @@ def solve_lyapunov(a, q):
     p = 0.5 * (p + p.T)
 
     resid = np.linalg.norm(a.T @ p + p @ a + q)
-    if resid > _LYAPUNOV_RESIDUAL_TOL * max(1.0, np.linalg.norm(q)):
+    if resid > _LYAPUNOV_RESIDUAL_TOL * scale:
         raise SingularSystemError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance; "
             "the operator is too ill conditioned")
@@ -155,7 +165,7 @@ def _stabilizing_seed(a, b, rinv, q):
         raise NotStabilizableError(
             f"could not construct a stabilizing seed gain: {exc}") from exc
     k0 = rinv @ b.T @ (0.5 * (p0 + p0.T))
-    if not np.all(np.isfinite(k0)):
+    if not np.isfinite(k0).all():
         raise NotStabilizableError(
             "could not construct a stabilizing seed gain: X1 is singular")
     closed = eig(a - b @ k0).real
@@ -172,7 +182,9 @@ def solve_care(a, b, q, r):
     Hamiltonian (see `_stabilizing_seed`) and already lies next to the
     solution; Newton iteration (Kleinman) only polishes it, each step
     solving one Lyapunov equation for the current closed loop, and
-    usually one step reaches the 1e-13 relative residual.  No stabilizing
+    usually one step reaches the 1e-13 relative residual.  Each step's
+    residual is computed once: the last one is what the 1e-8 relative
+    tolerance judges and the error reports.  No stabilizing
     solution (fewer than n stable Hamiltonian eigenvalues) raises
     ConvergenceFailure; an unstabilizable pair raises NotStabilizableError.
     `b` may be a column vector or an n-by-m matrix; `r` must be symmetric
@@ -205,8 +217,7 @@ def solve_care(a, b, q, r):
         return np.linalg.norm(a.T @ p + p @ a + q - p @ b @ rinv @ b.T @ p)
 
     k = _stabilizing_seed(a, b, rinv, q)
-    p = None
-    best = np.inf
+    res = best = np.inf
     for _ in range(_CARE_MAX_ITERATIONS):
         closed = a - b @ k
         try:
@@ -221,9 +232,9 @@ def solve_care(a, b, q, r):
         if res >= 0.9 * best and best <= _CARE_RESIDUAL_TOL * scale:
             break  # stalled at numerical floor, already good enough
         best = min(best, res)
-    if p is None or residual(p) > _CARE_RESIDUAL_TOL * scale:
+    if res > _CARE_RESIDUAL_TOL * scale:  # the last Newton step's residual
         raise ConvergenceFailure(
-            f"Riccati residual {residual(p):.3e} above tolerance after "
+            f"Riccati residual {res:.3e} above tolerance after "
             f"{_CARE_MAX_ITERATIONS} iterations")
     closed_re = eig(a - b @ rinv @ b.T @ p).real
     if closed_re.max() > 1e-9:

@@ -101,7 +101,7 @@ def theoretical_speed_fixed(cs, gain, lap):
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise DimensionMismatchError(f"Laplacian must be square, got {lap.shape}")
-    if np.any((lap > 0) & ~np.eye(len(lap), dtype=bool)):
+    if ((lap > 0) & ~np.eye(len(lap), dtype=bool)).any():
         raise ValueError("Laplacian off-diagonal entries must be <= 0")
     if not _reachable(lap.T < 0).all(axis=1).any():  # L[i, j] < 0: j -> i
         raise NoSpanningTreeError("graph has no directed spanning tree")

@@ -30,9 +30,10 @@ original cause chained (poles whose target overflows are a ValidationError
 at controller.poles); SimScenario checks the agents' degrees and the run
 settings last.
 
-Each polynomial term and graph edge gets one check: a single test of
-exact types and ranges accepts a well-formed one, and its field path
-(say agents[2].custom.theta[0][1].e) is built only when that test fails.
+Each polynomial term, graph edge and number list gets one check: a
+single test of exact types and ranges accepts a well-formed one, and its
+field path (say agents[2].custom.theta[0][1].e) is built only when that
+test fails.
 Then the per-field checks run and name the error.  They stay the only
 judge: the single test accepts nothing they reject, and what it rejects
 they may still accept (an int subclass, say).  A graph's node count is
@@ -72,6 +73,7 @@ _MAX = sys.float_info.max
 _MAX_NODES = math.isqrt(sys.maxsize // 8)  # n x n float64 fits the index range
 _MAX_ORDER = 1000  # largest r and n_eta of a custom agent
 _INT = {int}
+_NUMBER = {int, float}
 
 
 def _expect(obj, typ, where, what):
@@ -116,6 +118,19 @@ def _pole(entry, where):
 
 
 def _vector(entry, length, where):
+    """The list `entry` of `length` finite numbers as a float vector.
+
+    One pass accepts a well-formed list: a list (exact type) of ints and
+    floats (exact types) inside the float range, each entry one that _num
+    takes.  Only when it fails are the entries' field names built and the
+    per-entry checks run, which name the error.
+    """
+    if type(entry) is list and len(entry) == length:
+        for v in entry:
+            if type(v) not in _NUMBER or not -_MAX <= v <= _MAX:
+                break
+        else:
+            return np.array(entry, dtype=float)
     _expect(entry, list, where, "a list of numbers")
     if len(entry) != length:
         raise ValidationError(f"expected {length} entries, got {len(entry)}",

@@ -571,24 +571,27 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
     The mode path is sampled first (stream separate from the initial
     conditions), then the trajectory is integrated with the graph frozen
     over each step.  With a single mode this is bit-identical to
-    :func:`simulate_fixed` on that mode's graph.
+    :func:`simulate_fixed` on that mode's graph.  A scenario with an
+    observer runs its observer-based feedback, as
+    :func:`simulate_with_observer` does on a fixed graph: the observer
+    error obeys e' = (A - M_o C) e in every mode.
     """
     if not isinstance(scen.topology, MarkovTopology):
         raise ValidationError("scenario topology is not a switching topology")
-    if scen.observer is not None:
-        raise ValidationError("observer feedback is only supported on fixed graphs")
     mt = scen.topology
     if not allow_a4_violation and not check_A4(mt).passes:
         raise ValidationError(
             "union graph fails the spanning-tree/balance assumption "
             "(pass allow_a4_violation=True to simulate anyway)")
-    times = _grid(scen)  # first: no path is sampled for a run too long
+    use_observer = scen.observer is not None
+    # first: no path is sampled for a run too long
+    times = _grid(scen, use_observer)
     path = sample_path(mt, scen.t_end, scen.seed, run_index)
     # sample k runs in the interval holding t_k: count the ends at or before it
     ends = [t1 for _, _, t1 in path[:-1]]
     modes = np.array([m for m, _, _ in path])[
         np.searchsorted(ends, times, side="right")]
-    return _integrate(scen, modes, path, run_index)
+    return _integrate(scen, modes, path, run_index, use_observer)
 
 
 def _max_pairwise_sq(xi_hat):

@@ -48,10 +48,10 @@ def _validate_generator(gen):
     gen = np.asarray(gen, dtype=float)
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
         raise DimensionMismatchError(f"generator must be square, got {gen.shape}")
-    if not np.all(np.isfinite(gen)):
+    if not np.isfinite(gen).all():
         raise ValueError("generator has non-finite entries")
     off = gen - np.diag(np.diag(gen))
-    if np.any(off < 0):
+    if (off < 0).any():
         raise ValueError("off-diagonal generator entries must be nonnegative")
     rowsum = np.abs(gen.sum(axis=1)).max()
     if rowsum > _GENERATOR_ROW_TOL * max(1.0, np.abs(gen).max()):
@@ -81,7 +81,7 @@ def _stationary(gen):
     if resid > _STATIONARY_RESIDUAL_TOL * max(1.0, np.abs(gen).max()):
         raise SingularSystemError(
             f"stationary residual {resid:.3e} above tolerance")
-    if np.any(pi <= 0):
+    if (pi <= 0).any():
         raise ReducibleChainError(
             f"stationary law has nonpositive mass: {pi}")
     return pi / pi.sum()

@@ -196,11 +196,11 @@ def rank_one_gain(cs, mu, q1, r_hat):
         k = mu * np.sqrt(q1 * r_hat) * cs.nu
         p1 = np.sqrt(q1) / (np.sqrt(r_hat) * btnu)
         p = p1 * np.outer(cs.nu, cs.nu)
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise NonPositiveParameterError(
             f"the gain K = mu sqrt(q1 r_hat) nu overflows (mu = {mu!r}, "
             f"q1 = {q1!r}, r_hat = {r_hat!r})")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NonPositiveParameterError(
             f"P1 = nu p1 nu' overflows (q1 = {q1!r}, r_hat = {r_hat!r})")
     return ConsensusGain(rank="one", mu=float(mu), r_hat=float(r_hat),
@@ -218,11 +218,11 @@ def full_gain(cs, mu, q1_matrix, r_hat):
                    np.array([[1.0 / r_hat]]))
     with np.errstate(over="ignore"):
         k = mu * r_hat * (cs.B @ p)
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise NonPositiveParameterError(
             f"the gain K = mu r_hat B' P1 overflows (mu = {mu!r}, "
             f"r_hat = {r_hat!r})")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NonPositiveParameterError("the Riccati solution P1 overflows")
     return ConsensusGain(rank="full", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, Q1=q1_matrix)
@@ -347,7 +347,18 @@ def _multiset_distance(a, b):
     distinct eigenvalues that fall into one group are still checked,
     jointly through their mean.  For simple well-separated spectra every
     group is one value of each multiset and this is plain
-    nearest-neighbour matching.
+    nearest-neighbour matching.  A NaN is within the radius of no value,
+    itself included, so it makes a group of its own and the distance is
+    inf.
+
+    The neighbour relation is one boolean matrix over the pool, its
+    diagonal set.  Most pools split into cliques (groups in which every
+    two values are neighbours), which one pass finds: each value takes
+    its first neighbour, and the labels are the groups when every row
+    equals the row of its label.  Otherwise, from there, each value takes
+    the smallest label among its neighbours, and then its label's label,
+    until no label moves.  Either way a group is named by its smallest
+    index, and its sum is taken in index order.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -358,14 +369,15 @@ def _multiset_distance(a, b):
     pool = np.concatenate([a, b])
     radius = 1e-2 * max(1.0, float(np.abs(a).max()))
     near = np.abs(pool[:, None] - pool[None, :]) <= radius
-    # every value takes the smallest index reachable through its group
-    label = np.arange(pool.size)
-    while True:
-        low = np.where(near, label, pool.size).min(axis=1)
-        low = np.minimum(low, low[low])
-        if np.array_equal(low, label):
-            break
-        label = low
+    np.fill_diagonal(near, True)
+    label = near.argmax(axis=1)  # the first neighbour, at most the index
+    if not (near[label] == near).all():
+        while True:
+            low = np.where(near, label, pool.size).min(axis=1)
+            low = np.minimum(low, low[low])
+            if np.array_equal(low, label):
+                break
+            label = low
     n = a.size
     count = np.bincount(label[:n], minlength=2 * n)
     if not np.array_equal(count, np.bincount(label[n:], minlength=2 * n)):

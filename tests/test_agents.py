@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,37 @@ def test_builtin_and_parsed_agents_carry_term_tables():
 def test_builtin_rejects_unknown_name():
     with pytest.raises(ck.UnknownAgentError):
         builtin("agent9")
+
+
+def test_builtin_is_one_shared_frozen_agent_per_name():
+    for name in ("agent1", "agent2", "agent3", "agent4", "agent5"):
+        ag = builtin(name)
+        assert builtin(name) is ag
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ag.xi0 = np.ones(ag.r)
+        arrays = [ag.xi0, ag.eta0] + ([ag.native.x0] if ag.native else [])
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+        assert all(not np.any(arr) for arr in arrays)
+    assert len({id(builtin(f"agent{i}")) for i in range(1, 6)}) == 5
+
+
+def test_with_initial_leaves_the_shared_builtin_unchanged():
+    shared = builtin("agent2")
+    moved = shared.with_initial(xi0=[1.0, -2.0], eta0=[0.5])
+    assert moved is not shared and builtin("agent2") is shared
+    assert np.array_equal(moved.xi0, [1.0, -2.0])
+    assert not moved.xi0.flags.writeable
+    assert np.array_equal(shared.xi0, [0.0, 0.0])
+    assert np.array_equal(shared.eta0, [0.0])
+
+    native = builtin("agent3")
+    placed = native.with_initial(x0=[0.5, -1.0, 2.0])
+    assert placed is not native and placed.native is not native.native
+    assert np.array_equal(native.native.x0, np.zeros(3))
+    assert np.array_equal(native.xi0, np.zeros(3))
 
 
 def test_agent3_coordinate_map_round_trip():

@@ -204,3 +204,47 @@ def test_care_rejects_indefinite_r():
     with pytest.raises(ValueError):
         solve_care(np.array([[-1.0]]), np.array([[1.0]]),
                    np.array([[1.0]]), np.array([[-1.0]]))
+
+
+def test_riccati_path_errors_keep_their_types(monkeypatch):
+    a2 = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    b2 = np.array([[0.0], [1.0]])
+    # q is symmetric when |q - q'| <= 1e-9 max(1, ||q||) in every entry
+    with pytest.raises(ValueError, match="q must be symmetric"):
+        solve_care(a2, b2, np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(1))
+    with pytest.raises(ValueError, match="q must be symmetric"):
+        solve_lyapunov(-np.eye(2), np.array([[1.0, 0.0], [1.5e-9, 1.0]]))
+    # within the bound: symmetric enough, and no symmetric P solves it
+    with pytest.raises(ck.SingularSystemError, match="Lyapunov residual"):
+        solve_lyapunov(-np.eye(2), np.array([[1.0, 0.0], [1.4e-9, 1.0]]))
+    # unstable a
+    with pytest.raises(ck.UnstableMatrixError, match="max Re"):
+        solve_lyapunov(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
+    with pytest.raises(ck.NotStabilizableError):
+        solve_care(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]), np.eye(2),
+                   np.eye(1))
+    # a residual above tolerance; solve_care reports its last Newton step's
+    solved = []
+    lyapunov = linalg.solve_lyapunov
+
+    def keep(a, q):
+        solved.append(lyapunov(a, q))
+        return solved[-1]
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", keep)
+    monkeypatch.setattr(linalg, "_CARE_RESIDUAL_TOL", 0.0)
+    q, r = np.eye(2), np.eye(1)
+    with pytest.raises(ck.ConvergenceFailure) as info:
+        solve_care(a2, b2, q, r)
+    p = solved[-1]
+    last = np.linalg.norm(a2.T @ p + p @ a2 + q
+                          - p @ b2 @ np.linalg.inv(r) @ b2.T @ p)
+    assert last > 0.0
+    assert str(info.value) == (f"Riccati residual {last:.3e} above tolerance "
+                               f"after 200 iterations")
+    monkeypatch.setattr(linalg, "_LYAPUNOV_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ck.SingularSystemError, match="exceeds tolerance"):
+        lyapunov(np.array([[-1.0, 2.0], [0.3, -3.0]]),
+                 np.array([[1.0, 0.2], [0.2, 3.0]]))
+    with pytest.raises(ck.ConvergenceFailure, match="Newton step lost"):
+        solve_care(a2, b2, q, r)

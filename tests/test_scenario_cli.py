@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1046,6 +1047,73 @@ def test_cli_analyze_switching_names_the_fast_switching_limit(capsys):
     assert out["fast_switching_limit"] == pytest.approx(
         ck.speed_bound(scen.topology, scen.gain, scen.cs))
     assert out["empirical_rate"] > 0.0
+
+
+def test_a_builtin_listed_twice_simulates_as_separate_equal_agents():
+    # a builtin name gives one shared agent, so this scenario holds the
+    # same object at places 1 and 3; it must run as one whose agents are
+    # separate, equal objects, and the random start still draws each
+    # place's own initial state
+    doc = base_doc()
+    doc["agents"] = [{"builtin": "agent1"}, {"builtin": "agent3"},
+                     {"builtin": "agent1"},
+                     {"builtin": "agent1", "xi0": [0.3, -0.1], "eta0": [0.2]}]
+    doc["graph"] = {"n": 4, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 4, 1.0],
+                                      [4, 1, 1.0]]}
+    for init in ("random", "explicit"):
+        doc["sim"]["init"] = init
+        scen = parse_scenario(doc)
+        assert scen.agents[0] is scen.agents[2] is ck.builtin("agent1")
+        assert scen.agents[3] is not scen.agents[0]
+        apart = replace(scen, agents=[replace(ag) for ag in scen.agents])
+        assert not any(a is b for a, b in zip(apart.agents, scen.agents))
+        got, want = ck.simulate_fixed(scen), ck.simulate_fixed(apart)
+        for name in ("y", "xi_hat", "u"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for eta_got, eta_want in zip(got.eta, want.eta):
+            assert np.array_equal(eta_got, eta_want)
+        assert (got.xi_hat[0, 0] != got.xi_hat[0, 2]).any() == (
+            init == "random")
+
+
+def test_cli_analyze_runs_switching_designs_with_an_observer(tmp_path,
+                                                             capsys):
+    # observer feedback runs under Markov switching: analyze, simulate
+    # and montecarlo exit 0 on switching scenarios with an observer
+    shipped = json.loads(
+        (SCENARIO_DIR / "five_agents_switching.json").read_text())
+    del shipped["output"]
+    shipped["observer"] = {"C": [1.0, 0.0, 0.0], "poles": [-3.0, -4.0, -5.0]}
+    small = switching_doc()
+    small["observer"] = {"C": [1.0, 0.0, 0.0],
+                         "poles": [-2.0, [-3.0, 1.0], [-3.0, -1.0]],
+                         "init": "match"}
+    full = switching_doc()
+    full["controller"] = {"poles": [-1.0, -1.5, -2.0], "mu": 2.0,
+                          "r_hat": 0.5, "rank": "full"}
+    full["agents"].append({"builtin": "agent3"})
+    full["switching"]["graphs"] = [
+        {"n": 4, "edges": [[1, 2, 2.0], [3, 4, 2.0]]},
+        {"n": 4, "edges": [[2, 3, 2.0], [4, 1, 2.0]]}]
+    full["sim"]["t_end"] = 4.0
+    full["observer"] = {"C": [1.0, 0.0, 0.0, 0.0],
+                        "poles": [-2.0, -3.0, -4.0, -5.0]}
+    for k, doc in enumerate((shipped, small, full)):
+        scen = _write(tmp_path, doc, f"observed{k}.json")
+        assert main(["analyze", scen]) == 0, k
+        out = json.loads(capsys.readouterr().out)
+        assert out["theoretical_rate"] is None
+        assert np.isfinite(out["final_disagreement"])
+        csv_path = str(tmp_path / f"observed{k}.csv")
+        assert main(["simulate", scen, "--out", csv_path]) == 0
+        capsys.readouterr()
+        header = _read_csv(csv_path)[0]
+        n = len(doc["agents"])
+        assert header == (["t"] + [f"y{i}" for i in range(1, n + 1)]
+                          + [f"e{i}" for i in range(1, n + 1)] + ["mode"])
+        assert main(["montecarlo", scen, "--runs", "3",
+                     "--out", str(tmp_path / f"mc{k}.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["runs_used"] == 3
 
 
 def test_cli_analyze_bad_window(tmp_path, capsys, monkeypatch):

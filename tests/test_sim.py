@@ -1036,7 +1036,87 @@ def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):
     with_obs = _switching_scenario(target, unit_gain, five_agents,
                                    observer=obs, t_end=1.0, dt=0.01)
     with pytest.raises(ck.ValidationError):
-        simulate_switching(with_obs)
+        simulate_with_observer(with_obs)
+    # observer feedback runs under switching too
+    traj = simulate_switching(with_obs)
+    assert traj.err.shape == traj.xi_hat.shape == (101, 5, 3)
+    assert traj.mode.shape == (101,)
+
+
+def _rk4_step_matrix(m, h):
+    """The RK4 step of x' = m x, built here from its four stages."""
+    eye = np.eye(m.shape[0])
+    k1 = m
+    k2 = m @ (eye + 0.5 * h * k1)
+    k3 = m @ (eye + 0.5 * h * k2)
+    k4 = m @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_observer_error_under_switching_follows_its_own_rk4(
+        target, unit_gain, five_agents, seed):
+    # separation: in every mode the estimates xcheck move by A xcheck + B v
+    # + M_o C (xihat - xcheck) and the chains by A xihat + B v, so e =
+    # xihat - xcheck obeys e' = (A - M_o C) e whatever the graph, and RK4
+    # keeps that block-triangular structure.  The recorded error is the
+    # RK4 propagation of e(0) by the error matrix alone (measured: at most
+    # 2.4e-15 to 3.5e-15 of max|e(0)| at seeds 7 to 9, 24 to 41 mode jumps
+    # on the shipped switching design)
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    scen = _switching_scenario(target, unit_gain, five_agents, observer=obs,
+                               t_end=30.0, dt=0.02, init="random", seed=seed)
+    traj = simulate_switching(scen)
+    assert len(traj.mode_path) > 20
+    step = _rk4_step_matrix(target.A - np.outer(obs.M, obs.C), scen.dt)
+    e = traj.err[0]  # the estimates start at zero: e(0) is the true chain
+    assert np.array_equal(e, traj.xi_hat[0])
+    scale = np.abs(e).max()
+    worst = 0.0
+    for k in range(traj.times.shape[0]):
+        worst = max(worst, np.abs(traj.err[k] - e).max())
+        e = e @ step.T
+    assert worst <= 1e-13 * scale
+    assert np.abs(traj.err[-1]).max() < 1e-12 * scale
+
+
+def test_observer_init_under_switching(target, unit_gain, five_agents):
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    base = _switching_scenario(target, unit_gain, five_agents, t_end=8.0,
+                               dt=0.02, init="random", seed=11)
+    plain = simulate_switching(base)
+    zero = simulate_switching(replace(base, observer=obs))
+    match = simulate_switching(replace(base, observer=obs,
+                                       observer_init="match"))
+    for traj in (zero, match):
+        assert traj.mode_path == plain.mode_path
+        assert np.array_equal(traj.xi_hat[0], plain.xi_hat[0])
+    # "zero": the estimates start at the origin, the error at the chain
+    assert np.array_equal(zero.err[0], zero.xi_hat[0])
+    assert np.abs(zero.err[0]).max() > 0.1
+    assert np.abs(zero.err[-1]).max() < 1e-6 * np.abs(zero.err[0]).max()
+    assert np.abs(zero.y - plain.y).max() > 1e-2
+    # "match": the estimates start at the true chain and stay on it, so
+    # the run is the full-information one
+    assert np.abs(match.err).max() <= 1e-9
+    assert np.allclose(match.xi_hat, plain.xi_hat, rtol=0.0, atol=1e-9)
+
+
+def test_monte_carlo_with_an_observer(target, unit_gain, five_agents):
+    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    base = _switching_scenario(target, unit_gain, five_agents, t_end=10.0,
+                               dt=0.02, init="random", seed=4)
+    plain = monte_carlo_ms(base, 4)
+    zero = monte_carlo_ms(replace(base, observer=obs), 4)
+    match = monte_carlo_ms(replace(base, observer=obs, observer_init="match"),
+                           4)
+    for result in (zero, match):
+        assert (result.runs_used, result.runs_diverged) == (4, 0)
+        assert np.array_equal(result.times, plain.times)
+    assert zero.mean_square[-1] < 0.1 * zero.mean_square[0]
+    assert np.abs(zero.mean_square - plain.mean_square).max() > 1e-3
+    assert np.allclose(match.mean_square, plain.mean_square, rtol=0.0,
+                       atol=1e-9)
 
 
 def test_switching_assumption_gate(target, unit_gain, five_agents):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -272,6 +273,100 @@ def _cluster_gap(a, b, radius):
             return np.inf
         worst = max(worst, abs(a[la == g].mean() - b[lb == g].mean()))
     return worst
+
+
+def _single_linkage_distance(a, b):
+    """Plain-Python reference of synthesis._multiset_distance: union-find
+    over every pair of pooled values within the radius, each group's a
+    values less its b values summed in index order."""
+    a, b = [complex(x) for x in a], [complex(x) for x in b]
+    if len(a) != len(b):
+        return math.inf
+    if not a:
+        return 0.0
+    sizes = [abs(x) for x in a]
+    biggest = math.nan if any(map(math.isnan, sizes)) else max(sizes)
+    radius = 1e-2 * (biggest if biggest > 1.0 else 1.0)  # max(1.0, nan) is 1
+    pool = a + b
+    parent = list(range(len(pool)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            if abs(pool[i] - pool[j]) <= radius:
+                ri, rj = root(i), root(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for k, x in enumerate(pool):
+        group = groups.setdefault(root(k), [0, 0, 0j])
+        group[k >= len(a)] += 1
+        group[2] = group[2] + x if k < len(a) else group[2] - x
+    if any(na != nb for na, nb, _ in groups.values()):
+        return math.inf
+    return max(abs(gap) / na for na, _, gap in groups.values())
+
+
+def _multiset_cases(rng):
+    """Seeded (a, b) pairs shaped like closed-loop spectrum checks."""
+    def noise(size, scale):
+        return scale * (rng.standard_normal(size)
+                        + 1j * rng.standard_normal(size))
+
+    cases = []
+    for _ in range(12):
+        # N copies of the target poles, a conjugate pair among them, and
+        # one coupling value per agent; b is a, split and shuffled
+        n = int(rng.integers(2, 21))
+        re, im = -rng.uniform(0.5, 3.0), rng.uniform(0.1, 2.0)
+        poles = [complex(re, im), complex(re, -im),
+                 -rng.uniform(0.5, 3.0), -rng.uniform(0.5, 3.0)]
+        coupling = -rng.uniform(0.0, 5.0, n) + noise(n, 0.3)
+        a = np.concatenate([np.tile(poles, n), coupling])
+        b = rng.permutation(a + noise(a.size, 10.0 ** rng.uniform(-13, -7)))
+        cases.append((a, b))
+    for m in (2, 3, 4, 6):
+        # a defective pole of multiplicity m split by ~eps**(1/m) on a circle
+        p = complex(-rng.uniform(0.5, 2.0), 0.0)
+        split = 2.2e-16 ** (1.0 / m)
+        b = p + split * np.exp(2j * np.pi * (np.arange(m) + rng.random()) / m)
+        a = np.concatenate([np.full(m, p), [-5.0, -7.0]])
+        cases.append((a, rng.permutation(np.concatenate([b, [-5.0, -7.0]]))))
+    for _ in range(6):
+        # chained near neighbours: 0.8 radius apart, so one group whose
+        # ends are far apart, and some pairs in it are not neighbours
+        n = int(rng.integers(3, 12))
+        a = -10.0 + 0.08 * np.arange(n) + noise(n, 1e-3)
+        b = a + noise(n, 1e-9)
+        cases.append((np.append(a, -1.0), rng.permutation(np.append(b, -1.0))))
+    a, b = cases[0]
+    moved = b.copy()
+    moved[0] += 1.0  # one value leaves its group: unequal counts
+    cases += [(a, moved), (a, b[:-1]), (np.array([]), np.array([]))]
+    for where in (a, b):
+        spoiled = where.copy()
+        spoiled[3] = complex(math.nan, 0.0)
+        cases.append((spoiled, b) if where is a else (a, spoiled))
+    cases.append((np.array([1.0, math.nan]), np.array([1.0, math.nan])))
+    return cases
+
+
+def test_multiset_distance_matches_a_single_linkage_reference():
+    got, want = [], []
+    for a, b in _multiset_cases(ck.rng_for(411)):
+        got.append(synthesis._multiset_distance(a, b))
+        want.append(_single_linkage_distance(a, b))
+    # unequal counts twice, the empty pair, then a NaN: in a, in b, in both
+    assert want[-6:] == [math.inf, math.inf, 0.0, math.inf, math.inf, math.inf]
+    assert all(0.0 <= w < 1e-6 for w in want[:-6])
+    for g, w in zip(got, want):
+        if math.isfinite(w) and w > 0.0:
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+        else:
+            assert g == w
 
 
 def test_closed_loop_spectrum_matches_kronecker_eig(target, unit_gain,
