@@ -1,8 +1,7 @@
 """Command-line front end.
 
     consensuskit synthesize scenario.json
-    consensuskit simulate scenario.json --out run.csv [--svg run.svg]
-    consensuskit simulate-switching scenario.json --out run.csv \
+    consensuskit simulate scenario.json --out run.csv [--svg run.svg] \
         [--allow-a4-violation]
     consensuskit montecarlo scenario.json --runs 200 --out ms.csv
     consensuskit analyze scenario.json [--window T0:T1]
@@ -17,10 +16,10 @@ back exactly; not repr, which prints the fewest digits that do), the mode
 column included, so reruns are byte-identical.  A relative output path
 resolves against the working directory, not the scenario file's.
 
-`simulate`, `simulate-switching` and `analyze` share one dispatch: a
-switching scenario runs under its Markov schedule, a fixed one with observer
-feedback when it has an observer section.  `simulate-switching` differs from
-`simulate` only in taking --allow-a4-violation.
+`simulate` and `analyze` share one dispatch: a switching scenario runs
+under its Markov schedule, a fixed one with observer feedback when it has an
+observer section.  `simulate --allow-a4-violation` runs a switching scenario
+whose union graph fails A4; on a fixed graph the flag has no effect.
 """
 
 import argparse
@@ -74,7 +73,7 @@ def _emit_error(exc):
 
 
 def _apply_overrides(scen, args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scen = replace(scen, seed=args.seed)
     return scen
 
@@ -82,9 +81,9 @@ def _apply_overrides(scen, args):
 def _output_cfg(scen, args):
     """Output settings from the scenario and the flags; needs a CSV path."""
     cfg = dict(scen.output or {})
-    if getattr(args, "out", None):
+    if args.out:
         cfg["csv"] = args.out
-    if getattr(args, "svg", None):
+    if args.svg:
         cfg["svg"] = args.svg
     if "csv" not in cfg:
         raise ValidationError(
@@ -287,7 +286,7 @@ def _simulate(scen, allow_a4_violation=False):
 def _cmd_simulate(args):
     scen = _apply_overrides(load_scenario(args.scenario), args)
     cfg = _output_cfg(scen, args)
-    traj = _simulate(scen, getattr(args, "allow_a4_violation", False))
+    traj = _simulate(scen, args.allow_a4_violation)
     _write_trajectory_csv(cfg["csv"], traj, args.full_state)
     last = traj.y[-1]  # disagreement(traj)[-1], from the last sample alone
     summary = {
@@ -377,21 +376,17 @@ def _build_parser():
     p.add_argument("scenario")
     p.set_defaults(func=_cmd_synthesize)
 
-    for name, switching in (("simulate", False),
-                            ("simulate-switching", True)):
-        p = sub.add_parser(name, help="run a simulation" + (
-            ", optionally past a failed A4 check" if switching else ""))
-        p.add_argument("scenario")
-        p.add_argument("--out", help="trajectory CSV path")
-        p.add_argument("--svg", help="output plot path")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--full-state", action="store_true",
-                       help="append chain, internal, and input columns")
-        if switching:
-            p.add_argument("--allow-a4-violation", action="store_true",
-                           help="simulate even if the union graph fails "
-                                "the connectivity/balance assumption")
-        p.set_defaults(func=_cmd_simulate)
+    p = sub.add_parser("simulate", help="run a simulation")
+    p.add_argument("scenario")
+    p.add_argument("--out", help="trajectory CSV path")
+    p.add_argument("--svg", help="output plot path")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--full-state", action="store_true",
+                   help="append chain, internal, and input columns")
+    p.add_argument("--allow-a4-violation", action="store_true",
+                   help="simulate a switching scenario even if its union "
+                        "graph fails the connectivity/balance assumption")
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("montecarlo",
                        help="mean-square disagreement over repeated runs")

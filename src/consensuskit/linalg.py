@@ -218,7 +218,7 @@ def solve_care(a, b, q, r):
 
     k = _stabilizing_seed(a, b, rinv, q)
     res = best = np.inf
-    for _ in range(_CARE_MAX_ITERATIONS):
+    for steps in range(1, _CARE_MAX_ITERATIONS + 1):
         closed = a - b @ k
         try:
             p = solve_lyapunov(closed, q + k.T @ r @ k)
@@ -234,8 +234,8 @@ def solve_care(a, b, q, r):
         best = min(best, res)
     if res > _CARE_RESIDUAL_TOL * scale:  # the last Newton step's residual
         raise ConvergenceFailure(
-            f"Riccati residual {res:.3e} above tolerance after "
-            f"{_CARE_MAX_ITERATIONS} iterations")
+            f"Riccati residual {res:.3e} above tolerance after {steps} of "
+            f"at most {_CARE_MAX_ITERATIONS} Newton steps")
     closed_re = eig(a - b @ rinv @ b.T @ p).real
     if closed_re.max() > 1e-9:
         raise ConvergenceFailure(

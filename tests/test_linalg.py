@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -241,10 +243,73 @@ def test_riccati_path_errors_keep_their_types(monkeypatch):
                           - p @ b2 @ np.linalg.inv(r) @ b2.T @ p)
     assert last > 0.0
     assert str(info.value) == (f"Riccati residual {last:.3e} above tolerance "
-                               f"after 200 iterations")
+                               f"after {len(solved)} of at most 200 Newton "
+                               "steps")
+    # from the zero gain (a2 is stable) Newton needs several steps, and the
+    # error counts each of them
+    solved.clear()
+    monkeypatch.setattr(linalg, "_stabilizing_seed",
+                        lambda a, b, rinv, q: np.zeros((1, 2)))
+    with pytest.raises(ck.ConvergenceFailure) as info:
+        solve_care(a2, b2, q, r)
+    assert len(solved) > 1
+    assert f"after {len(solved)} of at most 200 Newton steps" in str(
+        info.value)
     monkeypatch.setattr(linalg, "_LYAPUNOV_RESIDUAL_TOL", 0.0)
     with pytest.raises(ck.SingularSystemError, match="exceeds tolerance"):
         lyapunov(np.array([[-1.0, 2.0], [0.3, -3.0]]),
                  np.array([[1.0, 0.2], [0.2, 3.0]]))
     with pytest.raises(ck.ConvergenceFailure, match="Newton step lost"):
         solve_care(a2, b2, q, r)
+
+
+def test_care_takes_a_vector_b_and_a_scalar_r():
+    a = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    p = solve_care(a, np.array([[0.0], [1.0]]), np.eye(2), np.array([[2.0]]))
+    assert np.array_equal(solve_care(a, [0.0, 1.0], np.eye(2), 2.0), p)
+
+
+def _scenario(gain_r=3, observer_r=3):
+    """Three builtin agents on the 3-cycle with a degree-3 target; the gain
+    and the observer are designed for targets of degree gain_r and
+    observer_r."""
+    designs = {3: ck.design_companion([-1.0, -2.0]),
+               2: ck.design_companion([-1.0])}
+    observer = ck.observer_gain(designs[observer_r], np.eye(observer_r)[0],
+                                [-3.0 - k for k in range(observer_r)])
+    return ck.SimScenario(
+        [ck.builtin(f"agent{i}") for i in (1, 2, 3)], designs[3],
+        ck.rank_one_gain(designs[gain_r], 1.0, 1.0, 1.0),
+        ck.directed_cycle(3), observer=observer)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: linalg._as_matrix(np.zeros((2, 2, 2)), "m"),
+     ck.NonSquareError, "m must be 2-dimensional"),
+    (lambda: linalg._as_matrix([[1.0, np.inf]], "m"),
+     ValueError, "m has non-finite entries"),
+    (lambda: linalg._as_square(np.zeros((2, 3)), "a"),
+     ck.NonSquareError, "a must be square"),
+    (lambda: solve_lyapunov(-np.eye(2), np.eye(3)),
+     ck.NonSquareError, "q must match a"),
+    (lambda: solve_care(-np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1)),
+     ck.NonSquareError, "b must have 2 rows"),
+    (lambda: solve_care(-np.eye(2), np.ones((2, 1)), np.eye(3), np.eye(1)),
+     ck.NonSquareError, "q must match a"),
+    (lambda: solve_care(-np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2)),
+     ck.NonSquareError, "r must be 1x1"),
+    (lambda: ck.rng_for(0, -1), ValueError, "run_index must be nonnegative"),
+    (lambda: _scenario(gain_r=2),
+     ck.ValidationError, "gain dimension does not match"),
+    (lambda: _scenario(observer_r=2),
+     ck.ValidationError, "observer row dimension does not match"),
+    (lambda: replace(ck.builtin("agent1"), n_eta=-1),
+     ck.InvalidDimensionError, "n_eta must be >= 0"),
+    (lambda: replace(ck.builtin("agent1"), eta0=[0.1, 0.2]),
+     ck.InvalidDimensionError, "eta0 has length 2, expected n_eta = 1"),
+], ids=["3-d", "non-finite", "non-square", "lyapunov-q", "care-b", "care-q",
+        "care-r", "run-index", "gain-size", "observer-size", "n-eta",
+        "eta0-length"])
+def test_malformed_inputs_raise_their_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import consensuskit as ck
-from consensuskit import cli, errors, scenario, switching
+from consensuskit import cli, errors, scenario, sim, switching
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
 from consensuskit.scenario import load_scenario, parse_scenario
@@ -934,7 +935,7 @@ def test_cli_simulate_full_state_and_observer(tmp_path, capsys):
 def test_cli_simulate_switching_mode_column(tmp_path, capsys):
     scen = _write(tmp_path, switching_doc())
     out_csv = str(tmp_path / "sw.csv")
-    rc = main(["simulate-switching", scen, "--out", out_csv])
+    rc = main(["simulate", scen, "--out", out_csv])
     assert rc == 0
     capsys.readouterr()
     rows = _read_csv(out_csv)
@@ -950,12 +951,11 @@ def test_cli_simulate_switching_a4_gate(tmp_path, capsys):
                                   {"n": 3, "edges": [[2, 3, 1.0]]}]
     scen = _write(tmp_path, doc)
     out_csv = str(tmp_path / "bad.csv")
-    rc = main(["simulate-switching", scen, "--out", out_csv])
+    rc = main(["simulate", scen, "--out", out_csv])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
-    rc = main(["simulate-switching", scen, "--out", out_csv,
-               "--allow-a4-violation"])
+    rc = main(["simulate", scen, "--out", out_csv, "--allow-a4-violation"])
     assert rc == 0
     capsys.readouterr()
 
@@ -963,12 +963,10 @@ def test_cli_simulate_switching_a4_gate(tmp_path, capsys):
 def test_cli_simulate_runs_switching_scenarios_behind_the_a4_gate(tmp_path,
                                                                   capsys):
     scen = _write(tmp_path, switching_doc())
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a = tmp_path / "a.csv"
     assert main(["simulate", scen, "--out", str(a)]) == 0
-    assert main(["simulate-switching", scen, "--out", str(b)]) == 0
     capsys.readouterr()
     assert _read_csv(str(a))[0] == ["t", "y1", "y2", "y3", "mode"]
-    assert a.read_bytes() == b.read_bytes()
     doc = switching_doc()
     doc["switching"]["graphs"] = [{"n": 3, "edges": [[1, 2, 1.0]]},
                                   {"n": 3, "edges": [[2, 3, 1.0]]}]
@@ -976,6 +974,18 @@ def test_cli_simulate_runs_switching_scenarios_behind_the_a4_gate(tmp_path,
                "--out", str(tmp_path / "bad.csv")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+def test_cli_has_no_simulate_switching_command(tmp_path, capsys):
+    # simulate takes --allow-a4-violation itself; the old name is refused
+    # by argparse before anything is read or written
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["simulate-switching", _write(tmp_path, switching_doc()),
+              "--out", str(out), "--allow-a4-violation"])
+    assert info.value.code == 2
+    assert "invalid choice: 'simulate-switching'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_montecarlo(tmp_path, capsys):
@@ -992,6 +1002,39 @@ def test_cli_montecarlo(tmp_path, capsys):
     assert len(rows) == 52
 
 
+def test_monte_carlo_excludes_and_counts_diverged_runs(tmp_path, capsys):
+    # a third agent with eta' = eta^2 escapes at t = 1/eta0: of 8 runs at
+    # seed 3, runs 3 and 5 leave the guard ball (t = 2.66 and 1.34)
+    doc = switching_doc()
+    doc["agents"][2] = custom_agent_doc()
+    doc["agents"][2]["custom"]["theta"] = [[{"c": 1.0, "e": [0, 0, 2]}]]
+    doc["sim"] = {"t_end": 3.0, "dt": 0.02, "seed": 3, "init": "random"}
+    scen = parse_scenario(doc)
+    message = "2 of 8 Monte Carlo runs diverged and were excluded"
+    with pytest.warns(UserWarning, match=message):
+        result = sim.monte_carlo_ms(scen, 8)
+    assert (result.runs_used, result.runs_diverged) == (6, 2)
+    total, escapes = None, []
+    for k in range(8):
+        try:
+            traj = sim.simulate_switching(scen, run_index=k)
+        except errors.FiniteEscape as exc:
+            escapes.append((k, exc.t))
+            continue
+        d = sim._max_pairwise_sq(traj.xi_hat)
+        total = d if total is None else total + d
+    assert escapes == [(3, 2.66), (5, 1.34)]
+    # the survivors' sum in run order, bit for bit
+    assert np.array_equal(result.mean_square, total / 6)
+    path = _write(tmp_path, doc)
+    with pytest.warns(UserWarning, match=message):
+        rc = main(["montecarlo", path, "--runs", "8",
+                   "--out", str(tmp_path / "ms.csv")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["runs_used"], summary["runs_diverged"]) == (6, 2)
+
+
 def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
     # the parser is built once for all main calls: flags and defaults of
     # one call (--full-state, --seed, --svg, --allow-a4-violation, --runs)
@@ -1005,7 +1048,7 @@ def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
     plain, again = tmp_path / "plain.csv", tmp_path / "again.csv"
     assert main(["simulate", fixed, "--out", str(plain)]) == 0
     first = json.loads(capsys.readouterr().out)
-    assert main(["simulate-switching", bad, "--out", str(tmp_path / "s.csv"),
+    assert main(["simulate", bad, "--out", str(tmp_path / "s.csv"),
                  "--full-state", "--seed", "5", "--allow-a4-violation",
                  "--svg", str(tmp_path / "s.svg")]) == 0
     assert main(["montecarlo", _write(tmp_path, switching_doc(), "mc.json"),
@@ -1017,8 +1060,7 @@ def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
     assert "svg" not in summary
     assert summary["final_disagreement"] == first["final_disagreement"]
     assert again.read_bytes() == plain.read_bytes()
-    assert main(["simulate-switching", bad,
-                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert main(["simulate", bad, "--out", str(tmp_path / "s.csv")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
@@ -1531,7 +1573,6 @@ def test_cli_contract_holds_on_fuzzed_documents(tmp_path, capsys):
         Path(path).write_text(json.dumps(doc))
         for argv in (["synthesize", path], ["analyze", path],
                      ["simulate", path, "--out", out],
-                     ["simulate-switching", path, "--out", out],
                      ["montecarlo", path, "--runs", "2", "--out", out]):
             rc = main(argv)
             stdout, stderr = capsys.readouterr()
@@ -1552,7 +1593,7 @@ def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
     # any leaf (number, string, bool) set to a huge int, inf, a bool, null,
     # a string, a list or a dict: every command ends in exit 0 with one JSON
     # line on stdout, or in exit 1 or 2 with one JSON line on stderr that
-    # names a ConsensusKitError.  Measured: every one of the 1,000 calls exits 1,
+    # names a ConsensusKitError.  Measured: every one of the 800 calls exits 1,
     # each naming the field it refuses; a wider search (10,500 documents,
     # numbers in the pool too, leaves or whole sections set) crashed no
     # command
@@ -1564,7 +1605,6 @@ def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
         Path(path).write_text(json.dumps(doc))
         for argv in (["synthesize", path], ["analyze", path],
                      ["simulate", path, "--out", out],
-                     ["simulate-switching", path, "--out", out],
                      ["montecarlo", path, "--runs", "2", "--out", out]):
             rc = main(argv)
             stdout, stderr = capsys.readouterr()
@@ -1579,7 +1619,7 @@ def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
             assert isinstance(error, type), (k, argv[0], stderr)
             assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
             refused += rc == 1 and "field" in payload
-    assert refused == 1000
+    assert refused == 800
 
 
 def test_star_import_binds_no_module():
@@ -1598,6 +1638,22 @@ def test_readme_scenario_examples_parse():
         scen = parse_scenario(json.loads(block))
         kinds.add(type(scen.topology).__name__)
     assert kinds == {"DiGraph", "MarkovTopology"}
+
+
+def test_readme_command_lines_parse():
+    # every consensuskit line of the README's sh blocks, up to any pipe,
+    # names a command and flags the parser takes; nothing is run
+    lines = [line.split("|")[0]
+             for block in re.findall(r"```sh\n(.*?)```", README.read_text(),
+                                     re.S)
+             for line in block.splitlines()
+             if line.startswith("consensuskit ")]
+    assert len(lines) >= 5
+    commands = set()
+    for line in lines:
+        args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        commands.add(args.command)
+    assert commands == {"synthesize", "simulate", "montecarlo", "analyze"}
 
 
 def test_readme_quick_start_runs():

@@ -1690,6 +1690,45 @@ def test_relabelling_the_agents_permutes_the_trajectory(perm):
             assert np.array_equal(b.mode, a.mode)
 
 
+def _coupling_scaled(doc, c):
+    """doc with every edge weight times c and mu divided by c."""
+    new = json.loads(json.dumps(doc))
+    graphs = ([new["graph"]] if "graph" in new
+              else new["switching"]["graphs"])
+    for g in graphs:
+        g["edges"] = [[a, b, w * c] for a, b, w in g["edges"]]
+    new["controller"]["mu"] /= c
+    return new
+
+
+@pytest.mark.parametrize("name", ["fixed", "observer", "switching"])
+def test_coupling_scale_leaves_the_run_unchanged(name):
+    # L (x) B K is the same for weights c w and mu / c up to rounding, and
+    # exactly so when c is a power of two.  At c = 10 the largest relative
+    # gap measured on these three loops was 7.2e-16 (y and u); at 3, 0.1,
+    # 1e-3 and 1e3 the runs happened to come out bit-identical too
+    shipped = "switching" if name == "switching" else "fixed"
+    doc = json.loads((SCENARIO_DIR / f"five_agents_{shipped}.json")
+                     .read_text())
+    if name != "switching":
+        doc["sim"]["t_end"] = 10.0
+    if name == "observer":
+        doc["observer"] = {"C": [1.0, 0.0, 0.0], "poles": [-3.0, -4.0, -5.0]}
+    run = {"fixed": simulate_fixed, "observer": simulate_with_observer,
+           "switching": simulate_switching}[name]
+    base = run(parse_scenario(doc))
+    for c in (2.0, 0.5, 1024.0, 2.0 ** -10):
+        traj = run(parse_scenario(_coupling_scaled(doc, c)))
+        for field in ("y", "u", "xi_hat", "err", "mode"):
+            a, b = getattr(base, field), getattr(traj, field)
+            assert (a is None and b is None) or np.array_equal(a, b), (c, field)
+        assert all(map(np.array_equal, base.eta, traj.eta)), c
+    traj = run(parse_scenario(_coupling_scaled(doc, 10.0)))
+    for field in ("y", "u"):
+        a, b = getattr(base, field), getattr(traj, field)
+        assert np.abs(b - a).max() <= 4e-15 * np.abs(a).max(), field
+
+
 def _with_zero_terms(table, e):
     """`table` with the term 0.0 * z^e appended to every row."""
     rows = [[] for _ in range(table.n_rows)]
