@@ -302,6 +302,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_montecarlo(args):
+    if args.runs < 1:
+        raise ValidationError(f"need at least one run, got {args.runs}",
+                              field="--runs")
     scen = _apply_overrides(load_scenario(args.scenario), args)
     cfg = _output_cfg(scen, args)
     result = monte_carlo_ms(scen, args.runs)

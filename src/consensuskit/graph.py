@@ -24,7 +24,7 @@ from .linalg import _read_only
 
 __all__ = [
     "DiGraph", "laplacian", "has_spanning_tree", "is_balanced", "union",
-    "directed_cycle", "empty_graph", "graph_from_dict",
+    "directed_cycle", "graph_from_dict",
 ]
 
 _BALANCE_TOL = 1e-12
@@ -65,10 +65,6 @@ class DiGraph:
         for frm, to, wt in edges:
             w[to, frm] += wt
         return cls(w)
-
-
-def empty_graph(n):
-    return DiGraph(np.zeros((n, n)))
 
 
 def directed_cycle(n, weight=1.0):

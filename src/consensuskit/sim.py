@@ -542,7 +542,8 @@ def _trajectory(plan, scen, rows, times, modes, mode_path):
 
 def _require_fixed(scen):
     if not isinstance(scen.topology, DiGraph):
-        raise ValidationError("scenario topology is not a fixed graph")
+        raise ValidationError("scenario topology is not a fixed graph",
+                              field="switching")
 
 
 def simulate_fixed(scen):
@@ -577,12 +578,18 @@ def simulate_switching(scen, allow_a4_violation=False, run_index=0):
     error obeys e' = (A - M_o C) e in every mode.
     """
     if not isinstance(scen.topology, MarkovTopology):
-        raise ValidationError("scenario topology is not a switching topology")
+        raise ValidationError("scenario topology is not a switching topology",
+                              field="graph")
     mt = scen.topology
-    if not allow_a4_violation and not check_A4(mt).passes:
-        raise ValidationError(
-            "union graph fails the spanning-tree/balance assumption "
-            "(pass allow_a4_violation=True to simulate anyway)")
+    if not allow_a4_violation:
+        report = check_A4(mt)
+        failed = [fact for fact, holds in (
+            ("has no spanning tree", report.union_has_spanning_tree),
+            ("is not weight-balanced", report.union_balanced)) if not holds]
+        if failed:
+            raise ValidationError(
+                f"the union of the mode graphs {' and '.join(failed)} "
+                "(assumption A4)", field="switching")
     use_observer = scen.observer is not None
     # first: no path is sampled for a run too long
     times = _grid(scen, use_observer)

@@ -37,7 +37,6 @@ from .rng import STREAM_MODE_PATH, rng_for
 __all__ = [
     "MarkovTopology", "GraphCheck", "A4Report",
     "stationary_distribution", "sample_path", "check_A4", "speed_bound",
-    "default_switching_pair",
 ]
 
 _GENERATOR_ROW_TOL = 1e-12
@@ -234,10 +233,11 @@ def speed_bound(mt, gain, cs):
     rank-one gain, at least two agents (one raises AllZeroError), and the
     union graph to satisfy the spanning-tree and balance assumption.
 
-    It is not a bound at a finite switching rate: on the default pair with
-    the unit gain it reads 0.691, while the exact second-moment decay rate
-    of the Markov jump linear system is about 0.519 at switching rate 1
-    and 0.676 at rate 10.
+    It is not a bound at a finite switching rate: on the design of
+    scenarios/five_agents_switching.json (two modes whose union is the
+    directed 5-cycle, the unit gain) it reads 0.691, while the exact
+    second-moment decay rate of the Markov jump linear system is about
+    0.519 at switching rate 1 and 0.676 at rate 10.
     """
     if gain.rank != "one":
         raise NotRankOneError("speed bound applies to the rank-one gain only")
@@ -254,17 +254,3 @@ def speed_bound(mt, gain, cs):
     return float(mt.pi.min() * gain.mu * np.sqrt(gain.q1 * gain.r_hat)
                  * btnu * lam)
 
-
-def default_switching_pair(n=5):
-    """Two sparse mode graphs whose union is the directed n-cycle.
-
-    Mode 0 carries the first two cycle edges, mode 1 the rest.  Neither
-    mode alone has a spanning tree or is balanced, but the union is the
-    full cycle, so the switching assumptions hold.
-    """
-    if n < 3:
-        raise DimensionMismatchError("need at least 3 nodes")
-    edges = [(k, (k + 1) % n, 1.0) for k in range(n)]
-    g1 = DiGraph.from_edges(n, edges[:2])
-    g2 = DiGraph.from_edges(n, edges[2:])
-    return g1, g2

@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rand_spd, rand_stable_matrix
+from conftest import default_switching_pair, rand_spd, rand_stable_matrix
 
 from consensuskit.agents import builtin
 from consensuskit.graph import (
@@ -52,7 +52,6 @@ from consensuskit.sim import (
 from consensuskit.switching import (
     MarkovTopology,
     check_A4,
-    default_switching_pair,
     sample_path,
     speed_bound,
 )

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-import consensuskit as ck
+from consensuskit import errors
 from consensuskit.agents import (
     AUGMENTED_GENERAL, NormalFormAgent, TermTable, augment, builtin,
     eval_dynamics, linearizing_input,
 )
+from consensuskit.rng import rng_for
 from consensuskit.scenario import parse_scenario
 
 ZERO = TermTable([[]], scalar=True)
@@ -72,7 +73,7 @@ def test_builtin_and_parsed_agents_carry_term_tables():
 
 
 def test_builtin_rejects_unknown_name():
-    with pytest.raises(ck.UnknownAgentError):
+    with pytest.raises(errors.UnknownAgentError):
         builtin("agent9")
 
 
@@ -110,7 +111,7 @@ def test_with_initial_leaves_the_shared_builtin_unchanged():
 def test_agent3_coordinate_map_round_trip():
     ag = builtin("agent3")
     assert ag.native is not None
-    rng = ck.rng_for(301)
+    rng = rng_for(301)
     for _ in range(50):
         x = rng.uniform(-2.0, 2.0, size=3)
         xi = ag.native.xi_of(x)
@@ -119,7 +120,7 @@ def test_agent3_coordinate_map_round_trip():
 
 def test_agent3_alpha_agrees_across_coordinates():
     ag = builtin("agent3")
-    rng = ck.rng_for(302)
+    rng = rng_for(302)
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5, size=3)
         xi = ag.native.xi_of(x)
@@ -132,7 +133,7 @@ def test_agent3_chain_property_numerically():
     # (xi2, xi3, alpha + u); checked by central differencing the map
     ag = builtin("agent3")
     native = ag.native
-    rng = ck.rng_for(303)
+    rng = rng_for(303)
     h = 1e-5
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=3)
@@ -155,7 +156,7 @@ def test_linearizing_input_beta_floor():
         beta=TermTable([[(1.0, (1,))]], scalar=True),  # beta = xi_1
         theta=NO_INTERNAL,
         xi0=np.zeros(2), eta0=np.empty(0))
-    with pytest.raises(ck.BetaNearZero) as exc:
+    with pytest.raises(errors.BetaNearZero) as exc:
         linearizing_input(ag, np.array([0.0, 1.0]), np.empty(0), 1.0)
     assert exc.value.agent_id == 9
     assert np.array_equal(exc.value.state, [0.0, 1.0])
@@ -187,7 +188,7 @@ def test_normal_form_validation():
         dict(n_eta=1, theta=TermTable([[(1.0, (0, 0, 0, 2))]])),
     ]
     for kwargs in bad:
-        with pytest.raises(ck.InvalidDimensionError):
+        with pytest.raises(errors.InvalidDimensionError):
             _agent(**kwargs)
 
 
@@ -195,7 +196,7 @@ def test_term_table_takes_only_non_negative_integer_exponents():
     # a map is a polynomial: 0.5 and 1.7 were truncated to 0 and 1 (xi^0.5
     # read as 1.0, xi^1.7 as xi) and -1 was taken; 2.0 means 2
     for p in (0.5, 1.7, -1, float("nan"), "2"):
-        with pytest.raises(ck.InvalidDimensionError,
+        with pytest.raises(errors.InvalidDimensionError,
                            match=r"row 1, term 2: exponent .* of variable 1"):
             TermTable([[(1.0, (1,))],
                        [(1.0, (1,)), (2.0, (0, 1)), (3.0, (0, p))]])
@@ -210,10 +211,10 @@ def test_term_table_takes_only_non_negative_integer_exponents():
 
 def test_eval_dynamics_checks_sizes():
     ag = builtin("agent1")
-    with pytest.raises(ck.InvalidDimensionError):
+    with pytest.raises(errors.InvalidDimensionError):
         eval_dynamics(ag, np.zeros(3), np.zeros(1), 0.0)
     # a theta with the wrong number of rows never makes an agent
-    with pytest.raises(ck.InvalidDimensionError):
+    with pytest.raises(errors.InvalidDimensionError):
         _agent(n_eta=1, theta=TermTable([[], []]))
 
 
@@ -222,7 +223,7 @@ def test_with_initial_rules():
     moved = damped.with_initial(xi0=[1.0, 2.0], eta0=[3.0])
     assert np.array_equal(moved.xi0, [1.0, 2.0])
     assert np.array_equal(moved.eta0, [3.0])
-    with pytest.raises(ck.InvalidDimensionError):
+    with pytest.raises(errors.InvalidDimensionError):
         damped.with_initial(x0=[1.0, 2.0, 3.0])
 
     native = builtin("agent3")
@@ -230,9 +231,9 @@ def test_with_initial_rules():
     placed = native.with_initial(x0=x)
     assert np.allclose(placed.xi0, native.native.xi_of(x))
     assert np.array_equal(placed.native.x0, x)
-    with pytest.raises(ck.InvalidDimensionError):
+    with pytest.raises(errors.InvalidDimensionError):
         native.with_initial(xi0=[0.0, 0.0, 0.0])
-    with pytest.raises(ck.InvalidDimensionError):
+    with pytest.raises(errors.InvalidDimensionError):
         native.with_initial(x0=[1.0, 2.0])
 
 
@@ -249,6 +250,6 @@ def test_augment_wraps_general_input():
     assert ag.kind == AUGMENTED_GENERAL
     assert ag.u0 == 0.25
     assert ag.agent_id == 7
-    with pytest.raises(ck.InvalidDimensionError):
+    with pytest.raises(errors.InvalidDimensionError):
         augment(r=2, alpha_tilde=ZERO, beta_tilde=ONE, theta_tilde=None,
                 xi0=[1.0, 0.0])

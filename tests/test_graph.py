@@ -5,11 +5,14 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-import consensuskit as ck
+from conftest import empty_graph
+
+from consensuskit import errors
 from consensuskit.graph import (
-    DiGraph, directed_cycle, empty_graph, graph_from_dict,
+    DiGraph, directed_cycle, graph_from_dict,
     has_spanning_tree, is_balanced, laplacian, union,
 )
+from consensuskit.rng import rng_for
 
 
 def test_from_edges_accumulates_parallel_edges():
@@ -20,7 +23,7 @@ def test_from_edges_accumulates_parallel_edges():
 
 
 def test_graph_validation_errors():
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         DiGraph(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         DiGraph(np.array([[0.0, -1.0], [0.0, 0.0]]))
@@ -37,7 +40,7 @@ def test_weights_are_read_only():
 
 
 def test_laplacian_rows_sum_to_zero():
-    rng = ck.rng_for(201)
+    rng = rng_for(201)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         w = rng.uniform(0.0, 2.0, size=(n, n))
@@ -82,9 +85,9 @@ def test_union_sums_weights_and_checks_sizes():
     # list form is accepted too
     u2 = union([g1, g2])
     assert np.array_equal(u.weights, u2.weights)
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         union(g1, empty_graph(4))
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         union([])
 
 
@@ -119,7 +122,7 @@ def test_spanning_tree_matches_breadth_first_search():
         for cut in range(n - 1):
             g = DiGraph.from_edges(n, path[:cut] + path[cut + 1:])
             assert not has_spanning_tree(g)
-    rng = ck.rng_for(203)
+    rng = rng_for(203)
     seen = set()
     for n in range(1, 25):
         for density in (0.5 / n, 1.0 / n, 2.0 / n, 4.0 / n):
@@ -145,22 +148,22 @@ def test_graph_from_dict_reads_edges():
 
 
 def test_graph_from_dict_validation():
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         graph_from_dict({"edges": []})
     assert exc.value.field == "graph"
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         graph_from_dict({"n": 0, "edges": []})
     assert exc.value.field == "graph.n"
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         graph_from_dict({"n": 2, "edges": [[1, 1, 1.0]]}, where="switching.graphs[0]")
     assert exc.value.field == "switching.graphs[0].edges[0]"
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         graph_from_dict({"n": 2, "edges": [[0, 1, 1.0]]})
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         graph_from_dict({"n": 2, "edges": [[1, 2, -1.0]]})
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         graph_from_dict({"n": 2, "edges": [[1, 2]]})
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         graph_from_dict("not a dict")
 
 
@@ -192,7 +195,7 @@ EDGE_REJECTS = [
                          ids=[repr(e)[:24] for e, _ in EDGE_REJECTS])
 def test_rejected_edge_names_its_field_and_fault(edge, message):
     doc = {"n": 3, "edges": [[1, 2, 1.0], edge]}
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         graph_from_dict(doc, where="switching.graphs[1]")
     assert exc.value.field == "switching.graphs[1].edges[1]"
     assert str(exc.value) == message
@@ -219,7 +222,7 @@ def test_parallel_edges_whose_sum_overflows_are_rejected():
     # numpy's overflow warning or DiGraph's ValueError
     big = [1, 2, 1.7e308]
     for where in ("graph", "switching.graphs[1]"):
-        with pytest.raises(ck.ValidationError) as exc:
+        with pytest.raises(errors.ValidationError) as exc:
             graph_from_dict({"n": 3, "edges": [big, [2, 3, 1.0], big]},
                             where=where)
         assert exc.value.field == f"{where}.edges"

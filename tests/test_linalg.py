@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import consensuskit as ck
-from consensuskit import linalg
+from consensuskit import errors, linalg
+from consensuskit.agents import builtin
+from consensuskit.graph import directed_cycle
 from consensuskit.linalg import eig, solve_care, solve_lyapunov
+from consensuskit.rng import rng_for
+from consensuskit.sim import SimScenario
+from consensuskit.synthesis import (
+    design_companion, observer_gain, rank_one_gain,
+)
 
 from conftest import rand_stable_matrix, rand_spd
 
@@ -14,7 +20,7 @@ SQRT3 = 1.7320508075688772
 
 
 def test_eig_sorted_and_invariants():
-    rng = ck.rng_for(101)
+    rng = rng_for(101)
     for _ in range(25):
         n = int(rng.integers(1, 7))
         m = rng.standard_normal((n, n))
@@ -35,12 +41,12 @@ def test_eig_conjugate_pairs():
 
 
 def test_eig_rejects_nonsquare():
-    with pytest.raises(ck.NonSquareError):
+    with pytest.raises(errors.NonSquareError):
         eig(np.zeros((2, 3)))
 
 
 def test_eig_of_a_stack_is_each_matrix_sorted_spectrum():
-    rng = ck.rng_for(102)
+    rng = rng_for(102)
     real = rng.standard_normal((7, 5, 5))
     for stack in (real, real + 1j * rng.standard_normal((7, 5, 5)),
                   real.reshape(7, 1, 5, 5)):
@@ -55,9 +61,9 @@ def test_eig_of_a_stack_is_each_matrix_sorted_spectrum():
         stack[3, 2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             eig(stack)
-    with pytest.raises(ck.NonSquareError):
+    with pytest.raises(errors.NonSquareError):
         eig(np.zeros((4, 2, 3)))
-    with pytest.raises(ck.NonSquareError):
+    with pytest.raises(errors.NonSquareError):
         eig(np.zeros(3))
 
 
@@ -68,7 +74,7 @@ def test_lyapunov_scalar_oracle():
 
 
 def test_lyapunov_residual_property():
-    rng = ck.rng_for(102)
+    rng = rng_for(102)
     for _ in range(30):
         n = int(rng.integers(1, 6))
         a = rand_stable_matrix(rng, n)
@@ -82,9 +88,9 @@ def test_lyapunov_residual_property():
 
 
 def test_lyapunov_rejects_unstable():
-    with pytest.raises(ck.UnstableMatrixError):
+    with pytest.raises(errors.UnstableMatrixError):
         solve_lyapunov(np.array([[0.0]]), np.array([[1.0]]))
-    with pytest.raises(ck.UnstableMatrixError):
+    with pytest.raises(errors.UnstableMatrixError):
         solve_lyapunov(np.array([[0.3]]), np.array([[1.0]]))
 
 
@@ -109,7 +115,7 @@ def test_care_double_integrator_oracle():
 
 
 def test_care_matches_scipy_on_random_systems():
-    rng = ck.rng_for(103)
+    rng = rng_for(103)
     for _ in range(10):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 3))
@@ -126,7 +132,7 @@ def test_care_matches_scipy_on_random_systems():
 
 
 def test_care_result_is_stabilizing():
-    rng = ck.rng_for(104)
+    rng = rng_for(104)
     for _ in range(10):
         n = int(rng.integers(2, 5))
         a = rng.standard_normal((n, n)) + 0.5 * np.eye(n)  # bias unstable
@@ -142,7 +148,7 @@ def _seed_problems():
     The double integrator with Q = diag(1, 2) has the closed-loop
     polynomial (s + 1)^2: a double, defective pole at -1.
     """
-    rng = ck.rng_for(105)
+    rng = rng_for(105)
     problems = []
     for r in range(3, 7):
         for _ in range(4):
@@ -154,7 +160,7 @@ def _seed_problems():
                     poles += [complex(re, im), complex(re, -im)]
                 else:
                     poles.append(re)
-            cs = ck.design_companion(poles)
+            cs = design_companion(poles)
             r_hat = float(rng.uniform(0.2, 5.0))
             problems.append((cs.A, cs.B.reshape(-1, 1), rand_spd(rng, r),
                              np.array([[1.0 / r_hat]])))
@@ -191,13 +197,13 @@ def test_care_newton_polishes_the_hamiltonian_seed(monkeypatch):
 def test_care_without_stabilizing_solution():
     # H = [[0, -1], [0, 0]] has no stable eigenvalue: the only P >= 0,
     # P = 0, leaves the closed loop at 0.
-    with pytest.raises(ck.ConvergenceFailure, match="0 of 1 stable"):
+    with pytest.raises(errors.ConvergenceFailure, match="0 of 1 stable"):
         solve_care(np.array([[0.0]]), np.array([[1.0]]),
                    np.array([[0.0]]), np.array([[1.0]]))
 
 
 def test_care_unstabilizable_pair():
-    with pytest.raises(ck.NotStabilizableError):
+    with pytest.raises(errors.NotStabilizableError):
         solve_care(np.array([[1.0]]), np.array([[0.0]]),
                    np.array([[1.0]]), np.array([[1.0]]))
 
@@ -217,12 +223,12 @@ def test_riccati_path_errors_keep_their_types(monkeypatch):
     with pytest.raises(ValueError, match="q must be symmetric"):
         solve_lyapunov(-np.eye(2), np.array([[1.0, 0.0], [1.5e-9, 1.0]]))
     # within the bound: symmetric enough, and no symmetric P solves it
-    with pytest.raises(ck.SingularSystemError, match="Lyapunov residual"):
+    with pytest.raises(errors.SingularSystemError, match="Lyapunov residual"):
         solve_lyapunov(-np.eye(2), np.array([[1.0, 0.0], [1.4e-9, 1.0]]))
     # unstable a
-    with pytest.raises(ck.UnstableMatrixError, match="max Re"):
+    with pytest.raises(errors.UnstableMatrixError, match="max Re"):
         solve_lyapunov(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
-    with pytest.raises(ck.NotStabilizableError):
+    with pytest.raises(errors.NotStabilizableError):
         solve_care(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]), np.eye(2),
                    np.eye(1))
     # a residual above tolerance; solve_care reports its last Newton step's
@@ -236,7 +242,7 @@ def test_riccati_path_errors_keep_their_types(monkeypatch):
     monkeypatch.setattr(linalg, "solve_lyapunov", keep)
     monkeypatch.setattr(linalg, "_CARE_RESIDUAL_TOL", 0.0)
     q, r = np.eye(2), np.eye(1)
-    with pytest.raises(ck.ConvergenceFailure) as info:
+    with pytest.raises(errors.ConvergenceFailure) as info:
         solve_care(a2, b2, q, r)
     p = solved[-1]
     last = np.linalg.norm(a2.T @ p + p @ a2 + q
@@ -250,16 +256,16 @@ def test_riccati_path_errors_keep_their_types(monkeypatch):
     solved.clear()
     monkeypatch.setattr(linalg, "_stabilizing_seed",
                         lambda a, b, rinv, q: np.zeros((1, 2)))
-    with pytest.raises(ck.ConvergenceFailure) as info:
+    with pytest.raises(errors.ConvergenceFailure) as info:
         solve_care(a2, b2, q, r)
     assert len(solved) > 1
     assert f"after {len(solved)} of at most 200 Newton steps" in str(
         info.value)
     monkeypatch.setattr(linalg, "_LYAPUNOV_RESIDUAL_TOL", 0.0)
-    with pytest.raises(ck.SingularSystemError, match="exceeds tolerance"):
+    with pytest.raises(errors.SingularSystemError, match="exceeds tolerance"):
         lyapunov(np.array([[-1.0, 2.0], [0.3, -3.0]]),
                  np.array([[1.0, 0.2], [0.2, 3.0]]))
-    with pytest.raises(ck.ConvergenceFailure, match="Newton step lost"):
+    with pytest.raises(errors.ConvergenceFailure, match="Newton step lost"):
         solve_care(a2, b2, q, r)
 
 
@@ -273,40 +279,40 @@ def _scenario(gain_r=3, observer_r=3):
     """Three builtin agents on the 3-cycle with a degree-3 target; the gain
     and the observer are designed for targets of degree gain_r and
     observer_r."""
-    designs = {3: ck.design_companion([-1.0, -2.0]),
-               2: ck.design_companion([-1.0])}
-    observer = ck.observer_gain(designs[observer_r], np.eye(observer_r)[0],
-                                [-3.0 - k for k in range(observer_r)])
-    return ck.SimScenario(
-        [ck.builtin(f"agent{i}") for i in (1, 2, 3)], designs[3],
-        ck.rank_one_gain(designs[gain_r], 1.0, 1.0, 1.0),
-        ck.directed_cycle(3), observer=observer)
+    designs = {3: design_companion([-1.0, -2.0]),
+               2: design_companion([-1.0])}
+    observer = observer_gain(designs[observer_r], np.eye(observer_r)[0],
+                             [-3.0 - k for k in range(observer_r)])
+    return SimScenario(
+        [builtin(f"agent{i}") for i in (1, 2, 3)], designs[3],
+        rank_one_gain(designs[gain_r], 1.0, 1.0, 1.0),
+        directed_cycle(3), observer=observer)
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: linalg._as_matrix(np.zeros((2, 2, 2)), "m"),
-     ck.NonSquareError, "m must be 2-dimensional"),
+     errors.NonSquareError, "m must be 2-dimensional"),
     (lambda: linalg._as_matrix([[1.0, np.inf]], "m"),
      ValueError, "m has non-finite entries"),
     (lambda: linalg._as_square(np.zeros((2, 3)), "a"),
-     ck.NonSquareError, "a must be square"),
+     errors.NonSquareError, "a must be square"),
     (lambda: solve_lyapunov(-np.eye(2), np.eye(3)),
-     ck.NonSquareError, "q must match a"),
+     errors.NonSquareError, "q must match a"),
     (lambda: solve_care(-np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1)),
-     ck.NonSquareError, "b must have 2 rows"),
+     errors.NonSquareError, "b must have 2 rows"),
     (lambda: solve_care(-np.eye(2), np.ones((2, 1)), np.eye(3), np.eye(1)),
-     ck.NonSquareError, "q must match a"),
+     errors.NonSquareError, "q must match a"),
     (lambda: solve_care(-np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2)),
-     ck.NonSquareError, "r must be 1x1"),
-    (lambda: ck.rng_for(0, -1), ValueError, "run_index must be nonnegative"),
+     errors.NonSquareError, "r must be 1x1"),
+    (lambda: rng_for(0, -1), ValueError, "run_index must be nonnegative"),
     (lambda: _scenario(gain_r=2),
-     ck.ValidationError, "gain dimension does not match"),
+     errors.ValidationError, "gain dimension does not match"),
     (lambda: _scenario(observer_r=2),
-     ck.ValidationError, "observer row dimension does not match"),
-    (lambda: replace(ck.builtin("agent1"), n_eta=-1),
-     ck.InvalidDimensionError, "n_eta must be >= 0"),
-    (lambda: replace(ck.builtin("agent1"), eta0=[0.1, 0.2]),
-     ck.InvalidDimensionError, "eta0 has length 2, expected n_eta = 1"),
+     errors.ValidationError, "observer row dimension does not match"),
+    (lambda: replace(builtin("agent1"), n_eta=-1),
+     errors.InvalidDimensionError, "n_eta must be >= 0"),
+    (lambda: replace(builtin("agent1"), eta0=[0.1, 0.2]),
+     errors.InvalidDimensionError, "eta0 has length 2, expected n_eta = 1"),
 ], ids=["3-d", "non-finite", "non-square", "lyapunov-q", "care-b", "care-q",
         "care-r", "run-index", "gain-size", "observer-size", "n-eta",
         "eta0-length"])

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-import consensuskit as ck
-from consensuskit.graph import DiGraph, empty_graph, laplacian
+from conftest import default_switching_pair, empty_graph
+
+from consensuskit import errors
+from consensuskit.graph import DiGraph, laplacian
 from consensuskit.metrics import (
     disagreement, empirical_rate,
     theoretical_speed_fixed, theoretical_speed_switching,
 )
 from consensuskit.sim import Trajectory
-from consensuskit.synthesis import CompanionSystem, closed_loop_spectrum
-from consensuskit.switching import MarkovTopology, default_switching_pair, speed_bound
+from consensuskit.synthesis import (
+    CompanionSystem, closed_loop_spectrum, design_companion, full_gain,
+    rank_one_gain,
+)
+from consensuskit.switching import MarkovTopology, speed_bound
 
 
 def _traj_with_outputs(times, y):
@@ -55,13 +60,13 @@ def test_empirical_rate_growing_series_is_negative():
 def test_empirical_rate_window_errors():
     times = np.linspace(0.0, 10.0, 11)
     values = np.exp(-times)
-    with pytest.raises(ck.EmptyWindowError):
+    with pytest.raises(errors.EmptyWindowError):
         empirical_rate(times, values, window=(20.0, 30.0))
-    with pytest.raises(ck.EmptyWindowError):
+    with pytest.raises(errors.EmptyWindowError):
         empirical_rate(times, values[:5])
-    with pytest.raises(ck.EmptyWindowError):
+    with pytest.raises(errors.EmptyWindowError):
         empirical_rate(times, np.zeros((11, 2)))
-    with pytest.raises(ck.NonPositiveSeriesError):
+    with pytest.raises(errors.NonPositiveSeriesError):
         empirical_rate(times, np.zeros(11))
 
 
@@ -90,7 +95,7 @@ def test_theoretical_speed_fixed_default_design(target, unit_gain, five_cycle):
 
 def test_theoretical_speed_fixed_pole_limited(target, five_cycle):
     lap = laplacian(five_cycle)
-    strong = ck.rank_one_gain(target, mu=1.0, q1=10.0, r_hat=1.0)
+    strong = rank_one_gain(target, mu=1.0, q1=10.0, r_hat=1.0)
     speed = theoretical_speed_fixed(target, strong, lap)
     # coupling sqrt(10) * 0.69 exceeds the slowest plant pole, so the
     # pole term 1 becomes binding
@@ -98,16 +103,16 @@ def test_theoretical_speed_fixed_pole_limited(target, five_cycle):
 
 
 def test_theoretical_speed_fixed_no_warning_off_design(five_cycle):
-    cs = ck.design_companion([-4.0, -5.0])
-    gain = ck.rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
+    cs = design_companion([-4.0, -5.0])
+    gain = rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
     speed = theoretical_speed_fixed(cs, gain, laplacian(five_cycle))
     coupling = float(cs.B @ cs.nu) * (1.0 - np.cos(2.0 * np.pi / 5.0))
     assert speed == pytest.approx(min(coupling, 4.0), abs=1e-12)
 
 
 def test_theoretical_speed_fixed_reads_the_slowest_pole(five_cycle):
-    cs = ck.design_companion([-3.0, -5.0])
-    gain = ck.rank_one_gain(cs, mu=10.0, q1=1.0, r_hat=1.0)
+    cs = design_companion([-3.0, -5.0])
+    gain = rank_one_gain(cs, mu=10.0, q1=1.0, r_hat=1.0)
     # coupling 10 * (1 - cos 72 deg) = 6.9 lies above both poles, so the
     # slowest closed-loop mode is the pole at -3
     speed = theoretical_speed_fixed(cs, gain, laplacian(five_cycle))
@@ -115,8 +120,8 @@ def test_theoretical_speed_fixed_reads_the_slowest_pole(five_cycle):
 
 
 def test_theoretical_speed_fixed_fourth_order_target(five_cycle):
-    cs = ck.design_companion([-1.0, -2.0, -3.0])
-    gain = ck.rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
+    cs = design_companion([-1.0, -2.0, -3.0])
+    gain = rank_one_gain(cs, mu=1.0, q1=1.0, r_hat=1.0)
     speed = theoretical_speed_fixed(cs, gain, laplacian(five_cycle))
     coupling = float(cs.B @ cs.nu) * (1.0 - np.cos(2.0 * np.pi / 5.0))
     assert isinstance(speed, float)
@@ -153,13 +158,13 @@ def test_theoretical_speed_fixed_follows_a_weak_edge(target, unit_gain,
 
 
 def test_theoretical_speed_fixed_one_agent_has_no_rate(target, unit_gain):
-    with pytest.raises(ck.AllZeroError):
+    with pytest.raises(errors.AllZeroError):
         theoretical_speed_fixed(target, unit_gain, laplacian(empty_graph(1)))
 
 
 def test_theoretical_speed_fixed_rejects_a_matrix_that_is_no_laplacian(
         target, unit_gain):
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         theoretical_speed_fixed(target, unit_gain, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         theoretical_speed_fixed(target, unit_gain,
@@ -179,12 +184,12 @@ def _rank_one_designs(seed, count):
                 poles += [complex(re, im), complex(re, -im)]
             else:
                 poles.append(-rng.uniform(0.3, 2.5))
-        cs = (ck.design_companion(poles) if poles else CompanionSystem(
+        cs = (design_companion(poles) if poles else CompanionSystem(
             r=1, b=np.zeros(0), A=np.zeros((1, 1)), B=np.ones(1),
             nu=np.ones(1), stable_poles=np.zeros(0, dtype=complex)))
-        gain = ck.rank_one_gain(cs, mu=rng.uniform(0.1, 2.0),
-                                q1=rng.uniform(0.1, 10.0),
-                                r_hat=rng.uniform(0.2, 2.0))
+        gain = rank_one_gain(cs, mu=rng.uniform(0.1, 2.0),
+                             q1=rng.uniform(0.1, 10.0),
+                             r_hat=rng.uniform(0.2, 2.0))
         order = rng.permutation(n).tolist()
         edges = [(order[k], order[k + 1], rng.uniform(0.2, 2.0))
                  for k in range(n - 1)]
@@ -205,13 +210,13 @@ def test_theoretical_speed_fixed_is_the_closed_loop_spectral_abscissa():
 
 
 def test_theoretical_speed_fixed_requires_rank_one(target, five_cycle):
-    g = ck.full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=1.0)
-    with pytest.raises(ck.NotRankOneError):
+    g = full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=1.0)
+    with pytest.raises(errors.NotRankOneError):
         theoretical_speed_fixed(target, g, laplacian(five_cycle))
 
 
 def test_theoretical_speed_fixed_requires_spanning_tree(target, unit_gain):
-    with pytest.raises(ck.NoSpanningTreeError):
+    with pytest.raises(errors.NoSpanningTreeError):
         theoretical_speed_fixed(target, unit_gain, laplacian(empty_graph(4)))
 
 

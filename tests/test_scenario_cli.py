@@ -7,15 +7,18 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-import consensuskit as ck
+import consensuskit
 from consensuskit import cli, errors, scenario, sim, switching
+from consensuskit.agents import builtin
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
 from consensuskit.scenario import load_scenario, parse_scenario
@@ -81,7 +84,7 @@ def test_shipped_switching_scenario_loads():
     assert isinstance(scen.topology, MarkovTopology)
     assert scen.topology.n_modes == 2
     assert np.allclose(scen.topology.pi, [0.5, 0.5])
-    report = ck.check_A4(scen.topology)
+    report = switching.check_A4(scen.topology)
     assert report.passes
 
 
@@ -339,7 +342,7 @@ VALIDATION_CASES = [
 def test_validation_reports_dotted_field(mutate, field):
     doc = base_doc()
     mutate(doc)
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         parse_scenario(doc)
     assert exc.value.field == field
 
@@ -380,7 +383,7 @@ def _doc_with_theta_term(term):
 @pytest.mark.parametrize("term,field,message", TERM_REJECTS,
                          ids=[repr(t)[:28] for t, _, _ in TERM_REJECTS])
 def test_rejected_term_names_its_field_and_fault(term, field, message):
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         parse_scenario(_doc_with_theta_term(term))
     assert exc.value.field == "agents[1].custom.theta[0][2]" + field
     assert str(exc.value) == message
@@ -419,7 +422,7 @@ def test_graph_size_is_checked_before_its_weights_are_allocated():
                            (sdoc, "switching.graphs[1]", "mode graph")):
         tracemalloc.start()
         try:
-            with pytest.raises(ck.ValidationError) as exc:
+            with pytest.raises(errors.ValidationError) as exc:
                 parse_scenario(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -480,7 +483,7 @@ SWITCHING_CASES = [
 def test_switching_validation_fields(mutate, field):
     doc = switching_doc()
     mutate(doc)
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         parse_scenario(doc)
     assert exc.value.field == field
 
@@ -523,8 +526,8 @@ def test_parser_fuzzed_by_seeded_mutations():
         try:
             parse_scenario(doc)
             outcome = "parsed"
-        except (ck.ValidationError, ck.ScenarioParseError,
-                ck.SynthesisError) as exc:
+        except (errors.ValidationError, errors.ScenarioParseError,
+                errors.SynthesisError) as exc:
             outcome = type(exc).__name__
         except Exception as exc:
             pytest.fail(f"{'.'.join(map(str, path))} {change}: "
@@ -537,27 +540,27 @@ def test_parser_fuzzed_by_seeded_mutations():
 def test_parse_error_carries_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"agents": [,]}')
-    with pytest.raises(ck.ScenarioParseError) as exc:
+    with pytest.raises(errors.ScenarioParseError) as exc:
         load_scenario(path)
     assert exc.value.line == 1
     assert isinstance(exc.value.column, int)
     path.write_text("[1, 2]")
-    with pytest.raises(ck.ScenarioParseError):
+    with pytest.raises(errors.ScenarioParseError):
         load_scenario(path)
 
 
 def test_synthesis_error_chains_cause():
     doc = base_doc()
     doc["controller"]["poles"] = [1.0, -2.0]
-    with pytest.raises(ck.SynthesisError) as exc:
+    with pytest.raises(errors.SynthesisError) as exc:
         parse_scenario(doc)
-    assert isinstance(exc.value.__cause__, ck.UnstablePoleError)
+    assert isinstance(exc.value.__cause__, errors.UnstablePoleError)
 
     doc = base_doc()
     doc["observer"] = {"C": [0.0, 0.0, 0.0], "poles": [-3.0, -4.0, -5.0]}
-    with pytest.raises(ck.SynthesisError) as exc:
+    with pytest.raises(errors.SynthesisError) as exc:
         parse_scenario(doc)
-    assert isinstance(exc.value.__cause__, ck.NotObservableError)
+    assert isinstance(exc.value.__cause__, errors.NotObservableError)
 
 
 def test_observer_defaults_and_match():
@@ -821,6 +824,49 @@ def test_csv_rows_match_percent_formatting_on_hard_values(tmp_path,
     assert path.read_bytes() == _percent_text(["x"], [block])
 
 
+def _float_of_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+_TENS = 10.0 ** np.arange(-323, 309)
+# a double drawn by its bit pattern, or one of the kinds a fast %.17g gets
+# wrong: nan, inf, 0, subnormals, the nearest double to 18 significant
+# digits ending in 5 (a near-tie at 17 digits), a power of ten +-1 ulp;
+# all of them of either sign
+_DOUBLES = st.builds(
+    lambda v, negative: -v if negative else v,
+    st.one_of(
+        st.integers(0, 2 ** 64 - 1).map(_float_of_bits),
+        st.sampled_from([float("nan"), float("inf"), 0.0]),
+        st.integers(1, 2 ** 52 - 1).map(_float_of_bits),
+        st.builds(lambda m, e: float(f"{m}5e{e}"),
+                  st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-340, 290)),
+        st.sampled_from(np.concatenate([
+            _TENS, np.nextafter(_TENS, 0), np.nextafter(_TENS, np.inf)]
+        ).tolist()),
+    ),
+    st.booleans())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(_DOUBLES, min_size=1, max_size=48),
+       ncols=st.integers(1, 6), nrows=st.integers(1, 600),
+       split=st.integers(0, 6))
+def test_csv_rows_are_percent_17g_of_every_value(tmp_path, values, ncols,
+                                                 nrows, split):
+    # rows cycle through the drawn values, so hard values land in both
+    # numpy-decided and fallback rows and on either side of a chunk edge
+    table = np.resize(np.array(values), (nrows, ncols))
+    cut = min(split, ncols - 1) + 1
+    blocks = [table[:, :cut]] + ([table[:, cut:]] if cut < ncols else [])
+    path = tmp_path / "rows.csv"
+    cli._write_rows(path, ["c"] * ncols, blocks)
+    want = "c" + ",c" * (ncols - 1) + "\r\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\r\n" for row in table.tolist())
+    assert path.read_bytes() == want.encode()
+
+
 def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
     # 1,000 rows: three full chunks and a partial one; the mode column holds
     # whole floats, which "%.17g" writes as the integer's digits
@@ -976,6 +1022,65 @@ def test_cli_simulate_runs_switching_scenarios_behind_the_a4_gate(tmp_path,
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
+def _refusal(argv, capsys):
+    # a refused call: exit 1, nothing on stdout, one JSON line on stderr
+    rc = main(argv)
+    stdout, stderr = capsys.readouterr()
+    assert (rc, stdout) == (1, "")
+    return _one_json_line(stderr)
+
+
+@pytest.mark.parametrize("graphs, fact", [
+    ([[[1, 2, 1.0]], [[2, 3, 1.0]]], "is not weight-balanced"),
+    ([[[1, 2, 1.0]], [[2, 1, 1.0]]], "has no spanning tree"),
+    ([[[1, 2, 1.0]], [[1, 2, 1.0]]],
+     "has no spanning tree and is not weight-balanced"),
+])
+def test_cli_a4_refusal_names_the_failed_fact(tmp_path, capsys, graphs,
+                                              fact):
+    # the refusal names the A4 fact that failed and no override: simulate
+    # takes --allow-a4-violation, montecarlo takes none
+    doc = switching_doc()
+    doc["switching"]["graphs"] = [{"n": 3, "edges": e} for e in graphs]
+    path, out = _write(tmp_path, doc), str(tmp_path / "x.csv")
+    want = {"error": "ValidationError",
+            "message": f"the union of the mode graphs {fact} (assumption A4)",
+            "field": "switching"}
+    assert _refusal(["simulate", path, "--out", out], capsys) == want
+    assert _refusal(["montecarlo", path, "--runs", "2", "--out", out],
+                    capsys) == want
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_cli_montecarlo_refuses_a_run_count_below_one(tmp_path, capsys,
+                                                      runs):
+    # checked before the scenario is read: the path does not exist
+    path = str(tmp_path / "missing.json")
+    assert _refusal(["montecarlo", path, "--runs", runs,
+                     "--out", str(tmp_path / "x.csv")], capsys) == {
+        "error": "ValidationError",
+        "message": f"need at least one run, got {runs}", "field": "--runs"}
+
+
+def test_topology_refusals_name_the_document_key(tmp_path, capsys):
+    # montecarlo needs a "switching" section, and a document with a "graph"
+    # is refused at that key
+    path = _write(tmp_path, base_doc())
+    assert _refusal(["montecarlo", path, "--runs", "2",
+                     "--out", str(tmp_path / "x.csv")], capsys) == {
+        "error": "ValidationError",
+        "message": "scenario topology is not a switching topology",
+        "field": "graph"}
+    # the fixed-graph entry points refuse a "switching" document at that key
+    scen = parse_scenario(switching_doc())
+    for simulate in (sim.simulate_fixed, sim.simulate_with_observer):
+        with pytest.raises(errors.ValidationError) as exc:
+            simulate(scen)
+        assert (str(exc.value), exc.value.field) == (
+            "scenario topology is not a fixed graph", "switching")
+
+
 def test_cli_has_no_simulate_switching_command(tmp_path, capsys):
     # simulate takes --allow-a4-violation itself; the old name is refused
     # by argparse before anything is read or written
@@ -1087,7 +1192,7 @@ def test_cli_analyze_switching_names_the_fast_switching_limit(capsys):
     assert out["theoretical_rate"] is None
     scen = load_scenario(path)
     assert out["fast_switching_limit"] == pytest.approx(
-        ck.speed_bound(scen.topology, scen.gain, scen.cs))
+        switching.speed_bound(scen.topology, scen.gain, scen.cs))
     assert out["empirical_rate"] > 0.0
 
 
@@ -1105,11 +1210,11 @@ def test_a_builtin_listed_twice_simulates_as_separate_equal_agents():
     for init in ("random", "explicit"):
         doc["sim"]["init"] = init
         scen = parse_scenario(doc)
-        assert scen.agents[0] is scen.agents[2] is ck.builtin("agent1")
+        assert scen.agents[0] is scen.agents[2] is builtin("agent1")
         assert scen.agents[3] is not scen.agents[0]
         apart = replace(scen, agents=[replace(ag) for ag in scen.agents])
         assert not any(a is b for a, b in zip(apart.agents, scen.agents))
-        got, want = ck.simulate_fixed(scen), ck.simulate_fixed(apart)
+        got, want = sim.simulate_fixed(scen), sim.simulate_fixed(apart)
         for name in ("y", "xi_hat", "u"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for eta_got, eta_want in zip(got.eta, want.eta):
@@ -1366,7 +1471,7 @@ def test_cli_refuses_a_huge_custom_order_at_its_field(tmp_path, capsys,
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: synthesize on the shipped scenario,
     # in a fresh interpreter, imports no scipy module
-    src = str(Path(ck.__file__).resolve().parent.parent)
+    src = str(Path(consensuskit.__file__).resolve().parent.parent)
     path = str(SCENARIO_DIR / "five_agents_fixed.json")
     code = (f"import json, sys\n"
             f"from consensuskit.cli import main\n"
@@ -1585,7 +1690,7 @@ def test_cli_contract_holds_on_fuzzed_documents(tmp_path, capsys):
             assert stdout == "", (k, argv[0])
             error = getattr(errors, _one_json_line(stderr)["error"], None)
             assert isinstance(error, type), (k, argv[0], stderr)
-            assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
+            assert issubclass(error, errors.ConsensusKitError), (k, argv[0])
     assert exits == {0, 1, 2}
 
 
@@ -1617,17 +1722,26 @@ def test_cli_contract_holds_on_non_numeric_leaves(tmp_path, capsys):
             payload = _one_json_line(stderr)
             error = getattr(errors, payload["error"], None)
             assert isinstance(error, type), (k, argv[0], stderr)
-            assert issubclass(error, ck.ConsensusKitError), (k, argv[0])
+            assert issubclass(error, errors.ConsensusKitError), (k, argv[0])
             refused += rc == 1 and "field" in payload
     assert refused == 800
 
 
-def test_star_import_binds_no_module():
+def test_package_exports_nothing_and_its_docstring_example_runs():
+    # every name is reached through its module: a star import of the
+    # package binds exactly its empty __all__
     names = {}
     exec("from consensuskit import *", names)
     names.pop("__builtins__")
-    assert [k for k, v in names.items() if type(v) is type(ck)] == []
-    assert "closed_loop_spectrum" in names
+    assert consensuskit.__all__ == []
+    assert sorted(names) == consensuskit.__all__
+    doc = consensuskit.__doc__
+    block = textwrap.dedent(doc[doc.index("    from consensuskit"):])
+    namespace = {}
+    exec(compile(block, consensuskit.__file__, "exec"), namespace)
+    y = namespace["traj"].y
+    assert np.isfinite(y).all()
+    assert y[-1].max() - y[-1].min() < 1e-6
 
 
 def test_readme_scenario_examples_parse():

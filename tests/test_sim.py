@@ -16,19 +16,24 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-import consensuskit as ck
+from conftest import default_switching_pair, empty_graph
+
+from consensuskit import agents, errors, sim, switching
 from consensuskit.agents import (
     AUGMENTED_GENERAL, NormalFormAgent, TermTable, augment, builtin,
 )
-from consensuskit.graph import directed_cycle, empty_graph
+from consensuskit.graph import directed_cycle, laplacian
+from consensuskit.metrics import disagreement, empirical_rate
+from consensuskit.rng import STREAM_INIT, rng_for
 from consensuskit.scenario import parse_scenario
-from consensuskit import agents, sim, switching
 from consensuskit.sim import (
     SimScenario, monte_carlo_ms, simulate_fixed, simulate_switching,
     simulate_with_observer,
 )
-from consensuskit.switching import (
-    MarkovTopology, check_A4, default_switching_pair,
+from consensuskit.switching import MarkovTopology, check_A4
+from consensuskit.synthesis import (
+    assemble_stacked, closed_loop_spectrum, local_controller, observer_gain,
+    rank_one_gain,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -146,7 +151,7 @@ def test_disagreement_decays_on_fixed_cycle(target, unit_gain, five_agents,
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 t_end=20.0, dt=2e-3, init="random", seed=42)
     traj = simulate_fixed(scen)
-    d = ck.disagreement(traj)
+    d = disagreement(traj)
     assert d[0] > 0.1
     assert d[-1] < 1e-4 * d[0]
 
@@ -159,8 +164,8 @@ def test_rate_matches_linear_spectrum(target, unit_gain):
     scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
                        t_end=12.0, dt=1e-3)
     traj = simulate_fixed(scen)
-    fit = ck.empirical_rate(traj.times, ck.disagreement(traj), window=(5.0, 11.0))
-    check = ck.closed_loop_spectrum(target, unit_gain, ck.laplacian(directed_cycle(3)))
+    fit = empirical_rate(traj.times, disagreement(traj), window=(5.0, 11.0))
+    check = closed_loop_spectrum(target, unit_gain, laplacian(directed_cycle(3)))
     nonzero = check.values[np.abs(check.values) > 1e-9]
     slowest = float(-nonzero.real.max())
     assert fit.rate == pytest.approx(slowest, rel=0.2)
@@ -187,7 +192,7 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
               _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     cycle = directed_cycle(3)
     scen = SimScenario(agents, target, unit_gain, cycle, t_end=4.0, dt=1e-3)
-    assert [ck.local_controller(target, ag).E.shape[0]
+    assert [local_controller(target, ag).E.shape[0]
             for ag in scen.agents] == [2, 1, 0]
     traj = simulate_fixed(scen)
     eye = np.eye(3)
@@ -196,7 +201,7 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
     def closed(lap):
         return np.kron(eye, target.A) - np.kron(lap, bk)
 
-    lap = ck.laplacian(cycle)
+    lap = laplacian(cycle)
     x0 = np.array([[0.9, 0.0, 0.0], [-0.6, 0.3, 0.0], [0.1, 0.8, -0.5]])
     assert np.array_equal(traj.xi_hat[0], x0)
     for k in range(0, traj.times.shape[0], 40):
@@ -204,7 +209,7 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
         assert np.allclose(traj.xi_hat[k].ravel(), exact, rtol=0.0, atol=1e-11)
     assert np.abs(traj.xi_hat[-1] - traj.xi_hat[0]).max() > 0.1
 
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     traj = simulate_with_observer(replace(scen, observer=obs))
     inj = np.outer(obs.M, obs.C)
     joint = np.block([[np.kron(eye, target.A), -np.kron(lap, bk)],
@@ -225,7 +230,7 @@ def test_mixed_degree_chains_match_exact_linear_propagation(target, unit_gain):
     # sample k and the step after it run under mode[k]
     starts = np.flatnonzero(np.diff(traj.mode)) + 1
     assert len(starts) >= 2
-    laps = [ck.laplacian(g) for g in (g1, g2)]
+    laps = [laplacian(g) for g in (g1, g2)]
     x = x0.ravel()
     for a, b in zip([0, *starts], [*starts, traj.times.shape[0] - 1]):
         phi = closed(laps[traj.mode[a]])
@@ -249,7 +254,7 @@ def test_agent3_chain_matches_its_native_model(target, unit_gain, five_agents,
     traj = simulate_fixed(scen)
     # the draws of the random start, in the simulator's order: a chain and
     # eta per agent, agent 3's three values in its native coordinates
-    rng = ck.rng_for(42, 0, ck.STREAM_INIT)
+    rng = rng_for(42, 0, STREAM_INIT)
     z0 = np.zeros((5, 3))
     for i, ag in enumerate(five_agents):
         if ag.native is not None:
@@ -263,7 +268,7 @@ def test_agent3_chain_matches_its_native_model(target, unit_gain, five_agents,
     assert np.array_equal(traj.xi_hat[0], z0)
 
     phi = (np.kron(np.eye(5), target.A)
-           - np.kron(ck.laplacian(five_cycle), np.outer(target.B, unit_gain.K)))
+           - np.kron(laplacian(five_cycle), np.outer(target.B, unit_gain.K)))
 
     def u_of(t, x):
         u_hat = (phi @ scipy.linalg.expm(t * phi) @ z0.ravel())[2 * 3 + 2]
@@ -283,7 +288,7 @@ def test_agent3_chain_matches_its_native_model(target, unit_gain, five_agents,
 
 def test_observer_match_init_reproduces_full_information(target, unit_gain,
                                                          five_agents, five_cycle):
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 observer=obs, t_end=2.0, dt=2e-3,
                                 init="random", seed=13)
@@ -296,7 +301,7 @@ def test_observer_match_init_reproduces_full_information(target, unit_gain,
 
 def test_observer_zero_init_error_decays(target, unit_gain, five_agents,
                                          five_cycle):
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 observer=obs, t_end=8.0, dt=2e-3,
                                 init="random", seed=13, observer_init="zero")
@@ -314,12 +319,12 @@ def test_observer_requires_observer_section(target, unit_gain, five_agents,
                                             five_cycle):
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 t_end=1.0, dt=0.01)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         simulate_with_observer(scen)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         simulate_with_observer(replace(
             _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
-                                 observer=ck.observer_gain(
+                                 observer=observer_gain(
                                      target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0]),
                                  t_end=1.0, dt=0.01),
             observer_init="banana"))
@@ -354,7 +359,7 @@ def test_linear_block_escape_matches_iterated_step_matrix(target, unit_gain):
     scen = SimScenario(agents, target, unstable, directed_cycle(3),
                        t_end=30.0, dt=dt)
     hphi = dt * (np.kron(np.eye(3), target.A)
-                 - np.kron(ck.laplacian(directed_cycle(3)),
+                 - np.kron(laplacian(directed_cycle(3)),
                            np.outer(target.B, unstable.K)))
     step = np.eye(9)
     term = np.eye(9)
@@ -368,7 +373,7 @@ def test_linear_block_escape_matches_iterated_step_matrix(target, unit_gain):
         z = step @ z
         k += 1
     assert before < 0.999e6 and np.abs(z).max() > 1.001e6
-    with pytest.raises(ck.FiniteEscape) as exc:
+    with pytest.raises(errors.FiniteEscape) as exc:
         simulate_fixed(scen)
     assert exc.value.t == pytest.approx(k * dt)
     traj = exc.value.trajectory
@@ -403,7 +408,7 @@ def test_cascade_overflow_is_a_finite_escape(target, unit_gain):
             eta = eta + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             k += 1
     assert k > 1
-    with pytest.raises(ck.FiniteEscape) as exc:
+    with pytest.raises(errors.FiniteEscape) as exc:
         simulate_fixed(scen)
     assert exc.value.t == pytest.approx(k * dt)
     traj = exc.value.trajectory
@@ -806,7 +811,7 @@ def test_finite_escape_truncates_trajectory(target, unit_gain):
     scen = SimScenario([blower] + others, target, unit_gain,
                        directed_cycle(3), t_end=3.0, dt=1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ck.FiniteEscape) as exc:
+        with pytest.raises(errors.FiniteEscape) as exc:
             simulate_fixed(scen)
     err = exc.value
     assert err.t is not None and err.t < 0.5
@@ -827,7 +832,7 @@ def test_beta_floor_aborts_run(target, unit_gain):
     others = [builtin("agent1"), builtin("agent2")]
     scen = SimScenario([degenerate] + others, target, unit_gain,
                        directed_cycle(3), t_end=1.0, dt=0.01)
-    with pytest.raises(ck.BetaNearZero) as exc:
+    with pytest.raises(errors.BetaNearZero) as exc:
         simulate_fixed(scen)
     assert exc.value.agent_id == 1
     assert exc.value.state is not None
@@ -849,7 +854,7 @@ def test_beta_floor_is_reported_before_the_escape_it_causes(target,
     scen = SimScenario(agents, target, unit_gain, directed_cycle(3),
                        t_end=1.0, dt=0.01)
     with np.errstate(all="ignore"):
-        with pytest.raises(ck.BetaNearZero) as exc:
+        with pytest.raises(errors.BetaNearZero) as exc:
             simulate_fixed(scen)
     assert exc.value.agent_id == 11
     assert exc.value.state.shape == (10,)
@@ -895,7 +900,7 @@ def test_monte_carlo_on_identical_explicit_states_is_zero(target, unit_gain,
                                t_end=1.0, dt=0.01, init="explicit", seed=8)
     mc = monte_carlo_ms(scen, runs=2)
     assert mc.mean_square.max() <= 1e-12
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         monte_carlo_ms(scen, runs=0)
 
 
@@ -916,13 +921,13 @@ def test_benchmark_reaches_the_package_through_these_names(
     ``test_agent3_chain_matches_its_native_model``.
     """
     calls = []
-    real = ck.sim.simulate_switching
+    real = sim.simulate_switching
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("run_index"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ck.sim, "simulate_switching", counting)
+    monkeypatch.setattr(sim, "simulate_switching", counting)
     scen = _switching_scenario(target, unit_gain, five_agents,
                                t_end=0.5, dt=0.01, init="random", seed=4)
     assert monte_carlo_ms(scen, runs=3).runs_used == 3
@@ -970,7 +975,7 @@ def _per_agent_mode_matrices(scen, laps, use_observer):
     coupling's input vector are those of agent i's own local controller
     (synthesis.assemble_stacked).  The oracle of sim._mode_matrices."""
     cs, n, r = scen.cs, len(scen.agents), scen.cs.r
-    stacked = [ck.assemble_stacked(cs, ck.local_controller(cs, ag))
+    stacked = [assemble_stacked(cs, local_controller(cs, ag))
                for ag in scen.agents]
     bv = np.array([b for _, b in stacked])
     diag = np.zeros((n, r, n, r))
@@ -1000,7 +1005,7 @@ def test_mode_matrices_are_the_per_agent_build_bit_for_bit(
     # agent-by-agent build in every bit (zero signs included): mixed-degree
     # chains, the shipped five agents and a two-mode switching set, each
     # with and without an observer
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     chains = [_chain_agent(1, 1, [0.9]), _chain_agent(2, 2, [-0.6, 0.3]),
               _chain_agent(3, 3, [0.1, 0.8, -0.5])]
     shipped = parse_scenario(json.loads(
@@ -1014,7 +1019,7 @@ def test_mode_matrices_are_the_per_agent_build_bit_for_bit(
             pair, FLIP_FLOP), observer=obs), pair),
     ]
     for scen, graphs in cases:
-        laps = [ck.laplacian(g) for g in graphs]
+        laps = [laplacian(g) for g in graphs]
         for use_observer in (False, True):
             ours = sim._mode_matrices(scen, laps, use_observer)
             oracle = _per_agent_mode_matrices(scen, laps, use_observer)
@@ -1026,16 +1031,16 @@ def test_mode_matrices_are_the_per_agent_build_bit_for_bit(
 def test_topology_kind_is_enforced(target, unit_gain, five_agents, five_cycle):
     fixed = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                  t_end=1.0, dt=0.01)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         simulate_switching(fixed)
     switching = _switching_scenario(target, unit_gain, five_agents,
                                     t_end=1.0, dt=0.01)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         simulate_fixed(switching)
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     with_obs = _switching_scenario(target, unit_gain, five_agents,
                                    observer=obs, t_end=1.0, dt=0.01)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         simulate_with_observer(with_obs)
     # observer feedback runs under switching too
     traj = simulate_switching(with_obs)
@@ -1063,7 +1068,7 @@ def test_observer_error_under_switching_follows_its_own_rk4(
     # RK4 propagation of e(0) by the error matrix alone (measured: at most
     # 2.4e-15 to 3.5e-15 of max|e(0)| at seeds 7 to 9, 24 to 41 mode jumps
     # on the shipped switching design)
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = _switching_scenario(target, unit_gain, five_agents, observer=obs,
                                t_end=30.0, dt=0.02, init="random", seed=seed)
     traj = simulate_switching(scen)
@@ -1081,7 +1086,7 @@ def test_observer_error_under_switching_follows_its_own_rk4(
 
 
 def test_observer_init_under_switching(target, unit_gain, five_agents):
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     base = _switching_scenario(target, unit_gain, five_agents, t_end=8.0,
                                dt=0.02, init="random", seed=11)
     plain = simulate_switching(base)
@@ -1103,7 +1108,7 @@ def test_observer_init_under_switching(target, unit_gain, five_agents):
 
 
 def test_monte_carlo_with_an_observer(target, unit_gain, five_agents):
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     base = _switching_scenario(target, unit_gain, five_agents, t_end=10.0,
                                dt=0.02, init="random", seed=4)
     plain = monte_carlo_ms(base, 4)
@@ -1124,28 +1129,28 @@ def test_switching_assumption_gate(target, unit_gain, five_agents):
                         generator=FLIP_FLOP)
     scen = SimScenario(five_agents, target, unit_gain, mt,
                        t_end=0.5, dt=0.01, init="random", seed=2)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         simulate_switching(scen)
     traj = simulate_switching(scen, allow_a4_violation=True)
     # no coupling: disagreement cannot vanish
-    assert ck.disagreement(traj)[-1] > 1e-3
+    assert disagreement(traj)[-1] > 1e-3
 
 
 def test_scenario_validation_messages(target, unit_gain, five_agents):
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         SimScenario(five_agents, target, unit_gain, directed_cycle(3))
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         SimScenario(five_agents, target, unit_gain, directed_cycle(5),
                     dt=-0.1)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         SimScenario(five_agents, target, unit_gain, directed_cycle(5),
                     t_end=0.001, dt=0.01)
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         SimScenario(five_agents, target, unit_gain, directed_cycle(5),
                     init="sampled")
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         SimScenario([], target, unit_gain, directed_cycle(5))
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         SimScenario(five_agents, target, unit_gain, directed_cycle(5),
                     t_end=float("inf"))
 
@@ -1188,7 +1193,7 @@ def test_custom_agent_matches_independent_oracles(target, unit_gain):
     assert np.array_equal(traj.eta[1][:, 1], np.full(traj.times.shape, -0.7))
 
     phi = (np.kron(np.eye(4), target.A)
-           - np.kron(ck.laplacian(directed_cycle(4)),
+           - np.kron(laplacian(directed_cycle(4)),
                      np.outer(target.B, unit_gain.K)))
     z0 = np.concatenate([[0.0, 0.0, 0.0], [1.0, -0.8, 0.0],
                          agents[2].native.xi_of(np.array([0.1, -0.2, 0.3])),
@@ -1325,7 +1330,7 @@ def test_linear_pass_matches_stepwise_rk4(target, unit_gain, monkeypatch,
     monkeypatch.setattr(sim, "_powers", record)
     agents = _loop_agents()
     g1, g2 = default_switching_pair(4)
-    laps = [ck.laplacian(g) for g in (g1, directed_cycle(4))]
+    laps = [laplacian(g) for g in (g1, directed_cycle(4))]
     k = np.arange(steps + 1)
     modes = {"every_step": k % 2, "on_boundary": (k // 227) % 2,
              "one_mode": 0 * k}[schedule]
@@ -1373,7 +1378,7 @@ def test_linear_pass_segments_shrink_for_a_large_state(target, unit_gain,
                                       t_end=7.0, dt=dt))
     assert counts == [113]
     hphi = dt * (np.kron(np.eye(8), target.A)
-                 - np.kron(ck.laplacian(cycle), np.outer(target.B, unit_gain.K)))
+                 - np.kron(laplacian(cycle), np.outer(target.B, unit_gain.K)))
     step, term = np.eye(24), np.eye(24)
     for j in range(1, 5):
         term = term @ hphi / j
@@ -1412,12 +1417,12 @@ def test_run_too_long_to_record_is_refused_before_allocating(
         raise AssertionError("reached the set-up that precedes the rows")
 
     monkeypatch.setattr(sim, "_System", no_system)
-    obs = (ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = (observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
            if observer else None)
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 observer=obs, t_end=1e5, dt=1e-3)
     size = (1e8 + 1) * (34 if observer else 19) * 8
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         (simulate_with_observer if observer else simulate_fixed)(scen)
     assert exc.value.field == "sim.t_end"
     assert f"{size:.4g} bytes" in str(exc.value)
@@ -1432,10 +1437,10 @@ def test_switching_run_too_long_is_refused_before_its_path(
     monkeypatch.setattr(sim, "sample_path", no_path)
     scen = _switching_scenario(target, unit_gain, five_agents,
                                t_end=1e5, dt=1e-3, init="random")
-    with pytest.raises(ck.ValidationError) as exc:
+    with pytest.raises(errors.ValidationError) as exc:
         simulate_switching(scen)
     assert exc.value.field == "sim.t_end"
-    with pytest.raises(ck.ValidationError):
+    with pytest.raises(errors.ValidationError):
         monte_carlo_ms(scen, runs=2)
 
 
@@ -1460,9 +1465,9 @@ def test_monte_carlo_checks_A4_once(target, unit_gain, five_agents,
                         generator=FLIP_FLOP)
     bad = SimScenario(five_agents, target, unit_gain, mt,
                       t_end=0.2, dt=0.01, init="random", seed=2)
-    with pytest.raises(ck.ValidationError) as single:
+    with pytest.raises(errors.ValidationError) as single:
         simulate_switching(bad)
-    with pytest.raises(ck.ValidationError) as mc:
+    with pytest.raises(errors.ValidationError) as mc:
         monte_carlo_ms(bad, runs=3)
     assert str(mc.value) == str(single.value)
 
@@ -1472,13 +1477,13 @@ def test_grid_refuses_at_the_width_the_system_allocates(target, unit_gain):
     # layout as _System: agent 1's eta, the augmented agent's u and, with
     # an observer, the xcheck half of z
     agents = _loop_agents()
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = SimScenario(agents, target, unit_gain, directed_cycle(4),
                        observer=obs, t_end=1e300, dt=1e-3)
     for use_observer in (False, True):
         dim = sim._System(scen, use_observer).dim
         assert dim == 4 * 3 * (1 + use_observer) + 1 + 1
-        with pytest.raises(ck.ValidationError) as info:
+        with pytest.raises(errors.ValidationError) as info:
             sim._grid(scen, use_observer)
         assert f" steps of {dim} states take " in str(info.value)
 
@@ -1522,7 +1527,7 @@ def test_monte_carlo_builds_its_plan_once(target, unit_gain, five_agents,
 
 def test_fixed_and_observer_simulations_get_distinct_plans(
         target, unit_gain, five_agents, five_cycle):
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 observer=obs, t_end=0.5, dt=0.01)
     simulate_fixed(scen)
@@ -1606,7 +1611,7 @@ def test_a_parsed_scenario_is_frozen_throughout(target):
             scen.agents[0] = scen.agents[1]
     # a caller's own array is copied, never frozen under them
     k = np.array([2.0, 3.0, 1.0])
-    gain = replace(ck.rank_one_gain(target, 1.0, 1.0, 1.0), K=k)
+    gain = replace(rank_one_gain(target, 1.0, 1.0, 1.0), K=k)
     k[0] = 5.0
     assert gain.K.tolist() == [2.0, 3.0, 1.0]
 
@@ -1623,14 +1628,14 @@ def test_scenario_checks_its_run_settings_once_built(
         target, unit_gain, five_agents, five_cycle, settings, field):
     # the one check runs at construction, so replace checks the new
     # settings too
-    with pytest.raises(ck.ValidationError) as built:
+    with pytest.raises(errors.ValidationError) as built:
         _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                              **settings)
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle)
     assert isinstance(scen.agents, tuple)
-    assert [ck.local_controller(target, ag).r_agent
+    assert [local_controller(target, ag).r_agent
             for ag in scen.agents] == [ag.r for ag in five_agents]
-    with pytest.raises(ck.ValidationError) as replaced:
+    with pytest.raises(errors.ValidationError) as replaced:
         replace(scen, **settings)
     assert built.value.field == replaced.value.field == field
 
@@ -1802,7 +1807,7 @@ def test_a_dropped_scenario_is_freed_without_the_cyclic_collector(
         target, unit_gain, five_agents, five_cycle):
     # the plan a scenario keeps holds no reference back to it, so the
     # scenario and its plans go with its last reference
-    obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
     gc.disable()
     try:
         scen = _five_agent_scenario(target, unit_gain, five_agents,
@@ -1821,10 +1826,10 @@ def test_a_dropped_scenario_is_freed_without_the_cyclic_collector(
 def _outcome(run):
     """The escape or beta floor error a run raises, as comparable data."""
     with np.errstate(all="ignore"):
-        with pytest.raises((ck.FiniteEscape, ck.BetaNearZero)) as info:
+        with pytest.raises((errors.FiniteEscape, errors.BetaNearZero)) as info:
             run()
     err = info.value
-    if isinstance(err, ck.BetaNearZero):
+    if isinstance(err, errors.BetaNearZero):
         return "beta", err.agent_id, err.state
     traj = err.trajectory
     return ("escape", err.t, traj.xi_hat, np.hstack(traj.eta), traj.u,
@@ -1876,7 +1881,7 @@ def test_failures_inside_a_chunk_match_one_segment_per_chunk(
         def run():
             sim._integrate(scen, modes)
     else:
-        obs = ck.observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+        obs = observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
         scen = SimScenario(agents, target, unit_gain, directed_cycle(5),
                            observer=obs, t_end=steps * dt, dt=dt)
         modes = np.zeros(steps + 1, dtype=int)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-import consensuskit as ck
-from consensuskit import switching
-from consensuskit.graph import DiGraph, directed_cycle, empty_graph, laplacian, union
+from conftest import default_switching_pair, empty_graph
+
+from consensuskit import errors, switching
+from consensuskit.graph import DiGraph, directed_cycle, union
+from consensuskit.rng import STREAM_MODE_PATH, rng_for
 from consensuskit.switching import (
-    MarkovTopology, check_A4, default_switching_pair, sample_path,
-    speed_bound, stationary_distribution,
+    MarkovTopology, check_A4, sample_path, speed_bound,
+    stationary_distribution,
 )
+from consensuskit.synthesis import full_gain, rank_one_gain
 
 FLIP_FLOP = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -28,7 +31,7 @@ def test_stationary_distribution_oracle():
 
 
 def test_stationary_distribution_three_modes():
-    rng = ck.rng_for(501)
+    rng = rng_for(501)
     for _ in range(10):
         gen = rng.uniform(0.2, 2.0, size=(3, 3))
         np.fill_diagonal(gen, 0.0)
@@ -39,7 +42,7 @@ def test_stationary_distribution_three_modes():
 
 
 def test_stationary_rejects_reducible_chain():
-    with pytest.raises(ck.ReducibleChainError):
+    with pytest.raises(errors.ReducibleChainError):
         stationary_distribution(np.array([[0.0, 0.0], [1.0, -1.0]]))
 
 
@@ -59,9 +62,9 @@ def test_stationary_reducibility_matches_strong_components():
             if cut is None:
                 assert np.allclose(stationary_distribution(gen), 1.0 / l)
             else:
-                with pytest.raises(ck.ReducibleChainError):
+                with pytest.raises(errors.ReducibleChainError):
                     stationary_distribution(gen)
-    rng = ck.rng_for(503)
+    rng = rng_for(503)
     seen = set()
     for l in range(1, 25):
         for density in (1.0 / l, 2.0 / l, 4.0 / l):
@@ -78,13 +81,13 @@ def test_stationary_reducibility_matches_strong_components():
                     assert np.all(pi > 0) and np.allclose(pi @ gen, 0.0,
                                                           atol=1e-10)
                 else:
-                    with pytest.raises(ck.ReducibleChainError):
+                    with pytest.raises(errors.ReducibleChainError):
                         stationary_distribution(gen)
     assert seen == {True, False}
 
 
 def test_generator_validation():
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         stationary_distribution(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         stationary_distribution(np.array([[-1.0, 1.0], [-0.5, 0.5]]))
@@ -119,11 +122,11 @@ def test_markov_topology_validates_its_generator_once(monkeypatch):
 
 def test_markov_topology_validation():
     g1, g2 = default_switching_pair(5)
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         MarkovTopology(graphs=[], generator=np.zeros((0, 0)))
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         MarkovTopology(graphs=[g1, empty_graph(4)], generator=FLIP_FLOP)
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         MarkovTopology(graphs=[g1], generator=FLIP_FLOP)
     mt = _default_topology()
     assert np.allclose(mt.pi, [0.5, 0.5], atol=1e-12)
@@ -157,7 +160,7 @@ def test_markov_topology_is_frozen_with_its_stationary_law():
 
 def _sample_path_with_choice(mt, t_end, seed, run_index):
     # the reference: every mode drawn by Generator.choice
-    rng = ck.rng_for(seed, run_index, ck.STREAM_MODE_PATH)
+    rng = rng_for(seed, run_index, STREAM_MODE_PATH)
     gen = mt.generator
     mode = int(rng.choice(mt.n_modes, p=mt.pi))
     path, t = [], 0.0
@@ -275,11 +278,11 @@ def test_speed_bound_default_pair_value(target, unit_gain):
 def test_speed_bound_scalings(target, unit_gain):
     mt = _default_topology()
     base = speed_bound(mt, unit_gain, target)
-    doubled = speed_bound(mt, ck.rank_one_gain(target, mu=2.0, q1=1.0, r_hat=1.0),
+    doubled = speed_bound(mt, rank_one_gain(target, mu=2.0, q1=1.0, r_hat=1.0),
                           target)
     assert doubled == pytest.approx(2.0 * base, abs=1e-12)
     # q1 enters through sqrt
-    scaled = speed_bound(mt, ck.rank_one_gain(target, mu=1.0, q1=4.0, r_hat=1.0),
+    scaled = speed_bound(mt, rank_one_gain(target, mu=1.0, q1=4.0, r_hat=1.0),
                          target)
     assert scaled == pytest.approx(2.0 * base, abs=1e-12)
     # collapsing to one mode removes the min(pi) factor of 1/2
@@ -289,7 +292,7 @@ def test_speed_bound_scalings(target, unit_gain):
 
 
 def test_speed_bound_monotone_under_balanced_additions(target, unit_gain):
-    rng = ck.rng_for(502)
+    rng = rng_for(502)
     base_edges = [(k, (k + 1) % 4, 1.0) for k in range(4)]
     g1 = DiGraph.from_edges(4, base_edges[:2])
     g2 = DiGraph.from_edges(4, base_edges[2:])
@@ -304,20 +307,20 @@ def test_speed_bound_monotone_under_balanced_additions(target, unit_gain):
 
 
 def test_speed_bound_requires_rank_one(target):
-    g = ck.full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=1.0)
-    with pytest.raises(ck.NotRankOneError):
+    g = full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=1.0)
+    with pytest.raises(errors.NotRankOneError):
         speed_bound(_default_topology(), g, target)
 
 
 def test_speed_bound_rejects_violated_assumptions(target, unit_gain):
     mt = MarkovTopology(graphs=[empty_graph(5), empty_graph(5)],
                         generator=FLIP_FLOP)
-    with pytest.raises(ck.A4ViolatedError):
+    with pytest.raises(errors.A4ViolatedError):
         speed_bound(mt, unit_gain, target)
     # union with a spanning tree but unbalanced
     chain1 = DiGraph.from_edges(3, [(0, 1, 1.0)])
     chain2 = DiGraph.from_edges(3, [(1, 2, 1.0)])
-    with pytest.raises(ck.A4ViolatedError):
+    with pytest.raises(errors.A4ViolatedError):
         speed_bound(MarkovTopology(graphs=[chain1, chain2], generator=FLIP_FLOP),
                     unit_gain, target)
 
@@ -325,5 +328,5 @@ def test_speed_bound_rejects_violated_assumptions(target, unit_gain):
 def test_default_switching_pair_union_is_cycle():
     g1, g2 = default_switching_pair(5)
     assert np.array_equal(union(g1, g2).weights, directed_cycle(5).weights)
-    with pytest.raises(ck.DimensionMismatchError):
+    with pytest.raises(errors.DimensionMismatchError):
         default_switching_pair(2)

@@ -8,12 +8,14 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-import consensuskit as ck
-from consensuskit import synthesis
+from consensuskit import errors, synthesis
+from consensuskit.graph import DiGraph, graph_from_dict, laplacian
+from consensuskit.linalg import solve_care
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
     local_controller, observer_gain, rank_one_gain,
 )
+from consensuskit.rng import rng_for
 
 
 def _random_target(rng, r):
@@ -42,7 +44,7 @@ def test_design_companion_two_poles_exact(target):
 
 
 def test_companion_left_null_vector_is_exact():
-    rng = ck.rng_for(401)
+    rng = rng_for(401)
     for _ in range(20):
         cs = _random_target(rng, int(rng.integers(2, 6)))
         assert np.array_equal(cs.nu @ cs.A, np.zeros(cs.r))
@@ -54,19 +56,19 @@ def test_companion_left_null_vector_is_exact():
 
 
 def test_design_companion_rejects_bad_pole_sets():
-    with pytest.raises(ck.UnstablePoleError):
+    with pytest.raises(errors.UnstablePoleError):
         design_companion([])
-    with pytest.raises(ck.UnstablePoleError):
+    with pytest.raises(errors.UnstablePoleError):
         design_companion([1.0])
-    with pytest.raises(ck.UnstablePoleError):
+    with pytest.raises(errors.UnstablePoleError):
         design_companion([-1.0, 0.0])
-    with pytest.raises(ck.NotConjugateClosedError):
+    with pytest.raises(errors.NotConjugateClosedError):
         design_companion([-1.0 + 1.0j, -2.0])
     # the coefficients overflow (1e400), or their products nu nu', of
     # which the rank-one P1 is made (nu holds 2e300 and 1e160): refused
     # without a numpy warning
     for poles in ([-1e200, -1e200], [-1e300, -2.0], [-1e80, -1e80]):
-        with pytest.raises(ck.NonPositiveParameterError, match="overflow"):
+        with pytest.raises(errors.NonPositiveParameterError, match="overflow"):
             design_companion(poles)
 
 
@@ -89,7 +91,7 @@ def test_rank_one_gain_scaling(target):
 
 
 def test_rank_one_riccati_residual_property():
-    rng = ck.rng_for(402)
+    rng = rng_for(402)
     for _ in range(20):
         cs = _random_target(rng, int(rng.integers(2, 6)))
         q1 = float(rng.uniform(0.2, 10.0))
@@ -104,9 +106,9 @@ def test_rank_one_riccati_residual_property():
 def test_rank_one_matches_numeric_riccati(target):
     q1, r_hat = 2.5, 1.5
     g = rank_one_gain(target, mu=1.0, q1=q1, r_hat=r_hat)
-    numeric = ck.solve_care(target.A, target.B.reshape(-1, 1),
-                            q1 * np.outer(target.nu, target.nu),
-                            np.array([[1.0 / r_hat]]))
+    numeric = solve_care(target.A, target.B.reshape(-1, 1),
+                         q1 * np.outer(target.nu, target.nu),
+                         np.array([[1.0 / r_hat]]))
     rel = np.linalg.norm(numeric - g.P1) / np.linalg.norm(g.P1)
     assert rel <= 1e-6
 
@@ -118,11 +120,11 @@ def test_gain_parameter_gates(target):
                    {"mu": np.inf, "q1": 1.0, "r_hat": 1.0},
                    # p1 = sqrt(q1 / r_hat) = 1e314: P1 overflows, K does not
                    {"mu": 1.0, "q1": 1e308, "r_hat": 1e-320}):
-        with pytest.raises(ck.NonPositiveParameterError):
+        with pytest.raises(errors.NonPositiveParameterError):
             rank_one_gain(target, **kwargs)
-    with pytest.raises(ck.NonPositiveParameterError):
+    with pytest.raises(errors.NonPositiveParameterError):
         full_gain(target, mu=-1.0, q1_matrix=np.eye(3), r_hat=1.0)
-    with pytest.raises(ck.NonPositiveParameterError):
+    with pytest.raises(errors.NonPositiveParameterError):
         full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=-1.0)
 
 
@@ -164,12 +166,12 @@ def test_local_controller_degree_two_agent(target):
 
 
 def test_local_controller_rejects_excess_degree(target):
-    with pytest.raises(ck.DegreeExceedsTargetError):
+    with pytest.raises(errors.DegreeExceedsTargetError):
         local_controller(target, SimpleNamespace(r=4))
 
 
 def test_assembled_stack_reproduces_target_exactly():
-    rng = ck.rng_for(403)
+    rng = rng_for(403)
     for _ in range(15):
         cs = _random_target(rng, int(rng.integers(2, 6)))
         for ra in range(1, cs.r + 1):
@@ -202,18 +204,18 @@ def test_observer_gain_at_open_loop_spectrum_is_zero(target):
 
 
 def test_observer_gain_validation(target):
-    with pytest.raises(ck.NotObservableError):
+    with pytest.raises(errors.NotObservableError):
         observer_gain(target, [1.0, 0.0], [-3.0, -4.0, -5.0])
-    with pytest.raises(ck.NotObservableError):
+    with pytest.raises(errors.NotObservableError):
         observer_gain(target, [0.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
-    with pytest.raises(ck.PlacementFailure):
+    with pytest.raises(errors.PlacementFailure):
         observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0])
-    with pytest.raises(ck.NotConjugateClosedError):
+    with pytest.raises(errors.NotConjugateClosedError):
         observer_gain(target, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0 + 1.0j])
 
 
 def test_closed_loop_spectrum_rank_one(target, unit_gain, five_cycle):
-    lap = ck.laplacian(five_cycle)
+    lap = laplacian(five_cycle)
     check = closed_loop_spectrum(target, unit_gain, lap)
     assert check.analytic_consistent is True
     assert check.values.shape == (15,)
@@ -225,7 +227,7 @@ def test_closed_loop_spectrum_rank_one(target, unit_gain, five_cycle):
 
 def test_closed_loop_spectrum_full_rank_unchecked(target, five_cycle):
     g = full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=1.0)
-    check = closed_loop_spectrum(target, g, ck.laplacian(five_cycle))
+    check = closed_loop_spectrum(target, g, laplacian(five_cycle))
     assert check.analytic_consistent is None
     assert check.values.shape == (15,)
     # the zero Laplacian eigenvalue contributes an uncoupled copy of A
@@ -253,7 +255,7 @@ def test_closed_loop_spectrum_accepts_close_repeated_poles():
              [5, 6, 1.9578446682613952], [9, 2, 0.8989710526028543],
              [7, 3, 1.4228611116720375], [7, 6, 1.6802160794059477],
              [2, 8, 1.953125921814065], [8, 3, 1.0679268164335194]]
-    lap = ck.laplacian(ck.graph_from_dict({"n": 10, "edges": edges}))
+    lap = laplacian(graph_from_dict({"n": 10, "edges": edges}))
     check = closed_loop_spectrum(cs, gain, lap)
     assert check.analytic_consistent is True
     assert check.values.shape == (60,)
@@ -356,7 +358,7 @@ def _multiset_cases(rng):
 
 def test_multiset_distance_matches_a_single_linkage_reference():
     got, want = [], []
-    for a, b in _multiset_cases(ck.rng_for(411)):
+    for a, b in _multiset_cases(rng_for(411)):
         got.append(synthesis._multiset_distance(a, b))
         want.append(_single_linkage_distance(a, b))
     # unequal counts twice, the empty pair, then a NaN: in a, in b, in both
@@ -371,7 +373,7 @@ def test_multiset_distance_matches_a_single_linkage_reference():
 
 def test_closed_loop_spectrum_matches_kronecker_eig(target, unit_gain,
                                                     five_cycle):
-    rng = ck.rng_for(405)
+    rng = rng_for(405)
     weights = rng.uniform(0.5, 2.0, (20, 20)) * (rng.random((20, 20)) < 0.2)
     np.fill_diagonal(weights, 0.0)
     cs6 = design_companion([-0.5, -1.0, -1.5 + 0.5j, -1.5 - 0.5j, -2.0])
@@ -381,11 +383,11 @@ def test_closed_loop_spectrum_matches_kronecker_eig(target, unit_gain,
     # root's 0, so the dense eig of the Kronecker form splits each of the
     # six eigenvalues of A - B K into a ring of 19 values up to 0.13 wide
     # (scale 3.05); the rings are compared whole, through their means
-    path = ck.laplacian(ck.DiGraph(np.eye(20, k=-1)))
-    cases = [(target, unit_gain, ck.laplacian(five_cycle), 1e-2),
+    path = laplacian(DiGraph(np.eye(20, k=-1)))
+    cases = [(target, unit_gain, laplacian(five_cycle), 1e-2),
              (target, full_gain(target, mu=0.7, q1_matrix=np.eye(3),
-                                r_hat=2.0), ck.laplacian(five_cycle), 1e-2),
-             (cs6, gain6, ck.laplacian(ck.DiGraph(weights)), 1e-2),
+                                r_hat=2.0), laplacian(five_cycle), 1e-2),
+             (cs6, gain6, laplacian(DiGraph(weights)), 1e-2),
              (cs6, gain6, path, 0.1)]
     for cs, gain, lap, radius in cases:
         values = closed_loop_spectrum(cs, gain, lap).values
@@ -398,7 +400,7 @@ def test_closed_loop_spectrum_matches_kronecker_eig(target, unit_gain,
 
 
 def test_closed_loop_spectrum_conjugate_closed_and_sorted(target, five_cycle):
-    lap = ck.laplacian(five_cycle)
+    lap = laplacian(five_cycle)
     assert (np.linalg.eigvals(lap).imag > 0).sum() == 2
     gain = full_gain(target, mu=0.7, q1_matrix=np.diag([1.0, 2.0, 3.0]),
                      r_hat=2.0)
@@ -414,7 +416,7 @@ def test_closed_loop_spectrum_rejects_a_wrong_gain(target, unit_gain,
                                                    five_cycle):
     # the analytic spectrum comes from mu, q1 and r_hat, the direct one
     # from K: a gain 1% off its closed form must not pass the check
-    lap = ck.laplacian(five_cycle)
-    with pytest.raises(ck.InconsistentSpectraError):
+    lap = laplacian(five_cycle)
+    with pytest.raises(errors.InconsistentSpectraError):
         closed_loop_spectrum(target, replace(unit_gain, K=1.01 * unit_gain.K),
                              lap)
