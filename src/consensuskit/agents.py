@@ -56,11 +56,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BetaNearZero,
-    InvalidDimensionError,
-    UnknownAgentError,
-)
+from .errors import BetaNearZero, ValidationError
 from .linalg import _read_only
 
 __all__ = [
@@ -111,30 +107,30 @@ class NormalFormAgent:
 
     def __post_init__(self):
         if self.r < 1:
-            raise InvalidDimensionError("relative degree must be >= 1")
+            raise ValidationError("relative degree must be >= 1")
         if self.n_eta < 0:
-            raise InvalidDimensionError("n_eta must be >= 0")
+            raise ValidationError("n_eta must be >= 0")
         xi0 = np.asarray(self.xi0, dtype=float).reshape(-1)
         eta0 = np.asarray(self.eta0, dtype=float).reshape(-1)
         if xi0.shape[0] != self.r:
-            raise InvalidDimensionError(
+            raise ValidationError(
                 f"xi0 has length {xi0.shape[0]}, expected r = {self.r}")
         if eta0.shape[0] != self.n_eta:
-            raise InvalidDimensionError(
+            raise ValidationError(
                 f"eta0 has length {eta0.shape[0]}, expected n_eta = {self.n_eta}")
         for name, rows, scalar in (("alpha", 1, True), ("beta", 1, True),
                                    ("theta", self.n_eta, False)):
             fn = getattr(self, name)
             if not isinstance(fn, TermTable):
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"{name} must be a TermTable, got {type(fn).__name__}")
             if (fn.n_rows, fn.scalar) != (rows, scalar):
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"{name} must be a {'scalar' if scalar else 'vector'} "
                     f"table of {rows} rows, got {fn.n_rows} rows "
                     f"(scalar={fn.scalar})")
             if fn.n_vars > self.r + self.n_eta:
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"{name} reads variable {fn.n_vars}, past r + n_eta = "
                     f"{self.r + self.n_eta}")
         object.__setattr__(self, "xi0", xi0)
@@ -146,17 +142,17 @@ class NormalFormAgent:
         changes = {}
         if x0 is not None:
             if self.native is None:
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"agent {self.agent_id} has no native coordinates")
             x0 = np.asarray(x0, dtype=float).reshape(-1)
             if x0.shape[0] != self.native.dim:
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"x0 has length {x0.shape[0]}, expected {self.native.dim}")
             changes.update(native=replace(self.native, x0=x0),
                            xi0=self.native.xi_of(x0))
         if xi0 is not None:
             if self.native is not None:
-                raise InvalidDimensionError(
+                raise ValidationError(
                     f"agent {self.agent_id} takes x0, not xi0")
             changes["xi0"] = xi0
         if eta0 is not None:
@@ -317,7 +313,7 @@ def _power(p, k, t, j):
     except (TypeError, ValueError, OverflowError):
         q = None
     if q is None or q != p or q < 0:
-        raise InvalidDimensionError(
+        raise ValidationError(
             f"row {k}, term {t}: exponent {p!r} of variable {j} is not a "
             f"non-negative integer")
     return q
@@ -446,7 +442,7 @@ def builtin(name):
     returns a new agent, so no caller can change what another sees.
     """
     if name not in _BUILTINS:
-        raise UnknownAgentError(f"no builtin agent named {name!r}")
+        raise ValidationError(f"no builtin agent named {name!r}")
     return _BUILTINS[name]
 
 
@@ -464,7 +460,7 @@ def augment(r, alpha_tilde, beta_tilde, theta_tilde, xi0, eta0=(), u0=0.0,
     """
     xi0 = np.asarray(xi0, dtype=float).reshape(-1)
     if xi0.shape[0] != r + 1:
-        raise InvalidDimensionError(
+        raise ValidationError(
             f"augmented chain needs r + 1 = {r + 1} initial values, got {xi0.shape[0]}")
     eta0 = np.asarray(eta0, dtype=float).reshape(-1)
     return NormalFormAgent(
@@ -494,7 +490,7 @@ def eval_dynamics(agent, xi, eta, u_hat):
     xi = np.asarray(xi, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if xi.shape[0] != agent.r or eta.shape[0] != agent.n_eta:
-        raise InvalidDimensionError(
+        raise ValidationError(
             f"state sizes ({xi.shape[0]}, {eta.shape[0]}) do not match agent "
             f"({agent.r}, {agent.n_eta})")
     u = linearizing_input(agent, xi, eta, u_hat)

@@ -6,14 +6,18 @@
     consensuskit montecarlo scenario.json --runs 200 --out ms.csv
     consensuskit analyze scenario.json [--window T0:T1]
 
-Exit codes: 0 on success, 1 for bad input (parse, validation, or synthesis
-failures, missing files), 2 for runtime failures (finite escape, a beta
-hitting its floor, solver breakdowns).  Every command prints one JSON line:
-its result on stdout (``json.dumps``; ``python -m json.tool`` pretty-prints
-it) or its error on stderr.  Trajectories go to CSV files, in which every
-field is the text of "%.17g" (17 significant digits, so every double reads
-back exactly; not repr, which prints the fewest digits that do), the mode
-column included, so reruns are byte-identical.  A relative output path
+Exit codes follow the class of ``consensuskit.errors`` raised: 0 on
+success; 1 for bad input (ScenarioParseError, ValidationError,
+SynthesisError, and a missing or unreadable file); 2 for a run that fails
+on valid input (ConvergenceFailure, FiniteEscape, BetaNearZero).  Every
+command prints one JSON line: its result on stdout (``json.dumps``;
+``python -m json.tool`` pretty-prints it) or its error on stderr,
+``{"error": <class name>, "message": ...}`` plus whichever of the error's
+``field``, ``line``, ``column``, ``agent_id`` and ``t`` are set.
+Trajectories go to CSV files, in which every field is the text of "%.17g"
+(17 significant digits, so every double reads back exactly; not repr,
+which prints the fewest digits that do), the mode column included, so
+reruns are byte-identical.  A relative output path
 resolves against the working directory, not the scenario file's.
 
 `simulate` and `analyze` share one dispatch: a switching scenario runs
@@ -233,7 +237,7 @@ def _rate_and_spectrum(scen):
         try:
             rate = (theoretical_speed_switching(topology, gain, cs)
                     if switching else theoretical_speed_fixed(cs, gain, lap))
-        except ConsensusKitError:
+        except ValidationError:  # no spanning tree, one node, A4 failing
             pass
     check = closed_loop_spectrum(cs, gain, lap)
     spectrum = {"values": _cpairs(check.values)}

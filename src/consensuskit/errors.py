@@ -1,8 +1,24 @@
 """Exception types raised across the toolkit.
 
-Every error that callers are expected to distinguish gets its own class so
-that tests and the CLI can react precisely.  All of them derive from
-:class:`ConsensusKitError`.
+There is one class per outcome a caller treats differently, and every
+refusal the toolkit raises is one of them.  All derive from
+:class:`ConsensusKitError`.  The CLI exits 1 on the first three (and on a
+missing file) and 2 on the rest:
+
+- :class:`ScenarioParseError`: the scenario file is not a JSON object.
+- :class:`ValidationError`: an input breaks the design's stated
+  assumptions or the schema (a shape, a non-positive parameter, an
+  unstable pole, a graph without a spanning tree, A4 failing, ...).  It
+  is also a ``ValueError``.
+- :class:`SynthesisError`: valid input for which no controller could be
+  designed (not observable or stabilizable, pole placement off, a gain
+  that overflows).
+- :class:`ConvergenceFailure`: a numerical computation on valid input
+  gave no result (an eigenvalue or Riccati iteration, a singular or
+  unstable Lyapunov system, spectra that disagree, a rate-fit window
+  without data).
+- :class:`FiniteEscape`: a simulated state left the divergence guard.
+- :class:`BetaNearZero`: an agent's input gain beta fell below its floor.
 """
 
 
@@ -10,62 +26,33 @@ class ConsensusKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-# ---------------------------------------------------------------------------
-# linear algebra
+class ScenarioParseError(ConsensusKitError):
+    """The scenario file is not valid JSON, or not a JSON object."""
 
-class NonSquareError(ConsensusKitError):
-    """A square matrix was required."""
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message)
+        self.line = line
+        self.column = column
+
+
+class ValidationError(ConsensusKitError, ValueError):
+    """An input that breaks the schema or the design's assumptions.
+
+    ``field`` holds a dotted path into the scenario document, or the
+    argument at fault, when one is known.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+class SynthesisError(ConsensusKitError):
+    """No controller could be designed for valid input."""
 
 
 class ConvergenceFailure(ConsensusKitError):
-    """An iterative solver did not reach its residual target."""
-
-
-class UnstableMatrixError(ConsensusKitError):
-    """A strictly stable (Hurwitz) matrix was required."""
-
-
-class SingularSystemError(ConsensusKitError):
-    """A linear system that had to be solved was (numerically) singular."""
-
-
-class NotStabilizableError(ConsensusKitError):
-    """No stabilizing gain could be produced for the given pair."""
-
-
-# ---------------------------------------------------------------------------
-# graphs
-
-class DimensionMismatchError(ConsensusKitError):
-    """Operands had incompatible sizes."""
-
-
-class AllZeroError(ConsensusKitError):
-    """A Laplacian had no eigenvalue besides its structural zero."""
-
-
-# ---------------------------------------------------------------------------
-# agents
-
-class UnknownAgentError(ConsensusKitError):
-    """No builtin agent is registered under the requested name."""
-
-
-class InvalidDimensionError(ConsensusKitError):
-    """Supplied agent data had inconsistent dimensions."""
-
-
-class BetaNearZero(ConsensusKitError):
-    """The input gain beta dropped below the runtime floor.
-
-    Carries the offending agent id and a state snapshot when raised from a
-    simulation.
-    """
-
-    def __init__(self, message, agent_id=None, state=None):
-        super().__init__(message)
-        self.agent_id = agent_id
-        self.state = state
+    """A numerical computation on valid input gave no result."""
 
 
 class FiniteEscape(ConsensusKitError):
@@ -80,89 +67,14 @@ class FiniteEscape(ConsensusKitError):
         self.t = t
 
 
-# ---------------------------------------------------------------------------
-# synthesis
+class BetaNearZero(ConsensusKitError):
+    """The input gain beta dropped below the runtime floor.
 
-class NotConjugateClosedError(ConsensusKitError):
-    """A pole multiset was not closed under complex conjugation."""
-
-
-class UnstablePoleError(ConsensusKitError):
-    """A strictly stable pole set was required."""
-
-
-class NonPositiveParameterError(ConsensusKitError):
-    """A design parameter was not positive and finite, or overflowed."""
-
-
-class DegreeExceedsTargetError(ConsensusKitError):
-    """An agent's relative degree exceeds the companion target degree."""
-
-
-class NotObservableError(ConsensusKitError):
-    """The pair (C, A) failed the observability gate."""
-
-
-class PlacementFailure(ConsensusKitError):
-    """Pole placement did not reproduce the requested spectrum."""
-
-
-class InconsistentSpectraError(ConsensusKitError):
-    """Analytic and direct closed-loop spectra disagree beyond tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# switching
-
-class ReducibleChainError(ConsensusKitError):
-    """The Markov generator is not irreducible."""
-
-
-class A4ViolatedError(ConsensusKitError):
-    """The union graph lacks a spanning tree or is not weight balanced."""
-
-
-class NotRankOneError(ConsensusKitError):
-    """A rank-one cooperative gain was required."""
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-class EmptyWindowError(ConsensusKitError):
-    """The fit window contains no samples."""
-
-
-class NonPositiveSeriesError(ConsensusKitError):
-    """A log-domain fit needs at least one strictly positive value."""
-
-
-class NoSpanningTreeError(ConsensusKitError):
-    """The communication graph has no directed spanning tree."""
-
-
-# ---------------------------------------------------------------------------
-# scenario / CLI
-
-class ScenarioParseError(ConsensusKitError):
-    """The scenario file is not valid JSON."""
-
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class ValidationError(ConsensusKitError):
-    """The scenario JSON violates the schema.
-
-    ``field`` holds a dotted path into the document.
+    Carries the offending agent id and a state snapshot when raised from a
+    simulation.
     """
 
-    def __init__(self, message, field=None):
+    def __init__(self, message, agent_id=None, state=None):
         super().__init__(message)
-        self.field = field
-
-
-class SynthesisError(ConsensusKitError):
-    """Controller synthesis for a scenario failed."""
+        self.agent_id = agent_id
+        self.state = state

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .linalg import _read_only
 
 __all__ = [
@@ -39,13 +39,13 @@ class DiGraph:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionMismatchError(f"weights must be square, got {w.shape}")
+            raise ValidationError(f"weights must be square, got {w.shape}")
         if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
+            raise ValidationError("weights must be finite")
         if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
+            raise ValidationError("weights must be nonnegative")
         if (np.diag(w) != 0).any():
-            raise ValueError("self-weights must be zero")
+            raise ValidationError("self-weights must be zero")
         object.__setattr__(self, "weights", w)
         _read_only(self)
 
@@ -106,11 +106,11 @@ def union(*graphs):
     if len(graphs) == 1 and isinstance(graphs[0], (list, tuple)):
         graphs = tuple(graphs[0])
     if not graphs:
-        raise DimensionMismatchError("union of no graphs")
+        raise ValidationError("union of no graphs")
     n = graphs[0].n
     for g in graphs[1:]:
         if g.n != n:
-            raise DimensionMismatchError(f"graph sizes differ: {g.n} vs {n}")
+            raise ValidationError(f"graph sizes differ: {g.n} vs {n}")
     total = np.zeros((n, n))
     for g in graphs:
         total += g.weights

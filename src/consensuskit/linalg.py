@@ -16,13 +16,7 @@ and eigenvalues delegate to LAPACK via numpy.
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    NonSquareError,
-    NotStabilizableError,
-    SingularSystemError,
-    UnstableMatrixError,
-)
+from .errors import ConvergenceFailure, SynthesisError, ValidationError
 
 __all__ = ["eig", "solve_lyapunov", "solve_care"]
 
@@ -44,16 +38,17 @@ def _read_only(obj):
 def _as_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
-        raise NonSquareError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+        raise ValidationError(
+            f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValidationError(f"{name} has non-finite entries")
     return arr
 
 
 def _as_square(m, name="matrix"):
     arr = _as_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
-        raise NonSquareError(f"{name} must be square, got shape {arr.shape}")
+        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -69,9 +64,9 @@ def eig(m):
     if not np.iscomplexobj(arr):
         arr = arr.astype(float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise NonSquareError(f"matrix must be square, got shape {arr.shape}")
+        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValidationError("matrix has non-finite entries")
     if arr.size == 0:
         return np.empty(arr.shape[:-1], dtype=complex)
     try:
@@ -96,13 +91,13 @@ def solve_lyapunov(a, q):
     q = _as_square(q, "q")
     n = a.shape[0]
     if q.shape[0] != n:
-        raise NonSquareError(f"q must match a: {q.shape} vs {a.shape}")
+        raise ValidationError(f"q must match a: {q.shape} vs {a.shape}")
     scale = max(1.0, np.linalg.norm(q))
     if not (np.abs(q - q.T) <= 1e-9 * scale).all():
-        raise ValueError("q must be symmetric")
+        raise ValidationError("q must be symmetric")
     re = eig(a).real
     if re.size and re.max() >= -_HURWITZ_TOL:
-        raise UnstableMatrixError(
+        raise ConvergenceFailure(
             f"a must be strictly stable; max Re(eig) = {re.max():.3e}")
 
     # kron(a', I) + kron(I, a'): entry (i n + k, j n + l) is
@@ -114,13 +109,14 @@ def solve_lyapunov(a, q):
     try:
         vec = np.linalg.solve(coeff, -q.reshape(-1))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"Lyapunov operator is singular: {exc}") from exc
+        raise ConvergenceFailure(
+            f"Lyapunov operator is singular: {exc}") from exc
     p = vec.reshape(n, n)
     p = 0.5 * (p + p.T)
 
     resid = np.linalg.norm(a.T @ p + p @ a + q)
     if resid > _LYAPUNOV_RESIDUAL_TOL * scale:
-        raise SingularSystemError(
+        raise ConvergenceFailure(
             f"Lyapunov residual {resid:.3e} exceeds tolerance; "
             "the operator is too ill conditioned")
     return p
@@ -162,15 +158,15 @@ def _stabilizing_seed(a, b, rinv, q):
     try:
         p0 = np.linalg.solve(x[:n].T, x[n:].T).T
     except np.linalg.LinAlgError as exc:
-        raise NotStabilizableError(
+        raise SynthesisError(
             f"could not construct a stabilizing seed gain: {exc}") from exc
     k0 = rinv @ b.T @ (0.5 * (p0 + p0.T))
     if not np.isfinite(k0).all():
-        raise NotStabilizableError(
+        raise SynthesisError(
             "could not construct a stabilizing seed gain: X1 is singular")
     closed = eig(a - b @ k0).real
     if closed.max() >= -_HURWITZ_TOL:
-        raise NotStabilizableError(
+        raise SynthesisError(
             "the Hamiltonian seed failed to stabilize the pair (a, b)")
     return k0
 
@@ -186,7 +182,7 @@ def solve_care(a, b, q, r):
     residual is computed once: the last one is what the 1e-8 relative
     tolerance judges and the error reports.  No stabilizing
     solution (fewer than n stable Hamiltonian eigenvalues) raises
-    ConvergenceFailure; an unstabilizable pair raises NotStabilizableError.
+    ConvergenceFailure; an unstabilizable pair raises SynthesisError.
     `b` may be a column vector or an n-by-m matrix; `r` must be symmetric
     positive definite m-by-m.
     """
@@ -197,18 +193,19 @@ def solve_care(a, b, q, r):
     b = _as_matrix(b, "b")
     n = a.shape[0]
     if b.shape[0] != n:
-        raise NonSquareError(f"b must have {n} rows, got {b.shape}")
+        raise ValidationError(f"b must have {n} rows, got {b.shape}")
     q = _as_square(q, "q")
     if q.shape[0] != n:
-        raise NonSquareError(f"q must match a: {q.shape} vs {a.shape}")
+        raise ValidationError(f"q must match a: {q.shape} vs {a.shape}")
     r = np.asarray(r, dtype=float)
     if r.ndim == 0:
         r = r.reshape(1, 1)
     r = _as_square(r, "r")
     if r.shape[0] != b.shape[1]:
-        raise NonSquareError(f"r must be {b.shape[1]}x{b.shape[1]}, got {r.shape}")
+        raise ValidationError(
+            f"r must be {b.shape[1]}x{b.shape[1]}, got {r.shape}")
     if np.linalg.eigvalsh(0.5 * (r + r.T)).min() <= 0.0:
-        raise ValueError("r must be symmetric positive definite")
+        raise ValidationError("r must be symmetric positive definite")
 
     rinv = np.linalg.inv(r)
     scale = max(1.0, np.linalg.norm(q))
@@ -219,12 +216,8 @@ def solve_care(a, b, q, r):
     k = _stabilizing_seed(a, b, rinv, q)
     res = best = np.inf
     for steps in range(1, _CARE_MAX_ITERATIONS + 1):
-        closed = a - b @ k
-        try:
-            p = solve_lyapunov(closed, q + k.T @ r @ k)
-        except (UnstableMatrixError, SingularSystemError) as exc:
-            raise ConvergenceFailure(
-                f"Newton step lost stability: {exc}") from exc
+        # a step that loses stability is solve_lyapunov's ConvergenceFailure
+        p = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
         k = rinv @ b.T @ p
         res = residual(p)
         if res <= 1e-13 * scale:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroError,
-    DimensionMismatchError,
-    EmptyWindowError,
-    NonPositiveSeriesError,
-    NoSpanningTreeError,
-    NotRankOneError,
-)
+from .errors import ConvergenceFailure, ValidationError
 from .graph import _reachable
 from .linalg import eig
 from .switching import speed_bound
@@ -62,20 +55,21 @@ def empirical_rate(times, values, window=None):
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
-        raise EmptyWindowError("times and values must be equal-length 1-d arrays")
+        raise ValidationError(
+            "times and values must be equal-length 1-d arrays")
     if window is None:
         t0 = times[0] + 0.4 * (times[-1] - times[0])
         window = (float(t0), float(times[-1]))
     t0, t1 = float(window[0]), float(window[1])
     mask = (times >= t0) & (times <= t1)
     if mask.sum() < 2:
-        raise EmptyWindowError(
+        raise ConvergenceFailure(
             f"window [{t0:g}, {t1:g}] selects {int(mask.sum())} samples; "
             "need at least 2")
     tw = times[mask]
     vw = values[mask]
     if not np.any(vw > 0):
-        raise NonPositiveSeriesError(
+        raise ConvergenceFailure(
             "no positive values inside the fit window")
     logv = np.log(np.maximum(vw, _RATE_FLOOR))
     slope, intercept = np.polyfit(tw, logv, 1)
@@ -97,17 +91,19 @@ def theoretical_speed_fixed(cs, gain, lap):
     with the one gamma nearest zero dropped and no threshold.
     """
     if gain.rank != "one":
-        raise NotRankOneError("the guaranteed-rate formula needs a rank-one gain")
+        raise ValidationError(
+            "the guaranteed-rate formula needs a rank-one gain")
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise DimensionMismatchError(f"Laplacian must be square, got {lap.shape}")
+        raise ValidationError(f"Laplacian must be square, got {lap.shape}")
     if ((lap > 0) & ~np.eye(len(lap), dtype=bool)).any():
-        raise ValueError("Laplacian off-diagonal entries must be <= 0")
+        raise ValidationError("Laplacian off-diagonal entries must be <= 0")
     if not _reachable(lap.T < 0).all(axis=1).any():  # L[i, j] < 0: j -> i
-        raise NoSpanningTreeError("graph has no directed spanning tree")
+        raise ValidationError("graph has no directed spanning tree")
     gamma = eig(lap)
     if gamma.size < 2:
-        raise AllZeroError("a one-node graph has no eigenvalue besides zero")
+        raise ValidationError(
+            "a one-node graph has no eigenvalue besides zero")
     gamma = np.delete(gamma, np.argmin(np.abs(gamma)))
     b_nu = float(cs.B @ cs.nu)
     coupling = (gain.mu * np.sqrt(gain.q1 * gain.r_hat) * b_nu

@@ -24,10 +24,12 @@ agent dynamics are polynomials given as term lists {"c": coefficient,
 _MAX_ORDER (1,000).  Graph nodes are 1-based in documents.
 
 Loading validates the document (ValidationError carries a dotted field
-path), then synthesizes the target system, gains and observer eagerly so
-that design failures surface at load time as SynthesisError with the
-original cause chained (poles whose target overflows are a ValidationError
-at controller.poles); SimScenario checks the agents' degrees and the run
+path), then synthesizes the target system, gains and observer eagerly, so
+that design failures surface at load time with the original cause
+chained: a value the synthesis refuses is a ValidationError at its section
+(controller.poles, also for poles whose target overflows; controller.mu,
+say; observer.poles), and a design that fails on valid values a
+SynthesisError; SimScenario checks the agents' degrees and the run
 settings last.
 
 Each polynomial term, graph edge and number list gets one check: a
@@ -41,6 +43,7 @@ compared with the number of agents before its n x n weights are
 allocated.
 """
 
+import contextlib
 import json
 import math
 import sys
@@ -50,10 +53,9 @@ import numpy as np
 from .agents import NormalFormAgent, TermTable, builtin
 from .errors import (
     ConsensusKitError,
-    NonPositiveParameterError,
+    ConvergenceFailure,
     ScenarioParseError,
     SynthesisError,
-    UnknownAgentError,
     ValidationError,
 )
 from .graph import graph_from_dict
@@ -190,7 +192,7 @@ def _parse_agent(doc, index):
         name = _expect(doc["builtin"], str, f"{where}.builtin", "a string")
         try:
             agent = builtin(name)
-        except UnknownAgentError as exc:
+        except ValidationError as exc:  # no such builtin
             raise ValidationError(str(exc), field=f"{where}.builtin") from exc
         kwargs = {}
         if "x0" in doc:
@@ -291,11 +293,12 @@ def _parse_controller(doc, where="controller"):
 
 
 def _graph(doc, n_agents, where, what):
-    """The graph at `where`; a well-formed node count is compared with the
-    number of agents before the n x n weights are allocated.  A count too
-    large for any array of that size is left to graph_from_dict, which
-    reports it at the field n."""
-    n = doc.get("n") if isinstance(doc, dict) else None
+    """The graph at `where`; an unknown key is refused, and a well-formed
+    node count is compared with the number of agents, before the n x n
+    weights are allocated.  A missing key, or a count too large for any
+    array of that size, is left to graph_from_dict, which reports it."""
+    _check_keys(doc, (), ("n", "edges"), where)
+    n = doc.get("n")
     if (isinstance(n, int) and not isinstance(n, bool)
             and 1 <= n <= _MAX_NODES and n != n_agents):
         raise ValidationError(
@@ -323,18 +326,33 @@ def _parse_switching(doc, n_agents, where="switching"):
                      for k, row in enumerate(gen_doc)])
     try:
         return MarkovTopology(graphs, gen)
-    except (ValueError, ConsensusKitError) as exc:
+    except ConsensusKitError as exc:
         raise ValidationError(f"invalid switching chain: {exc}",
                               field=f"{where}.generator") from exc
 
 
 def _target(poles):
-    """The companion target of the poles; poles so large that the target
-    overflows (synthesis.design_companion) are a ValidationError."""
+    """The companion target of the poles; poles it refuses, or so large
+    that the target overflows (synthesis.design_companion), are a
+    ValidationError at controller.poles."""
     try:
         return design_companion(poles)
-    except NonPositiveParameterError as exc:
+    except (ValidationError, SynthesisError) as exc:
         raise ValidationError(str(exc), field="controller.poles") from exc
+
+
+@contextlib.contextmanager
+def _design_step(where):
+    """One synthesis step: an input it refuses is a ValidationError at
+    `where` (at where.<argument> when the error names one), a numerical
+    failure a SynthesisError, each with the cause chained."""
+    try:
+        yield
+    except ValidationError as exc:
+        field = f"{where}.{exc.field}" if exc.field else where
+        raise ValidationError(str(exc), field=field) from exc
+    except (SynthesisError, ConvergenceFailure) as exc:
+        raise SynthesisError(f"synthesis failed: {exc}") from exc
 
 
 def _check_closed_loop(cs, gain, topology):
@@ -413,18 +431,16 @@ def parse_scenario(doc):
         topology = _parse_switching(doc["switching"], len(agents))
 
     # eager synthesis: any design failure surfaces now, with the cause chained
-    try:
-        cs = _target(poles)
+    cs = _target(poles)
+    with _design_step("controller"):
         if rank == "one":
             gain = rank_one_gain(cs, mu, q1, r_hat)
         else:
             gain = full_gain(cs, mu, q1m, r_hat)
-        observer = (observer_gain(cs, obs_c, obs_poles)
-                    if observer_doc is not None else None)
-    except (ValidationError, ScenarioParseError):
-        raise
-    except ConsensusKitError as exc:
-        raise SynthesisError(f"synthesis failed: {exc}") from exc
+    observer = None
+    if observer_doc is not None:
+        with _design_step("observer.poles"):
+            observer = observer_gain(cs, obs_c, obs_poles)
     _check_closed_loop(cs, gain, topology)
 
     return SimScenario(agents=agents, cs=cs, gain=gain, topology=topology,

@@ -562,7 +562,8 @@ def simulate_with_observer(scen):
     """
     _require_fixed(scen)
     if scen.observer is None:
-        raise ValidationError("scenario has no observer section")
+        raise ValidationError("scenario has no observer section",
+                              field="observer")
     return _integrate(scen, 0, use_observer=True)
 
 
@@ -620,7 +621,7 @@ def monte_carlo_ms(scen, runs):
     counted; a warning reports the exclusions.
     """
     if runs < 1:
-        raise ValidationError("need at least one run")
+        raise ValidationError("need at least one run", field="runs")
     total = times = None
     used = diverged = 0
     for k in range(runs):

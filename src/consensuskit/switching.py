@@ -15,14 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (
-    A4ViolatedError,
-    AllZeroError,
-    DimensionMismatchError,
-    NotRankOneError,
-    ReducibleChainError,
-    SingularSystemError,
-)
+from .errors import ConvergenceFailure, ValidationError
 from .graph import (
     DiGraph,
     _reachable,
@@ -46,15 +39,17 @@ _STATIONARY_RESIDUAL_TOL = 1e-10
 def _validate_generator(gen):
     gen = np.asarray(gen, dtype=float)
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-        raise DimensionMismatchError(f"generator must be square, got {gen.shape}")
+        raise ValidationError(f"generator must be square, got {gen.shape}")
     if not np.isfinite(gen).all():
-        raise ValueError("generator has non-finite entries")
+        raise ValidationError("generator has non-finite entries")
     off = gen - np.diag(np.diag(gen))
     if (off < 0).any():
-        raise ValueError("off-diagonal generator entries must be nonnegative")
+        raise ValidationError(
+            "off-diagonal generator entries must be nonnegative")
     rowsum = np.abs(gen.sum(axis=1)).max()
     if rowsum > _GENERATOR_ROW_TOL * max(1.0, np.abs(gen).max()):
-        raise ValueError(f"generator rows must sum to zero (worst {rowsum:.3e})")
+        raise ValidationError(
+            f"generator rows must sum to zero (worst {rowsum:.3e})")
     return gen
 
 
@@ -70,7 +65,7 @@ def _stationary(gen):
     """stationary_distribution of a generator already validated."""
     l = gen.shape[0]
     if not _reachable(gen > 0).all():
-        raise ReducibleChainError(
+        raise ValidationError(
             "generator is reducible: not every mode reaches every other")
     lhs = np.vstack([gen.T, np.ones((1, l))])
     rhs = np.zeros(l + 1)
@@ -78,10 +73,10 @@ def _stationary(gen):
     pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     resid = np.linalg.norm(pi @ gen)
     if resid > _STATIONARY_RESIDUAL_TOL * max(1.0, np.abs(gen).max()):
-        raise SingularSystemError(
+        raise ConvergenceFailure(
             f"stationary residual {resid:.3e} above tolerance")
     if (pi <= 0).any():
-        raise ReducibleChainError(
+        raise ValidationError(
             f"stationary law has nonpositive mass: {pi}")
     return pi / pi.sum()
 
@@ -104,14 +99,14 @@ class MarkovTopology:
     def __post_init__(self):
         graphs = tuple(self.graphs)
         if not graphs:
-            raise DimensionMismatchError("need at least one mode graph")
+            raise ValidationError("need at least one mode graph")
         n = graphs[0].n
         for g in graphs[1:]:
             if g.n != n:
-                raise DimensionMismatchError("mode graphs must share node count")
+                raise ValidationError("mode graphs must share node count")
         gen = _validate_generator(self.generator)
         if gen.shape[0] != len(graphs):
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"generator is {gen.shape[0]}x{gen.shape[0]} for "
                 f"{len(graphs)} graphs")
         object.__setattr__(self, "graphs", graphs)
@@ -141,7 +136,7 @@ class MarkovTopology:
 def _cdf(p):
     """The cumulative row Generator.choice(len(p), p=p) draws against."""
     if not np.all(p >= 0):
-        raise ValueError("probabilities are not non-negative")
+        raise ValidationError("probabilities are not non-negative")
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -160,7 +155,7 @@ def sample_path(mt, t_end, seed, run_index=0):
     those of ``choice``; a mode's jump row is built at its first jump.
     """
     if t_end <= 0:
-        raise ValueError("t_end must be positive")
+        raise ValidationError("t_end must be positive")
     rng = rng_for(seed, run_index, STREAM_MODE_PATH)
     gen = mt.generator
     mode = int(_cdf(mt.pi).searchsorted(rng.random(), side="right"))
@@ -230,7 +225,7 @@ def speed_bound(mt, gain, cs):
 
     min(pi) * mu * sqrt(q1 r_hat) * (B' nu) * lambda_min(L_union + L_union'),
     where lambda_min excludes the structural zero along ones.  Requires the
-    rank-one gain, at least two agents (one raises AllZeroError), and the
+    rank-one gain, at least two agents (one raises ValidationError), and the
     union graph to satisfy the spanning-tree and balance assumption.
 
     It is not a bound at a finite switching rate: on the design of
@@ -240,14 +235,15 @@ def speed_bound(mt, gain, cs):
     0.519 at switching rate 1 and 0.676 at rate 10.
     """
     if gain.rank != "one":
-        raise NotRankOneError("speed bound applies to the rank-one gain only")
+        raise ValidationError("speed bound applies to the rank-one gain only")
     if mt.n == 1:
-        raise AllZeroError("one agent has no disagreement to decay")
+        raise ValidationError("one agent has no disagreement to decay")
     report = check_A4(mt)
     if not report.passes:
-        raise A4ViolatedError(
+        raise ValidationError(
             f"union graph fails assumptions: spanning tree = "
-            f"{report.union_has_spanning_tree}, balanced = {report.union_balanced}")
+            f"{report.union_has_spanning_tree}, balanced = "
+            f"{report.union_balanced}", field="switching")
     lap = laplacian(mt.union)
     lam = _lambda_min_on_disagreement(lap + lap.T)
     btnu = float(cs.B @ cs.nu)

@@ -37,15 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegreeExceedsTargetError,
-    InconsistentSpectraError,
-    NonPositiveParameterError,
-    NotConjugateClosedError,
-    NotObservableError,
-    PlacementFailure,
-    UnstablePoleError,
-)
+from .errors import ConvergenceFailure, SynthesisError, ValidationError
 from .linalg import _read_only, eig, solve_care
 
 __all__ = [
@@ -136,7 +128,7 @@ def _check_conjugate_closed(poles):
                 pending.pop(k)
                 break
         else:
-            raise NotConjugateClosedError(
+            raise ValidationError(
                 f"pole {p} has no conjugate partner in the set")
 
 
@@ -149,11 +141,11 @@ def design_companion(stable_poles):
     """
     poles = [complex(p) for p in stable_poles]
     if not poles:
-        raise UnstablePoleError("need at least one stable pole")
+        raise ValidationError("need at least one stable pole")
     _check_conjugate_closed(poles)
     worst = max(p.real for p in poles)
     if worst >= -_STABLE_POLE_TOL:
-        raise UnstablePoleError(
+        raise ValidationError(
             f"all poles must satisfy Re < -{_STABLE_POLE_TOL:.0e}, "
             f"got Re = {worst:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,12 +153,12 @@ def design_companion(stable_poles):
         biggest = np.abs(coeffs).max()
         finite = np.isfinite(biggest * biggest)
     if not finite:
-        raise NonPositiveParameterError(
+        raise SynthesisError(
             f"the poles overflow the target: its coefficients, or their "
             f"products nu nu' in P1, are not finite (largest |pole| "
             f"{max(abs(p) for p in poles):.3g})")
     if np.abs(coeffs.imag).max() > 1e-9 * max(1.0, biggest):
-        raise NotConjugateClosedError("pole set produced complex coefficients")
+        raise ValidationError("pole set produced complex coefficients")
     coeffs = coeffs.real
     r = len(poles) + 1
     # coeffs = [1, c_1, ..., c_{r-1}, 0] for s**r + c_1 s**(r-1) + ...;
@@ -190,18 +182,19 @@ def rank_one_gain(cs, mu, q1, r_hat):
     """
     for name, val in (("mu", mu), ("q1", q1), ("r_hat", r_hat)):
         if not (val > 0 and np.isfinite(val)):
-            raise NonPositiveParameterError(f"{name} must be positive, got {val!r}")
+            raise ValidationError(f"{name} must be positive, got {val!r}",
+                                  field=name)
     btnu = float(cs.B @ cs.nu)
     with np.errstate(over="ignore"):
         k = mu * np.sqrt(q1 * r_hat) * cs.nu
         p1 = np.sqrt(q1) / (np.sqrt(r_hat) * btnu)
         p = p1 * np.outer(cs.nu, cs.nu)
     if not np.isfinite(k).all():
-        raise NonPositiveParameterError(
+        raise SynthesisError(
             f"the gain K = mu sqrt(q1 r_hat) nu overflows (mu = {mu!r}, "
             f"q1 = {q1!r}, r_hat = {r_hat!r})")
     if not np.isfinite(p).all():
-        raise NonPositiveParameterError(
+        raise SynthesisError(
             f"P1 = nu p1 nu' overflows (q1 = {q1!r}, r_hat = {r_hat!r})")
     return ConsensusGain(rank="one", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, q1=float(q1))
@@ -210,20 +203,21 @@ def rank_one_gain(cs, mu, q1, r_hat):
 def full_gain(cs, mu, q1_matrix, r_hat):
     """Full-rank cooperative gain: P1 from the Riccati equation, K = mu r_hat B' P1."""
     if not (mu > 0 and np.isfinite(mu)):
-        raise NonPositiveParameterError(f"mu must be positive, got {mu!r}")
+        raise ValidationError(f"mu must be positive, got {mu!r}", field="mu")
     if not (r_hat > 0 and np.isfinite(r_hat)):
-        raise NonPositiveParameterError(f"r_hat must be positive, got {r_hat!r}")
+        raise ValidationError(f"r_hat must be positive, got {r_hat!r}",
+                              field="r_hat")
     q1_matrix = np.asarray(q1_matrix, dtype=float)
     p = solve_care(cs.A, cs.B.reshape(-1, 1), q1_matrix,
                    np.array([[1.0 / r_hat]]))
     with np.errstate(over="ignore"):
         k = mu * r_hat * (cs.B @ p)
     if not np.isfinite(k).all():
-        raise NonPositiveParameterError(
+        raise SynthesisError(
             f"the gain K = mu r_hat B' P1 overflows (mu = {mu!r}, "
             f"r_hat = {r_hat!r})")
     if not np.isfinite(p).all():
-        raise NonPositiveParameterError("the Riccati solution P1 overflows")
+        raise SynthesisError("the Riccati solution P1 overflows")
     return ConsensusGain(rank="full", mu=float(mu), r_hat=float(r_hat),
                          K=k, P1=p, Q1=q1_matrix)
 
@@ -238,7 +232,7 @@ def local_controller(cs, agent):
     """
     r, ra = cs.r, agent.r
     if ra > r:
-        raise DegreeExceedsTargetError(
+        raise ValidationError(
             f"agent degree {ra} exceeds target degree {r}")
     m = r - ra
     if m == 0:
@@ -291,15 +285,15 @@ def observer_gain(cs, c, observer_poles):
     """Output-injection gain M with eig(A - M C) at the requested poles.
 
     Pole placement on the dual pair (Ackermann); the result is verified
-    against the request and a PlacementFailure is raised on mismatch.
+    against the request and a SynthesisError is raised on mismatch.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.shape[0] != cs.r:
-        raise NotObservableError(
+        raise ValidationError(
             f"C has {c.shape[0]} entries, expected r = {cs.r}")
     poles = np.asarray([complex(p) for p in observer_poles])
     if poles.shape[0] != cs.r:
-        raise PlacementFailure(
+        raise ValidationError(
             f"need exactly {cs.r} observer poles, got {poles.shape[0]}")
     _check_conjugate_closed(poles)
     try:  # a huge C or pole overflows C A^k or the pole polynomial of A
@@ -307,7 +301,7 @@ def observer_gain(cs, c, observer_poles):
             obsv = _obsv_matrix(c, cs.A)
             svals = np.linalg.svd(obsv, compute_uv=False)
             if svals[-1] <= _OBSERVABILITY_SV_TOL:
-                raise NotObservableError(
+                raise SynthesisError(
                     f"(C, A) is not observable (sigma_min = {svals[-1]:.3e})")
             p_of_a = np.zeros_like(cs.A)
             for cof in np.poly(poles).real:
@@ -315,12 +309,12 @@ def observer_gain(cs, c, observer_poles):
             m = p_of_a @ np.linalg.solve(obsv, np.eye(cs.r)[-1])
             closed = cs.A - np.outer(m, c)
     except FloatingPointError as exc:
-        raise PlacementFailure(f"the observer overflows: {exc}") from exc
+        raise SynthesisError(f"the observer overflows: {exc}") from exc
     achieved = eig(closed)
     want = np.sort_complex(poles)
     worst = _multiset_distance(want, achieved)
     if worst > _OBSERVER_PLACEMENT_TOL * max(1.0, np.abs(poles).max()):
-        raise PlacementFailure(
+        raise SynthesisError(
             f"achieved observer spectrum off by {worst:.3e}")
     return ObserverGain(C=c, M=m, poles=poles)
 
@@ -406,7 +400,7 @@ def closed_loop_spectrum(cs, gain, lap):
         union  (N copies of the stable target poles)
 
     is returned and verified against the block spectrum; a mismatch
-    beyond tolerance raises InconsistentSpectraError.  Repeated
+    beyond tolerance raises ConvergenceFailure.  Repeated
     eigenvalues (including those split by a Jordan block of L) are
     compared through cluster means.  For full-rank gains the block
     spectrum is returned unchecked.
@@ -427,7 +421,7 @@ def closed_loop_spectrum(cs, gain, lap):
     scale = max(1.0, float(np.abs(blocks).max()))
     worst = _multiset_distance(analytic, blocks)
     if worst > _SPECTRUM_MATCH_TOL * scale:
-        raise InconsistentSpectraError(
+        raise ConvergenceFailure(
             f"analytic and block spectra differ by {worst:.3e} "
             f"(tolerance {_SPECTRUM_MATCH_TOL * scale:.3e})")
     return SpectrumCheck(values=analytic, analytic_consistent=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from consensuskit.agents import builtin
-from consensuskit.errors import DimensionMismatchError
+from consensuskit.errors import ValidationError
 from consensuskit.graph import DiGraph, directed_cycle
 from consensuskit.synthesis import design_companion, rank_one_gain
 
@@ -90,7 +90,7 @@ def default_switching_pair(n=5):
     full cycle, so the switching assumptions hold.
     """
     if n < 3:
-        raise DimensionMismatchError("need at least 3 nodes")
+        raise ValidationError("need at least 3 nodes")
     edges = [(k, (k + 1) % n, 1.0) for k in range(n)]
     g1 = DiGraph.from_edges(n, edges[:2])
     g2 = DiGraph.from_edges(n, edges[2:])

@@ -73,7 +73,8 @@ def test_builtin_and_parsed_agents_carry_term_tables():
 
 
 def test_builtin_rejects_unknown_name():
-    with pytest.raises(errors.UnknownAgentError):
+    with pytest.raises(errors.ValidationError,
+                       match="no builtin agent named 'agent9'"):
         builtin("agent9")
 
 
@@ -175,20 +176,24 @@ def _agent(r=2, n_eta=0, **maps):
 def test_normal_form_validation():
     assert _agent().r == 2
     bad = [
-        dict(r=0, xi0=np.empty(0)),
-        dict(xi0=np.zeros(3)),
+        (dict(r=0, xi0=np.empty(0)), "relative degree must be >= 1"),
+        (dict(xi0=np.zeros(3)), "xi0 has length 3, expected r = 2"),
         # maps that are not term tables
-        dict(beta=lambda xi, eta: 1.0),
-        dict(theta=np.empty(0)),
+        (dict(beta=lambda xi, eta: 1.0), "beta must be a TermTable"),
+        (dict(theta=np.empty(0)), "theta must be a TermTable"),
         # alpha and beta are one scalar row (theta: test below)
-        dict(alpha=TermTable([[], []], scalar=True)),
-        dict(beta=TermTable([[(1.0, ())]])),
+        (dict(alpha=TermTable([[], []], scalar=True)),
+         "alpha must be a scalar table of 1 rows, got 2 rows"),
+        (dict(beta=TermTable([[(1.0, ())]])),
+         "beta must be a scalar table of 1 rows"),
         # an exponent vector longer than r + n_eta = 2
-        dict(alpha=TermTable([[(1.0, (0, 0, 1))]], scalar=True)),
-        dict(n_eta=1, theta=TermTable([[(1.0, (0, 0, 0, 2))]])),
+        (dict(alpha=TermTable([[(1.0, (0, 0, 1))]], scalar=True)),
+         "alpha reads variable 3, past r"),
+        (dict(n_eta=1, theta=TermTable([[(1.0, (0, 0, 0, 2))]])),
+         "theta reads variable 4, past r"),
     ]
-    for kwargs in bad:
-        with pytest.raises(errors.InvalidDimensionError):
+    for kwargs, message in bad:
+        with pytest.raises(errors.ValidationError, match=message):
             _agent(**kwargs)
 
 
@@ -196,7 +201,7 @@ def test_term_table_takes_only_non_negative_integer_exponents():
     # a map is a polynomial: 0.5 and 1.7 were truncated to 0 and 1 (xi^0.5
     # read as 1.0, xi^1.7 as xi) and -1 was taken; 2.0 means 2
     for p in (0.5, 1.7, -1, float("nan"), "2"):
-        with pytest.raises(errors.InvalidDimensionError,
+        with pytest.raises(errors.ValidationError,
                            match=r"row 1, term 2: exponent .* of variable 1"):
             TermTable([[(1.0, (1,))],
                        [(1.0, (1,)), (2.0, (0, 1)), (3.0, (0, p))]])
@@ -211,10 +216,12 @@ def test_term_table_takes_only_non_negative_integer_exponents():
 
 def test_eval_dynamics_checks_sizes():
     ag = builtin("agent1")
-    with pytest.raises(errors.InvalidDimensionError):
+    with pytest.raises(errors.ValidationError,
+                       match=r"state sizes \(3, 1\) do not match agent"):
         eval_dynamics(ag, np.zeros(3), np.zeros(1), 0.0)
     # a theta with the wrong number of rows never makes an agent
-    with pytest.raises(errors.InvalidDimensionError):
+    with pytest.raises(errors.ValidationError,
+                       match="theta must be a vector table of 1 rows"):
         _agent(n_eta=1, theta=TermTable([[], []]))
 
 
@@ -223,7 +230,8 @@ def test_with_initial_rules():
     moved = damped.with_initial(xi0=[1.0, 2.0], eta0=[3.0])
     assert np.array_equal(moved.xi0, [1.0, 2.0])
     assert np.array_equal(moved.eta0, [3.0])
-    with pytest.raises(errors.InvalidDimensionError):
+    with pytest.raises(errors.ValidationError,
+                       match="has no native coordinates"):
         damped.with_initial(x0=[1.0, 2.0, 3.0])
 
     native = builtin("agent3")
@@ -231,9 +239,10 @@ def test_with_initial_rules():
     placed = native.with_initial(x0=x)
     assert np.allclose(placed.xi0, native.native.xi_of(x))
     assert np.array_equal(placed.native.x0, x)
-    with pytest.raises(errors.InvalidDimensionError):
+    with pytest.raises(errors.ValidationError, match="takes x0, not xi0"):
         native.with_initial(xi0=[0.0, 0.0, 0.0])
-    with pytest.raises(errors.InvalidDimensionError):
+    with pytest.raises(errors.ValidationError,
+                       match="x0 has length 2, expected 3"):
         native.with_initial(x0=[1.0, 2.0])
 
 
@@ -250,6 +259,7 @@ def test_augment_wraps_general_input():
     assert ag.kind == AUGMENTED_GENERAL
     assert ag.u0 == 0.25
     assert ag.agent_id == 7
-    with pytest.raises(errors.InvalidDimensionError):
+    with pytest.raises(errors.ValidationError,
+                       match=r"augmented chain needs r \+ 1 = 3 initial"):
         augment(r=2, alpha_tilde=ZERO, beta_tilde=ONE, theta_tilde=None,
                 xi0=[1.0, 0.0])

@@ -23,7 +23,8 @@ def test_from_edges_accumulates_parallel_edges():
 
 
 def test_graph_validation_errors():
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError,
+                       match=r"weights must be square, got \(2, 3\)"):
         DiGraph(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         DiGraph(np.array([[0.0, -1.0], [0.0, 0.0]]))
@@ -85,9 +86,10 @@ def test_union_sums_weights_and_checks_sizes():
     # list form is accepted too
     u2 = union([g1, g2])
     assert np.array_equal(u.weights, u2.weights)
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError,
+                       match="graph sizes differ: 4 vs 3"):
         union(g1, empty_graph(4))
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError, match="union of no graphs"):
         union([])
 
 

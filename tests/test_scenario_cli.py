@@ -293,6 +293,10 @@ def _mut_graph_weight_huge(doc):
     doc["graph"]["edges"][0] = [1, 2, HUGE]
 
 
+def _mut_graph_unknown_key(doc):
+    doc["graph"]["wieghts"] = 1
+
+
 VALIDATION_CASES = [
     (_mut_both_topologies, ""),
     (_mut_no_topology, ""),
@@ -333,6 +337,7 @@ VALIDATION_CASES = [
     (_mut_graph_n_huge, "graph.n"),
     (_mut_graph_edge_bools, "graph.edges[0]"),
     (_mut_graph_weight_huge, "graph.edges[0]"),
+    (_mut_graph_unknown_key, "graph"),
 ]
 
 
@@ -465,6 +470,10 @@ def _mut_switch_unknown(doc):
     doc["switching"]["dwell"] = 1.0
 
 
+def _mut_switch_graph_unknown_key(doc):
+    doc["switching"]["graphs"][0]["weight"] = 2.0
+
+
 SWITCHING_CASES = [
     (_mut_switch_graph_size, "switching.graphs[1]"),
     (_mut_switch_generator_rows, "switching.generator"),
@@ -474,6 +483,7 @@ SWITCHING_CASES = [
     (_mut_switch_generator_reducible, "switching.generator"),
     (_mut_switch_no_graphs, "switching.graphs"),
     (_mut_switch_unknown, "switching"),
+    (_mut_switch_graph_unknown_key, "switching.graphs[0]"),
 ]
 
 
@@ -552,15 +562,37 @@ def test_parse_error_carries_position(tmp_path):
 def test_synthesis_error_chains_cause():
     doc = base_doc()
     doc["controller"]["poles"] = [1.0, -2.0]
-    with pytest.raises(errors.SynthesisError) as exc:
+    # a value the synthesis refuses is a ValidationError at its field
+    with pytest.raises(errors.ValidationError,
+                       match="all poles must satisfy Re < -1e-09") as exc:
         parse_scenario(doc)
-    assert isinstance(exc.value.__cause__, errors.UnstablePoleError)
+    assert exc.value.field == "controller.poles"
+    assert isinstance(exc.value.__cause__, errors.ValidationError)
 
     doc = base_doc()
-    doc["observer"] = {"C": [0.0, 0.0, 0.0], "poles": [-3.0, -4.0, -5.0]}
-    with pytest.raises(errors.SynthesisError) as exc:
+    doc["controller"]["mu"] = 0.0
+    with pytest.raises(errors.ValidationError,
+                       match="mu must be positive, got 0.0") as exc:
         parse_scenario(doc)
-    assert isinstance(exc.value.__cause__, errors.NotObservableError)
+    assert exc.value.field == "controller.mu"
+    assert exc.value.__cause__.field == "mu"
+
+    doc = base_doc()
+    doc["observer"] = {"C": [1.0, 0.0, 0.0],
+                       "poles": [-3.0, -4.0, [-5.0, 1.0]]}
+    with pytest.raises(errors.ValidationError,
+                       match="has no conjugate partner") as exc:
+        parse_scenario(doc)
+    assert exc.value.field == "observer.poles"
+
+    # a design that fails on valid values is a SynthesisError
+    doc = base_doc()
+    doc["observer"] = {"C": [0.0, 0.0, 0.0], "poles": [-3.0, -4.0, -5.0]}
+    with pytest.raises(errors.SynthesisError,
+                       match=r"synthesis failed: \(C, A\) is not observable"
+                       ) as exc:
+        parse_scenario(doc)
+    assert isinstance(exc.value.__cause__, errors.SynthesisError)
 
 
 def test_observer_defaults_and_match():
@@ -1265,7 +1297,7 @@ def test_cli_analyze_runs_switching_designs_with_an_observer(tmp_path,
 
 def test_cli_analyze_bad_window(tmp_path, capsys, monkeypatch):
     # rejected before anything is simulated: a NaN bound or an empty window
-    # would otherwise fail only after the run, with EmptyWindowError
+    # would otherwise fail only after the run, with a ConvergenceFailure
     runs = []
     monkeypatch.setattr(cli, "_simulate", runs.append)
     scen = _write(tmp_path, base_doc())
@@ -1544,7 +1576,7 @@ def test_cli_simulate_requires_out_path(tmp_path, capsys):
 def test_cli_synthesize_one_agent_switching_prints_null_limit(tmp_path,
                                                              capsys):
     # one agent has no disagreement to decay: speed_bound raises
-    # AllZeroError, as the fixed one-agent case does, in place of an
+    # ValidationError, as the fixed one-agent case does, in place of an
     # IndexError from an empty disagreement basis
     doc = switching_doc()
     doc["agents"] = doc["agents"][:1]

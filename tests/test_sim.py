@@ -319,8 +319,10 @@ def test_observer_requires_observer_section(target, unit_gain, five_agents,
                                             five_cycle):
     scen = _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
                                 t_end=1.0, dt=0.01)
-    with pytest.raises(errors.ValidationError):
+    with pytest.raises(errors.ValidationError,
+                       match="scenario has no observer section") as info:
         simulate_with_observer(scen)
+    assert info.value.field == "observer"
     with pytest.raises(errors.ValidationError):
         simulate_with_observer(replace(
             _five_agent_scenario(target, unit_gain, five_agents, five_cycle,
@@ -900,8 +902,10 @@ def test_monte_carlo_on_identical_explicit_states_is_zero(target, unit_gain,
                                t_end=1.0, dt=0.01, init="explicit", seed=8)
     mc = monte_carlo_ms(scen, runs=2)
     assert mc.mean_square.max() <= 1e-12
-    with pytest.raises(errors.ValidationError):
+    with pytest.raises(errors.ValidationError,
+                       match="need at least one run") as info:
         monte_carlo_ms(scen, runs=0)
+    assert info.value.field == "runs"
 
 
 def test_benchmark_reaches_the_package_through_these_names(

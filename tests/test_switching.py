@@ -42,7 +42,7 @@ def test_stationary_distribution_three_modes():
 
 
 def test_stationary_rejects_reducible_chain():
-    with pytest.raises(errors.ReducibleChainError):
+    with pytest.raises(errors.ValidationError, match="generator is reducible"):
         stationary_distribution(np.array([[0.0, 0.0], [1.0, -1.0]]))
 
 
@@ -62,7 +62,8 @@ def test_stationary_reducibility_matches_strong_components():
             if cut is None:
                 assert np.allclose(stationary_distribution(gen), 1.0 / l)
             else:
-                with pytest.raises(errors.ReducibleChainError):
+                with pytest.raises(errors.ValidationError,
+                                   match="generator is reducible"):
                     stationary_distribution(gen)
     rng = rng_for(503)
     seen = set()
@@ -81,13 +82,15 @@ def test_stationary_reducibility_matches_strong_components():
                     assert np.all(pi > 0) and np.allclose(pi @ gen, 0.0,
                                                           atol=1e-10)
                 else:
-                    with pytest.raises(errors.ReducibleChainError):
+                    with pytest.raises(errors.ValidationError,
+                                       match="generator is reducible"):
                         stationary_distribution(gen)
     assert seen == {True, False}
 
 
 def test_generator_validation():
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError,
+                       match="generator must be square"):
         stationary_distribution(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         stationary_distribution(np.array([[-1.0, 1.0], [-0.5, 0.5]]))
@@ -122,11 +125,14 @@ def test_markov_topology_validates_its_generator_once(monkeypatch):
 
 def test_markov_topology_validation():
     g1, g2 = default_switching_pair(5)
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError,
+                       match="need at least one mode graph"):
         MarkovTopology(graphs=[], generator=np.zeros((0, 0)))
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError,
+                       match="mode graphs must share node count"):
         MarkovTopology(graphs=[g1, empty_graph(4)], generator=FLIP_FLOP)
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError,
+                       match="generator is 2x2 for 1 graphs"):
         MarkovTopology(graphs=[g1], generator=FLIP_FLOP)
     mt = _default_topology()
     assert np.allclose(mt.pi, [0.5, 0.5], atol=1e-12)
@@ -308,19 +314,23 @@ def test_speed_bound_monotone_under_balanced_additions(target, unit_gain):
 
 def test_speed_bound_requires_rank_one(target):
     g = full_gain(target, mu=1.0, q1_matrix=np.eye(3), r_hat=1.0)
-    with pytest.raises(errors.NotRankOneError):
+    with pytest.raises(errors.ValidationError,
+                       match="speed bound applies to the rank-one gain only"):
         speed_bound(_default_topology(), g, target)
 
 
 def test_speed_bound_rejects_violated_assumptions(target, unit_gain):
     mt = MarkovTopology(graphs=[empty_graph(5), empty_graph(5)],
                         generator=FLIP_FLOP)
-    with pytest.raises(errors.A4ViolatedError):
+    with pytest.raises(errors.ValidationError,
+                       match="spanning tree = False, balanced = True") as info:
         speed_bound(mt, unit_gain, target)
+    assert info.value.field == "switching"
     # union with a spanning tree but unbalanced
     chain1 = DiGraph.from_edges(3, [(0, 1, 1.0)])
     chain2 = DiGraph.from_edges(3, [(1, 2, 1.0)])
-    with pytest.raises(errors.A4ViolatedError):
+    with pytest.raises(errors.ValidationError,
+                       match="spanning tree = True, balanced = False"):
         speed_bound(MarkovTopology(graphs=[chain1, chain2], generator=FLIP_FLOP),
                     unit_gain, target)
 
@@ -328,5 +338,5 @@ def test_speed_bound_rejects_violated_assumptions(target, unit_gain):
 def test_default_switching_pair_union_is_cycle():
     g1, g2 = default_switching_pair(5)
     assert np.array_equal(union(g1, g2).weights, directed_cycle(5).weights)
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(errors.ValidationError, match="need at least 3 nodes"):
         default_switching_pair(2)
