@@ -1,9 +1,9 @@
-"""Exact ``%.17g`` CSV text for a block of rows, made by numpy.
+"""Exact ``%.17g`` CSV text, made by numpy: :func:`write_rows`.
 
 Python's ``"%.17g" % x`` rounds x to 17 significant digits (correctly, ties
 to even) and lays them out by the ``g`` rules; with 17 digits its dtoa runs
-its bignum path for every value.  :class:`RowFormatter` makes the same
-bytes for a whole block at once:
+its bignum path for every value.  :func:`write_rows` makes the same bytes
+for 256 rows at a time, in work buffers allocated once per file:
 
 * Digits.  With e = floor(log10 |x|), made exact against a table of the
   smallest doubles >= 10**e, the 17 digits are D = round(V), V = |x|
@@ -19,8 +19,8 @@ bytes for a whole block at once:
   ``-0``) or when 1e-280 <= |x| < 1e281 (there the split and the products
   neither overflow nor lose bits to underflow), V's fraction is more than
   1e-6 from 0.5 and D < 10**17.  Exact ties at 17 digits, nan, inf,
-  subnormals and values outside that range are not; the caller formats
-  rows holding one with ``%``.
+  subnormals and values outside that range are not; a row holding one is
+  written with ``line % tuple(row)`` in its place.
 """
 
 import functools
@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+_CHUNK_ROWS = 256  # rows formatted at once: keeps the work buffers small
 _E_MIN, _E_MAX = -280, 280  # decimal exponents of the values decided here
 _MARGIN = 1e-6  # a fraction of V this near 0.5 is left to the % fallback
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
@@ -125,68 +126,84 @@ def _float_digits(x):
     return d, e, ok
 
 
-class RowFormatter:
-    """CSV text of blocks of up to ``rows`` rows of ``ncols`` columns.
+def _fallback_row(line, part, r):
+    """Row ``r`` of the blocks in ``part`` through the format ``line``."""
+    return line % tuple(v for b in part for v in b[r].tolist())
 
-    The work buffers are allocated once, for a full block, and reused.
+
+def write_rows(path, header, blocks):
+    """Write ``header`` and the rows of ``blocks`` to ``path`` as CSV.
+
+    ``blocks`` are 2-D float arrays with one row per sample, written side by
+    side; every field is the text of "%.17g" and every line ends in CRLF,
+    as csv.writer writes them.
     """
+    ncols = sum(b.shape[1] for b in blocks)
+    line = ",".join(["%.17g"] * ncols) + "\r\n"
+    n = blocks[0].shape[0]
+    # work buffers for one full chunk, reused by every chunk
+    chunk = min(n, _CHUNK_ROWS)
+    size = chunk * ncols
+    src = np.empty((30, size), np.uint8)
+    src[22:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
+    digits = src[:18].reshape(2, 9, size)
+    slots = _templates() * size
+    last = np.zeros((chunk, ncols), np.intp)
+    last[:, -1] = 2 * _NCLS * 17
+    last = last.ravel()
+    index = np.empty((size, _WIDTH), np.intp)
+    chars = np.empty((size, _WIDTH), np.uint8)
+    column = np.arange(size)[:, None]
+    cls_t, exp_t = _powers()[5:]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, n, _CHUNK_ROWS):
+            part = [b[lo:lo + _CHUNK_ROWS] for b in blocks]
+            x = np.concatenate(part, axis=1, dtype=float)
+            rows, m = x.shape[0], x.size
+            x = x.ravel()
+            d, e, ok = _float_digits(x)
+            zero = x == 0
+            neg = np.signbit(x)
+            ok |= zero
+            clear = ~ok | zero
+            d[clear] = 10 ** 16
+            e[clear] = 0
 
-    def __init__(self, ncols, rows):
-        self.size = size = rows * ncols
-        self.src = np.empty((30, size), np.uint8)
-        self.src[22:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
-        self.slots = _templates() * size
-        last = np.zeros((rows, ncols), np.intp)
-        last[:, -1] = 2 * _NCLS * 17
-        self.last = last.ravel()
-        self.index = np.empty((size, _WIDTH), np.intp)
-        self.chars = np.empty((size, _WIDTH), np.uint8)
-        self.column = np.arange(size)[:, None]
+            # digits: D = H 10**9 + L, each half by 8 divisions in uint32
+            # into source rows 0-8 (H, whose first digit is 0) and 9-17 (L)
+            y = np.empty((2, m), np.int64)
+            np.floor_divide(d, 10 ** 9, out=y[0])
+            np.subtract(d, y[0] * 10 ** 9, out=y[1])
+            y = y.astype(np.uint32)
+            for k in range(8, 0, -1):
+                q = y // 10
+                y -= q * 10
+                y += 48
+                digits[:, k, :m] = y
+                y = q
+            digits[:, 0, :m] = y + 48
+            # layout: the template of (last column, sign, class of e, digits
+            # kept once trailing zeros go) picks a source row for each slot
+            kept = np.max(np.arange(1, 18, dtype=np.uint8)[:, None]
+                          * (src[1:18, :m] != 48), axis=0)
+            exp_t.take(e - _E0, axis=1, out=src[18:22, :m])
+            cls = cls_t.take(e - _E0)
+            cls[zero] = 23
+            tid = last[:m] + (neg * _NCLS + cls) * 17 + kept - 1
+            slots.take(tid, axis=0, out=index[:m], mode="clip")
+            index[:m] += column[:m]
+            src.take(index[:m], out=chars[:m], mode="clip")
 
-    def format(self, x):
-        """Characters of each row and whether every value of it is decided.
-
-        ``x`` is the block as float64.  The characters are (rows, 26 ncols)
-        uint8 with NUL where a slot holds nothing; they live in a buffer the
-        next call reuses.
-        """
-        rows, m = x.shape[0], x.size
-        x = x.ravel()
-        d, e, ok = _float_digits(x)
-        zero = x == 0
-        neg = np.signbit(x)
-        ok |= zero
-        clear = ~ok | zero
-        d[clear] = 10 ** 16
-        e[clear] = 0
-
-        # digits: D = H 10**9 + L, each half by 8 divisions in uint32 into
-        # source rows 0-8 (H, whose first digit is 0) and 9-17 (L)
-        src = self.src[:, :m]
-        y = np.empty((2, m), np.int64)
-        np.floor_divide(d, 10 ** 9, out=y[0])
-        np.subtract(d, y[0] * 10 ** 9, out=y[1])
-        y = y.astype(np.uint32)
-        digits = self.src[:18].reshape(2, 9, self.size)
-        for k in range(8, 0, -1):
-            q = y // 10
-            y -= q * 10
-            y += 48
-            digits[:, k, :m] = y
-            y = q
-        digits[:, 0, :m] = y + 48
-        # layout: the template of (last column, sign, class of e, digits
-        # kept once trailing zeros go) picks a source row for each slot
-        kept = np.max(np.arange(1, 18, dtype=np.uint8)[:, None]
-                      * (src[1:18] != 48), axis=0)
-        cls_t, exp_t = _powers()[5:]
-        exp_t.take(e - _E0, axis=1, out=src[18:22])
-        cls = cls_t.take(e - _E0)
-        cls[zero] = 23
-        tid = self.last[:m] + (neg * _NCLS + cls) * 17 + kept - 1
-        index = self.index[:m]
-        self.slots.take(tid, axis=0, out=index, mode="clip")
-        index += self.column[:m]
-        chars = self.chars[:m]
-        self.src.take(index, out=chars, mode="clip")
-        return chars.reshape(rows, -1), ok.reshape(rows, -1).all(axis=1)
+            # text: the compressed characters, with the rows holding an
+            # undecided value written through "%" in their place
+            text = chars[:m].reshape(rows, -1)
+            undecided = ~ok.reshape(rows, -1).all(axis=1)
+            start = 0
+            for r in np.flatnonzero(undecided).tolist():
+                done = text[start:r]
+                fh.write(done[done != 0])
+                fh.write(_fallback_row(line, part, r).encode())
+                start = r + 1
+            done = text[start:]
+            fh.write(done[done != 0])

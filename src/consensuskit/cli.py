@@ -34,7 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._csvtext import RowFormatter
+from ._csvtext import write_rows
 from .errors import (
     ConsensusKitError,
     ScenarioParseError,
@@ -48,6 +48,7 @@ from .metrics import (
     theoretical_speed_fixed,
     theoretical_speed_switching,
 )
+from .rng import check_seed
 from .scenario import load_scenario
 from .sim import (
     _grid,
@@ -78,6 +79,7 @@ def _emit_error(exc):
 
 def _apply_overrides(scen, args):
     if args.seed is not None:
+        check_seed(args.seed, "--seed")
         scen = replace(scen, seed=args.seed)
     return scen
 
@@ -94,49 +96,6 @@ def _output_cfg(scen, args):
             "no CSV output path; pass --out or set output.csv",
             field="output.csv")
     return cfg
-
-
-_CHUNK_ROWS = 256  # rows formatted at once: keeps the work buffers small
-
-
-def _fallback_row(line, part, r):
-    """Row ``r`` of the blocks in ``part`` through the format ``line``."""
-    return line % tuple(v for b in part for v in b[r].tolist())
-
-
-def _write_rows(path, header, blocks):
-    """CSV lines as csv.writer writes them for these fields.
-
-    ``blocks`` are 2-D float arrays with one row per sample, written side by
-    side with "%.17g".  Each chunk of 256 rows gets exactly the bytes of
-    ``line % tuple(row)`` from numpy (``_csvtext.RowFormatter``).  Digits: a
-    value's 17 digits are its magnitude times a power of ten, taken in
-    double-double and rounded to an integer.  Layout: they are placed by the
-    g rules (fixed notation for -4 <= exponent < 17, else d.ddd...e+XX;
-    trailing zeros and a bare "." dropped) in a NUL-padded character matrix
-    that one boolean compress turns into bytes.  Fallback: a row holding a
-    value that product cannot decide (a tie at 17 digits, nan, inf, a
-    subnormal, a magnitude outside 1e-280 .. 1e281) is formatted with
-    ``line % tuple(row)`` instead.
-    """
-    ncols = sum(b.shape[1] for b in blocks)
-    line = ",".join(["%.17g"] * ncols) + "\r\n"
-    n = blocks[0].shape[0]
-    formatter = RowFormatter(ncols, min(n, _CHUNK_ROWS))
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, n, _CHUNK_ROWS):
-            part = [b[lo:lo + _CHUNK_ROWS] for b in blocks]
-            chars, decided = formatter.format(
-                np.concatenate(part, axis=1, dtype=float))
-            start = 0
-            for r in np.flatnonzero(~decided).tolist():
-                done = chars[start:r]
-                fh.write(done[done != 0])
-                fh.write(_fallback_row(line, part, r).encode())
-                start = r + 1
-            done = chars[start:]
-            fh.write(done[done != 0])
 
 
 def _write_trajectory_csv(path, traj, full_state):
@@ -157,12 +116,12 @@ def _write_trajectory_csv(path, traj, full_state):
             header += [f"eta{i}_{k + 1}" for k in range(eta.shape[1])]
             header.append(f"u{i}")
             blocks += [xi, eta, traj.u[:, i - 1:i]]
-    _write_rows(path, header, blocks)
+    write_rows(path, header, blocks)
 
 
 def _write_mc_csv(path, result):
-    _write_rows(path, ["t", "mean_square"],
-                [result.times[:, None], result.mean_square[:, None]])
+    write_rows(path, ["t", "mean_square"],
+               [result.times[:, None], result.mean_square[:, None]])
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",

@@ -100,7 +100,7 @@ from .agents import (
 )
 from .errors import BetaNearZero, FiniteEscape, ValidationError
 from .graph import DiGraph, laplacian
-from .rng import STREAM_INIT, rng_for
+from .rng import STREAM_INIT, check_seed, rng_for
 from .switching import MarkovTopology, check_A4, sample_path
 from .synthesis import CompanionSystem, ConsensusGain, ObserverGain
 
@@ -150,6 +150,7 @@ class SimScenario:
         if not self.dt <= self.t_end < np.inf:
             raise ValidationError("t_end must be finite and cover at least "
                                   "one step", field="sim.t_end")
+        check_seed(self.seed, "sim.seed")
         if self.init not in ("explicit", "random"):
             raise ValidationError("init must be 'explicit' or 'random'",
                                   field="sim.init")

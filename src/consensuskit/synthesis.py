@@ -207,6 +207,9 @@ def full_gain(cs, mu, q1_matrix, r_hat):
     if not (r_hat > 0 and np.isfinite(r_hat)):
         raise ValidationError(f"r_hat must be positive, got {r_hat!r}",
                               field="r_hat")
+    if not np.isfinite(1.0 / r_hat):
+        raise ValidationError(f"1 / r_hat overflows (r_hat = {r_hat!r})",
+                              field="r_hat")
     q1_matrix = np.asarray(q1_matrix, dtype=float)
     p = solve_care(cs.A, cs.B.reshape(-1, 1), q1_matrix,
                    np.array([[1.0 / r_hat]]))

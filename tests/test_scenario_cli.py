@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import consensuskit
-from consensuskit import cli, errors, scenario, sim, switching
+from consensuskit import _csvtext, cli, errors, scenario, sim, switching
 from consensuskit.agents import builtin
 from consensuskit.cli import main
 from consensuskit.graph import DiGraph
+from consensuskit.rng import rng_for
 from consensuskit.scenario import load_scenario, parse_scenario
 from consensuskit.switching import MarkovTopology
 
@@ -788,13 +789,13 @@ def _percent_text(header, blocks):
 def _fallback_rows(monkeypatch, write, *args):
     # call write(*args) and count the rows it sent to the "%" fallback
     calls = []
-    fallback = cli._fallback_row
+    fallback = _csvtext._fallback_row
 
     def counted(line, part, r):
         calls.append(r)
         return fallback(line, part, r)
 
-    monkeypatch.setattr(cli, "_fallback_row", counted)
+    monkeypatch.setattr(_csvtext, "_fallback_row", counted)
     write(*args)
     monkeypatch.undo()
     return len(calls)
@@ -845,13 +846,13 @@ def test_csv_rows_match_percent_formatting_on_hard_values(tmp_path,
     for name, values in _hard_values(rng):
         values = np.concatenate([values, rng.standard_normal(-values.size % 4)])
         block = values.reshape(-1, 4)
-        fallback = _fallback_rows(monkeypatch, cli._write_rows, path,
+        fallback = _fallback_rows(monkeypatch, _csvtext.write_rows, path,
                                   list("abcd"), [block])
         assert path.read_bytes() == _percent_text(list("abcd"), [block]), name
         assert fallback < block.shape[0], name
     # a lone nan, inf and subnormal fall back with their own row only
     block = np.array([[1.5], [np.nan], [2.5], [np.inf], [5e-324], [-0.0]])
-    assert _fallback_rows(monkeypatch, cli._write_rows, path, ["x"],
+    assert _fallback_rows(monkeypatch, _csvtext.write_rows, path, ["x"],
                           [block]) == 3
     assert path.read_bytes() == _percent_text(["x"], [block])
 
@@ -893,7 +894,7 @@ def test_csv_rows_are_percent_17g_of_every_value(tmp_path, values, ncols,
     cut = min(split, ncols - 1) + 1
     blocks = [table[:, :cut]] + ([table[:, cut:]] if cut < ncols else [])
     path = tmp_path / "rows.csv"
-    cli._write_rows(path, ["c"] * ncols, blocks)
+    _csvtext.write_rows(path, ["c"] * ncols, blocks)
     want = "c" + ",c" * (ncols - 1) + "\r\n" + "".join(
         ",".join("%.17g" % v for v in row) + "\r\n" for row in table.tolist())
     assert path.read_bytes() == want.encode()
@@ -904,7 +905,7 @@ def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
     # whole floats, which "%.17g" writes as the integer's digits
     rng = np.random.default_rng(7)
     n = 1000
-    assert n % cli._CHUNK_ROWS
+    assert n % _csvtext._CHUNK_ROWS
     t = np.arange(n) * 0.001
     mode = rng.integers(0, 3, n)[:, None] + 1.0
     mode[[0, 1, 2, 3, 999]] = [[2.0 ** 53], [10.0], [-100.0], [1e16], [-0.0]]
@@ -912,7 +913,7 @@ def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
     blocks = [t[:, None], mode, y, np.empty((n, 0)), y[:, :1] * 1e-12]
     header = ["t", "mode", "y1", "y2", "y3", "w"]
     path = tmp_path / "mixed.csv"
-    fallback = _fallback_rows(monkeypatch, cli._write_rows, path, header,
+    fallback = _fallback_rows(monkeypatch, _csvtext.write_rows, path, header,
                               blocks)
     text = path.read_bytes()
     assert text == _percent_text(header, blocks)
@@ -921,7 +922,7 @@ def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
     assert fallback == 0
     # the mode column at the end of the line, and a single row
     blocks = [t[:1, None], mode[:1]]
-    cli._write_rows(path, ["t", "mode"], blocks)
+    _csvtext.write_rows(path, ["t", "mode"], blocks)
     assert path.read_bytes() == b"t,mode\r\n0,9007199254740992\r\n"
 
 
@@ -1093,6 +1094,33 @@ def test_cli_montecarlo_refuses_a_run_count_below_one(tmp_path, capsys,
                      "--out", str(tmp_path / "x.csv")], capsys) == {
         "error": "ValidationError",
         "message": f"need at least one run, got {runs}", "field": "--runs"}
+
+
+def test_cli_refuses_a_seed_outside_64_bits(tmp_path, capsys):
+    # a seed is the Philox key word itself: -1 and 2**64 are refused, not
+    # reduced modulo 2**64 onto 2**64 - 1 and 0
+    path, out = _write(tmp_path, base_doc()), tmp_path / "x.csv"
+    for seed in (-1, 2 ** 64, 2 ** 70):
+        assert _refusal(["simulate", path, "--out", str(out),
+                         "--seed", str(seed)], capsys) == {
+            "error": "ValidationError",
+            "message": f"seed must be an integer in [0, 2**64), got {seed}",
+            "field": "--seed"}
+        doc = base_doc()
+        doc["sim"]["seed"] = seed
+        assert _refusal(["simulate", _write(tmp_path, doc, "bad.json"),
+                         "--out", str(out)], capsys)["field"] == "sim.seed"
+        with pytest.raises(errors.ValidationError, match="seed must be"):
+            rng_for(seed)
+    assert not out.exists()
+    # the largest seed runs, on a stream of its own
+    runs = []
+    for seed in (0, 2 ** 64 - 1):
+        assert main(["simulate", path, "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        runs.append(out.read_bytes())
+    capsys.readouterr()
+    assert runs[0] != runs[1]
 
 
 def test_topology_refusals_name_the_document_key(tmp_path, capsys):
@@ -1394,6 +1422,18 @@ def test_cli_closed_loop_overflow_payload(tmp_path, capsys):
             assert err.get("field") == field, argv
             if field is None:
                 assert "mu = 1e+308" in err["message"], argv
+
+
+def test_cli_names_r_hat_when_its_reciprocal_overflows(tmp_path, capsys):
+    # full rank solves the Riccati equation with R = 1 / r_hat, which
+    # overflows for a positive subnormal r_hat
+    doc = json.loads((SCENARIO_DIR / "five_agents_fixed.json").read_text())
+    doc["controller"].update(rank="full", r_hat=1e-320)
+    del doc["controller"]["q1"]
+    assert _refusal(["synthesize", _write(tmp_path, doc)], capsys) == {
+        "error": "ValidationError",
+        "message": "1 / r_hat overflows (r_hat = 1e-320)",
+        "field": "controller.r_hat"}
 
 
 @pytest.mark.parametrize("observer", [
