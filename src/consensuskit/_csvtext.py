@@ -3,7 +3,8 @@
 Python's ``"%.17g" % x`` rounds x to 17 significant digits (correctly, ties
 to even) and lays them out by the ``g`` rules; with 17 digits its dtoa runs
 its bignum path for every value.  :func:`write_rows` makes the same bytes
-for 256 rows at a time, in work buffers allocated once per file:
+for 256 rows at a time, in work buffers allocated once per file: one
+chunk's worth each, but for the gather's index buffer (Layout):
 
 * Digits.  With e = floor(log10 |x|), made exact against a table of the
   smallest doubles >= 10**e, the 17 digits are D = round(V), V = |x|
@@ -13,8 +14,10 @@ for 256 rows at a time, in work buffers allocated once per file:
 * Layout.  From the digit count left after stripping trailing zeros, the
   sign and e, each value picks a template: which of its digit, exponent
   and constant characters fill the 26 slots of its field (the separator
-  included), NUL elsewhere.  One gather builds the character matrix; one
-  boolean compress of it is the text.
+  included), NUL elsewhere.  A gather builds the character matrix, in
+  parts whose index buffer (8 bytes a slot) is capped at 256 KB
+  (_GATHER_BYTES) whatever the width; one boolean compress of it is the
+  text.
 * Decided values.  A value is decided when it is 0 (written ``0`` or
   ``-0``) or when 1e-280 <= |x| < 1e281 (there the split and the products
   neither overflow nor lose bits to underflow), V's fraction is more than
@@ -30,6 +33,7 @@ import math
 import numpy as np
 
 _CHUNK_ROWS = 256  # rows formatted at once: keeps the work buffers small
+_GATHER_BYTES = 1 << 18  # the layout's index buffer, whatever the width
 _E_MIN, _E_MAX = -280, 280  # decimal exponents of the values decided here
 _MARGIN = 1e-6  # a fraction of V this near 0.5 is left to the % fallback
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
@@ -141,7 +145,8 @@ def write_rows(path, header, blocks):
     ncols = sum(b.shape[1] for b in blocks)
     line = ",".join(["%.17g"] * ncols) + "\r\n"
     n = blocks[0].shape[0]
-    # work buffers for one full chunk, reused by every chunk
+    # work buffers for one full chunk (the index for one part of its
+    # gather), reused by every chunk
     chunk = min(n, _CHUNK_ROWS)
     size = chunk * ncols
     src = np.empty((30, size), np.uint8)
@@ -151,7 +156,8 @@ def write_rows(path, header, blocks):
     last = np.zeros((chunk, ncols), np.intp)
     last[:, -1] = 2 * _NCLS * 17
     last = last.ravel()
-    index = np.empty((size, _WIDTH), np.intp)
+    gather = _GATHER_BYTES // (_WIDTH * np.dtype(np.intp).itemsize)
+    index = np.empty((min(size, gather), _WIDTH), np.intp)
     chars = np.empty((size, _WIDTH), np.uint8)
     column = np.arange(size)[:, None]
     cls_t, exp_t = _powers()[5:]
@@ -191,9 +197,11 @@ def write_rows(path, header, blocks):
             cls = cls_t.take(e - _E0)
             cls[zero] = 23
             tid = last[:m] + (neg * _NCLS + cls) * 17 + kept - 1
-            slots.take(tid, axis=0, out=index[:m], mode="clip")
-            index[:m] += column[:m]
-            src.take(index[:m], out=chars[:m], mode="clip")
+            for a in range(0, m, gather):
+                b = min(a + gather, m)
+                slots.take(tid[a:b], axis=0, out=index[:b - a], mode="clip")
+                index[:b - a] += column[a:b]
+                src.take(index[:b - a], out=chars[a:b], mode="clip")
 
             # text: the compressed characters, with the rows holding an
             # undecided value written through "%" in their place

@@ -51,6 +51,7 @@ from .metrics import (
 from .rng import check_seed
 from .scenario import load_scenario
 from .sim import (
+    _BLOCK,
     _grid,
     monte_carlo_ms,
     simulate_fixed,
@@ -105,7 +106,13 @@ def _write_trajectory_csv(path, traj, full_state):
     blocks = [traj.times[:, None], traj.y]
     if traj.err is not None:
         header += [f"e{i}" for i in agents]
-        blocks.append(np.linalg.norm(traj.err, axis=2))
+        # by blocks of samples: the norm of the whole error at once would
+        # allocate its squares, two more arrays of its size
+        norms = np.empty(traj.y.shape)
+        for a in range(0, norms.shape[0], _BLOCK):
+            norms[a:a + _BLOCK] = np.linalg.norm(traj.err[a:a + _BLOCK],
+                                                 axis=2)
+        blocks.append(norms)
     if traj.mode is not None:
         header.append("mode")
         blocks.append(traj.mode[:, None] + 1.0)

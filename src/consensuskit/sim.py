@@ -40,7 +40,7 @@ derivative u_hat, so d' = (u_hat - alpha) / beta - u_hat, and u = xi_last
 + d keeps the rounding of z (d stays 0 if alpha = 0, beta = 1 and u0 =
 xi_last(0)).  After the run the trajectory turns d into u, u(0) = u0
 exactly, and evaluates beta of every agent and alpha of the agents that
-are not augmented over all recorded states at once, by the same
+are not augmented over the recorded states, 1,024 at a time, by the same
 expressions run on numpy columns (TermTable.at); like theta, each is one
 stacked table.
 
@@ -69,15 +69,18 @@ or after the jump time and the graph is frozen over each step.
 
 Each sample is one row of a state matrix, whose size is checked against a
 fixed limit before anything is allocated (_grid), and the Trajectory is
-built from those rows once, after the loop (_trajectory).  Two runtime
-guards: |beta| is checked against the floor 1e-9 (agents._BETA_FLOOR)
-after the run over all recorded states, before a FiniteEscape is raised
-(BetaNearZero), and any state leaving the max-norm ball of radius 1e6
-(_FINITE_ESCAPE_NORM) aborts the run with FiniteEscape at the first step
-whose z or cascade is outside it, carrying the trajectory recorded up to
-the step before.  The cascade's products and sums overflow to inf as
-numpy's do; a Python ZeroDivisionError there (a beta of 0, where numpy
-gives inf) counts as leaving the ball.
+built from those rows once, after the loop (_trajectory): its y, xi_hat
+and eta are views of them, and u is derived a block of states at a time,
+so a run's memory peaks near its record plus u (plus the observer error,
+with an observer).  Two runtime guards: |beta| is checked against the
+floor 1e-9 (agents._BETA_FLOOR) after the run, block by block over the
+recorded states, before a FiniteEscape is raised (BetaNearZero), and any
+state leaving the max-norm ball of radius 1e6 (_FINITE_ESCAPE_NORM)
+aborts the run with FiniteEscape at the first step whose z or cascade is
+outside it, carrying the trajectory recorded up to the step before.  The
+cascade's products and sums overflow to inf as numpy's do; a Python
+ZeroDivisionError there (a beta of 0, where numpy gives inf) counts as
+leaving the ball.
 
 Reproducibility: trajectories are a pure function of (scenario, seed, run
 index).  Random initial conditions and switching paths are drawn from
@@ -100,7 +103,7 @@ from .agents import (
 )
 from .errors import BetaNearZero, FiniteEscape, ValidationError
 from .graph import DiGraph, laplacian
-from .rng import STREAM_INIT, check_seed, rng_for
+from .rng import STREAM_INIT, check_seed, is_integer, rng_for
 from .switching import MarkovTopology, check_A4, sample_path
 from .synthesis import CompanionSystem, ConsensusGain, ObserverGain
 
@@ -492,46 +495,49 @@ def _cascade_steps(plan, rows, inputs):
     return done
 
 
-_BLOCK = 1024  # recorded states per evaluation of a stacked table
-
-
-def _map_rows(table, rows):
-    """The rows of a stacked `table` at every recorded state, one column
-    each, evaluated _BLOCK states at a time."""
-    out = np.empty((rows.shape[0], table.n_rows))
-    for a in range(0, rows.shape[0], _BLOCK):
-        out[a:a + _BLOCK] = table.at(rows[a:a + _BLOCK])
-    return out
+_BLOCK = 1024  # recorded states per block of _trajectory
 
 
 def _trajectory(plan, scen, rows, times, modes, mode_path):
     """The Trajectory of the recorded states rows[k] (at times[k]), cut
-    short of the grid when the run diverged.  Raises BetaNearZero at the
-    earliest sample, and there at the lowest agent index, with |beta|
-    below the floor."""
+    short of the grid when the run diverged.  u is derived one block of
+    _BLOCK states at a time into one (n, N) array: the block's u = xi_last
+    + d of the augmented agents, its beta of every agent, then its u_hat,
+    alpha and u = (u_hat - alpha) / beta of the others.  So no temporary
+    outgrows a block.  Raises BetaNearZero from the first block with
+    |beta| below the floor, at its earliest such sample and there at the
+    lowest agent index."""
     n = rows.shape[0]
     n_ag, r = plan.shape
-    rows[:, plan.sl_u] += rows[:, plan.aug_u_hat]  # u = xi_last + d
-    rows[0, plan.sl_u] = plan.u0  # exactly, whatever that sum rounds to
-    betas = _map_rows(plan.beta, rows)
-    low = np.abs(betas) < _BETA_FLOOR
-    if low.any():
-        k = int(low.any(axis=1).argmax())
-        i = int(low[k].argmax())
-        agent_id = scen.agents[i].agent_id
-        raise BetaNearZero(
-            f"beta = {betas[k, i]:.3e} below floor "
-            f"{_BETA_FLOOR:.1e} for agent {agent_id}",
-            agent_id=agent_id, state=rows[k].copy())
+    u = np.empty((n, n_ag))
+    # a lone last state joins the block before it: numpy multiplies a
+    # single row through gemv, whose sums round unlike gemm's
+    starts = range(0, max(n - 1, 1), _BLOCK)
+    for a, b in zip(starts, [*starts[1:], n]):
+        blk, ub = rows[a:b], u[a:b]
+        blk[:, plan.sl_u] += blk[:, plan.aug_u_hat]  # u = xi_last + d
+        if a == 0:
+            blk[0, plan.sl_u] = plan.u0  # exactly, whatever that sum rounds to
+        beta = plan.beta.at(blk)
+        low = np.abs(beta) < _BETA_FLOOR
+        if low.any():
+            k = int(low.any(axis=1).argmax())
+            i = int(low[k].argmax())
+            agent_id = scen.agents[i].agent_id
+            raise BetaNearZero(
+                f"beta = {beta[k, i]:.3e} below floor "
+                f"{_BETA_FLOOR:.1e} for agent {agent_id}",
+                agent_id=agent_id, state=blk[k].copy())
+        # u starts as u_hat (every mode at once)
+        ub[:] = np.matmul(blk[:, :plan.nz], plan.u_rows)[
+            modes[a:b], np.arange(b - a)]
+        alpha = plan.alpha.at(blk)
+        for k, i in enumerate(plan.plain):  # in place: ub[:, plain] would copy
+            ub[:, i] -= alpha[:, k]
+        ub /= beta
+        ub[:, plan.aug] = blk[:, plan.sl_u]
     z = rows[:, :plan.nz]
     xi_hat = z[:, :n_ag * r].reshape(n, n_ag, r)
-    # u starts as u_hat (every mode at once)
-    u = np.matmul(z, plan.u_rows)[modes[:n], np.arange(n)]
-    alpha = _map_rows(plan.alpha, rows)
-    for k, i in enumerate(plan.plain):  # in place: u[:, plain] would copy
-        u[:, i] -= alpha[:, k]
-    u /= betas
-    u[:, plan.aug] = rows[:, plan.sl_u]
     return Trajectory(
         times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
         eta=[rows[:, sl] for sl in plan.sl_eta], u=u,
@@ -621,6 +627,9 @@ def monte_carlo_ms(scen, runs):
     execution order.  Runs that hit the divergence guard are excluded and
     counted; a warning reports the exclusions.
     """
+    if not is_integer(runs):
+        raise ValidationError(f"runs must be an integer, got {runs!r}",
+                              field="runs")
     if runs < 1:
         raise ValidationError("need at least one run", field="runs")
     total = times = None

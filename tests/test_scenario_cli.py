@@ -767,6 +767,21 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
     csv.writer(buf).writerows(want)
     assert path.read_bytes() == buf.getvalue().encode()
 
+    # the observer columns of a run longer than one block of samples, the
+    # last block a single sample: the norms of the whole error, bit for bit
+    n = 2 * sim._BLOCK + 1
+    rng = np.random.default_rng(36)
+    err = (rng.standard_normal((n, 2, 3))
+           * 10.0 ** rng.integers(-9, 9, (n, 2, 3)))
+    traj = Trajectory(times=np.arange(n) * 1e-3, y=err[:, :, 1],
+                      xi_hat=err, eta=[], u=err[:, :, 2], err=err)
+    _write_trajectory_csv(path, traj, full_state=False)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "y1", "y2", "e1", "e2"]
+    norms = np.array([[float(v) for v in row[3:]] for row in rows[1:]])
+    assert np.array_equal(norms, np.linalg.norm(err, axis=2))
+
     path = tmp_path / "ms.csv"
     _write_mc_csv(path, MonteCarloResult(times=times, mean_square=y[:, 1],
                                          runs_used=1, runs_diverged=0))
@@ -924,6 +939,16 @@ def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
     blocks = [t[:1, None], mode[:1]]
     _csvtext.write_rows(path, ["t", "mode"], blocks)
     assert path.read_bytes() == b"t,mode\r\n0,9007199254740992\r\n"
+    # the layout gathers a chunk in parts: from 11 columns on a part ends
+    # inside the chunk, at 11 and 31 columns inside one of its rows
+    gather = _csvtext._GATHER_BYTES // (_csvtext._WIDTH * 8)
+    for ncols in (1, 11, 30, 31):
+        block = (rng.standard_normal((n, ncols))
+                 * 10.0 ** rng.integers(-20, 20, (n, ncols)))
+        assert (_csvtext._CHUNK_ROWS * ncols > gather) == (ncols >= 11)
+        _csvtext.write_rows(path, ["c"] * ncols, [block])
+        assert path.read_bytes() == _percent_text(["c"] * ncols, [block])
+    assert gather % 11 and gather % 31
 
 
 def test_csv_writer_takes_the_numpy_path_on_the_shipped_trajectory(

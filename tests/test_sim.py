@@ -7,7 +7,9 @@ import json
 import linecache
 import re
 import struct
+import sys
 import traceback
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -803,27 +805,52 @@ def test_compiled_cascade_is_visible_to_tracebacks(target, unit_gain,
     assert first not in linecache.cache
 
 
-def test_finite_escape_truncates_trajectory(target, unit_gain):
-    blower = NormalFormAgent(
-        agent_id=1, r=2, n_eta=1,
-        alpha=ZERO, beta=ONE, theta=TermTable([[(1.0, (0, 0, 3))]]),
-        xi0=np.zeros(2), eta0=np.array([2.0]))
-    others = [builtin("agent1"), builtin("agent2")]
-    others = [ag.with_initial(xi0=[0.1, 0.0]) for ag in others]
-    scen = SimScenario([blower] + others, target, unit_gain,
-                       directed_cycle(3), t_end=3.0, dt=1e-3)
+def _one_block(monkeypatch, call):
+    """call() with _trajectory taking the whole record as one block."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_BLOCK", 1 << 40)
+        return call()
+
+
+def _escape(scen):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(errors.FiniteEscape) as exc:
             simulate_fixed(scen)
-    err = exc.value
-    assert err.t is not None and err.t < 0.5
-    traj = err.trajectory
-    assert traj is not None
-    assert traj.diverged
-    assert traj.times.shape[0] < int(round(3.0 / 1e-3)) + 1
-    # the guard fires one step past the last recorded sample
-    assert traj.times[-1] == pytest.approx(err.t - 1e-3)
-    assert np.all(np.isfinite(traj.y))
+    return exc.value
+
+
+def test_finite_escape_truncates_trajectory(target, unit_gain, monkeypatch):
+    # eta' = eta ** 3 from 2.0 escapes inside the first block of
+    # _trajectory, from 0.45 (at t ~ 2.47) in its third
+    others = [builtin("agent1"), builtin("agent2")]
+    others = [ag.with_initial(xi0=[0.1, 0.0]) for ag in others]
+    augmented = augment(r=2, alpha_tilde=XI_1, beta_tilde=ONE,
+                        theta_tilde=None, xi0=[0.2, -0.1, 0.3], u0=0.25,
+                        agent_id=4)
+    for eta0, t_max in ((2.0, 0.5), (0.45, 2.5)):
+        blower = NormalFormAgent(
+            agent_id=1, r=2, n_eta=1,
+            alpha=ZERO, beta=ONE, theta=TermTable([[(1.0, (0, 0, 3))]]),
+            xi0=np.zeros(2), eta0=np.array([eta0]))
+        scen = SimScenario([blower] + others + [augmented], target,
+                           unit_gain, directed_cycle(4), t_end=3.0, dt=1e-3)
+        err = _escape(scen)
+        assert err.t is not None and err.t < t_max
+        traj = err.trajectory
+        assert traj is not None
+        assert traj.diverged
+        assert traj.times.shape[0] < int(round(3.0 / 1e-3)) + 1
+        # the guard fires one step past the last recorded sample
+        assert traj.times[-1] == pytest.approx(err.t - 1e-3)
+        assert np.all(np.isfinite(traj.y))
+        # block by block, the rows and u of the whole record taken at once
+        whole = _one_block(monkeypatch, lambda: _escape(scen)).trajectory
+        assert whole.times.shape == traj.times.shape
+        for a, b in ((traj.xi_hat, whole.xi_hat), (traj.u, whole.u),
+                     *zip(traj.eta, whole.eta)):
+            assert np.array_equal(a, b)
+        assert traj.u[0, 3] == 0.25
+    assert traj.times.shape[0] > 2 * sim._BLOCK
 
 
 def test_beta_floor_aborts_run(target, unit_gain):
@@ -860,6 +887,93 @@ def test_beta_floor_is_reported_before_the_escape_it_causes(target,
             simulate_fixed(scen)
     assert exc.value.agent_id == 11
     assert exc.value.state.shape == (10,)
+
+
+@pytest.mark.parametrize("k", [sim._BLOCK - 1, sim._BLOCK, sim._BLOCK + 1])
+def test_beta_floor_at_a_block_edge(target, unit_gain, monkeypatch, k):
+    # beta = eta, eta' = 1 from -k dt: with dt = 2**-10 RK4 steps eta by dt
+    # exactly, so beta is 0 at sample k alone (k + 1 for the first agent).
+    # The earliest sample wins, then the lowest agent index; the state is
+    # the record's row there, u of the augmented agent made whole
+    dt = 2.0 ** -10
+
+    def ramp(agent_id, sample):
+        return NormalFormAgent(
+            agent_id=agent_id, r=2, n_eta=1, alpha=ZERO,
+            beta=TermTable([[(1.0, (0, 0, 1))]], scalar=True),
+            theta=TermTable([[(1.0, ())]]), xi0=np.array([0.1, -0.2]),
+            eta0=np.array([-sample * dt]))
+
+    augmented = augment(r=2, alpha_tilde=XI_1, beta_tilde=ONE,
+                        theta_tilde=None, xi0=[0.2, -0.1, 0.3], u0=0.25,
+                        agent_id=4)
+    agents = [ramp(1, k + 1), builtin("agent1"), ramp(3, k), augmented,
+              ramp(5, k)]
+    # 2,049 samples: the last block takes the lone last one
+    scen = SimScenario(agents, target, unit_gain, directed_cycle(5),
+                       t_end=2.0, dt=dt)
+
+    def beta_failure():
+        with pytest.raises(errors.BetaNearZero) as exc:
+            simulate_fixed(scen)
+        return exc.value
+
+    err = beta_failure()
+    assert err.agent_id == 3
+    assert str(err) == "beta = 0.000e+00 below floor 1.0e-09 for agent 3"
+    plan = sim._plan(scen, False)
+    assert err.state[plan.sl_eta[2]] == 0.0
+    assert err.state[plan.sl_eta[0]] == -dt
+    whole = _one_block(monkeypatch, beta_failure)
+    assert whole.agent_id == 3
+    assert np.array_equal(err.state, whole.state)
+    # with beta = 1 the run goes through, the same states recorded, and its
+    # u is that of the whole record at once
+    ones = replace(scen, agents=[
+        replace(ag, beta=ONE) if ag.agent_id in (1, 3, 5) else ag
+        for ag in agents])
+    traj = simulate_fixed(ones)
+    assert np.array_equal(err.state, np.concatenate(
+        [traj.xi_hat[k].ravel(), *(eta[k] for eta in traj.eta),
+         traj.u[k, 3:4]]))
+    whole = _one_block(monkeypatch, lambda: simulate_fixed(ones))
+    assert np.array_equal(traj.u, whole.u)
+
+
+def _shipped_fixed(**changes):
+    return replace(parse_scenario(json.loads(
+        (SCENARIO_DIR / "five_agents_fixed.json").read_text())), **changes)
+
+
+def test_u_of_a_lone_last_sample(monkeypatch):
+    # 2,049 samples: the lone last one joins the block before it, as
+    # numpy multiplies a single row through gemv, which rounds unlike gemm
+    # (on this run, at the last sample)
+    scen = _shipped_fixed(t_end=2.048, init="random")
+    traj = simulate_fixed(scen)
+    assert traj.times.shape[0] == 2 * sim._BLOCK + 1
+    whole = _one_block(monkeypatch, lambda: simulate_fixed(scen))
+    assert np.array_equal(traj.u, whole.u)
+
+
+def test_run_memory_peaks_near_its_record():
+    # beyond its state record a run allocates u and work arrays of a
+    # block of states (numpy reports its buffers to tracemalloc)
+    scen = _shipped_fixed(t_end=60.0)
+    simulate_fixed(scen)  # builds the plan
+    # with a profile hook set, CPython traces the allocations made in the
+    # generated cascade some 5x faster (10 s -> 1.8 s on a 2-core host)
+    hook = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    tracemalloc.start()
+    try:
+        traj = simulate_fixed(scen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setprofile(hook)
+    record = traj.times.shape[0] * sim._plan(scen, False).dim * 8
+    assert peak <= record + traj.u.nbytes + 2 * 2 ** 20
 
 
 def test_monte_carlo_single_run_matches_direct(target, unit_gain, five_agents):
@@ -906,6 +1020,31 @@ def test_monte_carlo_on_identical_explicit_states_is_zero(target, unit_gain,
                        match="need at least one run") as info:
         monte_carlo_ms(scen, runs=0)
     assert info.value.field == "runs"
+    for runs in (2.5, "3", True):
+        with pytest.raises(errors.ValidationError,
+                           match="runs must be an integer") as info:
+            monte_carlo_ms(scen, runs=runs)
+        assert info.value.field == "runs"
+    assert monte_carlo_ms(scen, runs=np.int64(1)).runs_used == 1
+
+
+@pytest.mark.parametrize(
+    "run_index",
+    [-1, 2 ** 61, 2 ** 64 + 1, 1.0, True, "0", np.uint64(2 ** 61)],
+    ids=["negative", "2**61", "2**64+1", "float", "bool", "str", "uint64"])
+def test_rng_refuses_a_run_index_outside_61_bits(run_index):
+    # the run index fills a Philox key word but the stream's three bits:
+    # 2**61 reduced modulo 2**61 would draw run 0's stream
+    with pytest.raises(errors.ValidationError,
+                       match="run_index must be nonnegative") as info:
+        rng_for(0, run_index)
+    assert info.value.field == "run_index"
+
+
+def test_rng_takes_every_run_index_below_2_61():
+    first = [rng_for(0, k).random() for k in (0, 2 ** 61 - 1)]
+    assert first[0] != first[1]
+    assert rng_for(0, np.int64(2 ** 61 - 1)).random() == first[1]
 
 
 def test_benchmark_reaches_the_package_through_these_names(
