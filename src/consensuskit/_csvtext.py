@@ -13,11 +13,18 @@ chunk's worth each, but for the gather's index buffer (Layout):
   method, so V is known to about 1e-15, far inside the margin below.
 * Layout.  From the digit count left after stripping trailing zeros, the
   sign and e, each value picks a template: which of its digit, exponent
-  and constant characters fill the 26 slots of its field (the separator
-  included), NUL elsewhere.  A gather builds the character matrix, in
-  parts whose index buffer (8 bytes a slot) is capped at 256 KB
+  and constant characters fill the 26 slots of its field, the text right
+  before the separator in the fixed slots 24-25 (``,`` and NUL), NUL
+  elsewhere.  A field so reads the same in any column; the last column's
+  separator slots become ``\r\n``.  A gather builds the character matrix,
+  in parts whose index buffer (8 bytes a slot) is capped at 256 KB
   (_GATHER_BYTES) whatever the width; one boolean compress of it is the
   text.
+* Repeated columns.  A column whose bits repeat an earlier column's (found
+  once per file, through int64 views) is neither formatted nor laid out:
+  the stages above run on the distinct columns only, and it copies its
+  source's finished fields.  A file without one keeps a single field
+  matrix.
 * Decided values.  A value is decided when it is 0 (written ``0`` or
   ``-0``) or when 1e-280 <= |x| < 1e281 (there the split and the products
   neither overflow nor lose bits to underflow), V's fraction is more than
@@ -37,13 +44,14 @@ _GATHER_BYTES = 1 << 18  # the layout's index buffer, whatever the width
 _E_MIN, _E_MAX = -280, 280  # decimal exponents of the values decided here
 _MARGIN = 1e-6  # a fraction of V this near 0.5 is left to the % fallback
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
-_WIDTH = 26  # slots of the widest field: -1.2345678901234567e-100\r\n
+_WIDTH = 26  # -1.2345678901234567e-100, then the two separator slots
 _NCLS = 24  # fixed e = -4 .. 16, exponent of 2 or 3 digits, zero
 # Rows of the source matrix: row 0 is the first digit of D // 10**9 (always
 # 0, read by no template), rows 1-17 the digits of D, 18-21 the exponent's
 # sign and digits, then constants.
-_CONSTANTS = b"-.0e,\r\n\0"
-_MINUS, _DOT, _ZERO, _E, _COMMA, _CR, _LF, _NUL = range(22, 30)
+_CONSTANTS = b"-.0e,\0"
+_MINUS, _DOT, _ZERO, _E, _COMMA, _NUL = range(22, 28)
+_CRLF = np.frombuffer(b"\r\n", np.uint8)  # the last field's separator
 _E0 = _E_MIN - 2  # the exponent at index 0 of the tables
 
 
@@ -80,10 +88,11 @@ def _powers():
 
 @functools.cache
 def _templates():
-    """Source row of each slot, per (last column, sign, class, digit count)."""
-    t = np.full((2, 2, _NCLS, 17, _WIDTH), _NUL, dtype=np.intp)
-    for last, neg, cls, nd in itertools.product(range(2), range(2),
-                                                range(_NCLS), range(1, 18)):
+    """Source row of each slot, per (sign, class, digit count)."""
+    t = np.full((2, _NCLS, 17, _WIDTH), _NUL, dtype=np.intp)
+    t[..., _WIDTH - 2] = _COMMA
+    for neg, cls, nd in itertools.product(range(2), range(_NCLS),
+                                          range(1, 18)):
         digits = list(range(1, nd + 1))
         s = [_MINUS] if neg else []
         if 4 <= cls < 21:  # fixed, e = cls - 4 >= 0
@@ -97,8 +106,7 @@ def _templates():
             s += [_E, 18] + ([19] if cls == 22 else []) + [20, 21]
         else:
             s += [_ZERO]
-        s += [_CR, _LF] if last else [_COMMA]
-        t[last, neg, cls, nd - 1, :len(s)] = s
+        t[neg, cls, nd - 1, _WIDTH - 2 - len(s):_WIDTH - 2] = s
     return t.reshape(-1, _WIDTH)
 
 
@@ -135,6 +143,40 @@ def _fallback_row(line, part, r):
     return line % tuple(v for b in part for v in b[r].tolist())
 
 
+def _distinct_columns(blocks):
+    """Which columns of ``blocks``, side by side, repeat the bits of an
+    earlier one.  Returns the others as runs [block, slice of its columns],
+    in order, and for every column the index among those others of the one
+    that holds its bits.
+
+    Columns are compared through int64 views of float64 blocks, so 0.0 and
+    -0.0 differ and so do nans of different payloads.
+    """
+    n = blocks[0].shape[0]
+    # three rows' bits pick the candidates, whole columns decide
+    probe = [0, n // 2, n - 1] if n else []
+    runs, source, seen = [], [], {}
+    distinct = 0
+    for b in blocks:
+        bits = b.view(np.int64) if b.dtype == np.float64 else None
+        for k in range(b.shape[1]):
+            if bits is not None:
+                col = bits[:, k]
+                alike = seen.setdefault(tuple(col[probe].tolist()), [])
+                same = [j for j, other in alike if np.array_equal(col, other)]
+                if same:
+                    source.append(same[0])
+                    continue
+                alike.append((distinct, col))
+            source.append(distinct)
+            distinct += 1
+            if runs and runs[-1][0] is b and runs[-1][1].stop == k:
+                runs[-1][1] = slice(runs[-1][1].start, k + 1)
+            else:
+                runs.append([b, slice(k, k + 1)])
+    return runs, source
+
+
 def write_rows(path, header, blocks):
     """Write ``header`` and the rows of ``blocks`` to ``path`` as CSV.
 
@@ -145,27 +187,29 @@ def write_rows(path, header, blocks):
     ncols = sum(b.shape[1] for b in blocks)
     line = ",".join(["%.17g"] * ncols) + "\r\n"
     n = blocks[0].shape[0]
-    # work buffers for one full chunk (the index for one part of its
-    # gather), reused by every chunk
+    runs, source = _distinct_columns(blocks)
+    ndist = sum(cols.stop - cols.start for _, cols in runs)
+    # work buffers for one full chunk of the distinct columns (the index
+    # for one part of its gather), reused by every chunk
     chunk = min(n, _CHUNK_ROWS)
-    size = chunk * ncols
-    src = np.empty((30, size), np.uint8)
+    size = chunk * ndist
+    src = np.empty((22 + len(_CONSTANTS), size), np.uint8)
     src[22:] = np.frombuffer(_CONSTANTS, np.uint8)[:, None]
     digits = src[:18].reshape(2, 9, size)
     slots = _templates() * size
-    last = np.zeros((chunk, ncols), np.intp)
-    last[:, -1] = 2 * _NCLS * 17
-    last = last.ravel()
     gather = _GATHER_BYTES // (_WIDTH * np.dtype(np.intp).itemsize)
     index = np.empty((min(size, gather), _WIDTH), np.intp)
     chars = np.empty((size, _WIDTH), np.uint8)
     column = np.arange(size)[:, None]
+    # the fields of every column, when some repeat another's
+    text = (chars if ndist == ncols
+            else np.empty((chunk * ncols, _WIDTH), np.uint8))
     cls_t, exp_t = _powers()[5:]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for lo in range(0, n, _CHUNK_ROWS):
-            part = [b[lo:lo + _CHUNK_ROWS] for b in blocks]
-            x = np.concatenate(part, axis=1, dtype=float)
+            x = np.concatenate([b[lo:lo + _CHUNK_ROWS, cols]
+                                for b, cols in runs], axis=1, dtype=float)
             rows, m = x.shape[0], x.size
             x = x.ravel()
             d, e, ok = _float_digits(x)
@@ -189,29 +233,38 @@ def write_rows(path, header, blocks):
                 digits[:, k, :m] = y
                 y = q
             digits[:, 0, :m] = y + 48
-            # layout: the template of (last column, sign, class of e, digits
-            # kept once trailing zeros go) picks a source row for each slot
+            # layout: the template of (sign, class of e, digits kept once
+            # trailing zeros go) picks a source row for each slot
             kept = np.max(np.arange(1, 18, dtype=np.uint8)[:, None]
                           * (src[1:18, :m] != 48), axis=0)
             exp_t.take(e - _E0, axis=1, out=src[18:22, :m])
             cls = cls_t.take(e - _E0)
             cls[zero] = 23
-            tid = last[:m] + (neg * _NCLS + cls) * 17 + kept - 1
+            tid = (neg * _NCLS + cls) * 17 + kept - 1
             for a in range(0, m, gather):
                 b = min(a + gather, m)
                 slots.take(tid[a:b], axis=0, out=index[:b - a], mode="clip")
                 index[:b - a] += column[a:b]
                 src.take(index[:b - a], out=chars[a:b], mode="clip")
 
+            # a repeated column copies its source's fields; the last
+            # column's separator becomes the line's end
+            fields = text[:rows * ncols].reshape(rows, ncols, _WIDTH)
+            if text is not chars:
+                chars[:m].reshape(rows, ndist, _WIDTH).take(
+                    source, axis=1, out=fields, mode="clip")
+            fields[:, -1, _WIDTH - 2:] = _CRLF
+
             # text: the compressed characters, with the rows holding an
             # undecided value written through "%" in their place
-            text = chars[:m].reshape(rows, -1)
+            lines = fields.reshape(rows, -1)
             undecided = ~ok.reshape(rows, -1).all(axis=1)
             start = 0
+            part = [b[lo:lo + _CHUNK_ROWS] for b in blocks]
             for r in np.flatnonzero(undecided).tolist():
-                done = text[start:r]
+                done = lines[start:r]
                 fh.write(done[done != 0])
                 fh.write(_fallback_row(line, part, r).encode())
                 start = r + 1
-            done = text[start:]
+            done = lines[start:]
             fh.write(done[done != 0])

@@ -59,8 +59,10 @@ mode path and two passes over them (_run).  The linear pass goes in
 segments of at most B steps under one mode: the z of a segment is one
 product with the powers of its S, and its cascade inputs one product
 with its G.  The cascade goes in chunks of whole consecutive
-segments of at most 256 steps: one call of the compiled function, one
-conversion each way and one guard check per chunk.
+segments of at most 256 steps: one call of the compiled function, its
+inputs read as per-step tuples off a flat memoryview of the chunk's input
+matrix, its steps appended to one list and converted back at once, and one
+guard check per chunk.
 
 Every run follows a mode schedule: a fixed graph is the one-mode schedule
 [L] with mode 0 throughout; under switching each sample looks its mode up
@@ -88,6 +90,7 @@ separate keyed streams, so a one-mode switching run is bit-identical to the
 corresponding fixed-topology run.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
@@ -291,8 +294,9 @@ class _System:
         the derivative_source row of u' less u_hat (see the module
         docstring).
 
-        Row i of the list x holds the inputs of step i, stage after stage:
-        z at `cols`, then u_hat of each augmented agent.  From the state y,
+        x is an iterable of per-step tuples: tuple i holds the inputs of
+        step i, stage after stage, z at `cols`, then u_hat of each augmented
+        agent (an empty tuple when the cascade reads none).  From the state y,
         block appends the state after each step to the flat list out.  Each
         stage is written out in full: stages 2, 3 and 4 read the states
         y + (h/2) k_1, y + (h/2) k_2 and y + h k_3, each stage first makes
@@ -480,12 +484,17 @@ def _run(plan, rows, modes):
 
 def _cascade_steps(plan, rows, inputs):
     """RK4 on the cascade [eta | d] over the steps of one chunk, whose z
-    is in rows[:, :nz], from the inputs of its steps, a row each.  Returns
-    how many steps it made: a Python ZeroDivisionError, where numpy gives
-    inf, stops it."""
+    is in rows[:, :nz], from the inputs of its steps, a row each, handed
+    to the block as one tuple per step read off a flat memoryview of them
+    (empty tuples, one per step, when the cascade reads no input).
+    Returns how many steps it made: a Python ZeroDivisionError, where
+    numpy gives inf, stops it."""
+    steps, width = inputs.shape
+    flat = iter(memoryview(inputs.reshape(-1)))
+    x = zip(*[flat] * width) if width else itertools.repeat((), steps)
     out = []
     try:
-        plan.block(inputs.tolist(), rows[0, plan.nz:].tolist(), out)
+        plan.block(x, rows[0, plan.nz:].tolist(), out)
     except ZeroDivisionError:
         pass  # out holds the steps made before it, each one whole
     done = len(out) // (plan.dim - plan.nz)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import consensuskit
 from consensuskit import _csvtext, cli, errors, scenario, sim, switching
@@ -870,6 +870,23 @@ def test_csv_rows_match_percent_formatting_on_hard_values(tmp_path,
     assert _fallback_rows(monkeypatch, _csvtext.write_rows, path, ["x"],
                           [block]) == 3
     assert path.read_bytes() == _percent_text(["x"], [block])
+    # columns equal as floats but not in bits repeat no other: 0.0 and
+    # -0.0 print 0 and -0, nans of two payloads both nan; a repeated column
+    # holding an undecided value sends its row, and that row only, to "%"
+    signed = np.zeros((3, 2))
+    signed[:, 1] = -0.0
+    nans = np.array([[0x7FF8000000000001, 0x7FF8000000000002]] * 3,
+                    np.uint64).view(np.float64)
+    col = block[:3]
+    for blocks, columns, fallback in (([signed], [0, 1], 0),
+                                      ([nans, signed], [0, 1, 2, 3], 3),
+                                      ([col, signed, col], [0, 1, 2, 0], 1)):
+        assert _csvtext._distinct_columns(blocks)[1] == columns
+        header = list("abcd")[:len(columns)]
+        assert _fallback_rows(monkeypatch, _csvtext.write_rows, path, header,
+                              blocks) == fallback
+        assert path.read_bytes() == _percent_text(header, blocks)
+    assert path.read_bytes().endswith(b"\r\n2.5,0,-0,2.5\r\n")
 
 
 def _float_of_bits(bits):
@@ -899,13 +916,21 @@ _DOUBLES = st.builds(
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.lists(_DOUBLES, min_size=1, max_size=48),
-       ncols=st.integers(1, 6), nrows=st.integers(1, 600),
-       split=st.integers(0, 6))
-def test_csv_rows_are_percent_17g_of_every_value(tmp_path, values, ncols,
+       columns=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+       nrows=st.integers(1, 600), split=st.integers(0, 6))
+# the last column repeating an earlier one; an earlier column repeating
+# the one the last column repeats
+@example(values=[0.1, float("nan"), -2.5e-300], columns=[0, 1, 0],
+         nrows=300, split=0)
+@example(values=[1.0 / 3.0, -0.0, 1e22, float("inf")], columns=[2, 0, 2, 2],
+         nrows=257, split=1)
+def test_csv_rows_are_percent_17g_of_every_value(tmp_path, values, columns,
                                                  nrows, split):
     # rows cycle through the drawn values, so hard values land in both
-    # numpy-decided and fallback rows and on either side of a chunk edge
-    table = np.resize(np.array(values), (nrows, ncols))
+    # numpy-decided and fallback rows and on either side of a chunk edge;
+    # column j is column columns[j] of six such, so some repeat another
+    ncols = len(columns)
+    table = np.resize(np.array(values), (nrows, 6))[:, columns]
     cut = min(split, ncols - 1) + 1
     blocks = [table[:, :cut]] + ([table[:, cut:]] if cut < ncols else [])
     path = tmp_path / "rows.csv"
@@ -935,6 +960,19 @@ def test_csv_rows_integer_column_and_partial_chunk(tmp_path, monkeypatch):
     assert b"\r\n0,9007199254740992," in text
     assert b"\r\n0.001,10," in text and b",10000000000000000," in text
     assert fallback == 0
+    # repeated columns over the same rows: the y block again, between two
+    # zero-width blocks, one of its columns, and the mode column last
+    blocks[3:] = [np.empty((n, 0)), y, np.empty((n, 0)), y[:, 1:2], mode]
+    assert _csvtext._distinct_columns(blocks)[1] == [0, 1, 2, 3, 4, 2, 3, 4,
+                                                     3, 1]
+    header = ["t", "mode", "y1", "y2", "y3", "y1", "y2", "y3", "y2", "mode"]
+    assert _fallback_rows(monkeypatch, _csvtext.write_rows, path, header,
+                          blocks) == 0
+    assert path.read_bytes() == _percent_text(header, blocks)
+    # and a single row of them
+    blocks = [b[:1] for b in blocks]
+    _csvtext.write_rows(path, header, blocks)
+    assert path.read_bytes() == _percent_text(header, blocks)
     # the mode column at the end of the line, and a single row
     blocks = [t[:1, None], mode[:1]]
     _csvtext.write_rows(path, ["t", "mode"], blocks)
@@ -970,6 +1008,37 @@ def test_csv_writer_takes_the_numpy_path_on_the_shipped_trajectory(
                    traj.u[:1000, i:i + 1]]
     assert b"\r\n".join(head) + b"\r\n" == _percent_text(
         head[0].decode().split(","), blocks)
+
+
+def test_csv_writer_formats_each_distinct_column_once(tmp_path,
+                                                     monkeypatch):
+    # a later edit could stay exact and still format every column: count
+    # the values that reach _float_digits.  9 of the 30 columns of the
+    # shipped full-state trajectory repeat another bit for bit: y_i is
+    # xi_i_1, and u_i is xi_i_3 for the four agents with alpha = 0 and
+    # beta = 1; without repeats every value is formatted exactly once
+    from consensuskit.sim import simulate_fixed
+
+    traj = simulate_fixed(load_scenario(SCENARIO_DIR / "five_agents_fixed.json"))
+    digits, counted = _csvtext._float_digits, []
+
+    def count(x):
+        counted.append(x.size)
+        return digits(x)
+
+    monkeypatch.setattr(_csvtext, "_float_digits", count)
+    path = tmp_path / "fixed.csv"
+    cli._write_trajectory_csv(path, traj, True)
+    assert sum(counted) == 21 * 30_001
+    counted.clear()
+    cli._write_trajectory_csv(path, traj, False)
+    assert sum(counted) == 6 * 30_001
+    counted.clear()
+    block = np.random.default_rng(37).standard_normal((1000, 7))
+    _csvtext.write_rows(path, ["c"] * 9, [block, block[:, :1] * -1.0,
+                                          np.empty((1000, 0)),
+                                          block[:, 6:] + 0.5])
+    assert sum(counted) == 9 * 1000
 
 
 def _svg_points_per_point(times, series):
