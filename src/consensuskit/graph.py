@@ -14,7 +14,6 @@ off-diagonal pattern holds a spanning tree (metrics).  The spectral characteriza
 oracle, not used here.
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .linalg import _read_only
 
 __all__ = [
     "DiGraph", "laplacian", "has_spanning_tree", "is_balanced", "union",
-    "directed_cycle", "graph_from_dict",
+    "directed_cycle",
 ]
 
 _BALANCE_TOL = 1e-12
@@ -115,67 +114,3 @@ def union(*graphs):
     for g in graphs:
         total += g.weights
     return DiGraph(total)
-
-
-def graph_from_dict(doc, where="graph"):
-    """Parse {"n": n, "edges": [[from, to, weight], ...]}, 1-based nodes."""
-    if not isinstance(doc, dict):
-        raise ValidationError("expected an object", field=where)
-    try:
-        n = doc["n"]
-        edges = doc["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"missing key {exc}", field=where) from exc
-    if not _is_int(n) or n < 1:
-        raise ValidationError("n must be a positive integer", field=f"{where}.n")
-    if not isinstance(edges, list):
-        raise ValidationError("edges must be a list", field=f"{where}.edges")
-    try:
-        w = np.zeros((n, n))
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"n is too large: {exc}",
-                              field=f"{where}.n") from exc
-    for k, edge in enumerate(edges):
-        if not _edge_ok(edge, n):
-            _check_edge(edge, n, f"{where}.edges[{k}]")
-        frm, to, wt = edge
-        # Python floats: a sum of parallel edges overflows to inf silently
-        total = float(w[to - 1, frm - 1]) + float(wt)
-        if total > sys.float_info.max:
-            raise ValidationError(
-                f"parallel edges {frm} -> {to} sum to more than the largest "
-                "float", field=f"{where}.edges")
-        w[to - 1, frm - 1] = total
-    return DiGraph(w)
-
-
-def _edge_ok(edge, n):
-    """The one check of an edge: true only for an edge that _check_edge
-    accepts (exact types, so a subclass takes the long way)."""
-    if type(edge) is not list or len(edge) != 3:
-        return False
-    frm, to, wt = edge
-    return (type(frm) is int and type(to) is int and frm != to
-            and 1 <= frm <= n and 1 <= to <= n
-            and type(wt) in (float, int) and 0 <= wt <= sys.float_info.max)
-
-
-def _check_edge(edge, n, loc):
-    """The per-field checks of an edge, whose errors name the field."""
-    if not (isinstance(edge, list) and len(edge) == 3):
-        raise ValidationError("edge must be [from, to, weight]", field=loc)
-    frm, to, wt = edge
-    if not (_is_int(frm) and 1 <= frm <= n):
-        raise ValidationError(f"from node {frm!r} outside 1..{n}", field=loc)
-    if not (_is_int(to) and 1 <= to <= n):
-        raise ValidationError(f"to node {to!r} outside 1..{n}", field=loc)
-    if frm == to:
-        raise ValidationError("self-loops are not allowed", field=loc)
-    # exact comparisons: a huge integer or a NaN fails them too
-    if not ((_is_int(wt) or isinstance(wt, float))
-            and 0 <= wt <= sys.float_info.max):
-        raise ValidationError(f"weight {wt!r} must be finite and >= 0", field=loc)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)

@@ -38,9 +38,10 @@ field path (say agents[2].custom.theta[0][1].e) is built only when that
 test fails.
 Then the per-field checks run and name the error.  They stay the only
 judge: the single test accepts nothing they reject, and what it rejects
-they may still accept (an int subclass, say).  A graph's node count is
-compared with the number of agents before its n x n weights are
-allocated.
+they may still accept (an int subclass, say).  A graph document, the
+"graph" section or one of "switching.graphs", is read by _graph alone:
+its keys, its node count (compared with the number of agents before its
+n x n weights are allocated), every edge, and the sums of parallel edges.
 """
 
 import contextlib
@@ -58,7 +59,7 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
-from .graph import graph_from_dict
+from .graph import DiGraph
 from .sim import SimScenario
 from .switching import MarkovTopology
 from .synthesis import (
@@ -293,18 +294,62 @@ def _parse_controller(doc, where="controller"):
 
 
 def _graph(doc, n_agents, where, what):
-    """The graph at `where`; an unknown key is refused, and a well-formed
-    node count is compared with the number of agents, before the n x n
-    weights are allocated.  A missing key, or a count too large for any
-    array of that size, is left to graph_from_dict, which reports it."""
-    _check_keys(doc, (), ("n", "edges"), where)
-    n = doc.get("n")
-    if (isinstance(n, int) and not isinstance(n, bool)
-            and 1 <= n <= _MAX_NODES and n != n_agents):
+    """The graph document {"n": n, "edges": [[from, to, weight], ...]} at
+    `where`, 1-based nodes, as a DiGraph; every check of it is here.
+
+    The node count is compared with the number of agents before the n x n
+    weights are allocated.  One test of exact types and ranges accepts a
+    well-formed edge; only when it fails do the per-field checks run,
+    which name the edge (an int or float subclass passes them).  Parallel
+    edges add up, and a sum past the float range is refused.
+    """
+    _check_keys(doc, ("n", "edges"), (), where)
+    n = _int(doc["n"], f"{where}.n")
+    if not 1 <= n <= _MAX_NODES:
+        raise ValidationError(f"n must be between 1 and {_MAX_NODES}",
+                              field=f"{where}.n")
+    if n != n_agents:
         raise ValidationError(
             f"{what} has {n} nodes but the scenario has {n_agents} agents",
             field=where)
-    return graph_from_dict(doc, where=where)
+    try:
+        w = np.zeros((n, n))
+    except MemoryError as exc:
+        raise ValidationError(f"n is too large: {exc}",
+                              field=f"{where}.n") from exc
+    edges = _expect(doc["edges"], list, f"{where}.edges", "a list of edges")
+    for k, edge in enumerate(edges):
+        # the one check; anything but a list of three fails it
+        frm, to, wt = (edge if type(edge) is list and len(edge) == 3
+                       else (None, None, None))
+        if not (type(frm) is int and type(to) is int and frm != to
+                and 1 <= frm <= n and 1 <= to <= n
+                and type(wt) in _NUMBER and 0 <= wt <= _MAX):
+            loc = f"{where}.edges[{k}]"
+            if not (isinstance(edge, list) and len(edge) == 3):
+                raise ValidationError("edge must be [from, to, weight]",
+                                      field=loc)
+            frm, to, wt = edge
+            for end, node in (("from", frm), ("to", to)):
+                if (isinstance(node, bool) or not isinstance(node, int)
+                        or not 1 <= node <= n):
+                    raise ValidationError(
+                        f"{end} node {node!r} outside 1..{n}", field=loc)
+            if frm == to:
+                raise ValidationError("self-loops are not allowed", field=loc)
+            # exact comparisons: a huge integer or a NaN fails them too
+            if (isinstance(wt, bool) or not isinstance(wt, (int, float))
+                    or not 0 <= wt <= _MAX):
+                raise ValidationError(
+                    f"weight {wt!r} must be finite and >= 0", field=loc)
+        # Python floats: a sum of parallel edges overflows to inf silently
+        total = float(w[to - 1, frm - 1]) + float(wt)
+        if total > _MAX:
+            raise ValidationError(
+                f"parallel edges {frm} -> {to} sum to more than the largest "
+                "float", field=f"{where}.edges")
+        w[to - 1, frm - 1] = total
+    return DiGraph(w)
 
 
 def _parse_switching(doc, n_agents, where="switching"):

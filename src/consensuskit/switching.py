@@ -199,6 +199,17 @@ class A4Report:
     def passes(self):
         return self.union_has_spanning_tree and self.union_balanced
 
+    def require(self):
+        """Raise the A4 refusal, naming each fact that failed, unless the
+        union passes."""
+        failed = [fact for fact, holds in (
+            ("has no spanning tree", self.union_has_spanning_tree),
+            ("is not weight-balanced", self.union_balanced)) if not holds]
+        if failed:
+            raise ValidationError(
+                f"the union of the mode graphs {' and '.join(failed)} "
+                "(assumption A4)", field="switching")
+
 
 def check_A4(mt):
     """Union-graph connectivity and balance report, kept on the topology."""
@@ -238,12 +249,7 @@ def speed_bound(mt, gain, cs):
         raise ValidationError("speed bound applies to the rank-one gain only")
     if mt.n == 1:
         raise ValidationError("one agent has no disagreement to decay")
-    report = check_A4(mt)
-    if not report.passes:
-        raise ValidationError(
-            f"union graph fails assumptions: spanning tree = "
-            f"{report.union_has_spanning_tree}, balanced = "
-            f"{report.union_balanced}", field="switching")
+    check_A4(mt).require()
     lap = laplacian(mt.union)
     lam = _lambda_min_on_disagreement(lap + lap.T)
     btnu = float(cs.B @ cs.nu)

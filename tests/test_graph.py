@@ -9,8 +9,7 @@ from conftest import empty_graph
 
 from consensuskit import errors
 from consensuskit.graph import (
-    DiGraph, directed_cycle, graph_from_dict,
-    has_spanning_tree, is_balanced, laplacian, union,
+    DiGraph, directed_cycle, has_spanning_tree, is_balanced, laplacian, union,
 )
 from consensuskit.rng import rng_for
 
@@ -137,97 +136,3 @@ def test_spanning_tree_matches_breadth_first_search():
                 assert has_spanning_tree(g) == want, (n, w)
                 seen.add(want)
     assert seen == {True, False}
-
-
-def test_graph_from_dict_reads_edges():
-    # edges are [from, to, weight] with 1-based nodes; weight w[to, from]
-    doc = {"n": 4, "edges": [[1, 2, 1.5], [3, 4, 0.5], [4, 1, 2.0]]}
-    g = DiGraph.from_edges(4, [(0, 1, 1.5), (2, 3, 0.5), (3, 0, 2.0)])
-    back = graph_from_dict(doc)
-    assert back.n == 4
-    assert back.weights[1, 0] == 1.5
-    assert np.array_equal(back.weights, g.weights)
-
-
-def test_graph_from_dict_validation():
-    with pytest.raises(errors.ValidationError) as exc:
-        graph_from_dict({"edges": []})
-    assert exc.value.field == "graph"
-    with pytest.raises(errors.ValidationError) as exc:
-        graph_from_dict({"n": 0, "edges": []})
-    assert exc.value.field == "graph.n"
-    with pytest.raises(errors.ValidationError) as exc:
-        graph_from_dict({"n": 2, "edges": [[1, 1, 1.0]]}, where="switching.graphs[0]")
-    assert exc.value.field == "switching.graphs[0].edges[0]"
-    with pytest.raises(errors.ValidationError):
-        graph_from_dict({"n": 2, "edges": [[0, 1, 1.0]]})
-    with pytest.raises(errors.ValidationError):
-        graph_from_dict({"n": 2, "edges": [[1, 2, -1.0]]})
-    with pytest.raises(errors.ValidationError):
-        graph_from_dict({"n": 2, "edges": [[1, 2]]})
-    with pytest.raises(errors.ValidationError):
-        graph_from_dict("not a dict")
-
-
-HUGE = 10 ** 400  # past the float range
-
-# (edge, message) of every kind of rejected edge, each the second edge of a
-# 3-node graph; the messages are those of the per-field checks
-EDGE_REJECTS = [
-    ([0, 2, 1.0], "from node 0 outside 1..3"),
-    ([1, 4, 1.0], "to node 4 outside 1..3"),
-    ([1.0, 2, 1.0], "from node 1.0 outside 1..3"),
-    ([1, True, 1.0], "to node True outside 1..3"),
-    (["1", 2, 1.0], "from node '1' outside 1..3"),
-    ([2, 2, 1.0], "self-loops are not allowed"),
-    ([1, 2, -0.5], "weight -0.5 must be finite and >= 0"),
-    ([1, 2, float("nan")], "weight nan must be finite and >= 0"),
-    ([1, 2, float("inf")], "weight inf must be finite and >= 0"),
-    ([1, 2, HUGE], f"weight {HUGE} must be finite and >= 0"),
-    ([1, 2, True], "weight True must be finite and >= 0"),
-    ([1, 2, "1"], "weight '1' must be finite and >= 0"),
-    ([1, 2], "edge must be [from, to, weight]"),
-    ([1, 2, 1.0, 0], "edge must be [from, to, weight]"),
-    ({"from": 1, "to": 2}, "edge must be [from, to, weight]"),
-    ((1, 2, 1.0), "edge must be [from, to, weight]"),
-]
-
-
-@pytest.mark.parametrize("edge,message", EDGE_REJECTS,
-                         ids=[repr(e)[:24] for e, _ in EDGE_REJECTS])
-def test_rejected_edge_names_its_field_and_fault(edge, message):
-    doc = {"n": 3, "edges": [[1, 2, 1.0], edge]}
-    with pytest.raises(errors.ValidationError) as exc:
-        graph_from_dict(doc, where="switching.graphs[1]")
-    assert exc.value.field == "switching.graphs[1].edges[1]"
-    assert str(exc.value) == message
-
-
-def test_edges_of_subclassed_numbers_take_the_per_field_checks():
-    # the one check takes exact types only; the per-field checks accept an
-    # int or float subclass, and the weights come out the same
-    class Int(int):
-        pass
-
-    class Float(float):
-        pass
-
-    plain = graph_from_dict({"n": 3, "edges": [[1, 2, 1.5], [3, 1, 2]]})
-    sub = graph_from_dict({"n": 3, "edges": [[Int(1), Int(2), Float(1.5)],
-                                             [3, 1, Int(2)]]})
-    assert np.array_equal(sub.weights, plain.weights)
-    assert plain.weights[1, 0] == 1.5 and plain.weights[0, 2] == 2.0
-
-
-def test_parallel_edges_whose_sum_overflows_are_rejected():
-    # each weight is finite; their sum is not, and must not get as far as
-    # numpy's overflow warning or DiGraph's ValueError
-    big = [1, 2, 1.7e308]
-    for where in ("graph", "switching.graphs[1]"):
-        with pytest.raises(errors.ValidationError) as exc:
-            graph_from_dict({"n": 3, "edges": [big, [2, 3, 1.0], big]},
-                            where=where)
-        assert exc.value.field == f"{where}.edges"
-        assert "parallel edges 1 -> 2" in str(exc.value)
-    g = graph_from_dict({"n": 2, "edges": [[1, 2, 8.9e307], [1, 2, 8.9e307]]})
-    assert g.weights[1, 0] == 8.9e307 + 8.9e307

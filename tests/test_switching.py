@@ -9,6 +9,7 @@ from conftest import default_switching_pair, empty_graph
 from consensuskit import errors, switching
 from consensuskit.graph import DiGraph, directed_cycle, union
 from consensuskit.rng import STREAM_MODE_PATH, rng_for
+from consensuskit.sim import SimScenario, simulate_switching
 from consensuskit.switching import (
     MarkovTopology, check_A4, sample_path, speed_bound,
     stationary_distribution,
@@ -322,17 +323,41 @@ def test_speed_bound_requires_rank_one(target):
 def test_speed_bound_rejects_violated_assumptions(target, unit_gain):
     mt = MarkovTopology(graphs=[empty_graph(5), empty_graph(5)],
                         generator=FLIP_FLOP)
-    with pytest.raises(errors.ValidationError,
-                       match="spanning tree = False, balanced = True") as info:
+    with pytest.raises(errors.ValidationError) as info:
         speed_bound(mt, unit_gain, target)
+    assert str(info.value) == ("the union of the mode graphs has no spanning "
+                               "tree (assumption A4)")
     assert info.value.field == "switching"
     # union with a spanning tree but unbalanced
     chain1 = DiGraph.from_edges(3, [(0, 1, 1.0)])
     chain2 = DiGraph.from_edges(3, [(1, 2, 1.0)])
-    with pytest.raises(errors.ValidationError,
-                       match="spanning tree = True, balanced = False"):
+    with pytest.raises(errors.ValidationError) as info:
         speed_bound(MarkovTopology(graphs=[chain1, chain2], generator=FLIP_FLOP),
                     unit_gain, target)
+    assert str(info.value) == ("the union of the mode graphs is not "
+                               "weight-balanced (assumption A4)")
+
+
+@pytest.mark.parametrize("graphs, fact", [
+    ([empty_graph(5)] * 2, "has no spanning tree"),
+    ([DiGraph.from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
+                             (3, 4, 1.0)])] * 2, "is not weight-balanced"),
+    ([DiGraph.from_edges(5, [(0, 1, 1.0)])] * 2,
+     "has no spanning tree and is not weight-balanced"),
+], ids=["no tree", "unbalanced", "both"])
+def test_simulate_and_speed_bound_refuse_A4_with_one_text(
+        target, unit_gain, five_agents, graphs, fact):
+    # the refusal is the report's own, the same from either caller
+    mt = MarkovTopology(graphs=graphs, generator=FLIP_FLOP)
+    scen = SimScenario(five_agents, target, unit_gain, mt,
+                       t_end=0.02, dt=0.01)
+    want = (f"the union of the mode graphs {fact} (assumption A4)",
+            "switching")
+    for call in (lambda: simulate_switching(scen),
+                 lambda: speed_bound(mt, unit_gain, target)):
+        with pytest.raises(errors.ValidationError) as exc:
+            call()
+        assert (str(exc.value), exc.value.field) == want
 
 
 def test_default_switching_pair_union_is_cycle():

@@ -9,7 +9,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from consensuskit import errors, synthesis
-from consensuskit.graph import DiGraph, graph_from_dict, laplacian
+from consensuskit.graph import DiGraph, laplacian
 from consensuskit.linalg import solve_care
 from consensuskit.synthesis import (
     assemble_stacked, closed_loop_spectrum, design_companion, full_gain,
@@ -272,7 +272,8 @@ def test_closed_loop_spectrum_accepts_close_repeated_poles():
              [5, 6, 1.9578446682613952], [9, 2, 0.8989710526028543],
              [7, 3, 1.4228611116720375], [7, 6, 1.6802160794059477],
              [2, 8, 1.953125921814065], [8, 3, 1.0679268164335194]]
-    lap = laplacian(graph_from_dict({"n": 10, "edges": edges}))
+    lap = laplacian(DiGraph.from_edges(
+        10, [(frm - 1, to - 1, wt) for frm, to, wt in edges]))
     check = closed_loop_spectrum(cs, gain, lap)
     assert check.analytic_consistent is True
     assert check.values.shape == (60,)
