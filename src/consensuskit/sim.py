@@ -71,18 +71,18 @@ or after the jump time and the graph is frozen over each step.
 
 Each sample is one row of a state matrix, whose size is checked against a
 fixed limit before anything is allocated (_grid), and the Trajectory is
-built from those rows once, after the loop (_trajectory): its y, xi_hat
-and eta are views of them, and u is derived a block of states at a time,
-so a run's memory peaks near its record plus u (plus the observer error,
-with an observer).  Two runtime guards: |beta| is checked against the
-floor 1e-9 (agents._BETA_FLOOR) after the run, block by block over the
-recorded states, before a FiniteEscape is raised (BetaNearZero), and any
-state leaving the max-norm ball of radius 1e6 (_FINITE_ESCAPE_NORM)
-aborts the run with FiniteEscape at the first step whose z or cascade is
-outside it, carrying the trajectory recorded up to the step before.  The
-cascade's products and sums overflow to inf as numpy's do; a Python
-ZeroDivisionError there (a beta of 0, where numpy gives inf) counts as
-leaving the ball.
+built from those rows once, after the loop (_trajectory): its y, xi_hat,
+eta and observer error are views of them (the error overwrites the
+estimates it is taken from), and u is derived a block of states at a
+time, so every run's memory peaks near its record plus u.  Two runtime
+guards: |beta| is checked against the floor 1e-9 (agents._BETA_FLOOR)
+after the run, block by block over the recorded states, before a
+FiniteEscape is raised (BetaNearZero), and any state leaving the max-norm
+ball of radius 1e6 (_FINITE_ESCAPE_NORM) aborts the run with FiniteEscape
+at the first step whose z or cascade is outside it, carrying the
+trajectory recorded up to the step before.  The cascade's products and
+sums overflow to inf as numpy's do; a Python ZeroDivisionError there (a
+beta of 0, where numpy gives inf) counts as leaving the ball.
 
 Reproducibility: trajectories are a pure function of (scenario, seed, run
 index).  Random initial conditions and switching paths are drawn from
@@ -172,7 +172,9 @@ class Trajectory:
     xi_hat: np.ndarray                     # (n, N, r) stacked chain states
     eta: List[np.ndarray]                  # per agent (n, n_eta_i)
     u: np.ndarray                          # (n, N) physical inputs
-    err: Optional[np.ndarray] = None       # (n, N, r) observer errors
+    # (n, N, r) observer errors: a view of the record's estimate columns,
+    # which they overwrite, so an observer run too keeps its record plus u
+    err: Optional[np.ndarray] = None
     mode: Optional[np.ndarray] = None      # (n,) active mode index
     mode_path: Optional[list] = None       # (mode, t0, t1) intervals
     diverged: bool = False
@@ -512,12 +514,17 @@ def _trajectory(plan, scen, rows, times, modes, mode_path):
     short of the grid when the run diverged.  u is derived one block of
     _BLOCK states at a time into one (n, N) array: the block's u = xi_last
     + d of the augmented agents, its beta of every agent, then its u_hat,
-    alpha and u = (u_hat - alpha) / beta of the others.  So no temporary
-    outgrows a block.  Raises BetaNearZero from the first block with
-    |beta| below the floor, at its earliest such sample and there at the
-    lowest agent index."""
+    alpha and u = (u_hat - alpha) / beta of the others.  With an observer
+    the block's estimates xcheck, read by u_hat, are then overwritten by
+    the error xihat - xcheck: once this returns, the estimate columns of
+    rows hold the error and err is a view of them.  So a run keeps its
+    record plus u, and no temporary outgrows a block.  Raises BetaNearZero
+    from the first block with |beta| below the floor, at its earliest such
+    sample and there at the lowest agent index, carrying its row as
+    recorded."""
     n = rows.shape[0]
     n_ag, r = plan.shape
+    n_r = n_ag * r
     u = np.empty((n, n_ag))
     # a lone last state joins the block before it: numpy multiplies a
     # single row through gemv, whose sums round unlike gemm's
@@ -545,12 +552,14 @@ def _trajectory(plan, scen, rows, times, modes, mode_path):
             ub[:, i] -= alpha[:, k]
         ub /= beta
         ub[:, plan.aug] = blk[:, plan.sl_u]
-    z = rows[:, :plan.nz]
-    xi_hat = z[:, :n_ag * r].reshape(n, n_ag, r)
+        if plan.use_observer:  # xcheck -> xihat - xcheck
+            np.subtract(blk[:, :n_r], blk[:, n_r:plan.nz],
+                        out=blk[:, n_r:plan.nz])
+    xi_hat = rows[:, :n_r].reshape(n, n_ag, r)
     return Trajectory(
         times=times[:n], y=xi_hat[:, :, 0], xi_hat=xi_hat,
         eta=[rows[:, sl] for sl in plan.sl_eta], u=u,
-        err=(xi_hat - z[:, n_ag * r:].reshape(n, n_ag, r)
+        err=(rows[:, n_r:plan.nz].reshape(n, n_ag, r)
              if plan.use_observer else None),
         mode=modes[:n].copy() if mode_path is not None else None,
         mode_path=mode_path, diverged=n < times.shape[0])

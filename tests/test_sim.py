@@ -299,6 +299,8 @@ def test_observer_match_init_reproduces_full_information(target, unit_gain,
     assert np.abs(with_obs.err).max() <= 1e-9
     assert np.allclose(with_obs.y, plain.y, atol=1e-9)
     assert np.allclose(with_obs.xi_hat, plain.xi_hat, atol=1e-9)
+    # u_hat reads the estimates, which match the chains
+    assert np.allclose(with_obs.u, plain.u, atol=1e-9)
 
 
 def test_observer_zero_init_error_decays(target, unit_gain, five_agents,
@@ -867,6 +869,29 @@ def test_beta_floor_aborts_run(target, unit_gain):
     assert exc.value.state is not None
 
 
+def test_beta_floor_aborts_an_observer_run_with_its_recorded_row(
+        target, unit_gain):
+    # beta = xi_1 = 0 at sample 0: the state is the record's row there, its
+    # estimates xcheck (zero, the observer's start) not yet overwritten by
+    # the error xihat - xcheck
+    degenerate = NormalFormAgent(
+        agent_id=1, r=2, n_eta=0,
+        alpha=ZERO, beta=XI_1, theta=NO_INTERNAL,
+        xi0=np.array([0.0, 1.0]), eta0=np.empty(0))
+    others = [builtin("agent1"), builtin("agent2")]
+    scen = _with_observer(SimScenario([degenerate] + others, target,
+                                      unit_gain, directed_cycle(3),
+                                      t_end=1.0, dt=0.01))
+    with pytest.raises(errors.BetaNearZero) as exc:
+        simulate_with_observer(scen)
+    assert exc.value.agent_id == 1
+    record = _observer_record(scen)
+    assert np.array_equal(exc.value.state, record[0])
+    n_r = sim._plan(scen, True).nz // 2
+    assert np.abs(record[0, :n_r]).max() > 0.0
+    assert not np.any(exc.value.state[n_r:2 * n_r])
+
+
 def test_beta_floor_is_reported_before_the_escape_it_causes(target,
                                                              unit_gain):
     # beta = xi_1 = 0 at t = 0 for the agents at indices 1 and 2.  Index 1
@@ -956,24 +981,127 @@ def test_u_of_a_lone_last_sample(monkeypatch):
     assert np.array_equal(traj.u, whole.u)
 
 
-def test_run_memory_peaks_near_its_record():
-    # beyond its state record a run allocates u and work arrays of a
-    # block of states (numpy reports its buffers to tracemalloc)
-    scen = _shipped_fixed(t_end=60.0)
-    simulate_fixed(scen)  # builds the plan
+def _traced_peak(call):
+    """call() and the peak of the memory it traced (numpy reports its
+    buffers to tracemalloc)."""
     # with a profile hook set, CPython traces the allocations made in the
     # generated cascade some 5x faster (10 s -> 1.8 s on a 2-core host)
     hook = sys.getprofile()
     sys.setprofile(lambda *args: None)
     tracemalloc.start()
     try:
-        traj = simulate_fixed(scen)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         sys.setprofile(hook)
+
+
+def test_run_memory_peaks_near_its_record():
+    # beyond its state record a run allocates u and work arrays of a
+    # block of states
+    scen = _shipped_fixed(t_end=60.0)
+    simulate_fixed(scen)  # builds the plan
+    traj, peak = _traced_peak(lambda: simulate_fixed(scen))
     record = traj.times.shape[0] * sim._plan(scen, False).dim * 8
     assert peak <= record + traj.u.nbytes + 2 * 2 ** 20
+
+
+def _with_observer(scen, **changes):
+    """scen with the observer C = e1, poles -3, -4, -5."""
+    obs = observer_gain(scen.cs, [1.0, 0.0, 0.0], [-3.0, -4.0, -5.0])
+    return replace(scen, observer=obs, **changes)
+
+
+def test_observer_run_memory_peaks_near_its_record():
+    # the observer error overwrites the estimates in the record, so an
+    # observer run keeps no more than any other: its record plus u
+    scen = _with_observer(_shipped_fixed(), t_end=30.0, dt=0.001)
+    simulate_with_observer(scen)  # builds the plan
+    traj, peak = _traced_peak(lambda: simulate_with_observer(scen))
+    record = traj.times.shape[0] * sim._plan(scen, True).dim * 8
+    assert traj.err.nbytes > 2 * 2 ** 20
+    assert peak <= record + traj.u.nbytes + 2 * 2 ** 20
+
+
+def _observer_record(scen, modes=0, run_index=0):
+    """The record of an observer run as _run fills it, before any
+    Trajectory is made of it, cut where the run left the guard ball."""
+    plan = sim._plan(scen, True)
+    times = sim._grid(scen, True)
+    rows = np.empty((times.shape[0], plan.dim))
+    rows[0] = plan.initial_state(scen, run_index)
+    with np.errstate(over="ignore", invalid="ignore"):
+        escape = sim._run(plan, rows, np.broadcast_to(modes, times.shape))
+    return rows if escape is None else rows[:escape[0]]
+
+
+def _assert_error_in_place(traj, record):
+    # err is xi_hat - xcheck of the record bit for bit, held in the
+    # record's own estimate columns: beside xi_hat in one array, not
+    # overlapping it (np.shares_memory, which is exact, reads False)
+    n, n_ag, r = traj.xi_hat.shape
+    n_r = n_ag * r
+    assert n == record.shape[0] and np.abs(traj.err).max() > 0.1
+    assert np.array_equal(traj.xi_hat.reshape(n, n_r), record[:, :n_r])
+    assert np.array_equal(
+        traj.err,
+        (record[:, :n_r] - record[:, n_r:2 * n_r]).reshape(n, n_ag, r))
+    assert traj.err.base is traj.xi_hat.base is not None
+    start = traj.err.__array_interface__["data"][0]
+    assert start == traj.xi_hat.__array_interface__["data"][0] + n_r * 8
+
+
+def test_observer_error_overwrites_the_estimates_fixed():
+    scen = _with_observer(_shipped_fixed(), t_end=3.0, init="random")
+    traj = simulate_with_observer(scen)
+    assert traj.times.shape[0] > 2 * sim._BLOCK
+    _assert_error_in_place(traj, _observer_record(scen))
+
+
+def test_observer_error_overwrites_the_estimates_switching(
+        target, unit_gain, five_agents):
+    scen = _switching_scenario(target, unit_gain, five_agents, t_end=3.0,
+                               dt=0.001, init="random", seed=5)
+    scen = _with_observer(scen)
+    traj = simulate_switching(scen, run_index=2)
+    assert len(traj.mode_path) > 1
+    _assert_error_in_place(traj, _observer_record(scen, traj.mode, 2))
+
+
+def test_observer_error_overwrites_the_estimates_of_an_escape(
+        target, unit_gain):
+    # eta' = eta ** 3 from 0.45 escapes at t ~ 2.47, in the third block
+    blower = NormalFormAgent(
+        agent_id=1, r=2, n_eta=1,
+        alpha=ZERO, beta=ONE, theta=TermTable([[(1.0, (0, 0, 3))]]),
+        xi0=np.array([0.1, -0.2]), eta0=np.array([0.45]))
+    others = [builtin(f"agent{i}").with_initial(xi0=[0.1, 0.0])
+              for i in (1, 2)]
+    scen = _with_observer(SimScenario(
+        [blower] + others, target, unit_gain, directed_cycle(3), t_end=3.0,
+        dt=1e-3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(errors.FiniteEscape) as exc:
+            simulate_with_observer(scen)
+    traj = exc.value.trajectory
+    assert traj.diverged and traj.times.shape[0] > 2 * sim._BLOCK
+    _assert_error_in_place(traj, _observer_record(scen))
+
+
+def test_monte_carlo_with_an_observer_averages_its_runs_in_order(
+        target, unit_gain, five_agents):
+    scen = _with_observer(_switching_scenario(
+        target, unit_gain, five_agents, t_end=4.0, dt=0.002, init="random",
+        seed=6))
+    runs = 3
+    result = monte_carlo_ms(scen, runs)
+    assert result.runs_used == runs
+    total = sim._max_pairwise_sq(simulate_switching(scen).xi_hat)
+    for k in range(1, runs):
+        total += sim._max_pairwise_sq(
+            simulate_switching(scen, run_index=k).xi_hat)
+    assert np.array_equal(result.mean_square, total / runs)
 
 
 def test_monte_carlo_single_run_matches_direct(target, unit_gain, five_agents):
