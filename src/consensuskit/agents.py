@@ -39,7 +39,9 @@ table is evaluated only as the Python source it writes, each power a
 product of squares: the simulator runs the stacked rows it integrates in
 Python floats (one RK4 block function), and the same expressions run on
 numpy columns evaluate alpha and beta over the recorded states.  An agent
-built in Python takes its maps as tables too.
+built in Python takes its maps as tables too: alpha and beta are tables of
+one row, theta a table of one row per internal state, and the row count
+is all an agent checks of a table's shape.
 
 Agents whose input enters non-affinely can be handled by driving the input
 through an integrator, u' = w: :func:`augment` wraps the resulting normal
@@ -93,12 +95,15 @@ class NativePlant:
 
 @dataclass(frozen=True)
 class NormalFormAgent:
+    """One agent in normal form; its maps are TermTables over (xi, eta),
+    alpha and beta of one row each, theta of n_eta rows."""
+
     agent_id: int
     r: int
     n_eta: int
-    alpha: "TermTable"  # one scalar row each
+    alpha: "TermTable"
     beta: "TermTable"
-    theta: "TermTable"  # one row per internal state
+    theta: "TermTable"
     xi0: np.ndarray
     eta0: np.ndarray
     kind: str = AFFINE
@@ -118,17 +123,16 @@ class NormalFormAgent:
         if eta0.shape[0] != self.n_eta:
             raise ValidationError(
                 f"eta0 has length {eta0.shape[0]}, expected n_eta = {self.n_eta}")
-        for name, rows, scalar in (("alpha", 1, True), ("beta", 1, True),
-                                   ("theta", self.n_eta, False)):
+        for name, rows in (("alpha", 1), ("beta", 1),
+                           ("theta", self.n_eta)):
             fn = getattr(self, name)
             if not isinstance(fn, TermTable):
                 raise ValidationError(
                     f"{name} must be a TermTable, got {type(fn).__name__}")
-            if (fn.n_rows, fn.scalar) != (rows, scalar):
+            if fn.n_rows != rows:
                 raise ValidationError(
-                    f"{name} must be a {'scalar' if scalar else 'vector'} "
-                    f"table of {rows} rows, got {fn.n_rows} rows "
-                    f"(scalar={fn.scalar})")
+                    f"{name} must be a table of {rows} rows, got "
+                    f"{fn.n_rows} rows")
             if fn.n_vars > self.r + self.n_eta:
                 raise ValidationError(
                     f"{name} reads variable {fn.n_vars}, past r + n_eta = "
@@ -177,27 +181,16 @@ class TermTable:
     columns, the same IEEE operations in the same order, so both give the
     same bits.  :meth:`at` takes one state or a matrix of states, its
     function compiled on first use; called as fn(xi, eta) a table returns
-    a float when ``scalar`` (alpha, beta) and an array with one entry per
-    row otherwise (theta).  :meth:`stack` joins the tables of several
+    its rows at the state (xi, eta), one entry per row, so alpha and beta
+    give a one-entry array.  :meth:`stack` joins the tables of several
     agents into one over a longer state vector.
     """
 
-    def __init__(self, rows, scalar=False):
+    def __init__(self, rows):
         terms = [(k, float(c), [(j, _power(p, k, t, j))
                                 for j, p in enumerate(e) if p])
                  for k, row in enumerate(rows) for t, (c, e) in enumerate(row)]
-        self._build(len(rows), terms, scalar)
-
-    @classmethod
-    def from_checked(cls, rows, scalar=False):
-        """The table of ``rows`` whose coefficients are floats and whose
-        exponents are non-negative ints already, as a scenario's parser
-        leaves them: their exponents are taken without a second check."""
-        out = cls.__new__(cls)
-        out._build(len(rows), [(k, c, [(j, p) for j, p in enumerate(e) if p])
-                               for k, row in enumerate(rows)
-                               for c, e in row], scalar)
-        return out
+        self._build(len(rows), terms)
 
     @classmethod
     def stack(cls, tables, places):
@@ -209,14 +202,14 @@ class TermTable:
                       for k, c, factors in table._terms]
             n += table.n_rows
         out = cls.__new__(cls)
-        out._build(n, terms, False)
+        out._build(n, terms)
         return out
 
-    def _build(self, n_rows, terms, scalar):
+    def _build(self, n_rows, terms):
         # terms: (row, c, [(variable, power > 0), ...]); the function that
         # evaluates them is compiled on first use, as loading a scenario to
         # synthesize it never evaluates a map
-        self.n_rows, self._terms, self.scalar = n_rows, tuple(terms), scalar
+        self.n_rows, self._terms = n_rows, tuple(terms)
         self.variables = tuple(sorted({j for _, _, f in terms for j, _ in f}))
         self.n_vars = self.variables[-1] + 1 if self.variables else 0
         self._rows = self._columns = None
@@ -251,8 +244,7 @@ class TermTable:
         return _function(source + "\n", (tuple(coefs),), _rows_code)
 
     def __call__(self, xi, eta):
-        value = self.at(np.concatenate((xi, eta)))
-        return float(value[0]) if self.scalar else value
+        return self.at(np.concatenate((xi, eta)))
 
     def _source(self, names, coefs, squares):
         """Each row as a Python expression in which z_j is the name
@@ -377,8 +369,8 @@ def _function(source, defaults, code=_code):
     return types.FunctionType(code, {}, code.co_name, tuple(defaults))
 
 
-_ZERO = TermTable([[(0.0, ())]], scalar=True)
-_ONE = TermTable([[(1.0, ())]], scalar=True)
+_ZERO = TermTable([[(0.0, ())]])
+_ONE = TermTable([[(1.0, ())]])
 _NO_INTERNAL = TermTable([])
 
 # eta' = -a*eta - eta**p + xi_1 over (xi_1, xi_2, eta)
@@ -393,7 +385,7 @@ _DAMPED_THETA = {
 _AGENT3_ALPHA = TermTable([[
     (-1.0, (5, 0, 0)), (1.0, (4, 0, 0)), (4.0, (3, 1, 0)), (-6.0, (2, 1, 0)),
     (-1.0, (2, 0, 1)), (-3.0, (1, 2, 0)), (4.0, (1, 0, 1)), (3.0, (0, 2, 0)),
-    (1.0, (0, 1, 1))]], scalar=True)
+    (1.0, (0, 1, 1))]])
 
 
 def _agent3_alpha_x(x):
@@ -472,12 +464,12 @@ def augment(r, alpha_tilde, beta_tilde, theta_tilde, xi0, eta0=(), u0=0.0,
 
 def linearizing_input(agent, xi, eta, u_hat):
     """Physical input u = (u_hat - alpha) / beta with the beta floor guard."""
-    beta = agent.beta(xi, eta)
+    beta = float(agent.beta(xi, eta)[0])
     if abs(beta) < _BETA_FLOOR:
         raise BetaNearZero(
             f"beta = {beta:.3e} below floor {_BETA_FLOOR:.1e}",
             agent_id=agent.agent_id, state=np.concatenate([xi, eta]))
-    return (u_hat - agent.alpha(xi, eta)) / beta
+    return (u_hat - float(agent.alpha(xi, eta)[0])) / beta
 
 
 def eval_dynamics(agent, xi, eta, u_hat):

@@ -205,10 +205,10 @@ def _rate_and_spectrum(scen):
                     if switching else theoretical_speed_fixed(cs, gain, lap))
         except ValidationError:  # no spanning tree, one node, A4 failing
             pass
-    check = closed_loop_spectrum(cs, gain, lap)
-    spectrum = {"values": _cpairs(check.values)}
-    if check.analytic_consistent is not None:
-        spectrum["analytic_consistent"] = bool(check.analytic_consistent)
+    # the rank-one spectrum is returned only once it matched the formula
+    spectrum = {"values": _cpairs(closed_loop_spectrum(cs, gain, lap))}
+    if gain.rank == "one":
+        spectrum["analytic_consistent"] = True
     return rate, spectrum
 
 

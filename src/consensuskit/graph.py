@@ -14,6 +14,7 @@ off-diagonal pattern holds a spanning tree (metrics).  The spectral characteriza
 oracle, not used here.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,15 @@ class DiGraph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build from an iterable of (sender, receiver, weight), 0-based."""
+        """Build from an iterable of (sender, receiver, weight), 0-based;
+        the weights of parallel edges add up."""
         w = np.zeros((n, n))
-        for frm, to, wt in edges:
+        for k, (frm, to, wt) in enumerate(edges):
+            for node in (frm, to):
+                if not (isinstance(node, numbers.Integral) and 0 <= node < n):
+                    raise ValidationError(
+                        f"edge {k}: node {node!r} is not an integer in "
+                        f"0..{n - 1}")
             w[to, frm] += wt
         return cls(w)
 

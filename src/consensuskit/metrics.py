@@ -85,7 +85,8 @@ def theoretical_speed_fixed(cs, gain, lap):
     """Guaranteed decay rate of the rank-one design on a fixed graph.
 
     The closed loop I (x) A - L (x) B K has the spectrum -c eig(L) plus N
-    copies of the target poles, c = mu sqrt(q1 r_hat) (B' nu).  With a
+    copies of the target poles, c = mu sqrt(q1 r_hat) (the paper's factor
+    B' nu is 1 for the normalized target, see synthesis).  With a
     spanning tree in the off-diagonal pattern of L, eig(L) holds exactly
     one structural zero; the rate is the spectral abscissa of the rest,
     with the one gamma nearest zero dropped and no threshold.
@@ -105,8 +106,7 @@ def theoretical_speed_fixed(cs, gain, lap):
         raise ValidationError(
             "a one-node graph has no eigenvalue besides zero")
     gamma = np.delete(gamma, np.argmin(np.abs(gamma)))
-    b_nu = float(cs.B @ cs.nu)
-    coupling = (gain.mu * np.sqrt(gain.q1 * gain.r_hat) * b_nu
+    coupling = (gain.mu * np.sqrt(gain.q1 * gain.r_hat)
                 * float(gamma.real.min()))
     return float(min([coupling, *(-cs.stable_poles.real).tolist()]))
 

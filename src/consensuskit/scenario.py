@@ -232,22 +232,20 @@ def _parse_agent(doc, index):
                 f"n_eta must be between 0 and {_MAX_ORDER}",
                 field=f"{cw}.n_eta")
         nvars = r + n_eta
-        alpha = TermTable.from_checked(
-            [_terms(cd["alpha"], nvars, f"{cw}.alpha")], scalar=True)
+        alpha = TermTable([_terms(cd["alpha"], nvars, f"{cw}.alpha")])
         beta_terms = _terms(cd["beta"], nvars, f"{cw}.beta")
         if not beta_terms:
             raise ValidationError("beta needs at least one term",
                                   field=f"{cw}.beta")
-        beta = TermTable.from_checked([beta_terms], scalar=True)
+        beta = TermTable([beta_terms])
         theta_doc = _expect(cd["theta"], list, f"{cw}.theta",
                             "a list of term lists")
         if len(theta_doc) != n_eta:
             raise ValidationError(
                 f"theta needs one row per internal state ({n_eta}), "
                 f"got {len(theta_doc)}", field=f"{cw}.theta")
-        theta = TermTable.from_checked(
-            [_terms(row, nvars, f"{cw}.theta[{k}]")
-             for k, row in enumerate(theta_doc)])
+        theta = TermTable([_terms(row, nvars, f"{cw}.theta[{k}]")
+                           for k, row in enumerate(theta_doc)])
         xi0 = _vector(cd["xi0"], r, f"{cw}.xi0")
         eta0 = _vector(cd["eta0"], n_eta, f"{cw}.eta0")
         return NormalFormAgent(agent_id=index + 1, r=r, n_eta=n_eta,

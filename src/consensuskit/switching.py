@@ -154,8 +154,9 @@ def sample_path(mt, t_end, seed, run_index=0):
     cumulative probabilities, as ``rng.choice(l, p=p)`` does, so paths are
     those of ``choice``; a mode's jump row is built at its first jump.
     """
-    if t_end <= 0:
-        raise ValidationError("t_end must be positive")
+    if not 0.0 < t_end < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"t_end must be positive and finite, got "
+                              f"{t_end!r}")
     rng = rng_for(seed, run_index, STREAM_MODE_PATH)
     gen = mt.generator
     mode = int(_cdf(mt.pi).searchsorted(rng.random(), side="right"))
@@ -234,8 +235,9 @@ def _lambda_min_on_disagreement(sym):
 def speed_bound(mt, gain, cs):
     """Mean-square consensus rate under switching, in the fast-switching limit.
 
-    min(pi) * mu * sqrt(q1 r_hat) * (B' nu) * lambda_min(L_union + L_union'),
-    where lambda_min excludes the structural zero along ones.  Requires the
+    min(pi) * mu * sqrt(q1 r_hat) * lambda_min(L_union + L_union'), where
+    lambda_min excludes the structural zero along ones (the paper's factor
+    B' nu is 1 for the normalized target, see synthesis).  Requires the
     rank-one gain, at least two agents (one raises ValidationError), and the
     union graph to satisfy the spanning-tree and balance assumption.
 
@@ -252,7 +254,6 @@ def speed_bound(mt, gain, cs):
     check_A4(mt).require()
     lap = laplacian(mt.union)
     lam = _lambda_min_on_disagreement(lap + lap.T)
-    btnu = float(cs.B @ cs.nu)
     return float(mt.pi.min() * gain.mu * np.sqrt(gain.q1 * gain.r_hat)
-                 * btnu * lam)
+                 * lam)
 

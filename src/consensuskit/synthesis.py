@@ -8,11 +8,13 @@ system with characteristic polynomial
 state matrix A (ones on the superdiagonal, last row [0, -b_2, ..., -b_r]),
 and input vector B = e_r.  The zero root lets the group agree on a nonzero
 constant output.  The vector nu = [b_2, ..., b_r, 1] spans the left null
-space of A and is normalized so B' nu = 1.
+space of A and is normalized so B' nu = nu_r = 1.  The formulas below and
+in the metrics and switching modules are written for this target: the
+paper's factor B' nu is 1 there, and no code computes it.
 
 Cooperative gain.  The rank-one design takes
 
-    P1 = nu p1 nu',   p1 = sqrt(q1) / (sqrt(r_hat) B' nu),
+    P1 = nu p1 nu',   p1 = sqrt(q1) / sqrt(r_hat),
     K  = mu sqrt(q1 r_hat) nu',
 
 which solves the Riccati equation P1 A + A' P1 + q1 nu nu' - r_hat P1 B B' P1 = 0
@@ -42,7 +44,7 @@ from .linalg import _read_only, eig, solve_care
 
 __all__ = [
     "CompanionSystem", "ConsensusGain", "LocalController", "ObserverGain",
-    "SpectrumCheck", "design_companion", "rank_one_gain", "full_gain",
+    "design_companion", "rank_one_gain", "full_gain",
     "local_controller", "assemble_stacked",
     "observer_gain", "closed_loop_spectrum",
 ]
@@ -74,8 +76,7 @@ class ConsensusGain:
     r_hat: float
     K: np.ndarray             # (r,) cooperative gain row, mu included
     P1: np.ndarray            # (r, r) Riccati solution
-    q1: Optional[float] = None       # scalar weight (rank-one only)
-    Q1: Optional[np.ndarray] = None  # weight matrix (full rank only)
+    q1: Optional[float] = None  # scalar weight (rank-one only)
     __post_init__ = _read_only
 
 
@@ -102,19 +103,6 @@ class ObserverGain:
     M: np.ndarray             # (r,) injection gain
     poles: np.ndarray         # requested spectrum of A - M C
     __post_init__ = _read_only
-
-
-@dataclass(frozen=True)
-class SpectrumCheck:
-    """Closed-loop spectrum plus the analytic cross-check flag.
-
-    ``analytic_consistent`` is True when the rank-one closed form matched
-    the block spectrum, and None for full-rank gains (no closed
-    form applies).
-    """
-
-    values: np.ndarray
-    analytic_consistent: Optional[bool]
 
 
 def _check_conjugate_closed(poles):
@@ -177,17 +165,16 @@ def rank_one_gain(cs, mu, q1, r_hat):
     """Closed-form rank-one cooperative gain.
 
     K = mu sqrt(q1 r_hat) nu' and P1 = nu p1 nu' with
-    p1 = sqrt(q1) / (sqrt(r_hat) B' nu).  P1 solves the consensus Riccati
+    p1 = sqrt(q1) / sqrt(r_hat).  P1 solves the consensus Riccati
     equation for the weight Q1 = q1 nu nu' exactly.
     """
     for name, val in (("mu", mu), ("q1", q1), ("r_hat", r_hat)):
         if not (val > 0 and np.isfinite(val)):
             raise ValidationError(f"{name} must be positive, got {val!r}",
                                   field=name)
-    btnu = float(cs.B @ cs.nu)
     with np.errstate(over="ignore"):
         k = mu * np.sqrt(q1 * r_hat) * cs.nu
-        p1 = np.sqrt(q1) / (np.sqrt(r_hat) * btnu)
+        p1 = np.sqrt(q1) / np.sqrt(r_hat)
         p = p1 * np.outer(cs.nu, cs.nu)
     if not np.isfinite(k).all():
         raise SynthesisError(
@@ -222,7 +209,7 @@ def full_gain(cs, mu, q1_matrix, r_hat):
     if not np.isfinite(p).all():
         raise SynthesisError("the Riccati solution P1 overflows")
     return ConsensusGain(rank="full", mu=float(mu), r_hat=float(r_hat),
-                         K=k, P1=p, Q1=q1_matrix)
+                         K=k, P1=p)
 
 
 def local_controller(cs, agent):
@@ -397,15 +384,16 @@ def closed_loop_spectrum(cs, gain, lap):
     whose spectra are appended with their exact conjugates, and the union
     is sorted by (real, imag).
 
-    For rank-one gains the analytic multiset
+    Returns the spectrum sorted by (real, imag).  For rank-one gains that
+    is the analytic multiset
 
-        { -mu sqrt(q1 r_hat) (B' nu) gamma : gamma in eig(L) }
+        { -mu sqrt(q1 r_hat) gamma : gamma in eig(L) }
         union  (N copies of the stable target poles)
 
-    is returned and verified against the block spectrum; a mismatch
-    beyond tolerance raises ConvergenceFailure.  Repeated
-    eigenvalues (including those split by a Jordan block of L) are
-    compared through cluster means.  For full-rank gains the block
+    once it is verified against the block spectrum; a mismatch beyond
+    tolerance raises ConvergenceFailure.
+    Repeated eigenvalues (including those split by a Jordan block of L)
+    are compared through cluster means.  For full-rank gains the block
     spectrum is returned unchecked.
     """
     gamma = eig(lap)
@@ -415,9 +403,8 @@ def closed_loop_spectrum(cs, gain, lap):
     blocks = np.concatenate([real.ravel(), upper.ravel(),
                              upper.ravel().conj()])
     if gain.rank != "one":
-        order = np.lexsort((blocks.imag, blocks.real))
-        return SpectrumCheck(values=blocks[order], analytic_consistent=None)
-    c = gain.mu * np.sqrt(gain.q1 * gain.r_hat) * float(cs.B @ cs.nu)
+        return blocks[np.lexsort((blocks.imag, blocks.real))]
+    c = gain.mu * np.sqrt(gain.q1 * gain.r_hat)
     analytic = np.concatenate([-c * gamma,
                                np.tile(cs.stable_poles, len(gamma))])
     analytic = np.sort_complex(analytic)
@@ -427,4 +414,4 @@ def closed_loop_spectrum(cs, gain, lap):
         raise ConvergenceFailure(
             f"analytic and block spectra differ by {worst:.3e} "
             f"(tolerance {_SPECTRUM_MATCH_TOL * scale:.3e})")
-    return SpectrumCheck(values=analytic, analytic_consistent=True)
+    return analytic

@@ -11,8 +11,8 @@ from consensuskit.agents import (
 from consensuskit.rng import rng_for
 from consensuskit.scenario import parse_scenario
 
-ZERO = TermTable([[]], scalar=True)
-ONE = TermTable([[(1.0, ())]], scalar=True)
+ZERO = TermTable([[]])
+ONE = TermTable([[(1.0, ())]])
 NO_INTERNAL = TermTable([])
 
 
@@ -50,13 +50,24 @@ def test_builtin_chain_shift_and_input_slot():
     assert deta[0] == pytest.approx(-1.0 - 1.0 + 2.0)
 
 
+def _doc_terms(terms):
+    return [{"c": c, "e": list(e)} for c, e in terms]
+
+
 def test_builtin_and_parsed_agents_carry_term_tables():
     # the simulator stacks the tables of all agents; construction rejects
-    # anything else (test_normal_form_validation)
+    # anything else (test_normal_form_validation).  The custom agent's
+    # terms hold +-1 and 0.0 coefficients, a constant term, a cube and
+    # repeated exponents, and each parsed table is the one TermTable
+    # builds from the same terms
+    alpha = [(-1.0, (1, 0, 0, 0)), (0.0, (0, 0, 2, 0)), (2.5, (0, 0, 0, 0)),
+             (1.0, (1, 0, 0, 0)), (0.5, (0, 3, 0, 1))]
+    beta = [(1.0, (0, 0, 0, 0)), (-1.0, (0, 2, 0, 0))]
+    theta = [[(-1.0, (0, 0, 1, 0)), (0.0, (0, 0, 1, 0))], []]
     custom = {"custom": {
-        "r": 2, "n_eta": 2, "alpha": [],
-        "beta": [{"c": 1.0, "e": [0, 0, 0, 0]}],
-        "theta": [[{"c": -1.0, "e": [0, 0, 1, 0]}], []],
+        "r": 2, "n_eta": 2, "alpha": _doc_terms(alpha),
+        "beta": _doc_terms(beta),
+        "theta": [_doc_terms(row) for row in theta],
         "xi0": [0.0, 0.0], "eta0": [0.0, 0.0]}}
     doc = {"agents": [{"builtin": f"agent{i}"} for i in range(1, 6)] + [custom],
            "controller": {"poles": [-1.0, -2.0], "mu": 1.0, "q1": 1.0,
@@ -68,8 +79,28 @@ def test_builtin_and_parsed_agents_carry_term_tables():
     for ag in agents:
         for fn in (ag.alpha, ag.beta, ag.theta):
             assert isinstance(fn, TermTable), (ag.agent_id, fn)
-        assert ag.alpha.scalar and ag.beta.scalar and not ag.theta.scalar
+        assert (ag.alpha.n_rows, ag.beta.n_rows) == (1, 1)
         assert ag.theta.n_rows == ag.n_eta
+
+    parsed = agents[-1]
+    names = ["a", "b", "c", "d"]
+    for table, rows in ((parsed.alpha, [alpha]), (parsed.beta, [beta]),
+                        (parsed.theta, theta)):
+        built = TermTable(rows)
+        assert table._terms == built._terms
+        assert table.variables == built.variables
+        sources = [(t._source(names, coefs, squares), coefs,
+                    list(squares.values()))
+                   for t, coefs, squares in ((table, [], {}), (built, [], {}))]
+        assert sources[0] == sources[1]
+
+    # a one-row table serves as alpha, beta or a one-state theta alike,
+    # and called it returns its one row
+    one_row = TermTable([beta])
+    ag = NormalFormAgent(agent_id=7, r=2, n_eta=1, alpha=one_row,
+                         beta=one_row, theta=one_row, xi0=np.zeros(2),
+                         eta0=np.zeros(1))
+    assert np.array_equal(ag.beta(np.array([0.0, 3.0]), np.zeros(1)), [-8.0])
 
 
 def test_builtin_rejects_unknown_name():
@@ -154,7 +185,7 @@ def test_linearizing_input_beta_floor():
     ag = NormalFormAgent(
         agent_id=9, r=2, n_eta=0,
         alpha=ZERO,
-        beta=TermTable([[(1.0, (1,))]], scalar=True),  # beta = xi_1
+        beta=TermTable([[(1.0, (1,))]]),  # beta = xi_1
         theta=NO_INTERNAL,
         xi0=np.zeros(2), eta0=np.empty(0))
     with pytest.raises(errors.BetaNearZero) as exc:
@@ -181,13 +212,12 @@ def test_normal_form_validation():
         # maps that are not term tables
         (dict(beta=lambda xi, eta: 1.0), "beta must be a TermTable"),
         (dict(theta=np.empty(0)), "theta must be a TermTable"),
-        # alpha and beta are one scalar row (theta: test below)
-        (dict(alpha=TermTable([[], []], scalar=True)),
-         "alpha must be a scalar table of 1 rows, got 2 rows"),
-        (dict(beta=TermTable([[(1.0, ())]])),
-         "beta must be a scalar table of 1 rows"),
+        # alpha and beta are one row (theta: test below)
+        (dict(alpha=TermTable([[], []])),
+         "alpha must be a table of 1 rows, got 2 rows"),
+        (dict(beta=TermTable([])), "beta must be a table of 1 rows, got 0"),
         # an exponent vector longer than r + n_eta = 2
-        (dict(alpha=TermTable([[(1.0, (0, 0, 1))]], scalar=True)),
+        (dict(alpha=TermTable([[(1.0, (0, 0, 1))]])),
          "alpha reads variable 3, past r"),
         (dict(n_eta=1, theta=TermTable([[(1.0, (0, 0, 0, 2))]])),
          "theta reads variable 4, past r"),
@@ -221,7 +251,7 @@ def test_eval_dynamics_checks_sizes():
         eval_dynamics(ag, np.zeros(3), np.zeros(1), 0.0)
     # a theta with the wrong number of rows never makes an agent
     with pytest.raises(errors.ValidationError,
-                       match="theta must be a vector table of 1 rows"):
+                       match="theta must be a table of 1 rows, got 2 rows"):
         _agent(n_eta=1, theta=TermTable([[], []]))
 
 

@@ -21,6 +21,18 @@ def test_from_edges_accumulates_parallel_edges():
     assert g.weights.sum() == 1.75
 
 
+def test_from_edges_refuses_a_node_outside_the_graph():
+    # -1 indexed from the end (the edge 0 -> 2) and 3 escaped as a numpy
+    # IndexError; 1.5 is no node at all
+    for bad in (-1, 3, 1.5):
+        for edge in ((0, bad, 1.0), (bad, 0, 1.0)):
+            with pytest.raises(errors.ValidationError,
+                               match=rf"^edge 1: node {bad} is not an "
+                                     rf"integer in 0\.\.2$"):
+                DiGraph.from_edges(3, [(1, 2, 1.0), edge])
+    assert DiGraph.from_edges(3, [(np.int64(2), 0, 1.0)]).weights[0, 2] == 1.0
+
+
 def test_graph_validation_errors():
     with pytest.raises(errors.ValidationError,
                        match=r"weights must be square, got \(2, 3\)"):

@@ -208,7 +208,7 @@ def test_theoretical_speed_fixed_is_the_closed_loop_spectral_abscissa():
     for cs, gain, lap in _rank_one_designs(0, 48):
         speed = theoretical_speed_fixed(cs, gain, lap)
         assert speed == pytest.approx(_dense_rate(cs, gain, lap), rel=1e-8)
-        values = closed_loop_spectrum(cs, gain, lap).values
+        values = closed_loop_spectrum(cs, gain, lap)
         nonzero = np.delete(values, np.argmin(np.abs(values)))
         assert speed == -nonzero.real.max()
 

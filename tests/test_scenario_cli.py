@@ -762,6 +762,9 @@ def test_cli_synthesize_prints_null_when_no_rate_is_guaranteed(tmp_path,
         assert "guaranteed_rate" in out, name
         assert out["guaranteed_rate"] is None, name
         assert list(out)[-2:] == ["guaranteed_rate", "spectrum"], name
+        # only a rank-one spectrum is checked against its formula
+        assert (("analytic_consistent" in out["spectrum"])
+                == (name != "full")), name
 
 
 def _one_json_line(text):

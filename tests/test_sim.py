@@ -41,9 +41,9 @@ from consensuskit.synthesis import (
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 FLIP_FLOP = np.array([[-1.0, 1.0], [1.0, -1.0]])
-ZERO = TermTable([[]], scalar=True)
-ONE = TermTable([[(1.0, ())]], scalar=True)
-XI_1 = TermTable([[(1.0, (1,))]], scalar=True)  # beta = xi_1
+ZERO = TermTable([[]])
+ONE = TermTable([[(1.0, ())]])
+XI_1 = TermTable([[(1.0, (1,))]])  # beta = xi_1
 NO_INTERNAL = TermTable([])
 
 
@@ -167,8 +167,9 @@ def test_rate_matches_linear_spectrum(target, unit_gain):
                        t_end=12.0, dt=1e-3)
     traj = simulate_fixed(scen)
     fit = empirical_rate(traj.times, disagreement(traj), window=(5.0, 11.0))
-    check = closed_loop_spectrum(target, unit_gain, laplacian(directed_cycle(3)))
-    nonzero = check.values[np.abs(check.values) > 1e-9]
+    values = closed_loop_spectrum(target, unit_gain,
+                                  laplacian(directed_cycle(3)))
+    nonzero = values[np.abs(values) > 1e-9]
     slowest = float(-nonzero.real.max())
     assert fit.rate == pytest.approx(slowest, rel=0.2)
 
@@ -447,8 +448,8 @@ def test_compiled_cascade_agrees_with_term_tables(target, unit_gain):
            "graph": {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [3, 1, 1.0]]},
            "sim": {"t_end": 1.0, "dt": 0.01}}
     augmented = augment(
-        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
-        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]]),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]]),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     scen = SimScenario(parse_scenario(doc).agents + (augmented,), target,
                        unit_gain, directed_cycle(4))
@@ -658,8 +659,8 @@ def test_generated_sources_hold_no_power_and_no_float(target, unit_gain):
         agent_id=1, r=2, n_eta=1, alpha=ZERO, beta=ONE, theta=custom,
         xi0=np.array([0.3, -0.1]), eta0=np.array([0.2]))
     augmented = augment(
-        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 3))]], scalar=True),
-        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 3))]]),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]]),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     agents = [decay, builtin("agent1"), builtin("agent3"), augmented]
     scen = SimScenario(agents, target, unit_gain, directed_cycle(4),
@@ -925,7 +926,7 @@ def test_beta_floor_at_a_block_edge(target, unit_gain, monkeypatch, k):
     def ramp(agent_id, sample):
         return NormalFormAgent(
             agent_id=agent_id, r=2, n_eta=1, alpha=ZERO,
-            beta=TermTable([[(1.0, (0, 0, 1))]], scalar=True),
+            beta=TermTable([[(1.0, (0, 0, 1))]]),
             theta=TermTable([[(1.0, ())]]), xi0=np.array([0.1, -0.2]),
             eta0=np.array([-sample * dt]))
 
@@ -1454,8 +1455,8 @@ def test_custom_agent_matches_independent_oracles(target, unit_gain):
            "sim": {"t_end": 5.0, "dt": 0.005}}
     # u' = (u_hat - 0.3 xi_1 xi_3) / (2 + xi_2 ** 2)
     augmented = augment(
-        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
-        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]]),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]]),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     agents = parse_scenario(doc).agents + (augmented,)
     traj = simulate_fixed(SimScenario(agents, target, unit_gain,
@@ -1526,8 +1527,8 @@ def _loop_agents():
     """agent1 (damped eta), an augmented agent with non-constant alpha and
     beta, and two pure degree-3 chains."""
     augmented = augment(
-        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]], scalar=True),
-        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1))]]),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]]),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.7, agent_id=2)
     rng = np.random.default_rng(2)
     return ([builtin("agent1").with_initial(xi0=[0.8, -0.3], eta0=[0.4]),
@@ -2013,7 +2014,7 @@ def _with_zero_terms(table, e):
         for j, p in factors:
             exponents[j] = p
         rows[k].append((c, tuple(exponents)))
-    return TermTable([row + [(0.0, e)] for row in rows], scalar=table.scalar)
+    return TermTable([row + [(0.0, e)] for row in rows])
 
 
 def _outputs(traj):
@@ -2037,9 +2038,8 @@ def test_zero_terms_leave_the_outputs_bit_identical(target, unit_gain):
     docs["observer"]["observer"] = {"C": [1.0, 0.0, 0.0],
                                     "poles": [-3.0, -4.0, -5.0]}
     augmented = augment(
-        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1)), (-1.0, (0, 1))]],
-                                   scalar=True),
-        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]], scalar=True),
+        r=2, alpha_tilde=TermTable([[(0.3, (1, 0, 1)), (-1.0, (0, 1))]]),
+        beta_tilde=TermTable([[(2.0, ()), (1.0, (0, 2))]]),
         theta_tilde=None, xi0=[-0.4, 0.2, 0.5], u0=0.5, agent_id=4)
     cases = [(parse_scenario(docs[name]), run) for name, run in (
         ("fixed", simulate_fixed), ("observer", simulate_with_observer),
@@ -2133,8 +2133,7 @@ def test_failures_inside_a_chunk_match_one_segment_per_chunk(
             xi0=np.array([0.1, 0.0]), eta0=np.array([0.6]))
     else:
         odd = augment(r=2, alpha_tilde=ZERO,
-                      beta_tilde=TermTable([[(1.0, (0, 0, 0, 1))]],
-                                           scalar=True),
+                      beta_tilde=TermTable([[(1.0, (0, 0, 0, 1))]]),
                       theta_tilde=TermTable([[(-1.0, ())]]),
                       xi0=[0.2, -0.1, 0.3], eta0=[2.0], u0=0.1, agent_id=1)
     if failure == "beta_floor":

@@ -228,8 +228,12 @@ def test_sample_path_deterministic_and_stream_separated():
 
 
 def test_sample_path_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        sample_path(_default_topology(), 0.0, seed=1)
+    # NaN gave an empty path and inf never returned, its path growing
+    # without bound
+    for t_end in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(errors.ValidationError,
+                           match="t_end must be positive and finite"):
+            sample_path(_default_topology(), t_end, seed=1)
 
 
 def test_sample_path_absorbing_mode():
